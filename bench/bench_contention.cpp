@@ -3,7 +3,7 @@
 // PR 3 showed processor-partitioning fair share collapsing under
 // quadratic jobs because platform slices pay the w·X^alpha cost
 // superlinearly. That experiment still granted every concurrent slot a
-// PRIVATE master port (per-slot engine runs). This bench re-runs the
+// PRIVATE master port (one busy period per slot). This bench re-runs the
 // comparison with the master's bounded-multiport capacity genuinely
 // shared across slots (online::MasterMode::kSharedMaster: one engine run
 // per busy period multiplexing time-released chunks), crossing

@@ -46,10 +46,8 @@
 #include "partition/recursive_bisection.hpp"  // IWYU pragma: export
 #include "platform/platform.hpp"   // IWYU pragma: export
 #include "platform/speed_distributions.hpp"  // IWYU pragma: export
-#include "sim/bounded_multiport.hpp"  // IWYU pragma: export
 #include "sim/comm_model.hpp"      // IWYU pragma: export
 #include "sim/engine.hpp"          // IWYU pragma: export
-#include "sim/simulator.hpp"       // IWYU pragma: export
 #include "sim/trace.hpp"           // IWYU pragma: export
 #include "sort/distributed.hpp"    // IWYU pragma: export
 #include "sort/merge_sort.hpp"     // IWYU pragma: export

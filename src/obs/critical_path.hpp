@@ -29,9 +29,8 @@
 // so gating edges are found by BITWISE time equality between events.
 // Per worker, the i-th transfer and i-th compute event (emission order)
 // describe the same chunk — emission order is settle order is FIFO order
-// for every producer (sim::SharedMasterPeriod and the online server's
-// private-port hook both emit transfer+compute adjacently, per worker in
-// schedule order).
+// (sim::SharedMasterPeriod, the servers' one span producer, emits
+// transfer+compute adjacently, per worker in schedule order).
 //
 // The analysis is read-only over the event stream: attaching it cannot
 // change results (the serving benches fold that bit-identity into their

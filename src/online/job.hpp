@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 namespace nldl::online {
 
@@ -35,6 +36,14 @@ struct Job {
   /// Time between release and deadline (+infinity when best-effort).
   [[nodiscard]] double slack() const noexcept { return deadline - arrival; }
 };
+
+/// The stream contract both servers (online::Server, qos::Server) share:
+/// ids 0..n-1 in order, arrivals finite, >= 0 and non-decreasing, loads
+/// finite and > 0, alphas finite and >= 1. Throws util::PreconditionError
+/// on the first violation — a NaN or infinite field is a caller error,
+/// not a stream the event loop could ever drain. Deadlines are the
+/// caller's to check (+infinity is a legal best-effort deadline).
+void validate_stream(const std::vector<Job>& jobs);
 
 /// Completed-job record produced by online::Server.
 struct JobStats {

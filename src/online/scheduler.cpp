@@ -12,7 +12,7 @@ double predicted_makespan(const Job& job,
                           const platform::Platform& platform,
                           sim::CommModelKind comm) {
   NLDL_REQUIRE(job.load > 0.0, "predicted_makespan requires a positive load");
-  // The same matched allocator Server::simulate_service replays under
+  // The same matched allocator Server::job_schedule replays under
   // each model (one-port feeds in platform order there too).
   return dlt::nonlinear_single_round_for(comm, platform, job.load,
                                          job.alpha)

@@ -1,6 +1,7 @@
 #include "online/server.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "dlt/nonlinear_dlt.hpp"
@@ -53,72 +54,32 @@ std::vector<sim::ChunkAssignment> Server::job_schedule(
       .to_schedule();
 }
 
-double Server::simulate_service(const platform::Platform& slot_platform,
-                                const Job& job, double* compute_time,
-                                const std::vector<std::size_t>* trace_workers,
-                                double trace_offset) const {
-  const sim::Engine engine(slot_platform, {job.alpha});
+double Server::isolated_makespan(const Job& job) const {
+  const sim::Engine engine(platform_, {job.alpha});
   sim::EngineRun run(engine, *model_);
-  obs::TraceSink* sink = trace_workers != nullptr ? options_.trace : nullptr;
-  if (sink != nullptr) run.set_trace(sink, trace_offset);
-  double finish = 0.0;
-  double busy = 0.0;
-  const auto hook = [&](std::size_t, const sim::ChunkSpan& span) {
-    finish = std::max(finish, span.compute_end);
-    busy += span.compute_end - span.compute_start;
-    if (sink != nullptr) {
-      // Private-port replays run on the slot's carved platform: remap the
-      // slot-local worker to its platform index so the trace's worker
-      // tracks line up with the shared-master mode's.
-      obs::TraceEvent event;
-      event.worker = (*trace_workers)[span.worker];
-      event.job = job.id;
-      event.tenant = job.tenant;
-      event.size = span.size;
-      event.alpha = job.alpha;
-      event.kind = obs::EventKind::kTransfer;
-      event.start = trace_offset + span.comm_start;
-      event.end = trace_offset + span.comm_end;
-      sink->record(event);
-      event.kind = obs::EventKind::kCompute;
-      event.start = trace_offset + span.compute_start;
-      event.end = trace_offset + span.compute_end;
-      sink->record(event);
-    }
-  };
-  for (const sim::ChunkAssignment& chunk : job_schedule(slot_platform, job)) {
+  for (const sim::ChunkAssignment& chunk : job_schedule(platform_, job)) {
     (void)run.append(chunk);
   }
-  run.drain(sim::ChunkCompletionRef(hook));
-  NLDL_ASSERT(finish == run.makespan(),
-              "completion hook disagrees with the simulated makespan");
-  if (compute_time != nullptr) *compute_time = busy;
-  return finish;
+  run.drain();
+  return run.makespan();
 }
 
 std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
                                   const Scheduler& scheduler,
                                   obs::MetricsRegistry* metrics) const {
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    NLDL_REQUIRE(jobs[i].id == i, "job ids must be 0..n-1 in order");
-    NLDL_REQUIRE(jobs[i].arrival >= 0.0, "job arrivals must be >= 0");
-    NLDL_REQUIRE(i == 0 || jobs[i].arrival >= jobs[i - 1].arrival,
-                 "jobs must be sorted by arrival time");
-    NLDL_REQUIRE(jobs[i].load > 0.0, "job loads must be positive");
-    NLDL_REQUIRE(jobs[i].alpha >= 1.0, "job alphas must be >= 1");
-  }
+  validate_stream(jobs);
 
   // Carve the platform into the scheduler's slots (interleaved so a
   // sorted or two-class platform splits evenly); the carve also maps
-  // slot-local worker indices back to the platform for the shared-master
-  // mode.
+  // slot-local worker indices back to the platform the periods replay on.
   platform::Platform::Partition carve =
       platform_.interleaved_partition(scheduler.shares());
   const std::vector<platform::Platform>& slot_platforms = carve.subsets;
   const std::vector<std::vector<std::size_t>>& slot_workers = carve.workers;
+  const std::size_t slots = slot_platforms.size();
 
   // Pre-register the replay counters so a snapshot has them (at zero) even
-  // for modes/streams that never open a shared busy period.
+  // for streams that never open a busy period.
   if (metrics != nullptr) {
     (void)metrics->counter("replay.engine_events");
     (void)metrics->counter("replay.replays");
@@ -128,20 +89,156 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
   std::vector<JobStats> stats(jobs.size());
   if (options_.record_isolated) {
     for (const Job& job : jobs) {
-      stats[job.id].isolated_makespan =
-          simulate_service(platform_, job, nullptr);
+      stats[job.id].isolated_makespan = isolated_makespan(job);
     }
   }
 
-  if (options_.master == MasterMode::kSharedMaster) {
-    run_shared(jobs, scheduler, slot_platforms, slot_workers, stats, metrics);
-  } else {
-    run_private(jobs, scheduler, slot_platforms, slot_workers, stats);
+  // Busy periods (sim::SharedMasterPeriod, see sim/multiplex.hpp) replay
+  // every dispatched job's chunks under the one configured model, each
+  // job one period owner. The master mode only decides how slots group
+  // onto periods: one period holds every slot under kSharedMaster, so
+  // concurrent slots contend for the master; kPrivatePort gives each
+  // slot its own period, whose clock is period-relative — a slot's job
+  // replays exactly as it would alone on that slot.
+  const bool shared = options_.master == MasterMode::kSharedMaster;
+  const std::size_t period_count = shared ? 1 : slots;
+  const auto period_of = [shared](std::size_t s) -> std::size_t {
+    return shared ? 0 : s;
+  };
+  const sim::Engine engine(platform_, {});
+  std::vector<sim::SharedMasterPeriod> periods;
+  periods.reserve(period_count);
+  for (std::size_t p = 0; p < period_count; ++p) {
+    periods.emplace_back(engine, *model_,
+                         sim::SharedMasterOptions{options_.incremental_replay});
+    if (options_.trace != nullptr) periods.back().set_trace(options_.trace);
+  }
+  // Job id of every owner, per period.
+  std::vector<std::vector<std::size_t>> owner_job(period_count);
+
+  std::vector<double> slot_busy_until(slots, -kNever);  // idle when <= now
+  std::vector<std::size_t> slot_owner(slots, kNoJob);   // owner in its period
+  std::vector<std::uint8_t> period_busy(period_count, 0);
+  std::vector<std::uint8_t> period_dispatched(period_count, 0);
+  std::vector<Job> queue;  // waiting jobs, in arrival order
+  std::size_t next_arrival = 0;
+  double now = 0.0;
+
+  // An owner's record only becomes final when its busy period drains, so
+  // per-job finish/compute land in `stats` once per period (amortized
+  // O(1) per job) instead of re-writing every owner after every replay
+  // (O(period) per dispatch — the same quadratic the incremental replay
+  // removes). Finish estimates only move later and the last replay of a
+  // period simulates its complete schedule, so the flushed values are
+  // exactly the per-replay values the historical loop wrote last.
+  const auto flush_period = [&](std::size_t p) {
+    sim::SharedMasterPeriod& period = periods[p];
+    for (std::size_t owner = 0; owner < owner_job[p].size(); ++owner) {
+      JobStats& record = stats[owner_job[p][owner]];
+      record.finish = period.finish(owner);
+      record.compute_time = period.busy(owner);
+    }
+    if (metrics != nullptr) ++metrics->counter("replay.busy_periods");
+    period.clear();
+    owner_job[p].clear();
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (period_of(s) == p) slot_owner[s] = kNoJob;
+    }
+  };
+
+  while (true) {
+    // Admit every job that has arrived by `now` (queue stays in arrival
+    // order because `jobs` is sorted).
+    while (next_arrival < jobs.size() &&
+           jobs[next_arrival].arrival <= now) {
+      emit_arrival(jobs[next_arrival], queue.size());
+      queue.push_back(jobs[next_arrival++]);
+    }
+
+    // A period whose slots are all idle has drained: every record it
+    // holds is final, so its schedule can be flushed. The next dispatch
+    // re-anchors the period clock at its own instant.
+    std::fill(period_busy.begin(), period_busy.end(), 0);
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (slot_busy_until[s] > now) period_busy[period_of(s)] = 1;
+    }
+    for (std::size_t p = 0; p < period_count; ++p) {
+      if (period_busy[p] == 0 && !periods[p].empty()) flush_period(p);
+    }
+
+    // Fill idle slots in ascending slot order. One replay per touched
+    // period after the fill pass refreshes every estimate: the pass
+    // itself only reads slot_busy_until of slots it has not dispatched
+    // to, and those cannot flip busy (a settled finish <= now is
+    // unaffected by chunks released at now).
+    std::fill(period_dispatched.begin(), period_dispatched.end(), 0);
+    for (std::size_t s = 0; s < slots && !queue.empty(); ++s) {
+      if (slot_busy_until[s] > now) continue;
+      const std::size_t k = scheduler.pick(queue, slot_platforms[s]);
+      NLDL_ASSERT(k < queue.size(), "scheduler picked outside the queue");
+      const Job job = queue[k];
+      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(k));
+
+      JobStats& record = stats[job.id];
+      record.job = job;
+      record.dispatch = now;
+      record.slot = s;
+      record.workers = slot_platforms[s].size();
+
+      const std::size_t p = period_of(s);
+      slot_owner[s] = periods[p].dispatch(now, job.alpha,
+                                          job_schedule(slot_platforms[s], job),
+                                          slot_workers[s], job.id, job.tenant);
+      owner_job[p].push_back(job.id);
+      period_dispatched[p] = 1;
+    }
+    bool dispatched = false;
+    for (std::size_t p = 0; p < period_count; ++p) {
+      if (period_dispatched[p] == 0) continue;
+      periods[p].replay();
+      dispatched = true;
+    }
+    if (dispatched) {
+      // Only the active slots' finish estimates drive the event loop;
+      // per-job records wait for the period flush.
+      for (std::size_t s = 0; s < slots; ++s) {
+        if (slot_owner[s] != kNoJob) {
+          slot_busy_until[s] = periods[period_of(s)].finish(slot_owner[s]);
+        }
+      }
+    }
+
+    // Advance to the next event: the earliest busy-slot completion or the
+    // next arrival, whichever comes first (completions before arrivals at
+    // ties, so freed slots see the tying arrival in the same round).
+    double next_event = kNever;
+    for (const double until : slot_busy_until) {
+      if (until > now) next_event = std::min(next_event, until);
+    }
+    if (next_arrival < jobs.size()) {
+      next_event = std::min(next_event, jobs[next_arrival].arrival);
+    }
+    if (next_event == kNever) break;  // nldl-lint: allow(double-eq): kNever sentinel compare
+    now = next_event;
   }
 
+  // The loop exits with every slot idle; the final busy periods have not
+  // seen the drain branch yet, so flush them here.
+  if (metrics != nullptr) {
+    for (const sim::SharedMasterPeriod& period : periods) {
+      metrics->counter("replay.engine_events") += period.events();
+      metrics->counter("replay.replays") += period.replays();
+    }
+  }
+  for (std::size_t p = 0; p < period_count; ++p) {
+    if (!periods[p].empty()) flush_period(p);
+  }
+  NLDL_ASSERT(queue.empty() && next_arrival == jobs.size(),
+              "online server stopped with unserved jobs");
+
   // One kJob span per served job, in id order — the per-job track of the
-  // exported timeline (span emission for chunks happened inside the mode
-  // loops, where worker attribution lives).
+  // exported timeline (chunk spans came from the periods, which own the
+  // worker attribution).
   if (options_.trace != nullptr) {
     for (const JobStats& record : stats) {
       obs::TraceEvent event;
@@ -157,192 +254,6 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
     }
   }
   return stats;
-}
-
-void Server::run_private(
-    const std::vector<Job>& jobs, const Scheduler& scheduler,
-    const std::vector<platform::Platform>& slot_platforms,
-    const std::vector<std::vector<std::size_t>>& slot_workers,
-    std::vector<JobStats>& stats) const {
-  const std::size_t slots = slot_platforms.size();
-  std::vector<double> slot_busy_until(slots, -kNever);  // idle when <= now
-  std::vector<Job> queue;  // waiting jobs, in arrival order
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-
-  while (true) {
-    // Admit every job that has arrived by `now` (queue stays in arrival
-    // order because `jobs` is sorted).
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival <= now) {
-      emit_arrival(jobs[next_arrival], queue.size());
-      queue.push_back(jobs[next_arrival++]);
-    }
-
-    // Fill idle slots in ascending slot order.
-    for (std::size_t s = 0; s < slots && !queue.empty(); ++s) {
-      if (slot_busy_until[s] > now) continue;
-      const std::size_t k = scheduler.pick(queue, slot_platforms[s]);
-      NLDL_ASSERT(k < queue.size(), "scheduler picked outside the queue");
-      const Job job = queue[k];
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(k));
-
-      JobStats& record = stats[job.id];
-      record.job = job;
-      record.dispatch = now;
-      record.slot = s;
-      record.workers = slot_platforms[s].size();
-      if (options_.trace != nullptr) {
-        obs::TraceEvent event;
-        event.kind = obs::EventKind::kDispatch;
-        event.start = now;
-        event.end = now;
-        event.job = job.id;
-        event.tenant = job.tenant;
-        event.alpha = job.alpha;
-        event.value = static_cast<double>(record.workers);
-        options_.trace->record(event);
-      }
-      const double service =
-          simulate_service(slot_platforms[s], job, &record.compute_time,
-                           &slot_workers[s], now);
-      record.finish = now + service;
-      slot_busy_until[s] = record.finish;
-    }
-
-    // Advance to the next event: the earliest busy-slot completion or the
-    // next arrival, whichever comes first (completions before arrivals at
-    // ties, so freed slots see the tying arrival in the same round).
-    double next_event = kNever;
-    for (const double until : slot_busy_until) {
-      if (until > now) next_event = std::min(next_event, until);
-    }
-    if (next_arrival < jobs.size()) {
-      next_event = std::min(next_event, jobs[next_arrival].arrival);
-    }
-    if (next_event == kNever) break;  // no work left anywhere  // nldl-lint: allow(double-eq): kNever sentinel compare
-    now = next_event;
-  }
-
-  NLDL_ASSERT(queue.empty() && next_arrival == jobs.size(),
-              "online server stopped with unserved jobs");
-}
-
-void Server::run_shared(
-    const std::vector<Job>& jobs, const Scheduler& scheduler,
-    const std::vector<platform::Platform>& slot_platforms,
-    const std::vector<std::vector<std::size_t>>& slot_workers,
-    std::vector<JobStats>& stats, obs::MetricsRegistry* metrics) const {
-  const std::size_t slots = slot_platforms.size();
-  std::vector<double> slot_busy_until(slots, -kNever);
-  std::vector<std::size_t> slot_owner(slots, kNoJob);
-  std::vector<Job> queue;
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-
-  // One sim::SharedMasterPeriod per busy period multiplexes every slot's
-  // chunks through a single engine run under the one configured model
-  // (see sim/multiplex.hpp for the period-relative clock and the
-  // finishes-only-move-later invariant the event loop rides on). Each
-  // job is one period owner.
-  const sim::Engine engine(platform_, {});
-  sim::SharedMasterPeriod period(engine, *model_,
-                                 {options_.incremental_replay});
-  if (options_.trace != nullptr) period.set_trace(options_.trace);
-  std::vector<std::size_t> owner_job;  // job id per period owner
-
-  // An owner's record only becomes final when its busy period drains, so
-  // per-job finish/compute land in `stats` once per period (amortized
-  // O(1) per job) instead of re-writing every owner after every replay
-  // (O(period) per dispatch — the same quadratic the incremental replay
-  // removes). Finish estimates only move later and the last replay of a
-  // period simulates its complete schedule, so the flushed values are
-  // exactly the per-replay values the historical loop wrote last.
-  const auto flush_period = [&]() {
-    for (std::size_t owner = 0; owner < owner_job.size(); ++owner) {
-      JobStats& record = stats[owner_job[owner]];
-      record.finish = period.finish(owner);
-      record.compute_time = period.busy(owner);
-    }
-    if (metrics != nullptr) ++metrics->counter("replay.busy_periods");
-    period.clear();
-    owner_job.clear();
-    std::fill(slot_owner.begin(), slot_owner.end(), kNoJob);
-  };
-
-  while (true) {
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival <= now) {
-      emit_arrival(jobs[next_arrival], queue.size());
-      queue.push_back(jobs[next_arrival++]);
-    }
-
-    // The platform drained: every record of the period is final, so the
-    // accumulated schedule can be flushed. The next dispatch re-anchors
-    // the period clock at its own instant.
-    bool any_busy = false;
-    for (const double until : slot_busy_until) {
-      if (until > now) any_busy = true;
-    }
-    if (!any_busy && !period.empty()) flush_period();
-
-    // Fill idle slots in ascending slot order. One replay after the fill
-    // pass refreshes every estimate: the pass itself only reads
-    // slot_busy_until of slots it has not dispatched to, and those
-    // cannot flip busy (a settled finish <= now is unaffected by chunks
-    // released at now).
-    bool dispatched = false;
-    for (std::size_t s = 0; s < slots && !queue.empty(); ++s) {
-      if (slot_busy_until[s] > now) continue;
-      const std::size_t k = scheduler.pick(queue, slot_platforms[s]);
-      NLDL_ASSERT(k < queue.size(), "scheduler picked outside the queue");
-      const Job job = queue[k];
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(k));
-
-      JobStats& record = stats[job.id];
-      record.job = job;
-      record.dispatch = now;
-      record.slot = s;
-      record.workers = slot_platforms[s].size();
-
-      slot_owner[s] = period.dispatch(now, job.alpha,
-                                      job_schedule(slot_platforms[s], job),
-                                      slot_workers[s], job.id, job.tenant);
-      owner_job.push_back(job.id);
-      dispatched = true;
-    }
-    if (dispatched) {
-      period.replay();
-      // Only the active slots' finish estimates drive the event loop;
-      // per-job records wait for the period flush.
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (slot_owner[s] != kNoJob) {
-          slot_busy_until[s] = period.finish(slot_owner[s]);
-        }
-      }
-    }
-
-    double next_event = kNever;
-    for (const double until : slot_busy_until) {
-      if (until > now) next_event = std::min(next_event, until);
-    }
-    if (next_arrival < jobs.size()) {
-      next_event = std::min(next_event, jobs[next_arrival].arrival);
-    }
-    if (next_event == kNever) break;  // nldl-lint: allow(double-eq): kNever sentinel compare
-    now = next_event;
-  }
-
-  // The loop exits with every slot idle; the final busy period has not
-  // seen the drain branch yet, so flush it here.
-  if (metrics != nullptr) {
-    metrics->counter("replay.engine_events") += period.events();
-    metrics->counter("replay.replays") += period.replays();
-  }
-  if (!period.empty()) flush_period();
-
-  NLDL_ASSERT(queue.empty() && next_arrival == jobs.size(),
-              "online server stopped with unserved jobs");
 }
 
 }  // namespace nldl::online

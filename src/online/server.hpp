@@ -13,28 +13,29 @@
 //     the communication model (dlt::nonlinear_one_port_single_round under
 //     one-port, dlt::nonlinear_parallel_single_round otherwise), and the
 //     resulting schedule is replayed by sim::Engine under the configured
-//     CommModel — the per-job finish time is timestamped via the engine's
-//     ChunkCompletionHook;
+//     CommModel inside a busy period (see "Master modes" below), which
+//     timestamps the per-job finish via the engine's completion hook;
 //   - simultaneous events resolve deterministically: completions first,
 //     then arrivals, then dispatches in ascending slot index. The whole
 //     simulation consumes no RNG, so a run is a pure function of the job
 //     stream — bit-identical wherever it executes (the property
 //     bench_online's serial-vs-parallel self-check rides on).
 //
-// Master modes: under kPrivatePort (the historical model) each slot
-// replays its jobs through its own engine run, so the master's
-// port/capacity constraint applies per slot, not across concurrent slots
-// (a partitioned master — every slot effectively gets a private port).
-// Under kSharedMaster one engine run per busy period multiplexes the
-// chunks of every concurrent job using time-released chunks
-// (sim::ChunkAssignment::release): each job's chunks are released at its
-// dispatch instant and contend with every other in-flight job's
-// transfers under the ONE configured CommModel — with a
-// BoundedMultiportModel capacity this is honest cross-slot bandwidth
-// contention on a genuinely shared master. A busy period with a single
-// job reproduces the private-port replay bit for bit (chunk times are
-// kept period-relative), so exclusive schedulers are unchanged and
-// fair-share only diverges where contention is real.
+// Master modes: every dispatched job's chunks replay through a busy
+// period (sim::SharedMasterPeriod) under the ONE configured CommModel,
+// each job one period owner; the mode only decides how slots group onto
+// periods. Under kSharedMaster one period holds every slot: each job's
+// chunks are released at its dispatch instant
+// (sim::ChunkAssignment::release) and contend with every other in-flight
+// job's transfers — with a BoundedMultiportModel capacity this is honest
+// cross-slot bandwidth contention on a genuinely shared master. Under
+// kPrivatePort (the historical model) each slot gets its own period, so
+// the master's port/capacity constraint applies per slot, not across
+// concurrent slots (a partitioned master — every slot effectively gets a
+// private port). Period clocks are period-relative, so a busy period
+// with a single job reproduces that job's replay alone on its slot bit
+// for bit: exclusive schedulers are unchanged by the mode and fair share
+// only diverges where contention is real.
 #pragma once
 
 #include <limits>
@@ -58,8 +59,8 @@ namespace nldl::online {
 
 /// How concurrent slots reach the master (see the file comment).
 enum class MasterMode {
-  kPrivatePort,   ///< per-slot engine runs: a partitioned master
-  kSharedMaster,  ///< one engine run per busy period: honest contention
+  kPrivatePort,   ///< one busy period per slot: a partitioned master
+  kSharedMaster,  ///< one busy period for all slots: honest contention
 };
 
 [[nodiscard]] std::string to_string(MasterMode mode);
@@ -75,18 +76,18 @@ struct ServerOptions {
   /// JobStats::isolated_makespan (the slowdown baseline). Costs one extra
   /// engine run per job.
   bool record_isolated = true;
-  /// Shared-master busy periods resume each replay from a checkpoint of
-  /// the settled prefix (sim::SharedMasterOptions::incremental) instead
-  /// of re-simulating the whole period. Bit-identical results; off only
-  /// buys the O(period²) reference behavior.
+  /// Busy periods resume each replay from a checkpoint of the settled
+  /// prefix (sim::SharedMasterOptions::incremental) instead of
+  /// re-simulating the whole period. Bit-identical results; off only buys
+  /// the O(period²) reference behavior.
   bool incremental_replay = true;
   /// Optional trace sink (obs/trace.hpp, non-owning, must outlive the
   /// server's run). When set, the served timeline is emitted as typed
   /// events on the simulated clock: chunk transfer/compute spans with
   /// job/tenant/worker/alpha attribution, dispatch instants, whole-job
-  /// spans, and (shared-master mode) the replay machinery's bookkeeping.
-  /// The isolated-baseline runs (record_isolated) stay untraced — they
-  /// are counterfactuals, not the served timeline. Tracing never changes
+  /// spans, and the replay machinery's bookkeeping. The isolated-baseline
+  /// runs (record_isolated) stay untraced — they are counterfactuals, not
+  /// the served timeline. Tracing never changes
   /// results: JobStats are bit-identical with or without a sink.
   obs::TraceSink* trace = nullptr;
 };
@@ -104,28 +105,24 @@ class Server {
   }
 
   /// Simulate the open system to completion (every job served, however
-  /// far past the last arrival that takes). `jobs` must be in
-  /// non-decreasing arrival order with ids 0..n-1 — the shape every
+  /// far past the last arrival that takes). `jobs` must satisfy
+  /// validate_stream() (online/job.hpp): ids 0..n-1, finite arrivals in
+  /// non-decreasing order, finite loads and alphas — the shape every
   /// ArrivalProcess produces. Returns one JobStats per job, in id order.
-  /// `metrics`, when non-null, accumulates shared-master replay cost as
+  /// `metrics`, when non-null, accumulates busy-period replay cost as
   /// counters (replay.engine_events / replay.replays /
-  /// replay.busy_periods; untouched under kPrivatePort) — the soak
-  /// bench's events/sec.
+  /// replay.busy_periods) under either master mode — the soak bench's
+  /// events/sec. A traced run emits, per period, the dispatch instants
+  /// (kDispatch.value = the job's chunk count), checkpoint and replay
+  /// instants, and the chunk spans (see ServerOptions::trace).
   [[nodiscard]] std::vector<JobStats> run(
       const std::vector<Job>& jobs, const Scheduler& scheduler,
       obs::MetricsRegistry* metrics = nullptr) const;
 
  private:
-  /// Service time of `job` run alone on `slot_platform`; also reports the
-  /// total compute busy time across the slot's workers. When
-  /// `trace_workers` is non-null and the server has a sink, the replay's
-  /// spans are emitted at `trace_offset` with slot-local workers mapped
-  /// to platform indices through it (null = untraced, the baseline runs).
-  [[nodiscard]] double simulate_service(
-      const platform::Platform& slot_platform, const Job& job,
-      double* compute_time,
-      const std::vector<std::size_t>* trace_workers = nullptr,
-      double trace_offset = 0.0) const;
+  /// Makespan of `job` run alone on the full platform: the untraced
+  /// slowdown baseline behind ServerOptions::record_isolated.
+  [[nodiscard]] double isolated_makespan(const Job& job) const;
 
   /// The job's optimal single-round allocation on `slot_platform`
   /// (matched to the configured comm model), as an engine schedule.
@@ -135,19 +132,6 @@ class Server {
   /// kArrival instant when tracing: the job joined the wait queue with
   /// `ahead` jobs in front of it (the queue-position cause of its wait).
   void emit_arrival(const Job& job, std::size_t ahead) const;
-
-  /// The two event loops behind run(); `slot_platforms` are the carved
-  /// partitions, `slot_workers[s][j]` the global index of slot s's j-th
-  /// worker. Both fill `stats` in place.
-  void run_private(const std::vector<Job>& jobs, const Scheduler& scheduler,
-                   const std::vector<platform::Platform>& slot_platforms,
-                   const std::vector<std::vector<std::size_t>>& slot_workers,
-                   std::vector<JobStats>& stats) const;
-  void run_shared(const std::vector<Job>& jobs, const Scheduler& scheduler,
-                  const std::vector<platform::Platform>& slot_platforms,
-                  const std::vector<std::vector<std::size_t>>& slot_workers,
-                  std::vector<JobStats>& stats,
-                  obs::MetricsRegistry* metrics) const;
 
   const platform::Platform& platform_;
   ServerOptions options_;

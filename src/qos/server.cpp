@@ -60,17 +60,12 @@ Server::Server(const platform::Platform& platform, ServerOptions options)
 std::vector<JobRecord> Server::run(const std::vector<online::Job>& jobs,
                                    Policy& policy,
                                    obs::MetricsRegistry* metrics) const {
+  online::validate_stream(jobs);
   std::size_t tenants = 1;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    NLDL_REQUIRE(jobs[i].id == i, "job ids must be 0..n-1 in order");
-    NLDL_REQUIRE(jobs[i].arrival >= 0.0, "job arrivals must be >= 0");
-    NLDL_REQUIRE(i == 0 || jobs[i].arrival >= jobs[i - 1].arrival,
-                 "jobs must be sorted by arrival time");
-    NLDL_REQUIRE(jobs[i].load > 0.0, "job loads must be positive");
-    NLDL_REQUIRE(jobs[i].alpha >= 1.0, "job alphas must be >= 1");
-    NLDL_REQUIRE(jobs[i].deadline > jobs[i].arrival,
+  for (const online::Job& job : jobs) {
+    NLDL_REQUIRE(job.deadline > job.arrival,
                  "deadlines must lie strictly after the arrival");
-    tenants = std::max(tenants, jobs[i].tenant + 1);
+    tenants = std::max(tenants, job.tenant + 1);
   }
   policy.reset(tenants);
 
@@ -127,6 +122,38 @@ std::vector<JobRecord> Server::run(const std::vector<online::Job>& jobs,
   return records;
 }
 
+void Server::admit_until(double t, const std::vector<online::Job>& jobs,
+                         std::size_t& next_arrival,
+                         std::vector<JobRecord>& records,
+                         std::vector<std::unique_ptr<ServicePlan>>& plans,
+                         std::vector<std::size_t>& ready) const {
+  obs::TraceSink* const trace = options_.trace;
+  while (next_arrival < jobs.size() && jobs[next_arrival].arrival <= t) {
+    const online::Job& job = jobs[next_arrival];
+    JobRecord& record = records[job.id];
+    record.job = job;
+    if (trace != nullptr) {
+      // Queue-position cause of the admission wait: jobs already ready.
+      emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
+           job.load, static_cast<double>(ready.size()));
+    }
+    const AdmissionDecision decision = admission_.decide(job);
+    record.admitted = decision.admitted;
+    record.degraded = decision.degraded;
+    record.served_load = decision.served_load;
+    record.predicted_service = decision.predicted_service;
+    if (trace != nullptr) emit_verdict(trace, job, decision);
+    if (decision.admitted) {
+      plans[job.id] =
+          std::make_unique<ServicePlan>(solver_, job, decision.served_load);
+      ready.push_back(job.id);
+    } else {
+      record.finish = job.arrival;  // turned away on the spot
+    }
+    ++next_arrival;
+  }
+}
+
 void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
                         std::vector<JobRecord>& records) const {
   obs::TraceSink* const trace = options_.trace;
@@ -136,37 +163,9 @@ void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
   double now = 0.0;
   std::size_t last = kNone;  // job that ran the preceding installment
 
-  const auto admit_until = [&](double t) {
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival <= t) {
-      const online::Job& job = jobs[next_arrival];
-      JobRecord& record = records[job.id];
-      record.job = job;
-      if (trace != nullptr) {
-        // Queue-position cause of the admission wait: jobs already ready.
-        emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
-             job.load, static_cast<double>(ready.size()));
-      }
-      const AdmissionDecision decision = admission_.decide(job);
-      record.admitted = decision.admitted;
-      record.degraded = decision.degraded;
-      record.served_load = decision.served_load;
-      record.predicted_service = decision.predicted_service;
-      if (trace != nullptr) emit_verdict(trace, job, decision);
-      if (decision.admitted) {
-        plans[job.id] = std::make_unique<ServicePlan>(
-            solver_, job, decision.served_load);
-        ready.push_back(job.id);
-      } else {
-        record.finish = job.arrival;  // turned away on the spot
-      }
-      ++next_arrival;
-    }
-  };
-
   std::vector<Candidate> candidates;
   while (true) {
-    admit_until(now);
+    admit_until(now, jobs, next_arrival, records, plans, ready);
     if (ready.empty()) {
       if (next_arrival >= jobs.size()) break;  // drained
       now = std::max(now, jobs[next_arrival].arrival);
@@ -232,7 +231,7 @@ void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
       plans[id].reset();
     }
     // Arrivals during the installment become visible at this boundary.
-    admit_until(now);
+    admit_until(now, jobs, next_arrival, records, plans, ready);
   }
 
   NLDL_ASSERT(ready.empty() && next_arrival == jobs.size(),
@@ -316,37 +315,9 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
     std::fill(subset_owner.begin(), subset_owner.end(), kNone);
   };
 
-  const auto admit_until = [&](double t) {
-    while (next_arrival < jobs.size() &&
-           jobs[next_arrival].arrival <= t) {
-      const online::Job& job = jobs[next_arrival];
-      JobRecord& record = records[job.id];
-      record.job = job;
-      if (trace != nullptr) {
-        // Queue-position cause of the admission wait: jobs already ready.
-        emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
-             job.load, static_cast<double>(ready.size()));
-      }
-      const AdmissionDecision decision = admission_.decide(job);
-      record.admitted = decision.admitted;
-      record.degraded = decision.degraded;
-      record.served_load = decision.served_load;
-      record.predicted_service = decision.predicted_service;
-      if (trace != nullptr) emit_verdict(trace, job, decision);
-      if (decision.admitted) {
-        plans[job.id] = std::make_unique<ServicePlan>(
-            solver_, job, decision.served_load);
-        ready.push_back(job.id);
-      } else {
-        record.finish = job.arrival;
-      }
-      ++next_arrival;
-    }
-  };
-
   std::vector<Candidate> candidates;
   while (true) {
-    admit_until(now);
+    admit_until(now, jobs, next_arrival, records, plans, ready);
 
     // Free subsets whose installment has completed; unfinished jobs
     // return to the ready set (ascending id keeps picks deterministic).

@@ -48,6 +48,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -139,9 +140,12 @@ class Server {
     return options_;
   }
 
-  /// Simulate the stream to completion. `jobs` must be in non-decreasing
-  /// arrival order with ids 0..n-1 (the shape generate_tenant_traffic and
-  /// every ArrivalProcess produce). `policy` is reset() and then owned
+  /// Simulate the stream to completion. `jobs` must satisfy
+  /// online::validate_stream() — ids 0..n-1, finite arrivals in
+  /// non-decreasing order, finite loads and alphas (the shape
+  /// generate_tenant_traffic and every ArrivalProcess produce) — and
+  /// every deadline must lie strictly after its arrival (+infinity =
+  /// best-effort). `policy` is reset() and then owned
   /// for the duration of the run (it accumulates run-local state).
   /// Returns one JobRecord per offered job, in id order. `metrics`, when
   /// non-null, accumulates qos.* outcome counters (admitted / degraded /
@@ -161,6 +165,14 @@ class Server {
                       std::vector<JobRecord>& records,
                       std::size_t concurrency,
                       obs::MetricsRegistry* metrics) const;
+
+  /// Offer every job arriving by `t` (from `next_arrival` on) to the
+  /// admission controller — both loops' arrival intake. Admitted jobs get
+  /// a ServicePlan and join `ready`; rejected ones finish on the spot.
+  void admit_until(double t, const std::vector<online::Job>& jobs,
+                   std::size_t& next_arrival, std::vector<JobRecord>& records,
+                   std::vector<std::unique_ptr<ServicePlan>>& plans,
+                   std::vector<std::size_t>& ready) const;
 
   const platform::Platform& platform_;
   ServerOptions options_;

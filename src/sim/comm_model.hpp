@@ -41,10 +41,7 @@
 
 namespace nldl::sim {
 
-/// Discriminator for the built-in communication models. (This is the old
-/// `enum class CommModel` of the pre-engine simulator, renamed; the
-/// `CommModel` class below carries compatibility aliases so existing
-/// `sim::CommModel::kOnePort`-style spellings keep compiling.)
+/// Discriminator for the built-in communication models.
 enum class CommModelKind {
   kParallelLinks,
   kOnePort,
@@ -71,15 +68,6 @@ struct TransferView {
 /// and must never exceed a transfer's private link_rate.
 class CommModel {
  public:
-  // Compatibility aliases for the old `enum class CommModel` values, so the
-  // pre-engine spelling `sim::CommModel::kParallelLinks` still denotes the
-  // corresponding CommModelKind.
-  static constexpr CommModelKind kParallelLinks =
-      CommModelKind::kParallelLinks;
-  static constexpr CommModelKind kOnePort = CommModelKind::kOnePort;
-  static constexpr CommModelKind kBoundedMultiport =
-      CommModelKind::kBoundedMultiport;
-
   virtual ~CommModel() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;

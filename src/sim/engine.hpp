@@ -24,11 +24,10 @@
 //     paper's nonlinear case).
 //
 // Under ParallelLinksModel and OnePortModel every transfer runs at its full
-// link rate for its entire lifetime, and the engine reproduces the retired
-// closed-form simulator (sim/simulator.hpp) bit for bit. Under
-// BoundedMultiportModel the rates follow max-min fair water-filling,
-// recomputed at every completion, generalizing the retired single-round
-// simulate_bounded_multiport() to arbitrary schedules.
+// link rate for its entire lifetime, so transfer times are the closed-form
+// c_i · X. Under BoundedMultiportModel the rates follow max-min fair
+// water-filling, recomputed at every completion, for arbitrary (multi-round,
+// time-released) schedules.
 //
 // Run-state / checkpoint semantics: the whole event loop lives in the
 // copyable EngineRun object. A run can be advanced up to a time barrier,

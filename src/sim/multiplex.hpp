@@ -1,6 +1,7 @@
 // Busy-period multiplexing of time-released chunk schedules — the shared
-// machinery behind online::MasterMode::kSharedMaster and the qos
-// server's concurrent installment subsets.
+// machinery behind both online::MasterMode values (one period for every
+// slot, or one per slot) and the qos server's concurrent installment
+// subsets.
 //
 // A SharedMasterPeriod accumulates the chunks of every unit of work
 // ("owner" — a whole job for the online server, one installment for the

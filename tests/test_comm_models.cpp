@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "platform/processor.hpp"
-#include "sim/bounded_multiport.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -170,30 +169,6 @@ TEST(CommModelEquivalence, MakespanMonotoneInCapacity) {
   }
 }
 
-TEST(CommModelEquivalence, DeprecatedShimMatchesEngine) {
-  // simulate_bounded_multiport() is a thin wrapper over the engine; its
-  // per-worker view must agree with the spans.
-  util::Rng rng(99);
-  for (int rep = 0; rep < 20; ++rep) {
-    const Platform plat = random_platform(rng, /*uniform_c=*/false);
-    std::vector<double> amounts(plat.size());
-    for (double& amount : amounts) {
-      amount = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.1, 10.0);
-    }
-    const double capacity = rng.uniform(0.5, 8.0);
-    const auto shim =
-        simulate_bounded_multiport(plat, amounts, capacity, 2.0);
-    const Engine engine(plat, EngineOptions{2.0});
-    const SimResult direct =
-        engine.run_single_round(amounts, BoundedMultiportModel(capacity));
-    for (const ChunkSpan& span : direct.spans) {
-      EXPECT_EQ(shim.comm_finish[span.worker], span.comm_end);
-      EXPECT_EQ(shim.compute_finish[span.worker], span.compute_end);
-    }
-    EXPECT_EQ(shim.makespan, direct.makespan);
-  }
-}
-
 TEST(CommModel, MaxMinFairRatesWaterFill) {
   // Private caps 0.5 and 10 sharing capacity 4: the slow link saturates,
   // the fast one takes the rest.
@@ -222,13 +197,6 @@ TEST(CommModel, FactoryAndNames) {
   EXPECT_EQ(port->kind(), CommModelKind::kOnePort);
   const auto bounded = make_comm_model(CommModelKind::kBoundedMultiport, 2.5);
   EXPECT_EQ(bounded->kind(), CommModelKind::kBoundedMultiport);
-}
-
-TEST(CommModel, CompatibilityAliasesDenoteKinds) {
-  // The pre-engine spelling `sim::CommModel::kOnePort` still works.
-  EXPECT_EQ(CommModel::kParallelLinks, CommModelKind::kParallelLinks);
-  EXPECT_EQ(CommModel::kOnePort, CommModelKind::kOnePort);
-  EXPECT_EQ(CommModel::kBoundedMultiport, CommModelKind::kBoundedMultiport);
 }
 
 TEST(CommModel, RejectsBadParameters) {

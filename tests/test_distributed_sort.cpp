@@ -53,7 +53,7 @@ TEST(DistributedSort, OnePortScatterIsSlower) {
   const auto plat = Platform::homogeneous(8, 1.0, 1.0);
   DistributedSortConfig parallel;
   DistributedSortConfig one_port;
-  one_port.comm_model = sim::CommModel::kOnePort;
+  one_port.comm_model = sim::CommModelKind::kOnePort;
   const auto fast = plan_distributed_sort(plat, 1e6, parallel);
   const auto slow = plan_distributed_sort(plat, 1e6, one_port);
   EXPECT_GT(slow.scatter_time, fast.scatter_time);

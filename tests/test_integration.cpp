@@ -20,7 +20,8 @@ TEST(Integration, NoFreeLunchEndToEnd) {
   for (std::size_t i = 0; i < plat.size(); ++i) {
     schedule.push_back({i, linear.amounts[i]});
   }
-  const auto linear_sim = sim::simulate(plat, schedule);
+  const auto linear_sim = sim::Engine(plat).run(
+      schedule, sim::CommModelKind::kParallelLinks);
   EXPECT_NEAR(linear_sim.makespan, linear.makespan, 1e-9);
 
   const auto quadratic = dlt::nonlinear_parallel_single_round(plat, n, 2.0);

@@ -7,7 +7,7 @@
 #include <numeric>
 
 #include "platform/speed_distributions.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -40,7 +40,8 @@ TEST(LinearParallel, AllWorkersFinishSimultaneously) {
 TEST(LinearParallel, SimulatorConfirmsPrediction) {
   const Platform plat = Platform::from_speeds({2.0, 5.0}, 0.5);
   const Allocation alloc = linear_parallel_single_round(plat, 10.0);
-  const auto result = sim::simulate(plat, alloc.to_schedule());
+  const auto result = sim::Engine(plat).run(
+      alloc.to_schedule(), sim::CommModelKind::kParallelLinks);
   EXPECT_NEAR(result.makespan, alloc.makespan, 1e-9);
   // Every worker must finish at the makespan (optimality condition).
   for (const double finish : result.worker_finish) {
@@ -63,9 +64,8 @@ TEST(LinearOnePort, ChainRelationHolds) {
 TEST(LinearOnePort, SimulatorShowsSimultaneousFinish) {
   const Platform plat = Platform::from_speeds({3.0, 1.0, 2.0}, 0.7);
   const Allocation alloc = linear_one_port_single_round(plat, 50.0);
-  sim::SimOptions options;
-  options.comm_model = sim::CommModel::kOnePort;
-  const auto result = sim::simulate(plat, alloc.to_schedule(), options);
+  const auto result = sim::Engine(plat).run(alloc.to_schedule(),
+                                            sim::CommModelKind::kOnePort);
   for (const double finish : result.worker_finish) {
     EXPECT_NEAR(finish, result.makespan, 1e-8);
   }
@@ -76,9 +76,8 @@ TEST(LinearOnePort, CustomOrderIsRespected) {
   const Platform plat = Platform::from_speeds({1.0, 10.0}, 1.0);
   const std::vector<std::size_t> order{1, 0};
   const Allocation alloc = linear_one_port_single_round(plat, 10.0, order);
-  sim::SimOptions options;
-  options.comm_model = sim::CommModel::kOnePort;
-  const auto result = sim::simulate(plat, alloc.to_schedule(order), options);
+  const auto result = sim::Engine(plat).run(alloc.to_schedule(order),
+                                            sim::CommModelKind::kOnePort);
   for (const double finish : result.worker_finish) {
     EXPECT_NEAR(finish, result.makespan, 1e-8);
   }
@@ -142,12 +141,13 @@ TEST(MultiRound, ReducesRampUpOnOnePort) {
   // start earlier, never hurting the makespan for linear loads.
   const Platform plat = Platform::from_speeds({1.0, 1.0, 1.0}, 1.0);
   const Allocation alloc = linear_one_port_single_round(plat, 30.0);
-  sim::SimOptions options;
-  options.comm_model = sim::CommModel::kOnePort;
-  const double single = sim::simulate(plat, alloc.to_schedule(), options)
-                            .makespan;
-  const double multi =
-      sim::simulate(plat, multi_round_schedule(alloc, 8), options).makespan;
+  const sim::Engine engine(plat);
+  const double single =
+      engine.run(alloc.to_schedule(), sim::CommModelKind::kOnePort).makespan;
+  const double multi = engine
+                           .run(multi_round_schedule(alloc, 8),
+                                sim::CommModelKind::kOnePort)
+                           .makespan;
   EXPECT_LE(multi, single + 1e-9);
 }
 

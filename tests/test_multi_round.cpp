@@ -5,7 +5,7 @@
 
 #include "dlt/linear_dlt.hpp"
 #include "platform/speed_distributions.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -64,10 +64,10 @@ TEST(MultiRound, BestPlanBeatsOrMatchesEveryCandidate) {
                     1e-9);
     }
     // And reports a makespan consistent with its own schedule.
-    sim::SimOptions options;
-    options.comm_model = sim::CommModel::kOnePort;
     EXPECT_NEAR(best.simulated_makespan,
-                sim::simulate(plat, best.schedule, options).makespan,
+                sim::Engine(plat)
+                    .run(best.schedule, sim::CommModelKind::kOnePort)
+                    .makespan,
                 1e-9);
   }
 }

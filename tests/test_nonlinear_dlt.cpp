@@ -9,7 +9,7 @@
 #include "dlt/analysis.hpp"
 #include "dlt/linear_dlt.hpp"
 #include "platform/speed_distributions.hpp"
-#include "sim/simulator.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -75,9 +75,8 @@ TEST(NonlinearParallel, SimulatorConfirmsMakespan) {
   for (std::size_t i = 0; i < alloc.amounts.size(); ++i) {
     schedule.push_back({i, alloc.amounts[i]});
   }
-  sim::SimOptions options;
-  options.alpha = alpha;
-  const auto result = sim::simulate(plat, schedule, options);
+  const auto result = sim::Engine(plat, sim::EngineOptions{alpha})
+                          .run(schedule, sim::CommModelKind::kParallelLinks);
   EXPECT_NEAR(result.makespan, alloc.makespan, 1e-6 * alloc.makespan);
   for (const double finish : result.worker_finish) {
     EXPECT_NEAR(finish, result.makespan, 1e-5 * result.makespan);

@@ -352,17 +352,40 @@ TEST(Server, RunsUnderEveryCommModel) {
 }
 
 TEST(Server, ValidatesTheJobStream) {
-  const auto plat = platform::Platform::homogeneous(2);
-  const Server server(plat);
-  const FcfsScheduler fcfs;
-  EXPECT_THROW(server.run(make_jobs({{5.0, 10.0, 1.0}, {1.0, 10.0, 1.0}}),
-                          fcfs),
-               util::PreconditionError);
-  auto bad_ids = make_jobs({{0.0, 10.0, 1.0}});
-  bad_ids[0].id = 7;
-  EXPECT_THROW(server.run(bad_ids, fcfs), util::PreconditionError);
-  EXPECT_THROW(server.run(make_jobs({{0.0, 0.0, 1.0}}), fcfs),
-               util::PreconditionError);
+  // Malformed streams are caller errors under either master mode. A NaN or
+  // infinite arrival, load or alpha must surface as a PreconditionError up
+  // front, never as the event loop's "stopped with unserved jobs"
+  // invariant (an +inf arrival is never admitted, so the loop would drain
+  // without it).
+  const auto plat = platform::Platform::homogeneous(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const MasterMode master :
+       {MasterMode::kPrivatePort, MasterMode::kSharedMaster}) {
+    SCOPED_TRACE(to_string(master));
+    ServerOptions options;
+    options.master = master;
+    const Server server(plat, options);
+    const FairShareScheduler fair(2);
+    EXPECT_THROW(
+        server.run(make_jobs({{5.0, 10.0, 1.0}, {1.0, 10.0, 1.0}}), fair),
+        util::PreconditionError);
+    auto bad_ids = make_jobs({{0.0, 10.0, 1.0}});
+    bad_ids[0].id = 7;
+    EXPECT_THROW(server.run(bad_ids, fair), util::PreconditionError);
+    EXPECT_THROW(server.run(make_jobs({{0.0, 0.0, 1.0}}), fair),
+                 util::PreconditionError);
+    for (const double bad : {nan, inf, -inf}) {
+      SCOPED_TRACE(bad);
+      EXPECT_THROW(
+          server.run(make_jobs({{0.0, 10.0, 1.0}, {bad, 10.0, 1.0}}), fair),
+          util::PreconditionError);
+      EXPECT_THROW(server.run(make_jobs({{0.0, bad, 1.0}}), fair),
+                   util::PreconditionError);
+      EXPECT_THROW(server.run(make_jobs({{0.0, 10.0, bad}}), fair),
+                   util::PreconditionError);
+    }
+  }
 }
 
 TEST(Server, SkippingIsolatedBaselineZeroesSlowdown) {

@@ -23,10 +23,13 @@ TEST_P(SimulatorScaling, LinearTimesScaleLinearly) {
         {static_cast<std::size_t>(rng.uniform_int(0, 3)),
          rng.uniform(0.1, 5.0)});
   }
-  const double base = sim::simulate(plat, schedule).makespan;
+  const sim::Engine engine(plat);
+  const double base =
+      engine.run(schedule, sim::CommModelKind::kParallelLinks).makespan;
   const double scale = 3.5;
   for (auto& chunk : schedule) chunk.size *= scale;
-  const double scaled = sim::simulate(plat, schedule).makespan;
+  const double scaled =
+      engine.run(schedule, sim::CommModelKind::kParallelLinks).makespan;
   EXPECT_NEAR(scaled, scale * base, 1e-9 * scaled);
 }
 

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "online/arrivals.hpp"
@@ -472,20 +473,42 @@ TEST(Server, RunsAreBitIdenticalOnReplay) {
 }
 
 TEST(Server, ValidatesTheJobStream) {
-  const auto plat = platform::Platform::homogeneous(2);
-  const Server server(plat);
-  FcfsPolicy fcfs;
-  EXPECT_THROW(
-      server.run({make_job(0, 5.0, 10.0, 1.0), make_job(1, 1.0, 10.0, 1.0)},
-                 fcfs),
-      util::PreconditionError);
-  EXPECT_THROW(server.run({make_job(3, 0.0, 10.0, 1.0)}, fcfs),
-               util::PreconditionError);
-  EXPECT_THROW(server.run({make_job(0, 0.0, -1.0, 1.0)}, fcfs),
-               util::PreconditionError);
-  // A deadline at (or before) the arrival is unserviceable nonsense.
-  EXPECT_THROW(server.run({make_job(0, 5.0, 10.0, 1.0, 5.0)}, fcfs),
-               util::PreconditionError);
+  // The stream contract online::Server shares (online::validate_stream),
+  // under both the serial and the concurrent event loop, plus the qos
+  // deadline check. Best-effort deadlines (+inf) are legal, so a NaN or
+  // infinite arrival, load or alpha is rejected for itself.
+  const auto plat = platform::Platform::homogeneous(4);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    ServerOptions options;
+    options.concurrency = concurrency;
+    const Server server(plat, options);
+    FcfsPolicy fcfs;
+    EXPECT_THROW(
+        server.run({make_job(0, 5.0, 10.0, 1.0), make_job(1, 1.0, 10.0, 1.0)},
+                   fcfs),
+        util::PreconditionError);
+    EXPECT_THROW(server.run({make_job(3, 0.0, 10.0, 1.0)}, fcfs),
+                 util::PreconditionError);
+    EXPECT_THROW(server.run({make_job(0, 0.0, -1.0, 1.0)}, fcfs),
+                 util::PreconditionError);
+    // A deadline at (or before) the arrival is unserviceable nonsense.
+    EXPECT_THROW(server.run({make_job(0, 5.0, 10.0, 1.0, 5.0)}, fcfs),
+                 util::PreconditionError);
+    for (const double bad : {nan, kInf, -kInf}) {
+      SCOPED_TRACE(bad);
+      EXPECT_THROW(
+          server.run(
+              {make_job(0, 0.0, 10.0, 1.0), make_job(1, bad, 10.0, 1.0)},
+              fcfs),
+          util::PreconditionError);
+      EXPECT_THROW(server.run({make_job(0, 0.0, bad, 1.0)}, fcfs),
+                   util::PreconditionError);
+      EXPECT_THROW(server.run({make_job(0, 0.0, 10.0, bad)}, fcfs),
+                   util::PreconditionError);
+    }
+  }
 }
 
 // --- The no-free-lunch flip -------------------------------------------------

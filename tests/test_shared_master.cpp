@@ -14,15 +14,20 @@
 //   - qos level: concurrency > 1 serves installments of different jobs on
 //     disjoint subsets concurrently with deterministic, internally
 //     consistent accounting (tests/test_qos.cpp keeps the serial-path
-//     pins; the concurrent loop is exercised here).
+//     pins; the concurrent loop is exercised here);
+//   - online vs qos: fair share on a shared master and atomic FCFS qos
+//     service at the same concurrency agree bit for bit on the
+//     bench_contention streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "online/arrivals.hpp"
 #include "online/metrics.hpp"
 #include "online/scheduler.hpp"
 #include "online/server.hpp"
@@ -420,6 +425,68 @@ TEST(SharedMasterQos, RejectsZeroConcurrency) {
   qos::ServerOptions options;
   options.concurrency = 0;
   EXPECT_THROW((void)qos::Server(plat, options), util::PreconditionError);
+}
+
+// --- online vs qos: the evidence a merge of the two servers rests on ------
+
+/// bench_contention's traffic class `index` (alpha = index + 1) at its
+/// committed configuration: 120 jobs targeted at load factor 0.7 against
+/// the class's exclusive-service capacity, default seed + index —
+/// regenerated exactly as the bench does.
+std::vector<Job> contention_stream(const Platform& plat, std::size_t index) {
+  online::JobMix mix;
+  mix.load_lo = 50.0;
+  mix.load_hi = 150.0;
+  mix.alphas = {static_cast<double>(index + 1)};
+  mix.alpha_weights = {1.0};
+  const double rate = 0.7 / online::mean_predicted_makespan(mix, plat);
+  util::Rng rng(util::Rng::kDefaultSeed + index);
+  return online::PoissonArrivals(rate, mix).generate(120.0 / rate, rng);
+}
+
+TEST(SharedMasterDifferential, FairShareMatchesAtomicFcfsQosBitForBit) {
+  // online fair share on k slots of a shared master, and the qos server
+  // at concurrency k with FCFS, atomic service (rounds = 1), free
+  // restarts (rho = 0) and admit-all: both carve the same interleaved
+  // subsets, pick the oldest waiting job for the lowest idle slot,
+  // allocate it by the same nonlinear solve, and replay it through one
+  // sim::SharedMasterPeriod per busy period. Every job's dispatch, finish
+  // and compute time must agree bit for bit on both contention streams.
+  const Platform plat = Platform::two_class(8, 1.0, 4.0);
+  constexpr std::size_t kSlots = 4;
+  constexpr double kCapacity = 2.0;
+  for (const std::size_t index : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("alpha = " + std::to_string(index + 1));
+    const std::vector<Job> jobs = contention_stream(plat, index);
+    ASSERT_GE(jobs.size(), 100u);
+
+    online::ServerOptions online_options;
+    online_options.comm = sim::CommModelKind::kBoundedMultiport;
+    online_options.capacity = kCapacity;
+    online_options.master = MasterMode::kSharedMaster;
+    const online::FairShareScheduler fair(kSlots);
+    const auto served =
+        online::Server(plat, online_options).run(jobs, fair);
+
+    qos::ServerOptions qos_opts = qos_options(kSlots, 1, 0.0, kCapacity);
+    qos::FcfsPolicy fcfs;
+    const auto records = qos::Server(plat, qos_opts).run(jobs, fcfs);
+
+    ASSERT_EQ(served.size(), records.size());
+    bool overlapped = false;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(records[i].admitted) << "job " << i;
+      EXPECT_EQ(served[i].dispatch, records[i].dispatch) << "job " << i;
+      EXPECT_EQ(served[i].finish, records[i].finish) << "job " << i;
+      EXPECT_EQ(served[i].compute_time, records[i].compute_time)
+          << "job " << i;
+      if (i > 0 && served[i].dispatch < served[i - 1].finish) {
+        overlapped = true;
+      }
+    }
+    // The streams must exercise real contention, not single-job periods.
+    EXPECT_TRUE(overlapped);
+  }
 }
 
 }  // namespace
