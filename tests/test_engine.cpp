@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <vector>
 
-#include "sim/trace.hpp"
 #include "util/assert.hpp"
 
 namespace nldl::sim {
@@ -31,17 +29,6 @@ TEST(Engine, SingleChunkTimelineParallelLinks) {
   EXPECT_DOUBLE_EQ(span.compute_start, 12.0);
   EXPECT_DOUBLE_EQ(span.compute_end, 14.0);
   EXPECT_DOUBLE_EQ(result.makespan, 14.0);
-}
-
-TEST(Engine, ParallelLinksOverlapAcrossWorkers) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  const Engine engine(plat);
-  const SimResult result =
-      engine.run({{0, 5.0}, {1, 5.0}}, CommModelKind::kParallelLinks);
-  // Both communications start at t = 0 under parallel links.
-  EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
-  EXPECT_DOUBLE_EQ(result.spans[1].comm_start, 0.0);
-  EXPECT_DOUBLE_EQ(result.makespan, 10.0);
 }
 
 TEST(Engine, OnePortSerializesInScheduleOrder) {
@@ -276,8 +263,6 @@ TEST(Engine, OnePortZeroSizeChunkHoldsItsScheduleSlot) {
 
 TEST(Engine, LoadImbalanceMatchesDefinition) {
   SimResult result;
-  result.worker_compute_time = {5.0, 5.0, 5.0};
-  EXPECT_DOUBLE_EQ(result.load_imbalance(), 0.0);  // perfect balance
   result.worker_compute_time = {4.0, 5.0};
   EXPECT_DOUBLE_EQ(result.load_imbalance(), 0.25);
   // Imbalance is defined over the workers that computed: an unused worker
@@ -348,17 +333,6 @@ TEST(Engine, EmptyHookIsIgnored) {
       engine.run(schedule, ParallelLinksModel(), ChunkCompletionHook{});
   const SimResult without = engine.run(schedule, ParallelLinksModel());
   EXPECT_EQ(with_hook.makespan, without.makespan);
-}
-
-TEST(Engine, AsciiGanttRendersOneRowPerWorker) {
-  const Platform plat = Platform::from_speeds({1.0, 2.0});
-  const Engine engine(plat);
-  const SimResult result =
-      engine.run({{0, 4.0}, {1, 4.0}}, CommModelKind::kParallelLinks);
-  const std::string art = ascii_gantt(plat, result, 40);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);  // 2 rows + footer
-  EXPECT_NE(art.find('#'), std::string::npos);  // some compute drawn
-  EXPECT_NE(art.find('-'), std::string::npos);  // some comm drawn
 }
 
 // --- run_until: chunk-boundary pause/resume -------------------------------

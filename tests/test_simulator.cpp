@@ -1,10 +1,12 @@
-// Unit tests for the master→worker schedule simulator.
-#include "sim/simulator.hpp"
-
+// Unit tests for the master→worker schedule simulator (sim::Engine driven
+// through its built-in communication models).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <string>
+#include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/trace.hpp"
 #include "util/assert.hpp"
 
@@ -12,6 +14,14 @@ namespace nldl::sim {
 namespace {
 
 using platform::Platform;
+
+SimResult simulate(const Platform& plat,
+                   const std::vector<ChunkAssignment>& schedule,
+                   CommModelKind kind = CommModelKind::kParallelLinks,
+                   double alpha = 1.0) {
+  const Engine engine(plat, EngineOptions{alpha});
+  return engine.run(schedule, kind);
+}
 
 TEST(Simulate, SingleChunkTimeline) {
   const Platform plat = Platform::from_speeds({2.0}, 3.0);  // c=3, w=0.5
@@ -36,9 +46,8 @@ TEST(Simulate, ParallelLinksOverlapAcrossWorkers) {
 
 TEST(Simulate, OnePortSerializesComms) {
   const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  SimOptions options;
-  options.comm_model = CommModel::kOnePort;
-  const SimResult result = simulate(plat, {{0, 5.0}, {1, 5.0}}, options);
+  const SimResult result =
+      simulate(plat, {{0, 5.0}, {1, 5.0}}, CommModelKind::kOnePort);
   EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
   EXPECT_DOUBLE_EQ(result.spans[1].comm_start, 5.0);  // waits for port
   EXPECT_DOUBLE_EQ(result.makespan, 15.0);
@@ -46,9 +55,8 @@ TEST(Simulate, OnePortSerializesComms) {
 
 TEST(Simulate, NonlinearComputeCost) {
   const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  SimOptions options;
-  options.alpha = 2.0;
-  const SimResult result = simulate(plat, {{0, 3.0}}, options);
+  const SimResult result =
+      simulate(plat, {{0, 3.0}}, CommModelKind::kParallelLinks, 2.0);
   // comm 3, compute 2 · 3² = 18.
   EXPECT_DOUBLE_EQ(result.makespan, 21.0);
 }
@@ -77,10 +85,9 @@ TEST(Simulate, RejectsBadInput) {
   const Platform plat = Platform::homogeneous(1);
   EXPECT_THROW((void)simulate(plat, {{1, 1.0}}), util::PreconditionError);
   EXPECT_THROW((void)simulate(plat, {{0, -1.0}}), util::PreconditionError);
-  SimOptions options;
-  options.alpha = 0.5;
-  EXPECT_THROW((void)simulate(plat, {{0, 1.0}}, options),
-               util::PreconditionError);
+  EXPECT_THROW(
+      (void)simulate(plat, {{0, 1.0}}, CommModelKind::kParallelLinks, 0.5),
+      util::PreconditionError);
 }
 
 TEST(Simulate, PerWorkerAccounting) {
