@@ -1,7 +1,10 @@
 #include "dlt/nonlinear_dlt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/roots.hpp"
@@ -19,39 +22,73 @@ std::vector<sim::ChunkAssignment> NonlinearAllocation::to_schedule(
 
 namespace {
 
+/// std::pow(x, e), bit for bit, without the call at the two exponents whose
+/// result is exact: pow(x, ±0) = 1 for every x (C Annex F), and pow(x, 1) =
+/// x. For x that is not a power of two, glibc's sub-ULP error bound leaves
+/// x as the only candidate; NonlinearFastPaths.LibmPowIdentitiesHold pins
+/// every power of two plus ±0, ±inf and NaN. x^2 and x^0.5 still call
+/// std::pow: glibc's pow differs from x*x and from std::sqrt in the last
+/// bit on ~0.1% of inputs.
+double power(double x, double e) {
+  if (e == 0.0) return 1.0;
+  if (e == 1.0) return x;  // nldl-lint: allow(double-eq): exact exponent 1, where pow(x, 1) == x bit for bit
+  return std::pow(x, e);
+}
+
+void require_solver_inputs(double total_load, double alpha,
+                           const NonlinearOptions& options) {
+  NLDL_REQUIRE(std::isfinite(total_load) && total_load >= 0.0,
+               "total_load must be finite and >= 0");
+  NLDL_REQUIRE(std::isfinite(alpha) && alpha >= 1.0,
+               "alpha must be finite and >= 1");
+  NLDL_REQUIRE(std::isfinite(options.tolerance) && options.tolerance > 0.0,
+               "tolerance must be finite and > 0");
+  NLDL_REQUIRE(options.max_iterations >= 1, "max_iterations must be >= 1");
+}
+
 /// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <= 0).
 double chunk_for_budget(double c, double w, double alpha, double budget) {
   if (budget <= 0.0) return 0.0;
+  auto f = [&](double n) { return c * n + w * power(n, alpha) - budget; };
+  auto df = [&](double n) { return c + w * alpha * power(n, alpha - 1.0); };
   // Upper bracket: n <= budget / c (communication alone) and
-  // n <= (budget / w)^(1/alpha) (computation alone); either bounds the root.
-  const double hi = std::min(budget / c, std::pow(budget / w, 1.0 / alpha));
-  auto f = [&](double n) { return c * n + w * std::pow(n, alpha) - budget; };
-  auto df = [&](double n) {
-    return c + w * alpha * std::pow(n, alpha - 1.0);
-  };
-  // hi satisfies f(hi) <= 0 is impossible: both single-resource bounds give
-  // f >= 0 at their own bound, and min of them keeps f(hi) <= budget-level
-  // uncertainty; use a slightly inflated bracket to be safe.
-  double lo = 0.0;
-  double bracket_hi = hi;
-  while (f(bracket_hi) < 0.0) bracket_hi *= 2.0;
+  // n <= (budget / w)^(1/alpha) (computation alone). In exact arithmetic f
+  // >= 0 at either bound, hence at their min; the doubling loop only
+  // absorbs rounding that leaves f(hi) just below zero.
+  double hi = std::min(budget / c, power(budget / w, 1.0 / alpha));
+  double fhi = f(hi);
+  while (fhi < 0.0) {
+    hi *= 2.0;
+    fhi = f(hi);
+  }
   // Tolerances must scale with the problem: |f| carries the magnitude of
   // `budget` (double precision bottoms out near 1e-16·budget), and the
   // bracket carries the magnitude of the chunk size.
   util::RootOptions opts;
   opts.f_tol = 1e-12 * std::max(1.0, budget);
-  opts.x_tol = 1e-13 * std::max(1.0, bracket_hi);
-  const auto result = util::newton_safeguarded(f, df, lo, bracket_hi, opts);
+  opts.x_tol = 1e-13 * std::max(1.0, hi);
+  // f(0) is exactly −budget: c·0 and w·0^alpha are both +0.
+  const auto result =
+      util::newton_safeguarded(f, df, 0.0, hi, -budget, fhi, opts);
   NLDL_ASSERT(result.converged, "nonlinear chunk solve did not converge");
   return result.x;
 }
 
+/// True when a and b have the same (c, w) bit patterns, and so the same
+/// chunk for every budget.
+bool same_bits(const platform::Processor& a, const platform::Processor& b) {
+  return std::bit_cast<std::uint64_t>(a.c) ==
+             std::bit_cast<std::uint64_t>(b.c) &&
+         std::bit_cast<std::uint64_t>(a.w) ==
+             std::bit_cast<std::uint64_t>(b.w);
+}
+
 void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
   alloc.alpha = alpha;
-  alloc.total_work = std::pow(total_load, alpha);
+  alloc.total_work = power(total_load, alpha);
   alloc.work_done = 0.0;
   for (const double n : alloc.amounts) {
-    alloc.work_done += std::pow(n, alpha);
+    alloc.work_done += power(n, alpha);
   }
   alloc.remaining_fraction =
       alloc.total_work > 0.0 ? 1.0 - alloc.work_done / alloc.total_work : 0.0;
@@ -62,9 +99,9 @@ void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
 NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha,
     const NonlinearOptions& options) {
-  NLDL_REQUIRE(total_load >= 0.0, "total_load must be >= 0");
-  NLDL_REQUIRE(alpha >= 1.0, "alpha must be >= 1");
-  const std::size_t p = platform.size();
+  require_solver_inputs(total_load, alpha, options);
+  const std::vector<platform::Processor>& workers = platform.workers();
+  const std::size_t p = workers.size();
 
   NonlinearAllocation alloc;
   alloc.amounts.assign(p, 0.0);
@@ -73,24 +110,32 @@ NonlinearAllocation nonlinear_parallel_single_round(
     return alloc;
   }
 
-  // Σ n_i(T) is continuous and strictly increasing in T, so bisect on T.
-  auto assigned_load = [&](double T) {
+  // Writes every n_i(T) into alloc.amounts; returns Σ n_i(T), summed in
+  // worker order. n_i(T) depends only on (c_i, w_i, alpha, T), so a worker
+  // identical to the one before it copies that worker's chunk instead of
+  // solving again.
+  auto fill_for = [&](double T) {
     double sum = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
-      sum += chunk_for_budget(platform.c(i), platform.w(i), alpha, T);
+      alloc.amounts[i] =
+          i > 0 && same_bits(workers[i], workers[i - 1])
+              ? alloc.amounts[i - 1]
+              : chunk_for_budget(workers[i].c, workers[i].w, alpha, T);
+      sum += alloc.amounts[i];
     }
     return sum;
   };
 
   // Upper bound: any single worker processing the whole load alone finishes
   // by (c + w·N^alpha-ish); at that T, Σ n_i(T) >= N.
+  const double total_pow = power(total_load, alpha);
   double t_hi = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < p; ++i) {
-    t_hi = std::min(t_hi, platform.c(i) * total_load +
-                              platform.w(i) * std::pow(total_load, alpha));
+  for (const platform::Processor& worker : workers) {
+    t_hi = std::min(t_hi, worker.c * total_load + worker.w * total_pow);
   }
 
-  auto f = [&](double T) { return assigned_load(T) - total_load; };
+  // Σ n_i(T) is continuous and strictly increasing in T, so bisect on T.
+  auto f = [&](double T) { return fill_for(T) - total_load; };
   util::RootOptions root_opts;
   root_opts.x_tol = options.tolerance * t_hi;
   root_opts.f_tol = options.tolerance * total_load;
@@ -100,21 +145,16 @@ NonlinearAllocation nonlinear_parallel_single_round(
 
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
-  for (std::size_t i = 0; i < p; ++i) {
-    alloc.amounts[i] =
-        chunk_for_budget(platform.c(i), platform.w(i), alpha, root.x);
-  }
   // Rescale the tiny residual so Σ n_i == total_load exactly.
-  const double sum = assigned_load(root.x);
+  const double sum = fill_for(root.x);
   if (sum > 0.0) {
     const double scale = total_load / sum;
     for (double& n : alloc.amounts) n *= scale;
     alloc.makespan = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
       alloc.makespan = std::max(
-          alloc.makespan, platform.c(i) * alloc.amounts[i] +
-                              platform.w(i) *
-                                  std::pow(alloc.amounts[i], alpha));
+          alloc.makespan, workers[i].c * alloc.amounts[i] +
+                              workers[i].w * power(alloc.amounts[i], alpha));
     }
   }
   finalize(alloc, total_load, alpha);
@@ -125,8 +165,7 @@ NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha,
     const std::vector<std::size_t>& send_order,
     const NonlinearOptions& options) {
-  NLDL_REQUIRE(total_load >= 0.0, "total_load must be >= 0");
-  NLDL_REQUIRE(alpha >= 1.0, "alpha must be >= 1");
+  require_solver_inputs(total_load, alpha, options);
   const std::size_t p = platform.size();
   NLDL_REQUIRE(send_order.size() == p,
                "send order must cover every worker exactly once");
@@ -146,23 +185,26 @@ NonlinearAllocation nonlinear_one_port_single_round(
 
   // For a candidate makespan T, feed workers in order; each takes the
   // largest chunk it can finish by T given when its reception can start.
+  // Every budget depends on the feed clock, so identical workers still
+  // solve their own chunks here.
+  const std::vector<platform::Processor>& workers = platform.workers();
   auto fill_for = [&](double T, std::vector<double>& amounts) {
     double clock = 0.0;  // master port becomes free
     double sum = 0.0;
     for (const std::size_t worker : send_order) {
       const double budget = T - clock;
-      const double n = chunk_for_budget(platform.c(worker),
-                                        platform.w(worker), alpha, budget);
+      const double n = chunk_for_budget(workers[worker].c, workers[worker].w,
+                                        alpha, budget);
       amounts[worker] = n;
-      clock += platform.c(worker) * n;
+      clock += workers[worker].c * n;
       sum += n;
     }
     return sum;
   };
 
   const std::size_t first = send_order[0];
-  const double t_hi = platform.c(first) * total_load +
-                      platform.w(first) * std::pow(total_load, alpha);
+  const double t_hi = workers[first].c * total_load +
+                      workers[first].w * power(total_load, alpha);
 
   std::vector<double> scratch(p, 0.0);
   auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
@@ -201,9 +243,11 @@ double homogeneous_nonlinear_makespan(std::size_t p, double c, double w,
                                       double total_load, double alpha) {
   NLDL_REQUIRE(p >= 1, "p must be >= 1");
   NLDL_REQUIRE(c > 0.0 && w > 0.0, "c and w must be positive");
+  NLDL_REQUIRE(std::isfinite(total_load) && total_load >= 0.0,
+               "total_load must be finite and >= 0");
   NLDL_REQUIRE(alpha >= 1.0, "alpha must be >= 1");
   const double share = total_load / static_cast<double>(p);
-  return share * c + w * std::pow(share, alpha);
+  return share * c + w * power(share, alpha);
 }
 
 NonlinearAllocation nonlinear_single_round_for(

@@ -51,8 +51,23 @@ struct NonlinearOptions {
 
 /// Optimal single-round allocation under the parallel-links model:
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
-/// Solved by nested bisection (outer on T, inner on each n_i(T)).
+/// Solved by bisection on T, with each n_i(T) found by safeguarded Newton
+/// (util::newton_safeguarded). A worker whose (c, w) bit patterns equal the
+/// previous worker's reuses its chunk instead of solving again; Σ n_i(T) is
+/// still summed in worker order.
 /// Requires alpha >= 1; with alpha == 1 this matches the linear closed form.
+///
+/// Bit-exactness: every solver here returns the same bits as one that calls
+/// std::pow for every x^alpha, x^(alpha−1) and x^(1/alpha). It skips the
+/// call only where the exponent is 0 (pow(x, ±0) = 1, C Annex F) or 1
+/// (pow(x, 1) = x: glibc's sub-ULP error bound gives it for x that are not
+/// powers of two, and a test pins every power of two plus ±0, ±inf and
+/// NaN). x^2 and x^0.5 keep std::pow: glibc's pow differs from x*x and from
+/// std::sqrt in the last bit on ~0.1% of inputs, which would change the
+/// bench payloads.
+///
+/// All solvers require finite total_load >= 0, finite alpha >= 1, a finite
+/// options.tolerance > 0 and options.max_iterations >= 1.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha,
     const NonlinearOptions& options = {});
@@ -61,7 +76,8 @@ struct NonlinearOptions {
 /// send order: worker fed at time τ_i = Σ_{j before i} c_j·n_j satisfies
 ///   τ_i + c_i·n_i + w_i·n_i^alpha = T.
 /// This is the setting of the nonlinear-DLT literature ([31–35]); workers
-/// that cannot receive anything before T contribute n_i = 0.
+/// that cannot receive anything before T contribute n_i = 0. Each budget
+/// depends on the feed clock, so every worker solves its own chunk.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha,
     const std::vector<std::size_t>& send_order,
@@ -84,7 +100,8 @@ struct NonlinearOptions {
     double total_load, double alpha, const NonlinearOptions& options = {});
 
 /// Closed-form makespan of the homogeneous optimum (paper Section 2):
-/// every worker gets N/p, finishing at (N/p)·c + w·(N/p)^alpha.
+/// every worker gets N/p, finishing at (N/p)·c + w·(N/p)^alpha. Requires
+/// finite total_load >= 0.
 [[nodiscard]] double homogeneous_nonlinear_makespan(std::size_t p, double c,
                                                     double w, double total_load,
                                                     double alpha);

@@ -5,6 +5,8 @@
 // one unit of load).
 #pragma once
 
+#include <cmath>
+
 #include "util/assert.hpp"
 
 namespace nldl::platform {
@@ -18,10 +20,12 @@ struct Processor {
   [[nodiscard]] double bandwidth() const noexcept { return 1.0 / c; }
   [[nodiscard]] double speed() const noexcept { return 1.0 / w; }
 
-  /// Validates the physical constraints (strictly positive rates).
+  /// Validates the physical constraints (strictly positive, finite rates).
   void validate() const {
-    NLDL_REQUIRE(c > 0.0, "processor communication cost must be positive");
-    NLDL_REQUIRE(w > 0.0, "processor computation cost must be positive");
+    NLDL_REQUIRE(std::isfinite(c) && c > 0.0,
+                 "processor communication cost must be finite and positive");
+    NLDL_REQUIRE(std::isfinite(w) && w > 0.0,
+                 "processor computation cost must be finite and positive");
   }
 };
 

@@ -66,12 +66,14 @@ RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
 /// step leaves [lo, hi] (or the derivative vanishes), fall back to bisection.
 /// Keeps Newton's quadratic convergence near the root with bisection's
 /// global robustness.
+///
+/// The caller passes the endpoint values flo = f(lo) and fhi = f(hi): one
+/// that grew its bracket by evaluating f, or knows f in closed form at an
+/// end, already has them, so f is never evaluated at lo or hi here.
 template <typename F, typename DF>
 RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
-                              RootOptions opts = {}) {
+                              double flo, double fhi, RootOptions opts = {}) {
   NLDL_REQUIRE(lo <= hi, "newton_safeguarded requires lo <= hi");
-  double flo = f(lo);
-  double fhi = f(hi);
   if (flo == 0.0) return {lo, 0, true};
   if (fhi == 0.0) return {hi, 0, true};
   NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),

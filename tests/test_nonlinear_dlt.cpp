@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dlt/analysis.hpp"
 #include "dlt/linear_dlt.hpp"
@@ -12,6 +19,7 @@
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/roots.hpp"
 
 namespace nldl::dlt {
 namespace {
@@ -92,9 +100,47 @@ TEST(NonlinearParallel, ZeroLoad) {
 
 TEST(NonlinearParallel, RejectsBadArguments) {
   const Platform plat = Platform::homogeneous(2);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((void)nonlinear_parallel_single_round(plat, -1.0, 2.0),
                util::PreconditionError);
   EXPECT_THROW((void)nonlinear_parallel_single_round(plat, 1.0, 0.5),
+               util::PreconditionError);
+  // Non-finite loads and exponents are caller errors, not root-finder
+  // failures, on every solver entry point.
+  for (const double load : {inf, nan}) {
+    EXPECT_THROW((void)nonlinear_parallel_single_round(plat, load, 2.0),
+                 util::PreconditionError);
+    EXPECT_THROW((void)nonlinear_one_port_single_round(plat, load, 2.0),
+                 util::PreconditionError);
+    EXPECT_THROW((void)nonlinear_one_port_single_round(
+                     plat, load, 2.0, std::vector<std::size_t>{1, 0}),
+                 util::PreconditionError);
+  }
+  for (const double alpha : {inf, nan}) {
+    EXPECT_THROW((void)nonlinear_parallel_single_round(plat, 1.0, alpha),
+                 util::PreconditionError);
+    EXPECT_THROW((void)nonlinear_one_port_single_round(plat, 1.0, alpha),
+                 util::PreconditionError);
+  }
+  // Options that can never converge: a non-positive or NaN tolerance, or
+  // no iterations at all.
+  const NonlinearOptions bad_options[] = {
+      {0.0, 200}, {-1e-10, 200}, {nan, 200}, {1e-10, 0}, {1e-10, -3}};
+  for (const NonlinearOptions& options : bad_options) {
+    EXPECT_THROW(
+        (void)nonlinear_parallel_single_round(plat, 1.0, 2.0, options),
+        util::PreconditionError);
+    EXPECT_THROW(
+        (void)nonlinear_one_port_single_round(plat, 1.0, 2.0, options),
+        util::PreconditionError);
+  }
+  // The closed form checks its load the same way.
+  EXPECT_THROW((void)homogeneous_nonlinear_makespan(4, 1.0, 1.0, -5.0, 2.0),
+               util::PreconditionError);
+  EXPECT_THROW((void)homogeneous_nonlinear_makespan(4, 1.0, 1.0, nan, 2.0),
+               util::PreconditionError);
+  EXPECT_THROW((void)homogeneous_nonlinear_makespan(4, 1.0, 1.0, inf, 2.0),
                util::PreconditionError);
 }
 
@@ -182,6 +228,314 @@ TEST_P(NonlinearAllocationProperty, ParallelAllocationIsValid) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, NonlinearAllocationProperty,
                          ::testing::Range(0, 12));
+
+// Bit-for-bit oracle for the solver's fast paths. `reference` is the
+// solver as it stood before them: std::pow at every exponent, f evaluated
+// at both ends of every chunk bracket, one chunk solve per worker (and its
+// own copy of the safeguarded Newton loop). The library must return the
+// same NonlinearAllocation, bit for bit, iteration counts included.
+namespace reference {
+
+template <typename F, typename DF>
+util::RootResult newton(F&& f, DF&& df, double lo, double hi,
+                        util::RootOptions opts) {
+  double flo = f(lo);
+  double fhi = f(hi);
+  if (flo == 0.0) return {lo, 0, true};
+  if (fhi == 0.0) return {hi, 0, true};
+  double x = 0.5 * (lo + hi);
+  util::RootResult result;
+  for (result.iterations = 0; result.iterations < opts.max_iterations;
+       ++result.iterations) {
+    const double fx = f(x);
+    if (std::abs(fx) <= opts.f_tol || (hi - lo) <= opts.x_tol) {
+      result.x = x;
+      result.converged = true;
+      return result;
+    }
+    if (std::signbit(fx) == std::signbit(flo)) {
+      lo = x;
+      flo = fx;
+    } else {
+      hi = x;
+    }
+    const double dfx = df(x);
+    double next = (dfx != 0.0) ? x - fx / dfx : lo - 1.0;
+    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
+    x = next;
+  }
+  result.x = x;
+  result.converged = false;
+  return result;
+}
+
+double chunk_for_budget(double c, double w, double alpha, double budget) {
+  if (budget <= 0.0) return 0.0;
+  const double hi = std::min(budget / c, std::pow(budget / w, 1.0 / alpha));
+  auto f = [&](double n) { return c * n + w * std::pow(n, alpha) - budget; };
+  auto df = [&](double n) {
+    return c + w * alpha * std::pow(n, alpha - 1.0);
+  };
+  double bracket_hi = hi;
+  while (f(bracket_hi) < 0.0) bracket_hi *= 2.0;
+  util::RootOptions opts;
+  opts.f_tol = 1e-12 * std::max(1.0, budget);
+  opts.x_tol = 1e-13 * std::max(1.0, bracket_hi);
+  const auto result = newton(f, df, 0.0, bracket_hi, opts);
+  EXPECT_TRUE(result.converged);
+  return result.x;
+}
+
+void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
+  alloc.alpha = alpha;
+  alloc.total_work = std::pow(total_load, alpha);
+  alloc.work_done = 0.0;
+  for (const double n : alloc.amounts) alloc.work_done += std::pow(n, alpha);
+  alloc.remaining_fraction =
+      alloc.total_work > 0.0 ? 1.0 - alloc.work_done / alloc.total_work : 0.0;
+}
+
+util::RootOptions outer_options(double t_hi, double total_load) {
+  const NonlinearOptions defaults;
+  util::RootOptions opts;
+  opts.x_tol = defaults.tolerance * t_hi;
+  opts.f_tol = defaults.tolerance * total_load;
+  opts.max_iterations = defaults.max_iterations;
+  return opts;
+}
+
+NonlinearAllocation parallel(const Platform& plat, double total_load,
+                             double alpha) {
+  const std::size_t p = plat.size();
+  NonlinearAllocation alloc;
+  alloc.amounts.assign(p, 0.0);
+  auto assigned_load = [&](double T) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+      sum += chunk_for_budget(plat.c(i), plat.w(i), alpha, T);
+    }
+    return sum;
+  };
+  double t_hi = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < p; ++i) {
+    t_hi = std::min(t_hi, plat.c(i) * total_load +
+                              plat.w(i) * std::pow(total_load, alpha));
+  }
+  const auto root =
+      util::bisect([&](double T) { return assigned_load(T) - total_load; },
+                   0.0, t_hi, outer_options(t_hi, total_load));
+  EXPECT_TRUE(root.converged);
+  alloc.makespan = root.x;
+  alloc.solver_iterations = root.iterations;
+  for (std::size_t i = 0; i < p; ++i) {
+    alloc.amounts[i] = chunk_for_budget(plat.c(i), plat.w(i), alpha, root.x);
+  }
+  const double sum = assigned_load(root.x);
+  if (sum > 0.0) {
+    const double scale = total_load / sum;
+    for (double& n : alloc.amounts) n *= scale;
+    alloc.makespan = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+      alloc.makespan =
+          std::max(alloc.makespan,
+                   plat.c(i) * alloc.amounts[i] +
+                       plat.w(i) * std::pow(alloc.amounts[i], alpha));
+    }
+  }
+  finalize(alloc, total_load, alpha);
+  return alloc;
+}
+
+NonlinearAllocation one_port(const Platform& plat, double total_load,
+                             double alpha,
+                             const std::vector<std::size_t>& send_order) {
+  const std::size_t p = plat.size();
+  NonlinearAllocation alloc;
+  alloc.amounts.assign(p, 0.0);
+  auto fill_for = [&](double T, std::vector<double>& amounts) {
+    double clock = 0.0;
+    double sum = 0.0;
+    for (const std::size_t worker : send_order) {
+      const double n = chunk_for_budget(plat.c(worker), plat.w(worker), alpha,
+                                        T - clock);
+      amounts[worker] = n;
+      clock += plat.c(worker) * n;
+      sum += n;
+    }
+    return sum;
+  };
+  const std::size_t first = send_order[0];
+  const double t_hi = plat.c(first) * total_load +
+                      plat.w(first) * std::pow(total_load, alpha);
+  std::vector<double> scratch(p, 0.0);
+  const auto root = util::bisect(
+      [&](double T) { return fill_for(T, scratch) - total_load; }, 0.0, t_hi,
+      outer_options(t_hi, total_load));
+  EXPECT_TRUE(root.converged);
+  alloc.makespan = root.x;
+  alloc.solver_iterations = root.iterations;
+  fill_for(root.x, alloc.amounts);
+  double sum = 0.0;
+  for (const double n : alloc.amounts) sum += n;
+  if (sum > 0.0) {
+    const double scale = total_load / sum;
+    for (double& n : alloc.amounts) n *= scale;
+  }
+  finalize(alloc, total_load, alpha);
+  return alloc;
+}
+
+}  // namespace reference
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const NonlinearAllocation& got,
+                          const NonlinearAllocation& want) {
+  ASSERT_EQ(got.amounts.size(), want.amounts.size());
+  for (std::size_t i = 0; i < got.amounts.size(); ++i) {
+    EXPECT_EQ(bits(got.amounts[i]), bits(want.amounts[i])) << "worker " << i;
+  }
+  EXPECT_EQ(bits(got.makespan), bits(want.makespan));
+  EXPECT_EQ(bits(got.alpha), bits(want.alpha));
+  EXPECT_EQ(bits(got.work_done), bits(want.work_done));
+  EXPECT_EQ(bits(got.total_work), bits(want.total_work));
+  EXPECT_EQ(bits(got.remaining_fraction), bits(want.remaining_fraction));
+  EXPECT_EQ(got.solver_iterations, want.solver_iterations);
+}
+
+/// Runs both solves: either both succeed with the same bits, or both throw.
+/// On a single worker the outer bracket [0, c·N + w·N^alpha] is tight, and
+/// rounding in the chunk solve can leave Σ n_i < N at its top, so both
+/// solvers reject some (load, alpha) pairs there, and must reject the same
+/// ones.
+template <typename Fast, typename Slow>
+void expect_same_outcome(std::size_t p, Fast fast, Slow slow) {
+  std::optional<NonlinearAllocation> want;
+  try {
+    want = slow();
+  } catch (const util::PreconditionError&) {
+    EXPECT_EQ(p, 1U) << "only a single worker's bracket is tight";
+  }
+  std::optional<NonlinearAllocation> got;
+  try {
+    got = fast();
+  } catch (const util::PreconditionError&) {
+    EXPECT_FALSE(want) << "the fast paths throw where the reference solves";
+  }
+  if (want && got) {
+    expect_bitwise_equal(*got, *want);
+  } else if (!want) {
+    EXPECT_FALSE(got) << "the fast paths solve where the reference throws";
+  }
+}
+
+/// Seeded platforms covering every shape the fast paths branch on.
+std::vector<std::pair<std::string, Platform>> oracle_platforms() {
+  std::vector<std::pair<std::string, Platform>> platforms;
+  platforms.emplace_back("single", Platform::homogeneous(1, 0.3, 2.0));
+  platforms.emplace_back("homogeneous", Platform::homogeneous(7, 0.5, 1.5));
+  platforms.emplace_back("two_class", Platform::two_class(8, 1.0, 4.0));
+  platforms.emplace_back("two_class_16",
+                         Platform::two_class(16, 0.7, 3.0, 0.2));
+  util::Rng rng(20130520);
+  using platform::SpeedModel;
+  platforms.emplace_back(
+      "uniform", platform::make_platform(SpeedModel::kUniform, 9, rng));
+  platforms.emplace_back(
+      "lognormal", platform::make_platform(SpeedModel::kLogNormal, 11, rng));
+  // Repeats at non-adjacent indices, and neighbours that share w but not c
+  // (or c but not w): only an exact (c, w) match may reuse a chunk.
+  platforms.emplace_back(
+      "interleaved", Platform({{1.0, 2.0}, {0.5, 1.0}, {1.0, 2.0}, {2.0, 2.0},
+                               {0.5, 1.0}, {1.0, 0.5}, {1.0, 2.0}}));
+  std::vector<platform::Processor> palette;
+  for (int k = 0; k < 3; ++k) {
+    palette.push_back({rng.uniform(0.1, 2.0), 1.0 / rng.lognormal(0.0, 1.0)});
+  }
+  std::vector<platform::Processor> scattered;
+  for (int i = 0; i < 13; ++i) {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    scattered.push_back(palette[k]);
+  }
+  platforms.emplace_back("scattered", Platform(scattered));
+  return platforms;
+}
+
+TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
+  util::Rng rng(20261016);
+  // Fixed loads across the range, then enough log-uniform ones that a
+  // last-bit change in one x^2 evaluation (x*x for std::pow) reaches the
+  // output in several cases.
+  std::vector<double> loads = {1e-3, 0.05, 1.0, 17.3, 640.0, 1e4};
+  for (int k = 0; k < 60; ++k) {
+    loads.push_back(std::pow(10.0, rng.uniform(-3.0, 4.0)));
+  }
+  for (const auto& [name, plat] : oracle_platforms()) {
+    std::vector<std::size_t> reversed(plat.size());
+    for (std::size_t i = 0; i < reversed.size(); ++i) {
+      reversed[i] = reversed.size() - 1 - i;
+    }
+    std::vector<std::size_t> forward(plat.size());
+    for (std::size_t i = 0; i < forward.size(); ++i) forward[i] = i;
+    for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
+      for (const double load : loads) {
+        SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
+                     " load=" + std::to_string(load));
+        expect_same_outcome(
+            plat.size(),
+            [&] { return nonlinear_parallel_single_round(plat, load, alpha); },
+            [&] { return reference::parallel(plat, load, alpha); });
+        expect_same_outcome(
+            plat.size(),
+            [&] { return nonlinear_one_port_single_round(plat, load, alpha); },
+            [&] { return reference::one_port(plat, load, alpha, forward); });
+        expect_same_outcome(
+            plat.size(),
+            [&] {
+              return nonlinear_one_port_single_round(plat, load, alpha,
+                                                     reversed);
+            },
+            [&] { return reference::one_port(plat, load, alpha, reversed); });
+      }
+    }
+  }
+}
+
+// The solver skips std::pow at exponents 0 and 1 on the strength of two
+// libm identities. Pin them over edge values, so a libm that breaks them
+// fails here rather than as a payload diff. The exponents pass through
+// volatiles so the compiler cannot fold the calls away.
+TEST(NonlinearFastPaths, LibmPowIdentitiesHold) {
+  volatile double zero = 0.0;
+  volatile double negative_zero = -0.0;
+  volatile double one = 1.0;
+  std::vector<double> xs = {0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::epsilon(),
+                            std::numeric_limits<double>::infinity(),
+                            1e300,
+                            1e-300,
+                            0.1,
+                            1.0 / 3.0,
+                            9007199254740993.0};
+  for (int e = std::numeric_limits<double>::min_exponent - 53;
+       e < std::numeric_limits<double>::max_exponent; ++e) {
+    xs.push_back(std::ldexp(1.0, e));
+  }
+  for (int k = 1; k <= 1000; ++k) xs.push_back(static_cast<double>(k));
+  const std::size_t positives = xs.size();
+  for (std::size_t i = 0; i < positives; ++i) xs.push_back(-xs[i]);
+  for (const double x : xs) {
+    EXPECT_EQ(bits(std::pow(x, one)), bits(x)) << x;
+    EXPECT_EQ(bits(std::pow(x, zero)), bits(1.0)) << x;
+    EXPECT_EQ(bits(std::pow(x, negative_zero)), bits(1.0)) << x;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(bits(std::pow(nan, zero)), bits(1.0));
+  EXPECT_EQ(bits(std::pow(nan, one)), bits(nan));
+}
 
 }  // namespace
 }  // namespace nldl::dlt

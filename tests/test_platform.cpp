@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "util/assert.hpp"
@@ -19,6 +20,15 @@ TEST(Processor, RatesAreReciprocal) {
 TEST(Processor, ValidateRejectsNonPositive) {
   EXPECT_THROW((Processor{0.0, 1.0}.validate()), util::PreconditionError);
   EXPECT_THROW((Processor{1.0, -1.0}.validate()), util::PreconditionError);
+  // Non-finite rates would otherwise fail deep inside the nonlinear solver.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan}) {
+    EXPECT_THROW((Processor{bad, 1.0}.validate()), util::PreconditionError);
+    EXPECT_THROW((Processor{1.0, bad}.validate()), util::PreconditionError);
+  }
+  EXPECT_THROW(Platform({Processor{1.0, 1.0}, Processor{inf, 1.0}}),
+               util::PreconditionError);
 }
 
 TEST(Platform, RejectsEmpty) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -45,7 +46,7 @@ TEST(NewtonSafeguarded, QuadraticConvergesFast) {
     return x * x - 2.0;
   };
   auto df = [](double x) { return 2.0 * x; };
-  const auto result = newton_safeguarded(f, df, 0.0, 2.0);
+  const auto result = newton_safeguarded(f, df, 0.0, 2.0, f(0.0), f(2.0));
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x, std::sqrt(2.0), 1e-12);
   EXPECT_LT(result.iterations, 12);
@@ -55,11 +56,26 @@ TEST(NewtonSafeguarded, SurvivesZeroDerivative) {
   // f(x) = x³ has f'(0) = 0; safeguard must fall back to bisection.
   auto f = [](double x) { return x * x * x; };
   auto df = [](double x) { return 3.0 * x * x; };
-  const auto result = newton_safeguarded(f, df, -1.0, 2.0);
+  const auto result = newton_safeguarded(f, df, -1.0, 2.0, f(-1.0), f(2.0));
   EXPECT_TRUE(result.converged);
   // The cubic is flat at its root, so |f| <= f_tol is reached while x is
   // still ~1e-4 away; that is the documented convergence criterion.
   EXPECT_NEAR(result.x, 0.0, 1e-4);
+}
+
+TEST(NewtonSafeguarded, ReturnsBracketEndThatIsARoot) {
+  auto f = [](double x) { return x * (x - 1.0); };
+  auto df = [](double x) { return 2.0 * x - 1.0; };
+  for (const auto& [lo, hi] : {std::pair{0.0, 0.5}, std::pair{0.5, 1.0}}) {
+    const auto result = newton_safeguarded(f, df, lo, hi, f(lo), f(hi));
+    EXPECT_TRUE(result.converged);
+    EXPECT_EQ(result.x, f(lo) == 0.0 ? lo : hi);
+    EXPECT_EQ(result.iterations, 0);
+  }
+  EXPECT_THROW((void)newton_safeguarded(f, df, 0.2, 0.8, f(0.2), f(0.8)),
+               PreconditionError);
+  EXPECT_THROW((void)newton_safeguarded(f, df, 1.0, 0.0, f(1.0), f(0.0)),
+               PreconditionError);
 }
 
 TEST(NewtonSafeguarded, StaysInsideBracket) {
@@ -69,7 +85,7 @@ TEST(NewtonSafeguarded, StaysInsideBracket) {
     const double t = std::tanh(20.0 * (x - 0.7));
     return 20.0 * (1.0 - t * t);
   };
-  const auto result = newton_safeguarded(f, df, 0.0, 1.0);
+  const auto result = newton_safeguarded(f, df, 0.0, 1.0, f(0.0), f(1.0));
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x, 0.7, 1e-8);
 }
@@ -105,7 +121,7 @@ TEST_P(ChunkEquationProperty, BothSolversAgree) {
     double hi = std::min(t / c, std::pow(t / w, 1.0 / a));
     while (f(hi) < 0.0) hi *= 2.0;
     const auto by_bisect = bisect(f, 0.0, hi);
-    const auto by_newton = newton_safeguarded(f, df, 0.0, hi);
+    const auto by_newton = newton_safeguarded(f, df, 0.0, hi, f(0.0), f(hi));
     ASSERT_TRUE(by_bisect.converged);
     ASSERT_TRUE(by_newton.converged);
     EXPECT_NEAR(by_bisect.x, by_newton.x,
