@@ -28,13 +28,11 @@
 // exports the timeline as Chrome trace-event JSON to FILE, and prints
 // the ASCII time-attribution summary.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "obs/critical_path.hpp"
-#include "obs/export.hpp"
+#include "bench/traced_cell.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "online/arrivals.hpp"
@@ -243,10 +241,8 @@ int main(int argc, char** argv) {
   // shared master) with a recorder attached, prove it bit-identical to
   // the sweep's own point, and export the Perfetto-loadable timeline.
   bool trace_identical = true;
-  const std::string trace_path = args.get_string("trace", "");
-  const std::string metrics_path = args.get_string("metrics", "");
-  const bool blame = args.get_bool("blame", false);
-  if (!trace_path.empty() || !metrics_path.empty() || blame) {
+  const bench::TracedCellFlags traced_flags = bench::traced_cell_flags(args);
+  if (traced_flags.any()) {
     const std::size_t alpha_index = 1;      // quadratic
     const std::size_t scheduler_index = 1;  // fair share
     const std::size_t master_index = 1;     // shared master
@@ -287,62 +283,11 @@ int main(int argc, char** argv) {
                 trace_identical ? "bit-identical"
                                 : "DIFFER (tracing changed results!)");
 
-    // The blame decomposition must close bit-exactly on every job; the
-    // check rides the exit code like the sweep-cell identity above.
-    const obs::CriticalPath analysis(recorder.events());
-    for (const obs::JobBlame& job : analysis.jobs()) {
-      if (job.total() != job.latency) {
-        std::fprintf(stderr, "blame components do not sum to latency "
-                             "for job %zu\n", job.job);
-        trace_identical = false;
-      }
-    }
-    if (blame) {
-      std::fputs(obs::render_blame(analysis, 10,
-                                   "contention fair-share shared-master "
-                                   "alpha=2")
-                     .c_str(),
-                 stdout);
-    }
-
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      obs::ChromeTraceOptions trace_options;
-      trace_options.workers = p;
-      trace_options.label = "contention fair-share shared-master alpha=2";
-      trace_options.critical_path = &analysis;
-      obs::write_chrome_trace(out, recorder.events(), trace_options);
-      out.flush();
-      if (out) {
-        std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
-                    recorder.size());
-      } else {
-        std::fprintf(stderr, "warning: could not write %s\n",
-                     trace_path.c_str());
-        trace_identical = false;
-      }
-    }
-    if (!metrics_path.empty()) {
-      std::ofstream out(metrics_path);
-      util::JsonWriter json(out);
-      registry.write_json(json);
-      const bool complete = json.complete();
-      out << '\n';
-      out.flush();
-      if (out && complete) {
-        std::printf("metrics written to %s (%zu entries)\n",
-                    metrics_path.c_str(), registry.size());
-      } else {
-        std::fprintf(stderr, "warning: could not write %s\n",
-                     metrics_path.c_str());
-        trace_identical = false;
-      }
-    }
-    std::fputs(obs::render_attribution(
-                   obs::attribute_time(recorder.events(), p),
-                   "contention fair-share shared-master alpha=2")
-                   .c_str(),
-               stdout);
+    trace_identical =
+        bench::report_traced_cell(
+            traced_flags, "contention fair-share shared-master alpha=2", p,
+            recorder, registry) &&
+        trace_identical;
   }
 
   const int harness_code = harness.finish([&](util::JsonWriter& json) {

@@ -33,14 +33,12 @@
 // and prints the ASCII time-attribution summary.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "obs/critical_path.hpp"
-#include "obs/export.hpp"
+#include "bench/traced_cell.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -243,10 +241,8 @@ int main(int argc, char** argv) {
   // monitor always runs on the traced cell, its alerts land in the trace
   // as kAlert instants). Any of the flags runs the cell.
   bool trace_identical = true;
-  const std::string trace_path = args.get_string("trace", "");
-  const std::string metrics_path = args.get_string("metrics", "");
-  const bool blame = args.get_bool("blame", false);
-  if (!trace_path.empty() || !metrics_path.empty() || blame) {
+  const bench::TracedCellFlags traced_flags = bench::traced_cell_flags(args);
+  if (traced_flags.any()) {
     const std::size_t load_index = kLoadFactors.size() - 1;    // 1.1
     const std::size_t policy_index = 2;                        // SRPT
     const std::size_t comm_index = 2;                          // bounded
@@ -323,60 +319,10 @@ int main(int argc, char** argv) {
     monitor.finalize(&recorder, &registry);
     std::fputs(monitor.render().c_str(), stdout);
 
-    // The blame decomposition must close bit-exactly on every job; the
-    // check rides the exit code like the on/off identity above.
-    const obs::CriticalPath analysis(recorder.events());
-    for (const obs::JobBlame& job : analysis.jobs()) {
-      if (job.total() != job.latency) {
-        std::fprintf(stderr, "blame components do not sum to latency "
-                             "for job %zu\n", job.job);
-        trace_identical = false;
-      }
-    }
-    if (blame) {
-      std::fputs(
-          obs::render_blame(analysis, 10, "qos srpt bounded rho=2").c_str(),
-          stdout);
-    }
-
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      obs::ChromeTraceOptions trace_options;
-      trace_options.workers = p;
-      trace_options.label = "qos srpt bounded rho=2";
-      trace_options.critical_path = &analysis;
-      obs::write_chrome_trace(out, recorder.events(), trace_options);
-      out.flush();
-      if (out) {
-        std::printf("trace written to %s (%zu events)\n", trace_path.c_str(),
-                    recorder.size());
-      } else {
-        std::fprintf(stderr, "warning: could not write %s\n",
-                     trace_path.c_str());
-        trace_identical = false;
-      }
-    }
-    if (!metrics_path.empty()) {
-      std::ofstream out(metrics_path);
-      util::JsonWriter json(out);
-      registry.write_json(json);
-      const bool complete = json.complete();
-      out << '\n';
-      out.flush();
-      if (out && complete) {
-        std::printf("metrics written to %s (%zu entries)\n",
-                    metrics_path.c_str(), registry.size());
-      } else {
-        std::fprintf(stderr, "warning: could not write %s\n",
-                     metrics_path.c_str());
-        trace_identical = false;
-      }
-    }
-    std::fputs(obs::render_attribution(
-                   obs::attribute_time(recorder.events(), p),
-                   "qos srpt bounded rho=2")
-                   .c_str(),
-               stdout);
+    trace_identical =
+        bench::report_traced_cell(traced_flags, "qos srpt bounded rho=2", p,
+                                  recorder, registry) &&
+        trace_identical;
   }
 
   const int harness_code = harness.finish([&](util::JsonWriter& json) {

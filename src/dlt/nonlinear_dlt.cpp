@@ -83,6 +83,26 @@ bool same_bits(const platform::Processor& a, const platform::Processor& b) {
              std::bit_cast<std::uint64_t>(b.w);
 }
 
+/// Bisect f(T) = Σ n_i(T) − N for the makespan T, starting from the
+/// bracket [0, t_hi]. f(0) is exactly −N: every chunk is 0 at a zero
+/// budget. t_hi holds the whole load in exact arithmetic, but a tight
+/// bracket (one worker) can leave f(t_hi) just below zero after rounding
+/// in the chunk solves, so t_hi doubles until f turns non-negative.
+template <typename F>
+util::RootResult solve_makespan(F&& f, double total_load, double t_hi,
+                                const NonlinearOptions& options) {
+  double f_hi = f(t_hi);
+  while (f_hi < 0.0) {
+    t_hi *= 2.0;
+    f_hi = f(t_hi);
+  }
+  util::RootOptions opts;
+  opts.x_tol = options.tolerance * t_hi;
+  opts.f_tol = options.tolerance * total_load;
+  opts.max_iterations = options.max_iterations;
+  return util::bisect(f, 0.0, t_hi, -total_load, f_hi, opts);
+}
+
 void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
   alloc.alpha = alpha;
   alloc.total_work = power(total_load, alpha);
@@ -127,7 +147,7 @@ NonlinearAllocation nonlinear_parallel_single_round(
   };
 
   // Upper bound: any single worker processing the whole load alone finishes
-  // by (c + w·N^alpha-ish); at that T, Σ n_i(T) >= N.
+  // by T = c·N + w·N^alpha, so Σ n_i(T) >= N there in exact arithmetic.
   const double total_pow = power(total_load, alpha);
   double t_hi = std::numeric_limits<double>::infinity();
   for (const platform::Processor& worker : workers) {
@@ -136,11 +156,7 @@ NonlinearAllocation nonlinear_parallel_single_round(
 
   // Σ n_i(T) is continuous and strictly increasing in T, so bisect on T.
   auto f = [&](double T) { return fill_for(T) - total_load; };
-  util::RootOptions root_opts;
-  root_opts.x_tol = options.tolerance * t_hi;
-  root_opts.f_tol = options.tolerance * total_load;
-  root_opts.max_iterations = options.max_iterations;
-  const auto root = util::bisect(f, 0.0, t_hi, root_opts);
+  const auto root = solve_makespan(f, total_load, t_hi, options);
   NLDL_ASSERT(root.converged, "nonlinear outer bisection did not converge");
 
   alloc.makespan = root.x;
@@ -202,17 +218,14 @@ NonlinearAllocation nonlinear_one_port_single_round(
     return sum;
   };
 
+  // The first worker alone takes the whole load by c·N + w·N^alpha.
   const std::size_t first = send_order[0];
   const double t_hi = workers[first].c * total_load +
                       workers[first].w * power(total_load, alpha);
 
   std::vector<double> scratch(p, 0.0);
   auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
-  util::RootOptions root_opts;
-  root_opts.x_tol = options.tolerance * t_hi;
-  root_opts.f_tol = options.tolerance * total_load;
-  root_opts.max_iterations = options.max_iterations;
-  const auto root = util::bisect(f, 0.0, t_hi, root_opts);
+  const auto root = solve_makespan(f, total_load, t_hi, options);
   NLDL_ASSERT(root.converged, "one-port outer bisection did not converge");
 
   alloc.makespan = root.x;

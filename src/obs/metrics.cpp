@@ -112,34 +112,6 @@ void MetricsRegistry::write_json(util::JsonWriter& json) const {
   json.end_object();
 }
 
-std::vector<MetricsRegistry::Sample> MetricsRegistry::samples() const {
-  std::vector<Sample> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
-    Sample sample;
-    sample.name = entry.name;
-    switch (entry.type) {
-      case Type::kCounter:
-        sample.kind = SampleKind::kCounter;
-        sample.value = static_cast<double>(entry.count);
-        sample.count = entry.count;
-        break;
-      case Type::kGauge:
-        sample.kind = SampleKind::kGauge;
-        sample.value = entry.gauge;
-        sample.count = 1;
-        break;
-      case Type::kQuantile:
-        sample.kind = SampleKind::kQuantile;
-        sample.value = entry.quantile.empty() ? 0.0 : entry.quantile.value();
-        sample.count = static_cast<std::uint64_t>(entry.quantile.count());
-        break;
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
 std::vector<std::string> MetricsRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());

@@ -68,21 +68,6 @@ class MetricsRegistry {
   /// Entry names in first-touch order (tests / table rendering).
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// One type-erased snapshot of an entry (obs::TimeSeries::fold and
-  /// table rendering). `value` is the counter tally, the gauge, or the
-  /// quantile estimate (0 while the estimator is empty); `count` is the
-  /// quantile's sample count, the counter tally again, or 1 for gauges.
-  enum class SampleKind : std::uint8_t { kCounter, kGauge, kQuantile };
-  struct Sample {
-    std::string name;
-    SampleKind kind = SampleKind::kCounter;
-    double value = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  /// Snapshot every entry, in first-touch order.
-  [[nodiscard]] std::vector<Sample> samples() const;
-
  private:
   enum class Type : std::uint8_t { kCounter, kGauge, kQuantile };
 

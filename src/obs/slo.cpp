@@ -31,7 +31,15 @@ SloPolicy SloPolicy::paging(double objective, double base) {
 }
 
 BurnRateMonitor::BurnRateMonitor(SloPolicy policy, double horizon)
-    : policy_(std::move(policy)), series_(policy_.window, horizon) {
+    : policy_(std::move(policy)) {
+  NLDL_REQUIRE(std::isfinite(policy_.window) && policy_.window > 0.0,
+               "SLO base window must be finite and > 0");
+  NLDL_REQUIRE(std::isfinite(horizon) && horizon >= 0.0,
+               "SLO horizon must be finite and >= 0");
+  const std::size_t windows = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(horizon / policy_.window)));
+  window_totals_.assign(windows, 0);
+  window_misses_.assign(windows, 0);
   NLDL_REQUIRE(policy_.objective > 0.0 && policy_.objective < 1.0,
                "SLO objective must lie in (0, 1)");
   for (const BurnWindow& rule : policy_.rules) {
@@ -45,27 +53,25 @@ BurnRateMonitor::BurnRateMonitor(SloPolicy policy, double horizon)
 
 void BurnRateMonitor::observe(double t, bool missed) {
   NLDL_REQUIRE(!finalized_, "BurnRateMonitor::observe after finalize");
-  series_.observe("total", t, 1.0);
-  if (missed) series_.observe("miss", t, 1.0);
+  NLDL_REQUIRE(std::isfinite(t) && t >= 0.0,
+               "SLO observation time must be finite and >= 0");
+  const std::size_t last = window_totals_.size() - 1;
+  const double raw = std::floor(t / policy_.window);
+  const std::size_t window = raw >= static_cast<double>(last)
+                                 ? last
+                                 : static_cast<std::size_t>(raw);
+  ++window_totals_[window];
   ++total_;
-  if (missed) ++missed_;
+  if (missed) {
+    ++window_misses_[window];
+    ++missed_;
+  }
 }
 
 void BurnRateMonitor::finalize(TraceSink* sink, MetricsRegistry* registry) {
   if (!finalized_) {
     finalized_ = true;
-    // Empty channels would throw in at(); materialize both.
-    const std::size_t windows = series_.windows();
-    std::vector<std::uint64_t> totals(windows, 0);
-    std::vector<std::uint64_t> misses(windows, 0);
-    if (total_ > 0) {
-      const std::vector<TimeSeries::WindowStats>& row = series_.at("total");
-      for (std::size_t i = 0; i < windows; ++i) totals[i] = row[i].count;
-    }
-    if (missed_ > 0) {
-      const std::vector<TimeSeries::WindowStats>& row = series_.at("miss");
-      for (std::size_t i = 0; i < windows; ++i) misses[i] = row[i].count;
-    }
+    const std::size_t windows = window_totals_.size();
     const double budget = 1.0 - policy_.objective;
 
     // Trailing-window miss rate ending at base window `i`, spanning the
@@ -75,8 +81,8 @@ void BurnRateMonitor::finalize(TraceSink* sink, MetricsRegistry* registry) {
       std::uint64_t jobs = 0;
       std::uint64_t bad = 0;
       for (std::size_t w = first; w <= i; ++w) {
-        jobs += totals[w];
-        bad += misses[w];
+        jobs += window_totals_[w];
+        bad += window_misses_[w];
       }
       if (jobs == 0) return 0.0;
       return (static_cast<double>(bad) / static_cast<double>(jobs)) / budget;

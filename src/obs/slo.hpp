@@ -14,20 +14,21 @@
 // and fires only when BOTH burn above the threshold — short blips die in
 // the slow window, long regressions trip it within the fast one.
 //
-// Everything here runs on the simulated clock over the windows of an
-// obs::TimeSeries, so alerting is deterministic: the same trace yields
-// the same alerts, bit for bit. observe() accepts finish events in any
-// order (the servers finalize jobs out of time order under concurrency);
-// finalize() then evaluates window-by-window, emits each alert's rising
-// edge as a kAlert trace instant, and accounts fired alerts and peak
-// burn into the MetricsRegistry.
+// Everything here runs on the simulated clock: jobs and misses are
+// counted per fixed-width base window, so alerting is deterministic: the
+// same trace yields the same alerts, bit for bit. observe() accepts
+// finish events in any order (the servers finalize jobs out of time order
+// under concurrency); finalize() then evaluates window-by-window, emits
+// each alert's rising edge as a kAlert trace instant, and accounts fired
+// alerts and peak burn into the MetricsRegistry.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/timeseries.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace nldl::obs {
@@ -58,12 +59,14 @@ struct SloPolicy {
 /// Deterministic multi-window burn-rate evaluation over one run.
 class BurnRateMonitor {
  public:
-  /// `horizon` is the simulated span covered (observations past it fold
-  /// into the last base window).
+  /// `horizon` is the simulated span covered, rounded up to a whole
+  /// number of base windows (at least one); observations past it fold
+  /// into the last base window. The base window must be finite and > 0,
+  /// the horizon finite and >= 0.
   BurnRateMonitor(SloPolicy policy, double horizon);
 
-  /// Record one job outcome at simulated time `t` (its finish):
-  /// `missed` is true when the job finished past its deadline. Any
+  /// Record one job outcome at simulated time `t` (its finish, finite and
+  /// >= 0): `missed` is true when the job finished past its deadline. Any
   /// time order.
   void observe(double t, bool missed);
 
@@ -97,7 +100,9 @@ class BurnRateMonitor {
 
  private:
   SloPolicy policy_;
-  TimeSeries series_;
+  /// Jobs and misses per base window [i·window, (i+1)·window).
+  std::vector<std::uint64_t> window_totals_;
+  std::vector<std::uint64_t> window_misses_;
   std::vector<Alert> alerts_;
   double peak_burn_ = 0.0;
   std::size_t total_ = 0;

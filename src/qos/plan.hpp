@@ -10,10 +10,6 @@
 // server's CommModel. Installment ends are the chunk boundaries where a
 // running job can be paused and another dispatched — the divisible-load
 // version of a checkpoint, at which a pause loses no in-flight work.
-// (sim::Engine::run_until is the related standalone primitive for pausing
-// MID-schedule, where in-flight chunks ARE lost; this plan does not use
-// it — wiring pipelined installments onto run_until is future work, see
-// ROADMAP.)
 //
 // Preemption is NOT free, and the price is nonlinear — the paper's no-free-
 // lunch effect applied to restarts: when a paused job resumes, its first

@@ -30,41 +30,12 @@ double SimResult::load_imbalance() const noexcept {
   // something: a worker the schedule never fed is a scheduling decision,
   // not an infinite imbalance, and returning +inf would poison any
   // statistic aggregated over trials. Callers that care about unused
-  // workers can count them via idle_workers(). Cancelled spans already
-  // contribute zero compute time, so a paused replay's statistic covers
-  // exactly the work that happened before the pause.
+  // workers can count them via idle_workers().
   return util::imbalance_over_busy(worker_compute_time);
 }
 
 std::size_t SimResult::idle_workers() const noexcept {
-  // A worker whose only chunks a pause cancelled computed nothing, but it
-  // was not idle by scheduling decision — the pause cut it off and its
-  // load is coming back via PartialRun::remaining. Skip those workers so
-  // a paused run's statistic keeps the full run's meaning ("the schedule
-  // never fed this worker"). Only run_until produces cancelled spans, so
-  // the common full-run path stays the plain O(p) count; no allocation
-  // anywhere (noexcept must hold).
-  bool any_cancelled = false;
-  for (const ChunkSpan& span : spans) {
-    if (span.cancelled) {
-      any_cancelled = true;
-      break;
-    }
-  }
-  if (!any_cancelled) return util::count_idle(worker_compute_time);
-  std::size_t idle = 0;
-  for (std::size_t w = 0; w < worker_compute_time.size(); ++w) {
-    if (worker_compute_time[w] > 0.0) continue;
-    bool cancelled_here = false;
-    for (const ChunkSpan& span : spans) {
-      if (span.cancelled && span.worker == w) {
-        cancelled_here = true;
-        break;
-      }
-    }
-    if (!cancelled_here) ++idle;
-  }
-  return idle;
+  return util::count_idle(worker_compute_time);
 }
 
 Engine::Engine(const platform::Platform& platform, EngineOptions options)
@@ -514,86 +485,9 @@ SimResult Engine::run(const std::vector<ChunkAssignment>& schedule,
 }
 
 SimResult Engine::run(const std::vector<ChunkAssignment>& schedule,
-                      const CommModel& model,
-                      const ChunkCompletionHook& on_chunk_complete) const {
-  EngineRun run(*this, model);
-  for (const ChunkAssignment& chunk : schedule) (void)run.append(chunk);
-  if (on_chunk_complete) {
-    run.drain(ChunkCompletionRef(on_chunk_complete));
-  } else {
-    run.drain();
-  }
-  return run.take_result();
-}
-
-SimResult Engine::run(const std::vector<ChunkAssignment>& schedule,
                       CommModelKind kind) const {
   const auto model = make_comm_model(kind);
   return run(schedule, *model);
-}
-
-PartialRun Engine::run_until(const std::vector<ChunkAssignment>& schedule,
-                             const CommModel& model,
-                             double stop_after) const {
-  // The uninterrupted run IS the history up to any boundary: pausing only
-  // stops future dispatches, so the completed chunks' spans can be read
-  // straight off the full replay. The honored boundary — the earliest
-  // compute completion at or after the requested stop — falls out of the
-  // completion hook, so the spans are walked exactly once below.
-  double boundary = kInf;
-  EngineRun staged(*this, model);
-  for (const ChunkAssignment& chunk : schedule) (void)staged.append(chunk);
-  const auto observe = [&](std::size_t, const ChunkSpan& span) {
-    if (span.compute_end >= stop_after && span.compute_end < boundary) {
-      boundary = span.compute_end;
-    }
-  };
-  staged.drain(ChunkCompletionRef(observe));
-  SimResult full = staged.take_result();
-
-  PartialRun partial;
-  if (stop_after >= full.makespan) {
-    partial.pause_time = full.makespan;
-    for (const ChunkAssignment& chunk : schedule) {
-      partial.completed_load += chunk.size;
-    }
-    partial.result = std::move(full);
-    return partial;
-  }
-
-  // stop_after < makespan, so the chunk achieving the makespan bounds
-  // `boundary` (the in-flight chunk finishes; nothing past it is kept).
-  const std::size_t p = platform_.size();
-  partial.pause_time = boundary;
-  partial.result.spans.resize(schedule.size());
-  partial.result.worker_finish.assign(p, 0.0);
-  partial.result.worker_compute_time.assign(p, 0.0);
-  partial.result.worker_comm_time.assign(p, 0.0);
-  for (std::size_t idx = 0; idx < schedule.size(); ++idx) {
-    const ChunkSpan& span = full.spans[idx];
-    if (span.compute_end <= boundary) {
-      partial.result.spans[idx] = span;
-      partial.result.worker_comm_time[span.worker] +=
-          span.comm_end - span.comm_start;
-      partial.result.worker_compute_time[span.worker] +=
-          span.compute_end - span.compute_start;
-      partial.result.worker_finish[span.worker] = std::max(
-          partial.result.worker_finish[span.worker], span.compute_end);
-      partial.result.makespan =
-          std::max(partial.result.makespan, span.compute_end);
-      partial.completed_load += schedule[idx].size;
-    } else {
-      // Cancelled: keep the identity for positional lookup, zero the
-      // timeline, flag the span (so SimResult statistics and callers can
-      // tell it from a completed zero-size chunk), and hand the chunk
-      // back at full size with its release/alpha intact.
-      partial.result.spans[idx].worker = schedule[idx].worker;
-      partial.result.spans[idx].size = schedule[idx].size;
-      partial.result.spans[idx].cancelled = true;
-      partial.remaining.push_back(schedule[idx]);
-    }
-  }
-  return partial;
 }
 
 SimResult Engine::run_single_round(const std::vector<double>& amounts,

@@ -43,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -93,11 +92,7 @@ struct ChunkAssignment {
     const std::vector<double>& amounts,
     const std::vector<std::size_t>& send_order);
 
-/// Timeline of a single chunk. `cancelled` marks a chunk a paused replay
-/// (Engine::run_until) cut: the span keeps its worker/size identity for
-/// positional lookup but its timeline is zeroed and it contributed no
-/// work — which is how a cancelled chunk is told apart from a zero-size
-/// chunk that genuinely completed at t = 0 (identical timelines).
+/// Timeline of a single chunk.
 struct ChunkSpan {
   std::size_t worker = 0;
   double size = 0.0;
@@ -105,7 +100,6 @@ struct ChunkSpan {
   double comm_end = 0.0;
   double compute_start = 0.0;
   double compute_end = 0.0;
-  bool cancelled = false;
 };
 
 struct SimResult {
@@ -118,17 +112,11 @@ struct SimResult {
   /// Load imbalance e = (t_max - t_min) / t_min over per-worker computation
   /// times (paper Section 4.3), restricted to workers that computed
   /// something: workers the schedule never fed do not turn the statistic
-  /// into +infinity (use idle_workers() to count them). Cancelled spans
-  /// (a paused run_until replay) contribute no compute time, so the
-  /// statistic covers only the work that actually happened. Returns 0
-  /// when fewer than two workers computed.
+  /// into +infinity (use idle_workers() to count them). Returns 0 when
+  /// fewer than two workers computed.
   [[nodiscard]] double load_imbalance() const noexcept;
 
   /// Number of workers that computed nothing under this schedule.
-  /// Cancelled spans are ignored: a worker whose only chunks were cut by
-  /// a pause was scheduled to compute (its load comes back via
-  /// PartialRun::remaining), so a paused run does not misclassify it as
-  /// a worker the schedule never fed.
   [[nodiscard]] std::size_t idle_workers() const noexcept;
 };
 
@@ -137,52 +125,15 @@ struct EngineOptions {
   double alpha = 1.0;
 };
 
-/// Outcome of a paused replay (Engine::run_until). Divisible loads
-/// checkpoint naturally at chunk boundaries: a chunk whose compute
-/// finished by the pause boundary is durable progress, everything else —
-/// queued, in transfer, or still computing — is cancelled and must be
-/// re-dispatched from scratch (its partial communication/computation is
-/// lost, which is exactly the nonlinear restart cost the qos subsystem
-/// charges for preemption).
-struct PartialRun {
-  /// Spans and per-worker statistics of the chunks that completed by
-  /// `pause_time`. Cancelled chunks keep their worker/size in
-  /// result.spans for positional lookup but are flagged
-  /// (ChunkSpan::cancelled), have zeroed timelines, and contribute
-  /// nothing to makespan/worker totals or to idle_workers() /
-  /// load_imbalance().
-  SimResult result;
-  /// The cancelled chunks at full size, in schedule order — feed them to
-  /// a fresh run() (or re-allocate their total) to resume. Release times
-  /// and per-chunk alphas are preserved verbatim; releases are absolute
-  /// to the original run's clock, so shift them if the resume run starts
-  /// its own clock at 0.
-  std::vector<ChunkAssignment> remaining;
-  /// The chunk boundary actually honored: the earliest chunk
-  /// compute-completion >= the requested stop time (the in-flight chunk
-  /// is never abandoned mid-compute), or the full makespan when the
-  /// schedule finishes first.
-  double pause_time = 0.0;
-  /// Σ sizes of the completed chunks.
-  double completed_load = 0.0;
-};
-
-/// Observer invoked as each chunk's timeline is finalized — at the chunk's
+/// Non-owning, non-allocating reference to a chunk-completion observer,
+/// invoked as each chunk's timeline is finalized — at the chunk's
 /// communication-completion event, once its compute start/end are known
 /// (`span` is the same record that lands in SimResult::spans[chunk]).
 /// Chunks are reported in event order (non-decreasing comm_end), which is
-/// generally *not* schedule order. This is the hook the online subsystem
-/// uses to timestamp per-job completions without re-walking the spans of
-/// every finished run.
-using ChunkCompletionHook =
-    std::function<void(std::size_t chunk, const ChunkSpan& span)>;
-
-/// Non-owning, non-allocating reference to a chunk-completion observer —
-/// the hot-path replacement for passing a std::function into the event
-/// loop (a std::function costs a potential allocation at every call site
-/// and an opaque indirect call; the ref is two raw pointers). The callable
-/// bound must outlive every advance_to()/drain() call it is passed to.
-/// A default-constructed ref is empty and safely "no hook".
+/// generally *not* schedule order. The ref is two raw pointers, so passing
+/// one into the event loop never allocates; the callable bound must
+/// outlive every advance_to()/drain() call it is passed to. A
+/// default-constructed ref is empty and safely "no hook".
 class ChunkCompletionRef {
  public:
   ChunkCompletionRef() = default;
@@ -423,29 +374,11 @@ class Engine {
   [[nodiscard]] SimResult run(const std::vector<ChunkAssignment>& schedule,
                               const CommModel& model) const;
 
-  /// Same, additionally invoking `on_chunk_complete` (when non-empty) as
-  /// each chunk's span is finalized; see ChunkCompletionHook.
-  [[nodiscard]] SimResult run(const std::vector<ChunkAssignment>& schedule,
-                              const CommModel& model,
-                              const ChunkCompletionHook& on_chunk_complete)
-      const;
-
   /// Convenience: simulate under a built-in model with default parameters
   /// (kBoundedMultiport defaults to an uncapped master, i.e. parallel
   /// links — pass a configured BoundedMultiportModel for a real cap).
   [[nodiscard]] SimResult run(const std::vector<ChunkAssignment>& schedule,
                               CommModelKind kind) const;
-
-  /// Replay `schedule` but pause at the first chunk boundary at or after
-  /// `stop_after`: chunks whose compute completed by that boundary are
-  /// kept, every other chunk is cancelled and returned for re-dispatch
-  /// (see PartialRun). Pausing never rewrites history — the kept chunks'
-  /// spans are bit-identical to the uninterrupted run's, including any
-  /// bandwidth the cancelled transfers consumed before the boundary.
-  /// stop_after >= the makespan completes everything (empty `remaining`).
-  [[nodiscard]] PartialRun run_until(
-      const std::vector<ChunkAssignment>& schedule, const CommModel& model,
-      double stop_after) const;
 
   /// Convenience: one chunk per worker (amounts[i] to worker i, in worker
   /// order), the single-round shape of every classical DLT allocation.

@@ -29,13 +29,14 @@ struct RootOptions {
 
 /// Find x in [lo, hi] with f(x) = 0 by bisection.
 ///
-/// Requires f(lo) and f(hi) to have opposite signs (or one of them to be an
-/// exact root). Converges unconditionally for continuous f.
+/// The caller passes the endpoint values flo = f(lo) and fhi = f(hi), which
+/// must have opposite signs (or one of them must be an exact root); f is
+/// never evaluated at lo or hi here. Converges unconditionally for
+/// continuous f.
 template <typename F>
-RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
+RootResult bisect(F&& f, double lo, double hi, double flo, double fhi,
+                  RootOptions opts = {}) {
   NLDL_REQUIRE(lo <= hi, "bisect requires lo <= hi");
-  double flo = f(lo);
-  double fhi = f(hi);
   if (flo == 0.0) return {lo, 0, true};
   if (fhi == 0.0) return {hi, 0, true};
   NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
@@ -67,9 +68,9 @@ RootResult bisect(F&& f, double lo, double hi, RootOptions opts = {}) {
 /// Keeps Newton's quadratic convergence near the root with bisection's
 /// global robustness.
 ///
-/// The caller passes the endpoint values flo = f(lo) and fhi = f(hi): one
-/// that grew its bracket by evaluating f, or knows f in closed form at an
-/// end, already has them, so f is never evaluated at lo or hi here.
+/// Takes the endpoint values flo = f(lo) and fhi = f(hi) like bisect: a
+/// caller that grew its bracket by evaluating f, or knows f in closed form
+/// at an end, already has them.
 template <typename F, typename DF>
 RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
                               double flo, double fhi, RootOptions opts = {}) {
@@ -103,23 +104,6 @@ RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
   result.x = x;
   result.converged = false;
   return result;
-}
-
-/// Convenience wrapper: root of a strictly increasing function, expanding
-/// the upper bracket geometrically from `hi_guess` until f turns positive.
-template <typename F>
-RootResult solve_increasing(F&& f, double lo, double hi_guess,
-                            RootOptions opts = {}) {
-  NLDL_REQUIRE(hi_guess > lo, "solve_increasing requires hi_guess > lo");
-  double hi = hi_guess;
-  int expansions = 0;
-  while (f(hi) < 0.0) {
-    hi = lo + (hi - lo) * 2.0;
-    NLDL_REQUIRE(++expansions < 200,
-                 "solve_increasing: no sign change found (f not increasing "
-                 "to a root?)");
-  }
-  return bisect(f, lo, hi, opts);
 }
 
 }  // namespace nldl::util

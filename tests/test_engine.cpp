@@ -278,6 +278,17 @@ TEST(Engine, LoadImbalanceMatchesDefinition) {
   EXPECT_EQ(result.idle_workers(), 0U);
 }
 
+/// Replay `schedule` through an EngineRun, handing every finalized chunk
+/// to `hook`, and harvest the batch result.
+SimResult run_with_hook(const Engine& engine,
+                        const std::vector<ChunkAssignment>& schedule,
+                        const CommModel& model, ChunkCompletionRef hook) {
+  EngineRun run(engine, model);
+  for (const ChunkAssignment& chunk : schedule) (void)run.append(chunk);
+  run.drain(hook);
+  return run.take_result();
+}
+
 TEST(Engine, CompletionHookReportsEveryChunkOnce) {
   const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
   const Engine engine(plat);
@@ -288,12 +299,12 @@ TEST(Engine, CompletionHookReportsEveryChunkOnce) {
 
   std::vector<std::size_t> seen;
   std::vector<ChunkSpan> spans(schedule.size());
-  const SimResult result = engine.run(
-      schedule, ParallelLinksModel(),
-      [&](std::size_t chunk, const ChunkSpan& span) {
-        seen.push_back(chunk);
-        spans[chunk] = span;
-      });
+  const auto hook = [&](std::size_t chunk, const ChunkSpan& span) {
+    seen.push_back(chunk);
+    spans[chunk] = span;
+  };
+  const SimResult result =
+      run_with_hook(engine, schedule, ParallelLinksModel(), hook);
 
   ASSERT_EQ(seen.size(), schedule.size());
   std::vector<std::size_t> sorted = seen;
@@ -317,11 +328,12 @@ TEST(Engine, CompletionHookTimestampsTheMakespan) {
   const Platform plat = Platform::from_speeds({1.0, 2.0, 4.0});
   const Engine engine(plat, {2.0});
   double finish = 0.0;
+  const auto hook = [&](std::size_t, const ChunkSpan& span) {
+    finish = std::max(finish, span.compute_end);
+  };
   const SimResult result =
-      engine.run(single_round_schedule({10.0, 20.0, 30.0}), OnePortModel(),
-                 [&](std::size_t, const ChunkSpan& span) {
-                   finish = std::max(finish, span.compute_end);
-                 });
+      run_with_hook(engine, single_round_schedule({10.0, 20.0, 30.0}),
+                    OnePortModel(), hook);
   EXPECT_EQ(finish, result.makespan);
 }
 
@@ -329,93 +341,10 @@ TEST(Engine, EmptyHookIsIgnored) {
   const Platform plat = Platform::homogeneous(2);
   const Engine engine(plat);
   const auto schedule = single_round_schedule({1.0, 2.0});
-  const SimResult with_hook =
-      engine.run(schedule, ParallelLinksModel(), ChunkCompletionHook{});
+  const SimResult with_hook = run_with_hook(
+      engine, schedule, ParallelLinksModel(), ChunkCompletionRef{});
   const SimResult without = engine.run(schedule, ParallelLinksModel());
   EXPECT_EQ(with_hook.makespan, without.makespan);
-}
-
-// --- run_until: chunk-boundary pause/resume -------------------------------
-
-TEST(Engine, RunUntilPastTheMakespanCompletesEverything) {
-  const Platform plat = Platform::homogeneous(2);
-  const Engine engine(plat);
-  const auto schedule = single_round_schedule({1.0, 2.0});
-  const SimResult full = engine.run(schedule, ParallelLinksModel());
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), full.makespan);
-  EXPECT_TRUE(partial.remaining.empty());
-  EXPECT_EQ(partial.pause_time, full.makespan);
-  EXPECT_EQ(partial.result.makespan, full.makespan);
-  EXPECT_DOUBLE_EQ(partial.completed_load, 3.0);
-}
-
-TEST(Engine, RunUntilHonorsTheNextChunkBoundary) {
-  // One worker (w = 2), two sequential chunks: comm 0→2 / 2→4, compute
-  // 2→6 / 6→10, so the chunk boundaries sit at t = 6 and t = 10. A stop
-  // request at t = 3 lands on the t = 6 boundary: the in-flight chunk
-  // finishes, the second is cancelled at full size.
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 2.0}, {0, 2.0}};
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), 3.0);
-  EXPECT_DOUBLE_EQ(partial.pause_time, 6.0);  // first compute_end
-  ASSERT_EQ(partial.remaining.size(), 1u);
-  EXPECT_EQ(partial.remaining[0].worker, 0u);
-  EXPECT_DOUBLE_EQ(partial.remaining[0].size, 2.0);
-  EXPECT_DOUBLE_EQ(partial.completed_load, 2.0);
-  // The kept chunk's span is bit-identical to the uninterrupted run's.
-  const SimResult full = engine.run(schedule, ParallelLinksModel());
-  EXPECT_EQ(partial.result.spans[0].compute_end,
-            full.spans[0].compute_end);
-  EXPECT_EQ(partial.result.makespan, partial.pause_time);
-  // The cancelled chunk keeps its identity but a zeroed timeline.
-  EXPECT_DOUBLE_EQ(partial.result.spans[1].size, 2.0);
-  EXPECT_DOUBLE_EQ(partial.result.spans[1].compute_end, 0.0);
-}
-
-TEST(Engine, RunUntilBeforeAnyBoundaryKeepsTheFirstChunk) {
-  // A stop request at t = 0 still lets the running chunk finish: the
-  // boundary is the FIRST compute completion, never mid-chunk.
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 2.0}, {0, 2.0}};
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), 0.0);
-  EXPECT_DOUBLE_EQ(partial.pause_time, 6.0);
-  EXPECT_EQ(partial.remaining.size(), 1u);
-}
-
-TEST(Engine, RunUntilResumeReproducesTotalWorkWhenNothingInFlight) {
-  // Two workers, two rounds each. Pause after round 1 and replay the
-  // cancelled chunks through a fresh run: every load unit is computed
-  // exactly once across the two runs (Σ compute time is conserved),
-  // because durable chunks are never re-dispatched.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  const Engine engine(plat, EngineOptions{2.0});
-  const std::vector<ChunkAssignment> schedule{
-      {0, 3.0}, {1, 3.0}, {0, 3.0}, {1, 3.0}};
-  const SimResult full = engine.run(schedule, ParallelLinksModel());
-  // Pause just after the first wave of compute completions.
-  const double first_wave = full.spans[0].compute_end;
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), first_wave);
-  ASSERT_EQ(partial.remaining.size(), 2u);
-  const SimResult resumed =
-      engine.run(partial.remaining, ParallelLinksModel());
-  double paused_compute = 0.0;
-  for (const double t : partial.result.worker_compute_time) {
-    paused_compute += t;
-  }
-  double resumed_compute = 0.0;
-  for (const double t : resumed.worker_compute_time) {
-    resumed_compute += t;
-  }
-  double full_compute = 0.0;
-  for (const double t : full.worker_compute_time) full_compute += t;
-  EXPECT_DOUBLE_EQ(paused_compute + resumed_compute, full_compute);
-  EXPECT_DOUBLE_EQ(partial.completed_load, 6.0);
 }
 
 // --- time-released chunks -------------------------------------------------
@@ -528,75 +457,6 @@ TEST(Engine, RejectsBadReleaseAndAlpha) {
   EXPECT_THROW(
       (void)engine.run({{0, 1.0, 0.0, 0.5}}, CommModelKind::kParallelLinks),
       util::PreconditionError);
-}
-
-TEST(Engine, RunUntilFlagsCancelledSpans) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 2.0}, {0, 2.0}};
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), 3.0);
-  EXPECT_FALSE(partial.result.spans[0].cancelled);
-  EXPECT_TRUE(partial.result.spans[1].cancelled);
-}
-
-TEST(Engine, PausedRunDoesNotMisclassifyCancelledWorkersAsIdle) {
-  // Two workers; worker 1's only chunk is still in flight at the pause
-  // boundary and gets cancelled. The paused statistics must not report
-  // worker 1 as a worker the schedule never fed, and the imbalance must
-  // cover only the completed work.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 1.0}, {1, 20.0}};
-  const SimResult full = engine.run(schedule, ParallelLinksModel());
-  const PartialRun partial = engine.run_until(
-      schedule, ParallelLinksModel(), full.spans[0].compute_end);
-  ASSERT_EQ(partial.remaining.size(), 1u);
-  EXPECT_EQ(partial.remaining[0].worker, 1u);
-  EXPECT_EQ(partial.result.idle_workers(), 0u);
-  EXPECT_DOUBLE_EQ(partial.result.load_imbalance(), 0.0);
-}
-
-TEST(Engine, PausedRunStillCountsTrulyIdleWorkers) {
-  // Three workers, but the schedule only ever feeds two: the untouched
-  // worker stays idle in the paused statistics, while the cancelled one
-  // does not.
-  const Platform plat = Platform::homogeneous(3, 1.0, 1.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 1.0}, {1, 20.0}};
-  const SimResult full = engine.run(schedule, ParallelLinksModel());
-  const PartialRun partial = engine.run_until(
-      schedule, ParallelLinksModel(), full.spans[0].compute_end);
-  EXPECT_EQ(partial.result.idle_workers(), 1u);
-}
-
-TEST(Engine, PausedZeroSizeChunkAtTheBoundaryIsNotCancelled) {
-  // A zero-size chunk that completed exactly at t = 0 must stay a
-  // completed chunk in the paused result (distinguishable from a
-  // cancelled chunk only via the flag — their timelines are identical).
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 0.0}, {1, 20.0}};
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), 0.0);
-  EXPECT_FALSE(partial.result.spans[0].cancelled);
-  EXPECT_TRUE(partial.result.spans[1].cancelled);
-  EXPECT_DOUBLE_EQ(partial.completed_load, 0.0);
-  // Worker 0 completed only a zero-size chunk — genuinely idle; worker 1
-  // was cancelled — not idle.
-  EXPECT_EQ(partial.result.idle_workers(), 1u);
-}
-
-TEST(Engine, RunUntilPreservesReleasesInRemaining) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 1.0);
-  const Engine engine(plat);
-  const std::vector<ChunkAssignment> schedule{{0, 2.0},
-                                              {0, 2.0, 50.0, 2.0}};
-  const PartialRun partial =
-      engine.run_until(schedule, ParallelLinksModel(), 3.0);
-  ASSERT_EQ(partial.remaining.size(), 1u);
-  EXPECT_DOUBLE_EQ(partial.remaining[0].release, 50.0);
-  EXPECT_DOUBLE_EQ(partial.remaining[0].alpha, 2.0);
 }
 
 }  // namespace

@@ -229,6 +229,33 @@ TEST_P(NonlinearAllocationProperty, ParallelAllocationIsValid) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, NonlinearAllocationProperty,
                          ::testing::Range(0, 12));
 
+// On one worker the makespan bracket [0, c·N + w·N^alpha] is tight: the
+// whole load fits exactly at its top, and rounding in the chunk solve can
+// leave Σ n_i just short of N there. Both solvers must widen the bracket
+// and place the whole load on every draw, not reject valid input.
+TEST(NonlinearOneWorker, BothSolversPlaceTheWholeLoad) {
+  util::Rng rng(12345);
+  for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
+    for (int draw = 0; draw < 500; ++draw) {
+      const double c = rng.uniform(0.01, 10.0);
+      const double w = rng.uniform(0.01, 10.0);
+      const double n = rng.uniform(0.1, 1000.0);
+      SCOPED_TRACE("alpha=" + std::to_string(alpha) + " c=" +
+                   std::to_string(c) + " w=" + std::to_string(w) +
+                   " n=" + std::to_string(n));
+      const Platform plat({{c, w}});
+      const double alone = c * n + w * std::pow(n, alpha);
+      for (const NonlinearAllocation& alloc :
+           {nonlinear_parallel_single_round(plat, n, alpha),
+            nonlinear_one_port_single_round(plat, n, alpha)}) {
+        ASSERT_EQ(alloc.amounts.size(), 1U);
+        EXPECT_NEAR(alloc.amounts[0], n, 1e-12 * n);
+        EXPECT_NEAR(alloc.makespan, alone, 1e-9 * alone);
+      }
+    }
+  }
+}
+
 // Bit-for-bit oracle for the solver's fast paths. `reference` is the
 // solver as it stood before them: std::pow at every exponent, f evaluated
 // at both ends of every chunk bracket, one chunk solve per worker (and its
@@ -321,9 +348,9 @@ NonlinearAllocation parallel(const Platform& plat, double total_load,
     t_hi = std::min(t_hi, plat.c(i) * total_load +
                               plat.w(i) * std::pow(total_load, alpha));
   }
-  const auto root =
-      util::bisect([&](double T) { return assigned_load(T) - total_load; },
-                   0.0, t_hi, outer_options(t_hi, total_load));
+  const auto f = [&](double T) { return assigned_load(T) - total_load; };
+  const auto root = util::bisect(f, 0.0, t_hi, f(0.0), f(t_hi),
+                                 outer_options(t_hi, total_load));
   EXPECT_TRUE(root.converged);
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
@@ -368,9 +395,9 @@ NonlinearAllocation one_port(const Platform& plat, double total_load,
   const double t_hi = plat.c(first) * total_load +
                       plat.w(first) * std::pow(total_load, alpha);
   std::vector<double> scratch(p, 0.0);
-  const auto root = util::bisect(
-      [&](double T) { return fill_for(T, scratch) - total_load; }, 0.0, t_hi,
-      outer_options(t_hi, total_load));
+  const auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
+  const auto root = util::bisect(f, 0.0, t_hi, f(0.0), f(t_hi),
+                                 outer_options(t_hi, total_load));
   EXPECT_TRUE(root.converged);
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
@@ -403,30 +430,27 @@ void expect_bitwise_equal(const NonlinearAllocation& got,
   EXPECT_EQ(got.solver_iterations, want.solver_iterations);
 }
 
-/// Runs both solves: either both succeed with the same bits, or both throw.
-/// On a single worker the outer bracket [0, c·N + w·N^alpha] is tight, and
-/// rounding in the chunk solve can leave Σ n_i < N at its top, so both
-/// solvers reject some (load, alpha) pairs there, and must reject the same
-/// ones.
+/// Runs both solves. Wherever the reference solves, the library returns
+/// the same bits. On a single worker the outer bracket [0, c·N + w·N^alpha]
+/// is tight, and rounding in the chunk solve can leave Σ n_i < N at its
+/// top, so the reference rejects some (load, alpha) pairs there; the
+/// library widens the bracket instead and must still place the whole load.
 template <typename Fast, typename Slow>
-void expect_same_outcome(std::size_t p, Fast fast, Slow slow) {
+void expect_same_outcome(std::size_t p, double load, Fast fast, Slow slow) {
   std::optional<NonlinearAllocation> want;
   try {
     want = slow();
   } catch (const util::PreconditionError&) {
     EXPECT_EQ(p, 1U) << "only a single worker's bracket is tight";
   }
-  std::optional<NonlinearAllocation> got;
-  try {
-    got = fast();
-  } catch (const util::PreconditionError&) {
-    EXPECT_FALSE(want) << "the fast paths throw where the reference solves";
+  const NonlinearAllocation got = fast();
+  if (want) {
+    expect_bitwise_equal(got, *want);
+    return;
   }
-  if (want && got) {
-    expect_bitwise_equal(*got, *want);
-  } else if (!want) {
-    EXPECT_FALSE(got) << "the fast paths solve where the reference throws";
-  }
+  double placed = 0.0;
+  for (const double n : got.amounts) placed += n;
+  EXPECT_NEAR(placed, load, 1e-12 * load);
 }
 
 /// Seeded platforms covering every shape the fast paths branch on.
@@ -482,15 +506,15 @@ TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
         SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
                      " load=" + std::to_string(load));
         expect_same_outcome(
-            plat.size(),
+            plat.size(), load,
             [&] { return nonlinear_parallel_single_round(plat, load, alpha); },
             [&] { return reference::parallel(plat, load, alpha); });
         expect_same_outcome(
-            plat.size(),
+            plat.size(), load,
             [&] { return nonlinear_one_port_single_round(plat, load, alpha); },
             [&] { return reference::one_port(plat, load, alpha, forward); });
         expect_same_outcome(
-            plat.size(),
+            plat.size(), load,
             [&] {
               return nonlinear_one_port_single_round(plat, load, alpha,
                                                      reversed);

@@ -467,30 +467,6 @@ TEST(MetricsRegistry, ServersAccountIntoRegistry) {
   EXPECT_GE(qos_metrics.gauge_value("qos.restart_time_s"), 0.0);
 }
 
-TEST(MetricsRegistry, SamplesSnapshotInFirstTouchOrder) {
-  obs::MetricsRegistry registry;
-  registry.counter("jobs") += 4;
-  registry.gauge("rho") = 2.5;
-  registry.quantile("lat.p95", 0.95).push(10.0);
-  (void)registry.quantile("empty.p50", 0.5);
-
-  const std::vector<obs::MetricsRegistry::Sample> samples =
-      registry.samples();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(samples[0].name, "jobs");
-  EXPECT_EQ(samples[0].kind, obs::MetricsRegistry::SampleKind::kCounter);
-  EXPECT_EQ(samples[0].value, 4.0);
-  EXPECT_EQ(samples[0].count, 4u);
-  EXPECT_EQ(samples[1].name, "rho");
-  EXPECT_EQ(samples[1].kind, obs::MetricsRegistry::SampleKind::kGauge);
-  EXPECT_EQ(samples[1].value, 2.5);
-  EXPECT_EQ(samples[2].kind, obs::MetricsRegistry::SampleKind::kQuantile);
-  EXPECT_EQ(samples[2].value, 10.0);
-  EXPECT_EQ(samples[2].count, 1u);
-  EXPECT_EQ(samples[3].count, 0u);  // empty estimator reports value 0
-  EXPECT_EQ(samples[3].value, 0.0);
-}
-
 // --- metrics JSON validation -------------------------------------------------
 
 TEST(MetricsValidation, AcceptsRegistryDumpsRejectsMalformed) {

@@ -319,6 +319,26 @@ TEST(Server, SharesAreClampedToThePlatform) {
   for (const JobStats& record : stats) EXPECT_EQ(record.workers, 1u);
 }
 
+TEST(Server, OneWorkerSlotsServeEveryJob) {
+  // Eight fair-share slots on eight workers: every job is solved on a
+  // one-worker platform, where the solver's makespan bracket is tight.
+  const auto plat = platform::Platform::two_class(8, 1.0, 4.0);
+  JobMix mix = mixed_alpha_mix();
+  mix.load_lo = 40.0;
+  mix.load_hi = 120.0;
+  util::Rng rng(7);
+  const auto jobs = PoissonArrivals(0.05, mix).generate(2000.0, rng);
+  ASSERT_EQ(jobs.size(), 105U);
+  const FairShareScheduler fair(8);
+  const auto stats = Server(plat).run(jobs, fair);
+  ASSERT_EQ(stats.size(), jobs.size());
+  for (const JobStats& record : stats) {
+    EXPECT_EQ(record.workers, 1U);
+    EXPECT_TRUE(std::isfinite(record.finish));
+    EXPECT_GT(record.finish, record.dispatch);
+  }
+}
+
 TEST(Server, RunsUnderEveryCommModel) {
   const auto plat = platform::Platform::two_class(4, 1.0, 3.0);
   const auto jobs =

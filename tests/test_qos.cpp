@@ -472,6 +472,30 @@ TEST(Server, RunsAreBitIdenticalOnReplay) {
   }
 }
 
+TEST(Server, OneWorkerInstallmentsServeEveryJob) {
+  // Concurrency 8 on eight workers: every installment is solved on a
+  // one-worker platform, where the solver's makespan bracket is tight.
+  const auto plat = platform::Platform::two_class(8, 1.0, 4.0);
+  online::JobMix mix;
+  mix.load_lo = 40.0;
+  mix.load_hi = 120.0;
+  mix.alphas = {1.0, 2.0};
+  mix.alpha_weights = {0.5, 0.5};
+  util::Rng rng(7);
+  const auto jobs = online::PoissonArrivals(0.05, mix).generate(2000.0, rng);
+  ASSERT_EQ(jobs.size(), 105U);
+  ServerOptions options;
+  options.concurrency = 8;
+  FcfsPolicy fcfs;
+  const auto records = Server(plat, options).run(jobs, fcfs);
+  ASSERT_EQ(records.size(), jobs.size());
+  for (const JobRecord& record : records) {
+    EXPECT_TRUE(record.admitted);
+    EXPECT_TRUE(std::isfinite(record.finish));
+    EXPECT_GT(record.finish, record.dispatch);
+  }
+}
+
 TEST(Server, ValidatesTheJobStream) {
   // The stream contract online::Server shares (online::validate_stream),
   // under both the serial and the concurrent event loop, plus the qos

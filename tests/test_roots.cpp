@@ -12,29 +12,48 @@ namespace nldl::util {
 namespace {
 
 TEST(Bisect, FindsSqrtTwo) {
-  const auto result = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
+  auto f = [](double x) { return x * x - 2.0; };
+  const auto result = bisect(f, 0.0, 2.0, f(0.0), f(2.0));
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x, std::sqrt(2.0), 1e-10);
 }
 
 TEST(Bisect, ExactRootAtBoundary) {
-  const auto at_lo = bisect([](double x) { return x; }, 0.0, 1.0);
+  auto f = [](double x) { return x * (x - 1.0); };
+  const auto at_lo = bisect(f, 0.0, 0.5, f(0.0), f(0.5));
   EXPECT_TRUE(at_lo.converged);
   EXPECT_EQ(at_lo.x, 0.0);
-  const auto at_hi = bisect([](double x) { return x - 1.0; }, 0.0, 1.0);
+  EXPECT_EQ(at_lo.iterations, 0);
+  const auto at_hi = bisect(f, 0.5, 1.0, f(0.5), f(1.0));
   EXPECT_TRUE(at_hi.converged);
   EXPECT_EQ(at_hi.x, 1.0);
+  EXPECT_EQ(at_hi.iterations, 0);
 }
 
 TEST(Bisect, RequiresSignChange) {
-  EXPECT_THROW(
-      (void)bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-      PreconditionError);
+  auto f = [](double x) { return x * x + 1.0; };
+  EXPECT_THROW((void)bisect(f, -1.0, 1.0, f(-1.0), f(1.0)),
+               PreconditionError);
+  EXPECT_THROW((void)bisect(f, 1.0, 0.0, -1.0, 1.0), PreconditionError);
+}
+
+TEST(Bisect, NeverEvaluatesTheEndpoints) {
+  // The endpoint values come from the caller; f is only asked about
+  // interior points.
+  int endpoint_calls = 0;
+  auto f = [&](double x) {
+    if (!(x > 0.0 && x < 4.0)) ++endpoint_calls;
+    return x - 3.0;
+  };
+  const auto result = bisect(f, 0.0, 4.0, -3.0, 1.0);
+  EXPECT_TRUE(result.converged);
+  EXPECT_NEAR(result.x, 3.0, 1e-9);
+  EXPECT_EQ(endpoint_calls, 0);
 }
 
 TEST(Bisect, DecreasingFunction) {
-  const auto result =
-      bisect([](double x) { return 1.0 - x * x * x; }, 0.0, 4.0);
+  auto f = [](double x) { return 1.0 - x * x * x; };
+  const auto result = bisect(f, 0.0, 4.0, f(0.0), f(4.0));
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.x, 1.0, 1e-9);
 }
@@ -90,19 +109,6 @@ TEST(NewtonSafeguarded, StaysInsideBracket) {
   EXPECT_NEAR(result.x, 0.7, 1e-8);
 }
 
-TEST(SolveIncreasing, ExpandsBracket) {
-  // Root at 1000, initial guess far too small.
-  const auto result =
-      solve_increasing([](double x) { return x - 1000.0; }, 0.0, 1.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, 1000.0, 1e-6);
-}
-
-TEST(SolveIncreasing, ThrowsWhenNoRoot) {
-  EXPECT_THROW((void)solve_increasing([](double) { return -1.0; }, 0.0, 1.0),
-               PreconditionError);
-}
-
 // Property sweep: both solvers find the root of c·x + w·x^a − T (the
 // nonlinear DLT chunk equation) across random parameters.
 class ChunkEquationProperty : public ::testing::TestWithParam<int> {};
@@ -120,7 +126,7 @@ TEST_P(ChunkEquationProperty, BothSolversAgree) {
     };
     double hi = std::min(t / c, std::pow(t / w, 1.0 / a));
     while (f(hi) < 0.0) hi *= 2.0;
-    const auto by_bisect = bisect(f, 0.0, hi);
+    const auto by_bisect = bisect(f, 0.0, hi, f(0.0), f(hi));
     const auto by_newton = newton_safeguarded(f, df, 0.0, hi, f(0.0), f(hi));
     ASSERT_TRUE(by_bisect.converged);
     ASSERT_TRUE(by_newton.converged);

@@ -1,8 +1,7 @@
-// Tests for obs::TimeSeries (fixed-width windowed aggregation on the
-// simulated clock) and obs::BurnRateMonitor (multi-window SLO burn-rate
-// alerting): window addressing and clamping, registry folding, JSON
-// shape, rising-edge alert semantics, determinism, and the kAlert /
-// registry side channels of finalize().
+// Tests for obs::BurnRateMonitor (multi-window SLO burn-rate alerting):
+// base-window addressing and clamping, rising-edge alert semantics,
+// determinism, and the kAlert / registry side channels of finalize().
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,99 +11,12 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/validate.hpp"
 #include "util/assert.hpp"
-#include "util/json.hpp"
-#include "util/json_parse.hpp"
 
 namespace nldl {
 namespace {
-
-// --- TimeSeries --------------------------------------------------------------
-
-TEST(TimeSeries, WindowAddressingAndClamping) {
-  obs::TimeSeries series(10.0, 35.0);  // ceil(35/10) = 4 windows
-  EXPECT_EQ(series.window(), 10.0);
-  EXPECT_EQ(series.windows(), 4u);
-  EXPECT_EQ(series.index_of(0.0), 0u);
-  EXPECT_EQ(series.index_of(9.999), 0u);
-  EXPECT_EQ(series.index_of(10.0), 1u);
-  EXPECT_EQ(series.index_of(35.0), 3u);    // clamped into the last window
-  EXPECT_EQ(series.index_of(1000.0), 3u);  // far past the horizon too
-
-  series.observe("lat", 1.0, 5.0);
-  series.observe("lat", 2.0, 3.0);
-  series.observe("lat", 12.0, 7.0);
-  series.observe("lat", 99.0, 11.0);  // clamps into window 3
-  const auto& row = series.at("lat");
-  ASSERT_EQ(row.size(), 4u);
-  EXPECT_EQ(row[0].count, 2u);
-  EXPECT_EQ(row[0].sum, 8.0);
-  EXPECT_EQ(row[0].min, 3.0);
-  EXPECT_EQ(row[0].max, 5.0);
-  EXPECT_EQ(row[0].last, 3.0);
-  EXPECT_EQ(row[1].count, 1u);
-  EXPECT_EQ(row[2].count, 0u);
-  EXPECT_EQ(row[3].count, 1u);
-  EXPECT_EQ(row[3].last, 11.0);
-
-  EXPECT_THROW(series.observe("lat", -1.0, 0.0), util::PreconditionError);
-  EXPECT_THROW((void)series.at("missing"), util::PreconditionError);
-  EXPECT_THROW(obs::TimeSeries(0.0, 10.0), util::PreconditionError);
-  EXPECT_THROW(obs::TimeSeries(1.0, -1.0), util::PreconditionError);
-  // Zero horizon still yields one window.
-  EXPECT_EQ(obs::TimeSeries(1.0, 0.0).windows(), 1u);
-}
-
-TEST(TimeSeries, ChannelsKeepFirstTouchOrder) {
-  obs::TimeSeries series(1.0, 3.0);
-  series.observe("b", 0.0, 1.0);
-  series.observe("a", 0.0, 1.0);
-  series.observe("b", 1.0, 2.0);
-  EXPECT_EQ(series.channels(), (std::vector<std::string>{"b", "a"}));
-}
-
-TEST(TimeSeries, FoldImportsRegistrySamples) {
-  obs::MetricsRegistry registry;
-  registry.counter("jobs") += 7;
-  registry.gauge("rho") = 1.5;
-  registry.quantile("lat.p95", 0.95).push(4.0);
-
-  obs::TimeSeries series(10.0, 30.0);
-  series.fold(registry, 25.0, "reg.");
-  EXPECT_EQ(series.channels(),
-            (std::vector<std::string>{"reg.jobs", "reg.rho", "reg.lat.p95"}));
-  EXPECT_EQ(series.at("reg.jobs")[2].last, 7.0);
-  EXPECT_EQ(series.at("reg.rho")[2].last, 1.5);
-  EXPECT_EQ(series.at("reg.lat.p95")[2].count, 1u);
-}
-
-TEST(TimeSeries, WriteJsonListsNonEmptyWindows) {
-  obs::TimeSeries series(10.0, 30.0);
-  series.observe("lat", 1.0, 5.0);
-  series.observe("lat", 25.0, 7.0);
-  std::ostringstream out;
-  {
-    util::JsonWriter json(out);
-    series.write_json(json);
-    EXPECT_TRUE(json.complete());
-  }
-  const util::JsonValue root = util::parse_json(out.str());
-  ASSERT_TRUE(root.is_object());
-  EXPECT_EQ(root.find("window")->number, 10.0);
-  EXPECT_EQ(root.find("windows")->number, 3.0);
-  const util::JsonValue* channels = root.find("channels");
-  ASSERT_NE(channels, nullptr);
-  const util::JsonValue* lat = channels->find("lat");
-  ASSERT_NE(lat, nullptr);
-  // Two non-empty windows → two [index,count,sum,min,max,last] rows.
-  ASSERT_EQ(lat->array.size(), 2u);
-  EXPECT_EQ(lat->array[0].array[0].number, 0.0);
-  EXPECT_EQ(lat->array[1].array[0].number, 2.0);
-  EXPECT_EQ(lat->array[1].array[5].number, 7.0);
-}
 
 // --- BurnRateMonitor ---------------------------------------------------------
 
@@ -141,6 +53,43 @@ TEST(BurnRate, PolicyValidation) {
   obs::BurnRateMonitor monitor(paging, 360.0);
   monitor.finalize();
   EXPECT_TRUE(monitor.alerts().empty());
+}
+
+TEST(BurnRate, BaseWindowAddressingAndClamping) {
+  // Window 10 over horizon 35: ceil(35 / 10) = 4 base windows. A
+  // one-window rule at burn 1 fires at the end of every window holding a
+  // miss that follows a window without one, so alert times name windows.
+  obs::SloPolicy policy;
+  policy.objective = 0.9;
+  policy.window = 10.0;
+  policy.rules = {{10.0, 10.0, 1.0}};
+  obs::BurnRateMonitor monitor(policy, 35.0);
+  monitor.observe(0.0, true);     // the first window
+  monitor.observe(1000.0, true);  // far past the horizon: the last window
+  monitor.finalize();
+  ASSERT_EQ(monitor.alerts().size(), 2u);
+  EXPECT_EQ(monitor.alerts()[0].time, 10.0);
+  EXPECT_EQ(monitor.alerts()[1].time, 40.0);
+
+  // Horizon 0 still yields one window, which takes every observation.
+  obs::BurnRateMonitor single(policy, 0.0);
+  single.observe(1000.0, true);
+  single.finalize();
+  ASSERT_EQ(single.alerts().size(), 1u);
+  EXPECT_EQ(single.alerts()[0].time, 10.0);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::BurnRateMonitor open(policy, 35.0);
+  EXPECT_THROW(open.observe(-1.0, false), util::PreconditionError);
+  EXPECT_THROW(open.observe(inf, false), util::PreconditionError);
+  EXPECT_THROW(obs::BurnRateMonitor(policy, -1.0), util::PreconditionError);
+  EXPECT_THROW(obs::BurnRateMonitor(policy, inf), util::PreconditionError);
+  for (const double window :
+       {0.0, inf, std::numeric_limits<double>::quiet_NaN()}) {
+    obs::SloPolicy bad = policy;
+    bad.window = window;
+    EXPECT_THROW(obs::BurnRateMonitor(bad, 35.0), util::PreconditionError);
+  }
 }
 
 TEST(BurnRate, RisingEdgeFiresOncePerBreachRun) {
