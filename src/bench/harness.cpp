@@ -168,10 +168,6 @@ int Harness::finish(
       json.key("items_per_sec_parallel").value(items_per_sec_parallel());
     }
     json.key("peak_rss_bytes").value(peak_rss);
-    if (!profiler_.empty()) {
-      json.key("profile");
-      profiler_.write_json(json);
-    }
     if (emit_measured) emit_measured(json);
     json.end_object();
 

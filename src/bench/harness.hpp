@@ -20,9 +20,9 @@
 //            this subtree BITWISE (tools/trace_check --bench-diff checks
 //            exactly it, and CI runs that comparison);
 //        "measured": the wall-clock sidecar — thread count, serial /
-//            parallel wall times, speedup, items/sec, peak RSS, and the
-//            driver's WallProfiler breakdown. Expected to differ between
-//            runs; never compared.
+//            parallel wall times, speedup, items/sec, peak RSS, and any
+//            wall times the driver gathered itself. Expected to differ
+//            between runs; never compared.
 //
 // and turns the self-check into the process exit code, so CI fails loudly
 // on any determinism regression. All wall-clock reads go through
@@ -184,13 +184,6 @@ class Harness {
     return metrics_;
   }
 
-  /// Wall-clock attribution (bench/profile.hpp): finish() snapshots it
-  /// into the measured sidecar's "profile" object (omitted while empty).
-  [[nodiscard]] WallProfiler& profiler() noexcept { return profiler_; }
-  [[nodiscard]] const WallProfiler& profiler() const noexcept {
-    return profiler_;
-  }
-
   /// Print the runner summary line, write BENCH_<name>.json (the
   /// deterministic payload + measured sidecar described in the file
   /// comment), and return the process exit code: 0 iff the self-check
@@ -214,7 +207,6 @@ class Harness {
   std::size_t items_ = 0;
   std::vector<ConfigEntry> config_;
   obs::MetricsRegistry metrics_;
-  WallProfiler profiler_;
   bool ran_ = false;
   bool bit_identical_ = true;
   double serial_seconds_ = 0.0;

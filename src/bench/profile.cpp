@@ -11,46 +11,6 @@ double WallClock::now() {
       .count();
 }
 
-void WallProfiler::add(std::string_view name, double seconds) {
-  for (Entry& entry : entries_) {
-    if (entry.name == name) {
-      entry.seconds += seconds;
-      ++entry.count;
-      return;
-    }
-  }
-  entries_.push_back({std::string(name), seconds, 1});
-}
-
-double WallProfiler::seconds(std::string_view name) const noexcept {
-  for (const Entry& entry : entries_) {
-    if (entry.name == name) return entry.seconds;
-  }
-  return 0.0;
-}
-
-std::uint64_t WallProfiler::count(std::string_view name) const noexcept {
-  for (const Entry& entry : entries_) {
-    if (entry.name == name) return entry.count;
-  }
-  return 0;
-}
-
-void WallProfiler::write_json(util::JsonWriter& json) const {
-  json.begin_object();
-  for (const Entry& entry : entries_) {
-    json.key(entry.name).begin_object();
-    json.key("seconds").value(entry.seconds);
-    json.key("count").value(static_cast<std::size_t>(entry.count));
-    json.end_object();
-  }
-  json.end_object();
-}
-
-ProfileScope::~ProfileScope() {
-  const double elapsed = WallClock::now() - start_;
-  if (sink_ != nullptr) *sink_ += elapsed;
-  if (profiler_ != nullptr) profiler_->add(name_, elapsed);
-}
+ProfileScope::~ProfileScope() { *sink_ += WallClock::now() - start_; }
 
 }  // namespace nldl::bench

@@ -1,21 +1,13 @@
-// Wall-clock profiling for the harness layer — the one sanctioned home
-// of real-time reads in the codebase.
+// Wall-clock timing for the harness layer — the one sanctioned home of
+// real-time reads in the codebase.
 //
 // The simulation domain (sim/, online/, qos/, dlt/) is a pure function
 // of its inputs and runs entirely on the simulated clock; nldl-lint's
 // nondet-source rule keeps real clocks out of it. The benches still need
 // wall time — that is what they measure — so every reading funnels
-// through WallClock::now() here, and the drivers attribute it to named
-// WallProfiler accumulators that land in the bench JSON's MEASURED
+// through WallClock::now() here and lands in the bench JSON's MEASURED
 // sidecar (never in the deterministic payload, see bench/harness.hpp).
 #pragma once
-
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "util/json.hpp"
 
 namespace nldl::bench {
 
@@ -25,58 +17,20 @@ struct WallClock {
   [[nodiscard]] static double now();
 };
 
-/// Insertion-ordered named wall-time accumulators. Deterministic layout
-/// (first-touch order, no hashing), nondeterministic values — which is
-/// why it serializes into the measured sidecar only.
-class WallProfiler {
- public:
-  /// Add `seconds` to the named accumulator (created on first touch) and
-  /// bump its sample count.
-  void add(std::string_view name, double seconds);
-
-  /// Accumulated seconds / samples of a named scope (0 when absent).
-  [[nodiscard]] double seconds(std::string_view name) const noexcept;
-  [[nodiscard]] std::uint64_t count(std::string_view name) const noexcept;
-
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Emit {"<name>": {"seconds": s, "count": n}, ...} in first-touch
-  /// order. The writer must be positioned for an object value.
-  void write_json(util::JsonWriter& json) const;
-
- private:
-  struct Entry {
-    std::string name;
-    double seconds = 0.0;
-    std::uint64_t count = 0;
-  };
-  std::vector<Entry> entries_;
-};
-
 /// RAII wall-clock scope: on destruction adds the elapsed seconds to a
-/// WallProfiler entry, or to a plain accumulator.
+/// plain accumulator.
 class ProfileScope {
  public:
   explicit ProfileScope(double& sink)
       : start_(WallClock::now()), sink_(&sink) {}
-  ProfileScope(WallProfiler& profiler, std::string name)
-      : start_(WallClock::now()),
-        profiler_(&profiler),
-        name_(std::move(name)) {}
   ~ProfileScope();
 
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
-  /// Seconds elapsed since construction (the scope keeps running).
-  [[nodiscard]] double elapsed() const { return WallClock::now() - start_; }
-
  private:
   double start_;
-  double* sink_ = nullptr;
-  WallProfiler* profiler_ = nullptr;
-  std::string name_;
+  double* sink_;
 };
 
 }  // namespace nldl::bench

@@ -35,15 +35,11 @@ double power(double x, double e) {
   return std::pow(x, e);
 }
 
-void require_solver_inputs(double total_load, double alpha,
-                           const NonlinearOptions& options) {
+void require_solver_inputs(double total_load, double alpha) {
   NLDL_REQUIRE(std::isfinite(total_load) && total_load >= 0.0,
                "total_load must be finite and >= 0");
   NLDL_REQUIRE(std::isfinite(alpha) && alpha >= 1.0,
                "alpha must be finite and >= 1");
-  NLDL_REQUIRE(std::isfinite(options.tolerance) && options.tolerance > 0.0,
-               "tolerance must be finite and > 0");
-  NLDL_REQUIRE(options.max_iterations >= 1, "max_iterations must be >= 1");
 }
 
 /// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <= 0).
@@ -89,17 +85,16 @@ bool same_bits(const platform::Processor& a, const platform::Processor& b) {
 /// bracket (one worker) can leave f(t_hi) just below zero after rounding
 /// in the chunk solves, so t_hi doubles until f turns non-negative.
 template <typename F>
-util::RootResult solve_makespan(F&& f, double total_load, double t_hi,
-                                const NonlinearOptions& options) {
+util::RootResult solve_makespan(F&& f, double total_load, double t_hi) {
   double f_hi = f(t_hi);
   while (f_hi < 0.0) {
     t_hi *= 2.0;
     f_hi = f(t_hi);
   }
   util::RootOptions opts;
-  opts.x_tol = options.tolerance * t_hi;
-  opts.f_tol = options.tolerance * total_load;
-  opts.max_iterations = options.max_iterations;
+  opts.x_tol = 1e-10 * t_hi;
+  opts.f_tol = 1e-10 * total_load;
+  opts.max_iterations = 200;
   return util::bisect(f, 0.0, t_hi, -total_load, f_hi, opts);
 }
 
@@ -117,9 +112,8 @@ void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
 }  // namespace
 
 NonlinearAllocation nonlinear_parallel_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options) {
-  require_solver_inputs(total_load, alpha, options);
+    const platform::Platform& platform, double total_load, double alpha) {
+  require_solver_inputs(total_load, alpha);
   const std::vector<platform::Processor>& workers = platform.workers();
   const std::size_t p = workers.size();
 
@@ -156,7 +150,7 @@ NonlinearAllocation nonlinear_parallel_single_round(
 
   // Σ n_i(T) is continuous and strictly increasing in T, so bisect on T.
   auto f = [&](double T) { return fill_for(T) - total_load; };
-  const auto root = solve_makespan(f, total_load, t_hi, options);
+  const auto root = solve_makespan(f, total_load, t_hi);
   NLDL_ASSERT(root.converged, "nonlinear outer bisection did not converge");
 
   alloc.makespan = root.x;
@@ -179,9 +173,8 @@ NonlinearAllocation nonlinear_parallel_single_round(
 
 NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha,
-    const std::vector<std::size_t>& send_order,
-    const NonlinearOptions& options) {
-  require_solver_inputs(total_load, alpha, options);
+    const std::vector<std::size_t>& send_order) {
+  require_solver_inputs(total_load, alpha);
   const std::size_t p = platform.size();
   NLDL_REQUIRE(send_order.size() == p,
                "send order must cover every worker exactly once");
@@ -225,7 +218,7 @@ NonlinearAllocation nonlinear_one_port_single_round(
 
   std::vector<double> scratch(p, 0.0);
   auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
-  const auto root = solve_makespan(f, total_load, t_hi, options);
+  const auto root = solve_makespan(f, total_load, t_hi);
   NLDL_ASSERT(root.converged, "one-port outer bisection did not converge");
 
   alloc.makespan = root.x;
@@ -244,12 +237,10 @@ NonlinearAllocation nonlinear_one_port_single_round(
 }
 
 NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options) {
+    const platform::Platform& platform, double total_load, double alpha) {
   std::vector<std::size_t> order(platform.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return nonlinear_one_port_single_round(platform, total_load, alpha, order,
-                                         options);
+  return nonlinear_one_port_single_round(platform, total_load, alpha, order);
 }
 
 double homogeneous_nonlinear_makespan(std::size_t p, double c, double w,
@@ -265,13 +256,11 @@ double homogeneous_nonlinear_makespan(std::size_t p, double c, double w,
 
 NonlinearAllocation nonlinear_single_round_for(
     sim::CommModelKind comm, const platform::Platform& platform,
-    double total_load, double alpha, const NonlinearOptions& options) {
+    double total_load, double alpha) {
   if (comm == sim::CommModelKind::kOnePort) {
-    return nonlinear_one_port_single_round(platform, total_load, alpha,
-                                           options);
+    return nonlinear_one_port_single_round(platform, total_load, alpha);
   }
-  return nonlinear_parallel_single_round(platform, total_load, alpha,
-                                         options);
+  return nonlinear_parallel_single_round(platform, total_load, alpha);
 }
 
 }  // namespace nldl::dlt

@@ -44,11 +44,6 @@ struct NonlinearAllocation {
   int solver_iterations = 0;  ///< outer bisection iterations
 };
 
-struct NonlinearOptions {
-  double tolerance = 1e-10;   ///< relative tolerance on the load balance
-  int max_iterations = 200;
-};
-
 /// Optimal single-round allocation under the parallel-links model:
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
 /// Solved by bisection on T, with each n_i(T) found by safeguarded Newton
@@ -66,11 +61,11 @@ struct NonlinearOptions {
 /// std::sqrt in the last bit on ~0.1% of inputs, which would change the
 /// bench payloads.
 ///
-/// All solvers require finite total_load >= 0, finite alpha >= 1, a finite
-/// options.tolerance > 0 and options.max_iterations >= 1.
+/// All solvers require finite total_load >= 0 and finite alpha >= 1. Their
+/// bisection on T stops at a relative tolerance of 1e-10 (of the bracket
+/// and of the load) or after 200 steps.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options = {});
+    const platform::Platform& platform, double total_load, double alpha);
 
 /// Optimal single-round allocation under the one-port model for a given
 /// send order: worker fed at time τ_i = Σ_{j before i} c_j·n_j satisfies
@@ -80,13 +75,11 @@ struct NonlinearOptions {
 /// depends on the feed clock, so every worker solves its own chunk.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha,
-    const std::vector<std::size_t>& send_order,
-    const NonlinearOptions& options = {});
+    const std::vector<std::size_t>& send_order);
 
 /// Same, feeding workers in platform order 0..p-1.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const NonlinearOptions& options = {});
+    const platform::Platform& platform, double total_load, double alpha);
 
 /// The optimal single-round allocation MATCHED to a communication model
 /// kind: the one-port optimality conditions under kOnePort (the master
@@ -97,7 +90,7 @@ struct NonlinearOptions {
 /// solve the same allocation for a given comm kind.
 [[nodiscard]] NonlinearAllocation nonlinear_single_round_for(
     sim::CommModelKind comm, const platform::Platform& platform,
-    double total_load, double alpha, const NonlinearOptions& options = {});
+    double total_load, double alpha);
 
 /// Closed-form makespan of the homogeneous optimum (paper Section 2):
 /// every worker gets N/p, finishing at (N/p)·c + w·(N/p)^alpha. Requires

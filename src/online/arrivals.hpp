@@ -62,8 +62,6 @@ class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-
   /// Jobs with arrival times in [0, horizon), ids 0..n-1 in
   /// non-decreasing arrival order. See the file comment for the RNG
   /// splitting contract.
@@ -76,7 +74,6 @@ class DeterministicArrivals final : public ArrivalProcess {
  public:
   DeterministicArrivals(double period, JobMix mix);
 
-  [[nodiscard]] std::string name() const override { return "deterministic"; }
   [[nodiscard]] std::vector<Job> generate(double horizon,
                                           util::Rng& rng) const override;
 
@@ -90,7 +87,6 @@ class PoissonArrivals final : public ArrivalProcess {
  public:
   PoissonArrivals(double rate, JobMix mix);
 
-  [[nodiscard]] std::string name() const override { return "poisson"; }
   [[nodiscard]] std::vector<Job> generate(double horizon,
                                           util::Rng& rng) const override;
 
@@ -107,7 +103,6 @@ class MmppArrivals final : public ArrivalProcess {
   MmppArrivals(double rate_low, double rate_high, double dwell_low,
                double dwell_high, JobMix mix);
 
-  [[nodiscard]] std::string name() const override { return "mmpp"; }
   [[nodiscard]] std::vector<Job> generate(double horizon,
                                           util::Rng& rng) const override;
 
@@ -131,7 +126,6 @@ class TraceArrivals final : public ArrivalProcess {
   /// Numbers are parsed locale-independently (std::from_chars).
   [[nodiscard]] static TraceArrivals from_file(const std::string& path);
 
-  [[nodiscard]] std::string name() const override { return "trace"; }
   [[nodiscard]] std::vector<Job> generate(double horizon,
                                           util::Rng& rng) const override;
 

@@ -1,8 +1,5 @@
 #include "online/scheduler.hpp"
 
-#include <bit>
-#include <cstdint>
-
 #include "dlt/nonlinear_dlt.hpp"
 #include "util/assert.hpp"
 
@@ -34,83 +31,14 @@ double mean_predicted_makespan(const JobMix& mix,
   return weighted / total_weight;
 }
 
-std::size_t FcfsScheduler::pick(const std::vector<Job>& queue,
-                                const platform::Platform&) const {
-  NLDL_REQUIRE(!queue.empty(), "pick() on an empty queue");
-  return 0;
-}
-
 FairShareScheduler::FairShareScheduler(std::size_t shares)
     : shares_(shares) {
   NLDL_REQUIRE(shares >= 1, "FairShareScheduler requires >= 1 share");
 }
 
-std::size_t FairShareScheduler::pick(const std::vector<Job>& queue,
-                                     const platform::Platform&) const {
-  NLDL_REQUIRE(!queue.empty(), "pick() on an empty queue");
-  return 0;
-}
-
-double PredictionCache::predict(const Job& job,
-                                const platform::Platform& platform,
-                                sim::CommModelKind comm) {
-  // Evict everything if this is a different platform than the one the
-  // cached predictions were solved on. The fingerprint is plain O(p)
-  // arithmetic — no allocation on the hit path — over the exact
-  // per-worker bit patterns, so no two distinct platforms share it
-  // short of a 64-bit hash collision.
-  PlatformSignature signature;
-  signature.size = platform.size();
-  std::uint64_t digest = 0xCBF29CE484222325ULL;  // FNV-1a
-  const auto mix = [&digest](double value) {
-    digest ^= std::bit_cast<std::uint64_t>(value);
-    digest *= 0x100000001B3ULL;
-  };
-  for (const auto& worker : platform.workers()) {
-    mix(worker.c);
-    mix(worker.w);
-  }
-  signature.digest = digest;
-  if (!bound_ || !(signature == platform_signature_)) {
-    cache_.clear();
-    platform_signature_ = signature;
-    bound_ = true;
-  }
-
-  const auto it = cache_.find(job.id);
-  if (it != cache_.end() && it->second.load == job.load &&
-      it->second.alpha == job.alpha && it->second.comm == comm) {
-    ++hits_;
-    return it->second.makespan;
-  }
-  ++misses_;
-  const double makespan = predicted_makespan(job, platform, comm);
-  cache_[job.id] = {job.load, job.alpha, comm, makespan};
-  return makespan;
-}
-
-void PredictionCache::clear() {
-  cache_.clear();
-  bound_ = false;
-}
-
-std::size_t SpmfScheduler::pick(
-    const std::vector<Job>& queue,
-    const platform::Platform& slot_platform) const {
-  NLDL_REQUIRE(!queue.empty(), "pick() on an empty queue");
-
-  std::size_t best = 0;
-  double best_makespan = cache_.predict(queue[0], slot_platform, comm_);
-  for (std::size_t k = 1; k < queue.size(); ++k) {
-    const double makespan = cache_.predict(queue[k], slot_platform, comm_);
-    // Strict < keeps ties on the earliest arrival (queue is in arrival
-    // order).
-    if (makespan < best_makespan) {
-      best = k;
-      best_makespan = makespan;
-    }
-  }
-  return best;
+double SpmfScheduler::rank(const Job& job,
+                           const platform::Platform& platform) const {
+  return predicted_makespan(job, platform, comm_);
 }
 
 std::string to_string(SchedulerKind kind) {
@@ -130,7 +58,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                           sim::CommModelKind comm) {
   switch (kind) {
     case SchedulerKind::kFcfs:
-      return std::make_unique<FcfsScheduler>();
+      return std::make_unique<Scheduler>();
     case SchedulerKind::kFairShare:
       return std::make_unique<FairShareScheduler>(shares);
     case SchedulerKind::kSpmf:

@@ -1,11 +1,14 @@
 // Pluggable multi-load queue policies for the online server.
 //
 // A Scheduler makes two decisions: how many disjoint processor partitions
-// ("slots") the server should carve the platform into, and — whenever a
-// slot frees up — which queued job starts next on it. Three policies ship:
+// ("slots") the server should carve the platform into, and the rank of
+// each job in the wait queue. The server ranks a job once, when it joins
+// the queue; a freed slot takes the lowest rank, and equal ranks go in
+// arrival order. Three policies ship:
 //
-//   FcfsScheduler        one slot (the whole platform), jobs in arrival
-//                        order: the exclusive baseline.
+//   Scheduler            one slot (the whole platform), every job ranked
+//                        0, so jobs run in arrival order: the exclusive
+//                        FCFS baseline.
 //   FairShareScheduler   k slots (processor-partitioning fair share): up
 //                        to k jobs run concurrently, each on a 1/k slice
 //                        of the platform, still FCFS within the queue.
@@ -15,7 +18,7 @@
 //                        flatter fair share, kSharedMaster charges the
 //                        real contention bill (bench_contention).
 //   SpmfScheduler        one slot, shortest-PREDICTED-makespan first: the
-//                        priority is the nonlinear optimal makespan of
+//                        rank is the nonlinear optimal makespan of
 //                        dlt::nonlinear_parallel_single_round, not the raw
 //                        load. With alpha > 1 jobs in the mix this
 //                        matters: compute cost is superlinear in size, so
@@ -27,11 +30,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "online/arrivals.hpp"
 #include "online/job.hpp"
@@ -45,7 +45,7 @@ namespace nldl::online {
 /// communication model — one-port optimality conditions under kOnePort,
 /// parallel-links otherwise (bounded multiport has no closed-form
 /// allocator; parallel links is its uncapped limit). This is the SPMF
-/// priority and the quantity whose predicted-vs-simulated agreement
+/// rank and the quantity whose predicted-vs-simulated agreement
 /// test_analysis.cpp checks.
 [[nodiscard]] double predicted_makespan(
     const Job& job, const platform::Platform& platform,
@@ -58,85 +58,24 @@ namespace nldl::online {
     const JobMix& mix, const platform::Platform& platform,
     sim::CommModelKind comm = sim::CommModelKind::kParallelLinks);
 
-/// Memo of predicted_makespan keyed by job id — one nonlinear solver run
-/// per distinct job instead of one per ranking decision.
-///
-/// A prediction is a pure function of (load, alpha, platform, comm), so
-/// every input is stored next to the cached makespan: querying the same
-/// job id with a different load/alpha (an id reused across streams) or a
-/// different communication model re-solves and overwrites the entry, and
-/// a change of platform (one cache reused across differently-carved
-/// slots or servers) evicts everything. Stale answers are structurally
-/// impossible; tests/test_online.cpp pins the eviction behavior via the
-/// hit/miss counters. Not safe for concurrent use.
-class PredictionCache {
- public:
-  [[nodiscard]] double predict(const Job& job,
-                               const platform::Platform& platform,
-                               sim::CommModelKind comm);
-
-  void clear();
-  [[nodiscard]] std::size_t size() const noexcept { return cache_.size(); }
-  /// Queries answered from the memo / by running the solver.
-  [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
-
- private:
-  struct Entry {
-    double load = 0.0;
-    double alpha = 0.0;
-    sim::CommModelKind comm = sim::CommModelKind::kParallelLinks;
-    double makespan = 0.0;
-  };
-
-  /// Allocation-free platform fingerprint (predict() recomputes it per
-  /// query, so it must stay O(p) arithmetic with no heap traffic): the
-  /// worker count plus an FNV-1a digest over every worker's exact
-  /// (c, w) bit pattern, so platforms that merely tie on aggregate
-  /// speed/cost sums cannot collide.
-  struct PlatformSignature {
-    std::size_t size = 0;
-    std::uint64_t digest = 0;
-
-    bool operator==(const PlatformSignature&) const = default;
-  };
-
-  /// Ordered map (nldl-lint unordered-container rule): lookups are by
-  /// exact job id so ordering is irrelevant today, but an ordered memo
-  /// guarantees any future walk (eviction stats, serialization) visits
-  /// entries in id order on every run.
-  std::map<std::size_t, Entry> cache_;
-  PlatformSignature platform_signature_;
-  bool bound_ = false;  ///< platform_signature_ is meaningful
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-};
-
+/// FCFS on the whole platform, one job at a time; the base of every
+/// policy.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Number of disjoint processor partitions the server should run; the
   /// server clamps it to the worker count. 1 = exclusive whole-platform
   /// service.
   [[nodiscard]] virtual std::size_t shares() const { return 1; }
 
-  /// Index into `queue` (non-empty, in arrival order) of the job to start
-  /// next on `slot_platform`.
-  [[nodiscard]] virtual std::size_t pick(
-      const std::vector<Job>& queue,
-      const platform::Platform& slot_platform) const = 0;
-};
-
-/// FCFS on the whole platform, one job at a time.
-class FcfsScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "fcfs"; }
-  [[nodiscard]] std::size_t pick(
-      const std::vector<Job>& queue,
-      const platform::Platform& slot_platform) const override;
+  /// Queue rank of a job on the server's whole platform, asked once when
+  /// the job arrives: lower ranks start first, equal ranks in arrival
+  /// order. Must not be NaN.
+  [[nodiscard]] virtual double rank(const Job&,
+                                    const platform::Platform&) const {
+    return 0.0;
+  }
 };
 
 /// FCFS over `shares` disjoint processor partitions.
@@ -144,11 +83,7 @@ class FairShareScheduler final : public Scheduler {
  public:
   explicit FairShareScheduler(std::size_t shares);
 
-  [[nodiscard]] std::string name() const override { return "fair-share"; }
   [[nodiscard]] std::size_t shares() const override { return shares_; }
-  [[nodiscard]] std::size_t pick(
-      const std::vector<Job>& queue,
-      const platform::Platform& slot_platform) const override;
 
  private:
   std::size_t shares_;
@@ -156,34 +91,19 @@ class FairShareScheduler final : public Scheduler {
 
 /// Shortest-predicted-makespan first on the whole platform, with the
 /// prediction matched to the communication model the server simulates
-/// under (pass the same CommModelKind as ServerOptions::comm). Ties go to
-/// the earliest arrival.
-///
-/// Predictions are memoized per job id through a PredictionCache (a job's
-/// priority on a fixed slot platform never changes), so a dispatch costs
-/// one solver run per NEW queued job instead of one per queued job. The
-/// memo self-invalidates when the slot platform changes, so one instance
-/// can be reused across servers; concurrent pick() calls on one instance
-/// are not supported (construct one scheduler per sweep point, as
-/// bench_online does).
+/// under (pass the same CommModelKind as ServerOptions::comm).
 class SpmfScheduler final : public Scheduler {
  public:
   explicit SpmfScheduler(
       sim::CommModelKind comm = sim::CommModelKind::kParallelLinks)
       : comm_(comm) {}
 
-  [[nodiscard]] std::string name() const override { return "spmf"; }
-  [[nodiscard]] std::size_t pick(
-      const std::vector<Job>& queue,
-      const platform::Platform& slot_platform) const override;
-
-  [[nodiscard]] const PredictionCache& cache() const noexcept {
-    return cache_;
-  }
+  /// predicted_makespan(job, platform, comm).
+  [[nodiscard]] double rank(const Job& job,
+                            const platform::Platform& platform) const override;
 
  private:
   sim::CommModelKind comm_;
-  mutable PredictionCache cache_;
 };
 
 /// Discriminator for the built-in schedulers (bench/example sweep axis).

@@ -1,6 +1,7 @@
 #include "online/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -120,7 +121,13 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
   std::vector<std::size_t> slot_owner(slots, kNoJob);   // owner in its period
   std::vector<std::uint8_t> period_busy(period_count, 0);
   std::vector<std::uint8_t> period_dispatched(period_count, 0);
-  std::vector<Job> queue;  // waiting jobs, in arrival order
+  // Waiting jobs by index into `jobs`, sorted by (rank, arrival): a freed
+  // slot takes the head.
+  struct Waiting {
+    double rank = 0.0;
+    std::size_t job = 0;
+  };
+  std::vector<Waiting> queue;
   std::size_t next_arrival = 0;
   double now = 0.0;
 
@@ -147,12 +154,19 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
   };
 
   while (true) {
-    // Admit every job that has arrived by `now` (queue stays in arrival
-    // order because `jobs` is sorted).
+    // Admit every job that has arrived by `now`. Each is ranked once, on
+    // the whole platform, and queued after every job of equal rank, which
+    // arrived earlier because `jobs` is sorted.
     while (next_arrival < jobs.size() &&
            jobs[next_arrival].arrival <= now) {
-      emit_arrival(jobs[next_arrival], queue.size());
-      queue.push_back(jobs[next_arrival++]);
+      const Job& job = jobs[next_arrival];
+      emit_arrival(job, queue.size());
+      const double rank = scheduler.rank(job, platform_);
+      NLDL_REQUIRE(!std::isnan(rank), "scheduler ranked a job NaN");
+      const auto after = std::upper_bound(
+          queue.begin(), queue.end(), rank,
+          [](double r, const Waiting& waiting) { return r < waiting.rank; });
+      queue.insert(after, {rank, next_arrival++});
     }
 
     // A period whose slots are all idle has drained: every record it
@@ -174,10 +188,8 @@ std::vector<JobStats> Server::run(const std::vector<Job>& jobs,
     std::fill(period_dispatched.begin(), period_dispatched.end(), 0);
     for (std::size_t s = 0; s < slots && !queue.empty(); ++s) {
       if (slot_busy_until[s] > now) continue;
-      const std::size_t k = scheduler.pick(queue, slot_platforms[s]);
-      NLDL_ASSERT(k < queue.size(), "scheduler picked outside the queue");
-      const Job job = queue[k];
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(k));
+      const Job& job = jobs[queue.front().job];
+      queue.erase(queue.begin());
 
       JobStats& record = stats[job.id];
       record.job = job;

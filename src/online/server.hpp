@@ -7,10 +7,13 @@
 //   - the platform is carved into scheduler.shares() disjoint worker
 //     partitions ("slots"), interleaved by worker index so heterogeneous
 //     platforms split evenly (worker i goes to slot i mod S);
-//   - whenever a slot is idle and the queue is non-empty, the scheduler
-//     picks the next job; the job's load is split across the slot's
-//     workers by the OPTIMAL single-round nonlinear allocation matched to
-//     the communication model (dlt::nonlinear_one_port_single_round under
+//   - the scheduler ranks each job once, when it joins the queue
+//     (Scheduler::rank on the whole platform); whenever a slot is idle
+//     and the queue is non-empty, the slot takes the lowest-ranked job,
+//     the earliest arrival among equal ranks;
+//   - the job's load is split across the slot's workers by the OPTIMAL
+//     single-round nonlinear allocation matched to the communication
+//     model (dlt::nonlinear_one_port_single_round under
 //     one-port, dlt::nonlinear_parallel_single_round otherwise), and the
 //     resulting schedule is replayed by sim::Engine under the configured
 //     CommModel inside a busy period (see "Master modes" below), which

@@ -53,11 +53,6 @@ class Policy {
  public:
   virtual ~Policy() = default;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Whether the policy ever switches away from a started, unfinished
-  /// job (informational; the server imposes no restriction).
-  [[nodiscard]] virtual bool preemptive() const = 0;
-
   /// Called by the server at the start of every run. `tenants` is the
   /// number of tenant ids in the job stream.
   virtual void reset(std::size_t tenants);
@@ -73,32 +68,24 @@ class Policy {
 
 class FcfsPolicy final : public Policy {
  public:
-  [[nodiscard]] std::string name() const override { return "fcfs"; }
-  [[nodiscard]] bool preemptive() const override { return false; }
   [[nodiscard]] std::size_t pick(const std::vector<Candidate>& ready,
                                  double now) override;
 };
 
 class SpmfPolicy final : public Policy {
  public:
-  [[nodiscard]] std::string name() const override { return "spmf"; }
-  [[nodiscard]] bool preemptive() const override { return false; }
   [[nodiscard]] std::size_t pick(const std::vector<Candidate>& ready,
                                  double now) override;
 };
 
 class SrptPolicy final : public Policy {
  public:
-  [[nodiscard]] std::string name() const override { return "srpt"; }
-  [[nodiscard]] bool preemptive() const override { return true; }
   [[nodiscard]] std::size_t pick(const std::vector<Candidate>& ready,
                                  double now) override;
 };
 
 class EdfPolicy final : public Policy {
  public:
-  [[nodiscard]] std::string name() const override { return "edf"; }
-  [[nodiscard]] bool preemptive() const override { return true; }
   [[nodiscard]] std::size_t pick(const std::vector<Candidate>& ready,
                                  double now) override;
 };
@@ -109,8 +96,6 @@ class WfqPolicy final : public Policy {
   /// weight 1. Weights must be positive.
   explicit WfqPolicy(std::vector<double> weights = {});
 
-  [[nodiscard]] std::string name() const override { return "wfq"; }
-  [[nodiscard]] bool preemptive() const override { return true; }
   void reset(std::size_t tenants) override;
   [[nodiscard]] std::size_t pick(const std::vector<Candidate>& ready,
                                  double now) override;

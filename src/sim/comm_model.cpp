@@ -92,16 +92,6 @@ BoundedMultiportModel::BoundedMultiportModel(double capacity,
                "master must serve at least one transfer at a time");
 }
 
-std::string BoundedMultiportModel::name() const {
-  std::string out = "bounded-multiport(capacity=";
-  out += std::isfinite(capacity_) ? std::to_string(capacity_) : "inf";
-  if (max_concurrent_ != kUnlimited) {
-    out += ", concurrency=" + std::to_string(max_concurrent_);
-  }
-  out += ")";
-  return out;
-}
-
 void BoundedMultiportModel::assign_rates(
     const std::vector<TransferView>& eligible,
     std::vector<double>& rates) const {

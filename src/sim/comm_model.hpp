@@ -70,9 +70,6 @@ class CommModel {
  public:
   virtual ~CommModel() = default;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual CommModelKind kind() const = 0;
-
   /// Fill `rates` (resized to eligible.size() by the caller) with the
   /// instantaneous rate of every eligible transfer; 0 keeps a transfer
   /// waiting. At least one rate must be positive when `eligible` is
@@ -84,10 +81,6 @@ class CommModel {
 /// Every eligible transfer runs at its private link rate.
 class ParallelLinksModel final : public CommModel {
  public:
-  [[nodiscard]] std::string name() const override { return "parallel-links"; }
-  [[nodiscard]] CommModelKind kind() const override {
-    return CommModelKind::kParallelLinks;
-  }
   void assign_rates(const std::vector<TransferView>& eligible,
                     std::vector<double>& rates) const override;
 };
@@ -96,10 +89,6 @@ class ParallelLinksModel final : public CommModel {
 /// everything else waits for the port.
 class OnePortModel final : public CommModel {
  public:
-  [[nodiscard]] std::string name() const override { return "one-port"; }
-  [[nodiscard]] CommModelKind kind() const override {
-    return CommModelKind::kOnePort;
-  }
   void assign_rates(const std::vector<TransferView>& eligible,
                     std::vector<double>& rates) const override;
 };
@@ -121,10 +110,6 @@ class BoundedMultiportModel final : public CommModel {
   explicit BoundedMultiportModel(double capacity,
                                  std::size_t max_concurrent = kUnlimited);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] CommModelKind kind() const override {
-    return CommModelKind::kBoundedMultiport;
-  }
   void assign_rates(const std::vector<TransferView>& eligible,
                     std::vector<double>& rates) const override;
 

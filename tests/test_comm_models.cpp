@@ -192,11 +192,16 @@ TEST(CommModel, FactoryAndNames) {
   EXPECT_EQ(to_string(CommModelKind::kBoundedMultiport),
             "bounded-multiport");
   const auto links = make_comm_model(CommModelKind::kParallelLinks);
-  EXPECT_EQ(links->kind(), CommModelKind::kParallelLinks);
+  EXPECT_NE(dynamic_cast<const ParallelLinksModel*>(links.get()), nullptr);
   const auto port = make_comm_model(CommModelKind::kOnePort);
-  EXPECT_EQ(port->kind(), CommModelKind::kOnePort);
-  const auto bounded = make_comm_model(CommModelKind::kBoundedMultiport, 2.5);
-  EXPECT_EQ(bounded->kind(), CommModelKind::kBoundedMultiport);
+  EXPECT_NE(dynamic_cast<const OnePortModel*>(port.get()), nullptr);
+  const auto bounded = make_comm_model(CommModelKind::kBoundedMultiport, 2.5,
+                                       3);
+  const auto* capped =
+      dynamic_cast<const BoundedMultiportModel*>(bounded.get());
+  ASSERT_NE(capped, nullptr);
+  EXPECT_EQ(capped->capacity(), 2.5);
+  EXPECT_EQ(capped->max_concurrent(), 3u);
 }
 
 TEST(CommModel, RejectsBadParameters) {

@@ -1,10 +1,10 @@
-// Insertion-order-independence pins for the three audited container
-// sites of the nldl-lint unordered-container sweep (ISSUE 7): the
-// mapreduce block caches (cluster_sim, speculation) and the online
-// PredictionCache. All three were std::unordered_* and are now ordered;
-// these tests permute the order in which elements ENTER each container
-// and assert bitwise-identical outcomes, so a future reintroduction of
-// order-sensitive iteration fails here before it reaches a bench.
+// Insertion-order-independence pins for the audited container sites of
+// the nldl-lint unordered-container sweep: the mapreduce block caches
+// (cluster_sim, speculation). Both were std::unordered_* and are now
+// ordered; these tests permute the order in which elements ENTER each
+// container and assert bitwise-identical outcomes, so a future
+// reintroduction of order-sensitive iteration fails here before it
+// reaches a bench.
 #include <algorithm>
 #include <vector>
 
@@ -12,8 +12,6 @@
 
 #include "mapreduce/cluster_sim.hpp"
 #include "mapreduce/speculation.hpp"
-#include "online/scheduler.hpp"
-#include "platform/platform.hpp"
 
 namespace {
 
@@ -78,43 +76,6 @@ TEST(DeterminismOrder, SpeculationCacheIgnoresInsertionOrder) {
     EXPECT_EQ(forward.backups_won, reversed.backups_won);
     EXPECT_EQ(forward.worker_busy, reversed.worker_busy);
   }
-}
-
-TEST(DeterminismOrder, PredictionCacheIgnoresInsertionOrder) {
-  const auto plat = nldl::platform::Platform::homogeneous(4, 1.0, 2.0);
-  std::vector<nldl::online::Job> jobs;
-  for (std::size_t i = 0; i < 12; ++i) {
-    nldl::online::Job job;
-    job.id = i;
-    job.load = 10.0 + static_cast<double>(i);
-    job.alpha = (i % 2 == 0) ? 1.0 : 2.0;
-    jobs.push_back(job);
-  }
-
-  // Fill one cache front-to-back and one back-to-front, then query both
-  // in a third order: every prediction must be bit-identical (and served
-  // from the memo — no re-solve may sneak in a different code path).
-  nldl::online::PredictionCache forward;
-  nldl::online::PredictionCache backward;
-  for (const auto& job : jobs) {
-    (void)forward.predict(job, plat, nldl::sim::CommModelKind::kOnePort);
-  }
-  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
-    (void)backward.predict(*it, plat, nldl::sim::CommModelKind::kOnePort);
-  }
-  ASSERT_EQ(forward.size(), backward.size());
-  const std::size_t forward_misses = forward.misses();
-  const std::size_t backward_misses = backward.misses();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& job = jobs[(i * 5) % jobs.size()];  // scrambled query order
-    EXPECT_EQ(forward.predict(job, plat, nldl::sim::CommModelKind::kOnePort),
-              backward.predict(job, plat,
-                               nldl::sim::CommModelKind::kOnePort))
-        << "prediction for job " << job.id
-        << " depends on cache insertion order";
-  }
-  EXPECT_EQ(forward.misses(), forward_misses) << "scrambled queries re-solved";
-  EXPECT_EQ(backward.misses(), backward_misses);
 }
 
 }  // namespace

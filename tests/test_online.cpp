@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "online/arrivals.hpp"
@@ -191,7 +192,7 @@ TEST(Server, UncontendedJobsNeverWait) {
   const auto jobs = process.generate(5000.0, rng);
   ASSERT_GE(jobs.size(), 5u);
 
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const auto stats = server.run(jobs, fcfs);
   for (const JobStats& record : stats) {
     EXPECT_DOUBLE_EQ(record.wait(), 0.0);
@@ -212,7 +213,7 @@ TEST(Server, QueueStaysStableAtLowLoad) {
   const auto jobs = process.generate(20000.0, rng);
   ASSERT_GT(jobs.size(), 100u);
 
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const ServiceMetrics metrics = summarize(server.run(jobs, fcfs),
                                            plat.size());
   EXPECT_LT(metrics.utilization, 0.6);
@@ -226,7 +227,7 @@ TEST(Server, FcfsServesInArrivalOrder) {
   const Server server(plat);
   const auto jobs =
       make_jobs({{0.0, 50.0, 1.0}, {1.0, 60.0, 2.0}, {2.0, 400.0, 1.0}});
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const auto stats = server.run(jobs, fcfs);
   EXPECT_LT(stats[0].dispatch, stats[1].dispatch);
   EXPECT_LT(stats[1].dispatch, stats[2].dispatch);
@@ -250,13 +251,67 @@ TEST(Server, SpmfPrefersThePredictedShorterJobNotTheSmallerOne) {
   const Server server(plat);
   const SpmfScheduler spmf;
   const auto spmf_stats = server.run(jobs, spmf);
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const auto fcfs_stats = server.run(jobs, fcfs);
 
   // FCFS takes the small quadratic job first; SPMF reorders and serves
   // the big linear job first.
   EXPECT_LT(fcfs_stats[1].dispatch, fcfs_stats[2].dispatch);
   EXPECT_LT(spmf_stats[2].dispatch, spmf_stats[1].dispatch);
+}
+
+// Ranks job i with ranks[i] and counts how often each job was ranked.
+class CountingScheduler final : public Scheduler {
+ public:
+  explicit CountingScheduler(std::vector<double> ranks)
+      : ranks_(std::move(ranks)), calls_(ranks_.size(), 0) {}
+
+  [[nodiscard]] double rank(const Job& job,
+                            const platform::Platform&) const override {
+    ++calls_[job.id];
+    return ranks_[job.id];
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& calls() const {
+    return calls_;
+  }
+
+ private:
+  std::vector<double> ranks_;
+  mutable std::vector<std::size_t> calls_;
+};
+
+TEST(Server, RanksEachQueuedJobOnce) {
+  // Job 0 holds the platform for 200 time units while jobs 1-5 queue
+  // behind it. Their ranks run against arrival order, with ties.
+  const auto plat = platform::Platform::homogeneous(4);
+  const auto jobs = make_jobs({{0.0, 400.0, 1.0},
+                               {1.0, 10.0, 1.0},
+                               {2.0, 10.0, 2.0},
+                               {3.0, 10.0, 1.0},
+                               {4.0, 10.0, 2.0},
+                               {5.0, 10.0, 1.0}});
+  const CountingScheduler scheduler({5.0, 3.0, 1.0, 3.0, 1.0, 2.0});
+  const auto stats = Server(plat).run(jobs, scheduler);
+
+  EXPECT_EQ(scheduler.calls(), std::vector<std::size_t>(jobs.size(), 1));
+  // Lowest rank first, equal ranks in arrival order: 2 and 4 (rank 1),
+  // 5 (rank 2), then 1 and 3 (rank 3).
+  const std::vector<std::size_t> expected{0, 2, 4, 5, 1, 3};
+  for (std::size_t k = 1; k < expected.size(); ++k) {
+    EXPECT_DOUBLE_EQ(stats[expected[k]].dispatch,
+                     stats[expected[k - 1]].finish)
+        << "job " << expected[k];
+  }
+}
+
+TEST(Server, RejectsANanRank) {
+  // A NaN rank has no place in the (rank, arrival) order.
+  const CountingScheduler nan_rank({std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_THROW(
+      (void)Server(platform::Platform::homogeneous(2))
+          .run(make_jobs({{0.0, 10.0, 1.0}}), nan_rank),
+      util::PreconditionError);
 }
 
 TEST(Server, SpmfPredictionsMatchTheServersCommModel) {
@@ -292,7 +347,7 @@ TEST(Server, FairShareOverlapsJobsOnDisjointPartitions) {
   const Server server(plat);
   const auto jobs = make_jobs({{0.0, 100.0, 1.0}, {0.5, 100.0, 1.0}});
 
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const auto serial = server.run(jobs, fcfs);
   EXPECT_DOUBLE_EQ(serial[1].dispatch, serial[0].finish);
   EXPECT_EQ(serial[0].workers, 4u);
@@ -343,7 +398,7 @@ TEST(Server, RunsUnderEveryCommModel) {
   const auto plat = platform::Platform::two_class(4, 1.0, 3.0);
   const auto jobs =
       make_jobs({{0.0, 80.0, 2.0}, {5.0, 120.0, 1.0}, {6.0, 60.0, 2.0}});
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
 
   ServerOptions parallel;
   ServerOptions one_port;
@@ -413,7 +468,7 @@ TEST(Server, SkippingIsolatedBaselineZeroesSlowdown) {
   ServerOptions options;
   options.record_isolated = false;
   const Server server(plat, options);
-  const FcfsScheduler fcfs;
+  const Scheduler fcfs;
   const auto stats = server.run(make_jobs({{0.0, 10.0, 1.0}}), fcfs);
   EXPECT_DOUBLE_EQ(stats[0].isolated_makespan, 0.0);
   EXPECT_DOUBLE_EQ(stats[0].slowdown(), 1.0);
@@ -558,97 +613,6 @@ TEST(Metrics, AllDegenerateSlowdownsReportZeroNotEmptyEstimators) {
   for (const double value : metrics.signature()) {
     EXPECT_TRUE(std::isfinite(value));
   }
-}
-
-// --- PredictionCache --------------------------------------------------------
-
-TEST(PredictionCache, MemoizesPerJobId) {
-  const auto plat = platform::Platform::homogeneous(4);
-  PredictionCache cache;
-  const Job job{7, 0.0, 100.0, 2.0};
-  const double first = cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  const double second = cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(first, predicted_makespan(job, plat));
-}
-
-TEST(PredictionCache, CommModelChangeReSolvesTheSameJobId) {
-  // The satellite case: the same job id re-ranked after a comm-model
-  // change must get the matched prediction, not the stale one.
-  const auto plat = platform::Platform::from_speeds({1, 1, 1, 1}, 0.7);
-  PredictionCache cache;
-  const Job job{3, 0.0, 400.0, 1.0};
-  const double parallel =
-      cache.predict(job, plat, sim::CommModelKind::kParallelLinks);
-  const double one_port =
-      cache.predict(job, plat, sim::CommModelKind::kOnePort);
-  EXPECT_EQ(cache.misses(), 2u);  // the comm change evicted the entry
-  EXPECT_NE(parallel, one_port);
-  EXPECT_EQ(one_port,
-            predicted_makespan(job, plat, sim::CommModelKind::kOnePort));
-  // And flipping back re-solves again (the entry was overwritten).
-  EXPECT_EQ(cache.predict(job, plat, sim::CommModelKind::kParallelLinks),
-            parallel);
-  EXPECT_EQ(cache.misses(), 3u);
-}
-
-TEST(PredictionCache, ReusedJobIdWithNewShapeReSolves) {
-  const auto plat = platform::Platform::homogeneous(4);
-  PredictionCache cache;
-  const Job original{0, 0.0, 100.0, 1.0};
-  const Job reused{0, 0.0, 60.0, 2.0};  // same id, different job
-  const double first = cache.predict(original, plat,
-                                     sim::CommModelKind::kParallelLinks);
-  const double second =
-      cache.predict(reused, plat, sim::CommModelKind::kParallelLinks);
-  EXPECT_NE(first, second);
-  EXPECT_EQ(second, predicted_makespan(reused, plat));
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PredictionCache, AggregateTyingPlatformsDoNotCollide) {
-  // Same worker count, same Σ speed, same Σ c — only the per-worker
-  // values differ. The fingerprint must still tell them apart (it
-  // digests exact per-worker bits, not aggregate sums).
-  const auto het = platform::Platform::from_speeds({1.0, 3.0});
-  const auto hom = platform::Platform::from_speeds({2.0, 2.0});
-  PredictionCache cache;
-  const Job job{0, 0.0, 100.0, 2.0};
-  const double on_het =
-      cache.predict(job, het, sim::CommModelKind::kParallelLinks);
-  const double on_hom =
-      cache.predict(job, hom, sim::CommModelKind::kParallelLinks);
-  EXPECT_EQ(cache.misses(), 2u);  // the switch evicted and re-solved
-  EXPECT_EQ(on_hom, predicted_makespan(job, hom));
-  EXPECT_NE(on_het, on_hom);
-}
-
-TEST(PredictionCache, PlatformChangeEvictsEverything) {
-  const auto big = platform::Platform::homogeneous(8);
-  const auto small = platform::Platform::homogeneous(2);
-  PredictionCache cache;
-  const Job job{0, 0.0, 100.0, 2.0};
-  const double on_big =
-      cache.predict(job, big, sim::CommModelKind::kParallelLinks);
-  const double on_small =
-      cache.predict(job, small, sim::CommModelKind::kParallelLinks);
-  EXPECT_LT(on_big, on_small);  // more workers, shorter round
-  EXPECT_EQ(cache.size(), 1u);  // the big-platform entry was evicted
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(PredictionCache, SpmfSchedulerExposesItsCache) {
-  const auto plat = platform::Platform::homogeneous(4);
-  const SpmfScheduler spmf;
-  const auto jobs =
-      make_jobs({{0.0, 50.0, 1.0}, {1.0, 60.0, 2.0}, {2.0, 400.0, 1.0}});
-  (void)spmf.pick(jobs, plat);
-  EXPECT_EQ(spmf.cache().misses(), 3u);  // one solve per queued job
-  (void)spmf.pick(jobs, plat);
-  EXPECT_EQ(spmf.cache().misses(), 3u);  // every re-rank is a hit
-  EXPECT_EQ(spmf.cache().hits(), 3u);
 }
 
 // --- Heavy-tailed job sizes -------------------------------------------------

@@ -278,7 +278,6 @@ TEST(Policy, FcfsNeverPreemptsAndServesArrivalOrder) {
   // Nobody active: earliest arrival wins.
   EXPECT_EQ(fcfs.pick(two_candidates(slow, fast, 50.0, 1.0, false), 2.0),
             0u);
-  EXPECT_FALSE(fcfs.preemptive());
 }
 
 TEST(Policy, SrptPreemptsForTheShorterRemainingTime) {
@@ -287,7 +286,6 @@ TEST(Policy, SrptPreemptsForTheShorterRemainingTime) {
   const online::Job fast = make_job(1, 1.0, 1.0, 1.0);
   EXPECT_EQ(srpt.pick(two_candidates(slow, fast, 50.0, 1.0, true), 2.0),
             1u);
-  EXPECT_TRUE(srpt.preemptive());
 }
 
 TEST(Policy, EdfRanksByDeadlineWithBestEffortLast) {
@@ -322,12 +320,17 @@ TEST(Policy, WfqServesTheLeastAttainedWeightedTenant) {
   EXPECT_THROW(WfqPolicy({0.0}), util::PreconditionError);
 }
 
-TEST(Policy, FactoryNamesMatchTheKinds) {
-  for (const PolicyKind kind :
-       {PolicyKind::kFcfs, PolicyKind::kSpmf, PolicyKind::kSrpt,
-        PolicyKind::kEdf, PolicyKind::kWfq}) {
-    EXPECT_EQ(make_policy(kind)->name(), to_string(kind));
-  }
+TEST(Policy, FactoryBuildsTheNamedPolicy) {
+  EXPECT_NE(dynamic_cast<FcfsPolicy*>(make_policy(PolicyKind::kFcfs).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<SpmfPolicy*>(make_policy(PolicyKind::kSpmf).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<SrptPolicy*>(make_policy(PolicyKind::kSrpt).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<EdfPolicy*>(make_policy(PolicyKind::kEdf).get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<WfqPolicy*>(make_policy(PolicyKind::kWfq).get()),
+            nullptr);
 }
 
 // --- Server -----------------------------------------------------------------

@@ -172,7 +172,7 @@ TEST(SharedMasterOnline, SingleJobIsBitIdenticalToPrivatePort) {
     online::ServerOptions shared = priv;
     shared.master = MasterMode::kSharedMaster;
 
-    const online::FcfsScheduler fcfs;
+    const online::Scheduler fcfs;
     const auto a = online::Server(plat, priv).run(jobs, fcfs);
     const auto b = online::Server(plat, shared).run(jobs, fcfs);
     expect_identical_stats(a, b);
@@ -210,7 +210,7 @@ TEST(SharedMasterOnline, ExclusiveSchedulersNeverDivergeUnderSharing) {
   online::ServerOptions shared = priv;
   shared.master = MasterMode::kSharedMaster;
 
-  const online::FcfsScheduler fcfs;
+  const online::Scheduler fcfs;
   expect_identical_stats(online::Server(plat, priv).run(jobs, fcfs),
                          online::Server(plat, shared).run(jobs, fcfs));
   const online::SpmfScheduler spmf(priv.comm);

@@ -57,4 +57,8 @@ struct TokenStream {
 /// outlive the stream.
 [[nodiscard]] TokenStream lex(std::string_view source);
 
+/// True for C++ reserved words (plus the contextual `final`/`override`),
+/// which the rules never treat as declared or exported names.
+[[nodiscard]] bool is_keyword(std::string_view s);
+
 }  // namespace nldl::lint

@@ -67,29 +67,6 @@ bool is_zero_literal(std::string_view text) {
   return saw_digit;
 }
 
-/// Reserved words that must never enter the floating-identifier or
-/// export sets.
-bool is_keyword(std::string_view s) {
-  static const std::set<std::string_view> kKeywords = {
-      "alignas",   "alignof",  "auto",     "bool",     "break",
-      "case",      "catch",    "char",     "class",    "const",
-      "consteval", "constexpr","constinit","continue", "decltype",
-      "default",   "delete",   "do",       "double",   "else",
-      "enum",      "explicit", "export",   "extern",   "false",
-      "float",     "for",      "friend",   "goto",     "if",
-      "inline",    "int",      "long",     "mutable",  "namespace",
-      "new",       "noexcept", "nullptr",  "operator", "private",
-      "protected", "public",   "requires", "return",   "short",
-      "signed",    "sizeof",   "static",   "struct",   "switch",
-      "template",  "this",     "throw",    "true",     "try",
-      "typedef",   "typeid",   "typename", "union",    "unsigned",
-      "using",     "virtual",  "void",     "volatile", "while",
-      "final",     "override", "concept",  "co_await", "co_return",
-      "co_yield",  "static_assert",
-  };
-  return kKeywords.count(s) != 0;
-}
-
 struct Suppression {
   std::vector<std::string> rules;
 };

@@ -52,27 +52,6 @@ std::string_view stem_of(std::string_view path) {
   return dot == std::string_view::npos ? name : name.substr(0, dot);
 }
 
-bool is_keyword_name(std::string_view s) {
-  static const std::set<std::string_view> kKeywords = {
-      "alignas",   "alignof",  "auto",     "bool",     "break",
-      "case",      "catch",    "char",     "class",    "const",
-      "consteval", "constexpr","constinit","continue", "decltype",
-      "default",   "delete",   "do",       "double",   "else",
-      "enum",      "explicit", "export",   "extern",   "false",
-      "float",     "for",      "friend",   "goto",     "if",
-      "inline",    "int",      "long",     "mutable",  "namespace",
-      "new",       "noexcept", "nullptr",  "operator", "private",
-      "protected", "public",   "requires", "return",   "short",
-      "signed",    "sizeof",   "static",   "struct",   "switch",
-      "template",  "this",     "throw",    "true",     "try",
-      "typedef",   "typeid",   "typename", "union",    "unsigned",
-      "using",     "virtual",  "void",     "volatile", "while",
-      "final",     "override", "concept",  "co_await", "co_return",
-      "co_yield",  "static_assert",
-  };
-  return kKeywords.count(s) != 0;
-}
-
 }  // namespace
 
 DirRank classify_path(const LayerConfig& config, std::string_view path) {
@@ -157,10 +136,10 @@ std::vector<std::string> harvest_exports(const FileScan& header) {
 
     const std::string_view id = tok.text;
     if (!scopes.empty() && scopes.back() == Scope::kEnum) {
-      if (!is_keyword_name(id)) names.insert(std::string(id));
+      if (!is_keyword(id)) names.insert(std::string(id));
       continue;
     }
-    if (is_keyword_name(id)) {
+    if (is_keyword(id)) {
       if (id == "class" || id == "struct" || id == "union") saw_class = true;
       if (id == "namespace") saw_namespace = true;
       if (id == "enum") saw_enum = true;

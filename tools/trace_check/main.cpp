@@ -19,7 +19,7 @@
 //
 //   nldl_trace_check --bench-diff <a.json> <b.json>
 //       Compare the "deterministic" payloads of two bench JSON
-//       artifacts; the "measured" sidecars (wall times, RSS, profiles)
+//       artifacts; the "measured" sidecars (wall times, RSS)
 //       are ignored by design. Exit 0 iff the payloads are identical.
 #include <algorithm>
 #include <charconv>
