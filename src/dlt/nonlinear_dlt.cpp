@@ -42,11 +42,18 @@ void require_solver_inputs(double total_load, double alpha) {
                "alpha must be finite and >= 1");
 }
 
+/// d(c·n + w·n^alpha)/dn: the time one more load unit costs a worker that
+/// already holds n. Its reciprocal is how fast the chunk grows with the
+/// worker's budget.
+double marginal_cost(double c, double w, double alpha, double n) {
+  return c + w * alpha * power(n, alpha - 1.0);
+}
+
 /// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <= 0).
 double chunk_for_budget(double c, double w, double alpha, double budget) {
   if (budget <= 0.0) return 0.0;
   auto f = [&](double n) { return c * n + w * power(n, alpha) - budget; };
-  auto df = [&](double n) { return c + w * alpha * power(n, alpha - 1.0); };
+  auto df = [&](double n) { return marginal_cost(c, w, alpha, n); };
   // Upper bracket: n <= budget / c (communication alone) and
   // n <= (budget / w)^(1/alpha) (computation alone). In exact arithmetic f
   // >= 0 at either bound, hence at their min; the doubling loop only
@@ -79,13 +86,15 @@ bool same_bits(const platform::Processor& a, const platform::Processor& b) {
              std::bit_cast<std::uint64_t>(b.w);
 }
 
-/// Bisect f(T) = Σ n_i(T) − N for the makespan T, starting from the
-/// bracket [0, t_hi]. f(0) is exactly −N: every chunk is 0 at a zero
-/// budget. t_hi holds the whole load in exact arithmetic, but a tight
-/// bracket (one worker) can leave f(t_hi) just below zero after rounding
-/// in the chunk solves, so t_hi doubles until f turns non-negative.
-template <typename F>
-util::RootResult solve_makespan(F&& f, double total_load, double t_hi) {
+/// Solve f(T) = Σ n_i(T) − N = 0 for the makespan T by Newton on T,
+/// safeguarded by the bracket [0, t_hi]. f(0) is exactly −N: every chunk is
+/// 0 at a zero budget. t_hi holds the whole load in exact arithmetic, but a
+/// tight bracket (one worker) can leave f(t_hi) just below zero after
+/// rounding in the chunk solves, so t_hi doubles until f turns non-negative.
+/// df is the exact dN/dT at the T of the f call just before it.
+template <typename F, typename DF>
+util::RootResult solve_makespan(F&& f, DF&& df, double total_load,
+                                double t_hi) {
   double f_hi = f(t_hi);
   while (f_hi < 0.0) {
     t_hi *= 2.0;
@@ -95,7 +104,7 @@ util::RootResult solve_makespan(F&& f, double total_load, double t_hi) {
   opts.x_tol = 1e-10 * t_hi;
   opts.f_tol = 1e-10 * total_load;
   opts.max_iterations = 200;
-  return util::bisect(f, 0.0, t_hi, -total_load, f_hi, opts);
+  return util::newton_safeguarded(f, df, 0.0, t_hi, -total_load, f_hi, opts);
 }
 
 void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
@@ -124,20 +133,35 @@ NonlinearAllocation nonlinear_parallel_single_round(
     return alloc;
   }
 
-  // Writes every n_i(T) into alloc.amounts; returns Σ n_i(T), summed in
-  // worker order. n_i(T) depends only on (c_i, w_i, alpha, T), so a worker
+  // Writes every n_i(T) into alloc.amounts and their sum, in worker order,
+  // into `filled`. n_i(T) depends only on (c_i, w_i, alpha, T), so a worker
   // identical to the one before it copies that worker's chunk instead of
   // solving again.
-  auto fill_for = [&](double T) {
-    double sum = 0.0;
+  double filled = 0.0;
+  auto f = [&](double T) {
+    filled = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
       alloc.amounts[i] =
           i > 0 && same_bits(workers[i], workers[i - 1])
               ? alloc.amounts[i - 1]
               : chunk_for_budget(workers[i].c, workers[i].w, alpha, T);
-      sum += alloc.amounts[i];
+      filled += alloc.amounts[i];
     }
-    return sum;
+    return filled - total_load;
+  };
+  // dN/dT = Σ dn_i/dT over the chunks f just filled; identical neighbours
+  // share a slope as they share a chunk.
+  auto df = [&](double /*T*/) {
+    double slope = 0.0;
+    double term = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+      if (i == 0 || !same_bits(workers[i], workers[i - 1])) {
+        term = 1.0 / marginal_cost(workers[i].c, workers[i].w, alpha,
+                                   alloc.amounts[i]);
+      }
+      slope += term;
+    }
+    return slope;
   };
 
   // Upper bound: any single worker processing the whole load alone finishes
@@ -148,17 +172,17 @@ NonlinearAllocation nonlinear_parallel_single_round(
     t_hi = std::min(t_hi, worker.c * total_load + worker.w * total_pow);
   }
 
-  // Σ n_i(T) is continuous and strictly increasing in T, so bisect on T.
-  auto f = [&](double T) { return fill_for(T) - total_load; };
-  const auto root = solve_makespan(f, total_load, t_hi);
-  NLDL_ASSERT(root.converged, "nonlinear outer bisection did not converge");
+  // Σ n_i(T) is continuous, strictly increasing and concave in T.
+  const auto root = solve_makespan(f, df, total_load, t_hi);
+  NLDL_ASSERT(root.converged, "nonlinear outer Newton did not converge");
 
+  // The solve's last f call was at root.x, so alloc.amounts and `filled`
+  // hold that fill. Rescale the tiny residual so Σ n_i == total_load
+  // exactly.
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
-  // Rescale the tiny residual so Σ n_i == total_load exactly.
-  const double sum = fill_for(root.x);
-  if (sum > 0.0) {
-    const double scale = total_load / sum;
+  if (filled > 0.0) {
+    const double scale = total_load / filled;
     for (double& n : alloc.amounts) n *= scale;
     alloc.makespan = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
@@ -197,18 +221,35 @@ NonlinearAllocation nonlinear_one_port_single_round(
   // Every budget depends on the feed clock, so identical workers still
   // solve their own chunks here.
   const std::vector<platform::Processor>& workers = platform.workers();
-  auto fill_for = [&](double T, std::vector<double>& amounts) {
+  auto f = [&](double T) {
     double clock = 0.0;  // master port becomes free
     double sum = 0.0;
     for (const std::size_t worker : send_order) {
       const double budget = T - clock;
       const double n = chunk_for_budget(workers[worker].c, workers[worker].w,
                                         alpha, budget);
-      amounts[worker] = n;
+      alloc.amounts[worker] = n;
       clock += workers[worker].c * n;
       sum += n;
     }
-    return sum;
+    return sum - total_load;
+  };
+  // dN/dT over the chunks f just filled. Worker i's budget T − τ_i grows at
+  // 1 − D_i, where D_i = Σ_{j fed before i} c_j·dn_j is the feed clock's
+  // own rate. A worker left without budget (n_i = 0) contributes nothing.
+  auto df = [&](double /*T*/) {
+    double clock_rate = 0.0;
+    double slope = 0.0;
+    for (const std::size_t worker : send_order) {
+      const double n = alloc.amounts[worker];
+      if (n <= 0.0) continue;
+      const double dn = (1.0 - clock_rate) /
+                        marginal_cost(workers[worker].c, workers[worker].w,
+                                      alpha, n);
+      clock_rate += workers[worker].c * dn;
+      slope += dn;
+    }
+    return slope;
   };
 
   // The first worker alone takes the whole load by c·N + w·N^alpha.
@@ -216,16 +257,14 @@ NonlinearAllocation nonlinear_one_port_single_round(
   const double t_hi = workers[first].c * total_load +
                       workers[first].w * power(total_load, alpha);
 
-  std::vector<double> scratch(p, 0.0);
-  auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
-  const auto root = solve_makespan(f, total_load, t_hi);
-  NLDL_ASSERT(root.converged, "one-port outer bisection did not converge");
+  const auto root = solve_makespan(f, df, total_load, t_hi);
+  NLDL_ASSERT(root.converged, "one-port outer Newton did not converge");
 
+  // The solve's last f call was at root.x, so alloc.amounts holds that
+  // fill. Rescale the residual onto the allocation (keeps Σ n_i exact; the
+  // perturbation of finish times is within solver tolerance).
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
-  fill_for(root.x, alloc.amounts);
-  // Rescale the residual onto the allocation (keeps Σ n_i exact; the
-  // perturbation of finish times is within solver tolerance).
   double sum = 0.0;
   for (const double n : alloc.amounts) sum += n;
   if (sum > 0.0) {

@@ -5,7 +5,7 @@
 // Suresh et al. — refs [31–35] of the paper). Optimal single-round
 // allocations equalize finish times; they have no closed form on
 // heterogeneous platforms, so nldl solves the optimality conditions with its
-// own bracketed root-finders (util/roots.hpp).
+// own bracketed Newton iteration (util/roots.hpp).
 //
 // The headline quantity is `remaining_fraction`: the share of the total
 // work W = N^alpha that is *not* performed by the single DLT round,
@@ -41,15 +41,17 @@ struct NonlinearAllocation {
   /// 1 − work_done / total_work (the paper's (W − W_partial)/W).
   double remaining_fraction = 0.0;
 
-  int solver_iterations = 0;  ///< outer bisection iterations
+  int solver_iterations = 0;  ///< outer Newton iterations
 };
 
 /// Optimal single-round allocation under the parallel-links model:
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
-/// Solved by bisection on T, with each n_i(T) found by safeguarded Newton
-/// (util::newton_safeguarded). A worker whose (c, w) bit patterns equal the
-/// previous worker's reuses its chunk instead of solving again; Σ n_i(T) is
-/// still summed in worker order.
+/// Solved by Newton on T with the exact derivative
+///   dN/dT = Σ_i 1/(c_i + alpha·w_i·n_i^(alpha−1)),
+/// each n_i(T) itself found by Newton on n; both run in
+/// util::newton_safeguarded, inside a bracket. A worker whose (c, w) bit
+/// patterns equal the previous worker's reuses its chunk (and its term of
+/// dN/dT) instead of solving again; sums still run in worker order.
 /// Requires alpha >= 1; with alpha == 1 this matches the linear closed form.
 ///
 /// Bit-exactness: every solver here returns the same bits as one that calls
@@ -62,8 +64,12 @@ struct NonlinearAllocation {
 /// bench payloads.
 ///
 /// All solvers require finite total_load >= 0 and finite alpha >= 1. Their
-/// bisection on T stops at a relative tolerance of 1e-10 (of the bracket
-/// and of the load) or after 200 steps.
+/// Newton iteration on T starts from the bracket [0, t_hi], t_hi the time
+/// one worker takes for the whole load, and stops once |Σ n_i − N| is
+/// within 1e-10 of N or the bracket within 1e-10 of t_hi, or after 200
+/// steps. Σ n_i(T) is increasing and concave, so it usually stops on the
+/// load residual within a few steps; that pins T much tighter than a
+/// bracket width of 1e-10·t_hi would when t_hi sits far above T.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha);
 
@@ -72,7 +78,10 @@ struct NonlinearAllocation {
 ///   τ_i + c_i·n_i + w_i·n_i^alpha = T.
 /// This is the setting of the nonlinear-DLT literature ([31–35]); workers
 /// that cannot receive anything before T contribute n_i = 0. Each budget
-/// depends on the feed clock, so every worker solves its own chunk.
+/// depends on the feed clock, so every worker solves its own chunk. Newton
+/// on T uses dN/dT = Σ dn_i over the fed workers, where
+///   dn_i = (1 − D_i)/(c_i + alpha·w_i·n_i^(alpha−1)),
+///   D_i = Σ_{j fed before i} c_j·dn_j (the feed clock's own rate).
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha,
     const std::vector<std::size_t>& send_order);

@@ -1,5 +1,8 @@
 #include "obs/validate.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -245,22 +248,175 @@ ValidationResult validate_metrics_json(const util::JsonValue& document) {
   return result;
 }
 
-ValidationResult compare_deterministic_payload(const util::JsonValue& a,
-                                               const util::JsonValue& b) {
-  ValidationResult result;
+namespace {
+
+/// Walks two payload trees side by side, filling a PayloadComparison.
+class PayloadDiffer {
+ public:
+  PayloadDiffer(double rel_tol, PayloadComparison& out)
+      : rel_tol_(rel_tol), out_(out) {}
+
+  void compare(const util::JsonValue& a, const util::JsonValue& b,
+               const std::string& path) {
+    if (a.kind != b.kind) {
+      mismatch(path, a, b, "kind differs");
+      return;
+    }
+    switch (a.kind) {
+      case util::JsonValue::Kind::kNull:
+        ++out_.leaves;
+        return;
+      case util::JsonValue::Kind::kBool:
+        leaf(path, a, b, a.boolean == b.boolean, "boolean differs");
+        return;
+      case util::JsonValue::Kind::kString:
+        leaf(path, a, b, a.string == b.string, "string differs");
+        return;
+      case util::JsonValue::Kind::kNumber:
+        number(path, a, b);
+        return;
+      case util::JsonValue::Kind::kArray:
+        array(path, a, b);
+        return;
+      case util::JsonValue::Kind::kObject:
+        object(path, a, b);
+        return;
+    }
+  }
+
+ private:
+  static std::string show(const util::JsonValue& v) {
+    switch (v.kind) {
+      case util::JsonValue::Kind::kNull:
+        return "null";
+      case util::JsonValue::Kind::kBool:
+        return v.boolean ? "true" : "false";
+      case util::JsonValue::Kind::kNumber:
+        return util::json_number(v.number);
+      case util::JsonValue::Kind::kString:
+        return util::json_quote(v.string);
+      case util::JsonValue::Kind::kArray:
+        return std::to_string(v.array.size()) + " array elements";
+      case util::JsonValue::Kind::kObject:
+        return std::to_string(v.object.size()) + " object members";
+    }
+    return "?";
+  }
+
+  /// True for an integral value small enough to be a count: every double
+  /// beyond 2^53 is integral, so those are compared as plain numbers.
+  static bool countlike(double x) {
+    return std::abs(x) <= 9007199254740992.0 && std::fmod(x, 1.0) == 0.0;
+  }
+
+  void mismatch(const std::string& path, const util::JsonValue& a,
+                const util::JsonValue& b, const std::string& what) {
+    out_.mismatches.push_back({path, show(a), show(b), what});
+  }
+
+  void leaf(const std::string& path, const util::JsonValue& a,
+            const util::JsonValue& b, bool same, const std::string& what) {
+    ++out_.leaves;
+    if (same) return;
+    ++out_.moved;
+    mismatch(path, a, b, what);
+  }
+
+  void number(const std::string& path, const util::JsonValue& a,
+              const util::JsonValue& b) {
+    ++out_.leaves;
+    const double x = a.number;
+    const double y = b.number;
+    if (!(x < y || y < x)) return;  // equal, including 0 and -0
+    ++out_.moved;
+    // The parser rejects non-finite numbers, so the scale is positive.
+    const double relative =
+        std::abs(x - y) / std::max(std::abs(x), std::abs(y));
+    if (relative > out_.max_relative) {
+      out_.max_relative = relative;
+      out_.max_path = path;
+    }
+    const bool integer = countlike(x) && countlike(y);
+    if (integer || relative > rel_tol_) {
+      char what[48];
+      std::snprintf(what, sizeof(what), "%srelative %.2e",
+                    integer ? "integer, " : "", relative);
+      out_.beyond.push_back({path, show(a), show(b), what});
+    }
+  }
+
+  void array(const std::string& path, const util::JsonValue& a,
+             const util::JsonValue& b) {
+    const std::size_t common = std::min(a.array.size(), b.array.size());
+    if (a.array.size() != b.array.size()) {
+      mismatch(path, a, b, "array length differs");
+    }
+    for (std::size_t i = 0; i < common; ++i) {
+      compare(a.array[i], b.array[i], path + "[" + std::to_string(i) + "]");
+    }
+  }
+
+  void object(const std::string& path, const util::JsonValue& a,
+              const util::JsonValue& b) {
+    bool same_keys = a.object.size() == b.object.size();
+    for (std::size_t i = 0; same_keys && i < a.object.size(); ++i) {
+      same_keys = a.object[i].first == b.object[i].first;
+    }
+    if (same_keys) {
+      for (std::size_t i = 0; i < a.object.size(); ++i) {
+        compare(a.object[i].second, b.object[i].second,
+                path + "." + a.object[i].first);
+      }
+      return;
+    }
+    // Keys differ: report each one missing from either side, then compare
+    // the members both have, by name.
+    bool reported = false;
+    for (const auto& [key, value] : a.object) {
+      if (b.find(key) == nullptr) {
+        out_.mismatches.push_back(
+            {path + "." + key, show(value), "(absent)", "key missing"});
+        reported = true;
+      }
+    }
+    for (const auto& [key, value] : b.object) {
+      if (a.find(key) == nullptr) {
+        out_.mismatches.push_back(
+            {path + "." + key, "(absent)", show(value), "key missing"});
+        reported = true;
+      }
+    }
+    if (!reported) mismatch(path, a, b, "key order differs");
+    for (const auto& [key, value] : a.object) {
+      if (const util::JsonValue* other = b.find(key)) {
+        compare(value, *other, path + "." + key);
+      }
+    }
+  }
+
+  double rel_tol_;
+  PayloadComparison& out_;
+};
+
+}  // namespace
+
+PayloadComparison compare_deterministic_payload(const util::JsonValue& a,
+                                                const util::JsonValue& b,
+                                                double rel_tol) {
+  NLDL_REQUIRE(std::isfinite(rel_tol) && rel_tol >= 0.0,
+               "rel_tol must be finite and >= 0");
+  PayloadComparison result;
   const util::JsonValue* payload_a = a.find("deterministic");
   const util::JsonValue* payload_b = b.find("deterministic");
   if (payload_a == nullptr || payload_b == nullptr) {
-    result.ok = false;
-    result.error = "document without a \"deterministic\" payload";
+    result.mismatches.push_back(
+        {"deterministic", payload_a == nullptr ? "(absent)" : "present",
+         payload_b == nullptr ? "(absent)" : "present",
+         "document without a \"deterministic\" payload"});
     return result;
   }
-  if (!(*payload_a == *payload_b)) {
-    result.ok = false;
-    result.error = "deterministic payloads differ";
-    return result;
-  }
-  result.events = 1;
+  PayloadDiffer(rel_tol, result).compare(*payload_a, *payload_b,
+                                         "deterministic");
   return result;
 }
 

@@ -5,7 +5,9 @@
 // timestamps monotone across the stream, begin/end balanced per track)
 // and a deterministic-payload comparison for the split bench JSON
 // (bench::Harness writes {"deterministic": ..., "measured": ...}; only
-// the former must reproduce bitwise across machines and runs).
+// the former must reproduce bitwise across machines and runs). The
+// comparison also takes a relative tolerance, to report how far a
+// deliberate numeric change moved a payload.
 #pragma once
 
 #include <cstddef>
@@ -39,11 +41,41 @@ struct ValidationResult {
 [[nodiscard]] ValidationResult validate_chrome_trace_text(
     std::string_view text);
 
-/// Compare the deterministic payloads of two bench JSON documents: the
-/// value under "deterministic" must be structurally identical (doubles
-/// bitwise-equal as printed). Documents missing the key fail.
-[[nodiscard]] ValidationResult compare_deterministic_payload(
-    const util::JsonValue& a, const util::JsonValue& b);
+/// One difference between two deterministic payloads.
+struct PayloadDifference {
+  std::string path;  ///< JSON path, e.g. deterministic.points[3].p50
+  std::string a;     ///< the first document's value (containers abbreviated)
+  std::string b;     ///< the second document's value
+  std::string what;  ///< e.g. "relative 1.9e-02", "key missing"
+};
+
+/// Outcome of compare_deterministic_payload.
+struct PayloadComparison {
+  std::size_t leaves = 0;     ///< scalar leaves present in both payloads
+  std::size_t moved = 0;      ///< of those, leaves whose values differ
+  double max_relative = 0.0;  ///< largest |a − b| / max(|a|, |b|)
+  std::string max_path;       ///< where max_relative occurs; empty if none
+  /// Numbers beyond the tolerance, and integers that changed at all.
+  std::vector<PayloadDifference> beyond;
+  /// Structural differences: kinds, strings, booleans, keys, array lengths
+  /// (and a document without a "deterministic" payload).
+  std::vector<PayloadDifference> mismatches;
+
+  /// True when nothing is beyond the tolerance and the structure matches.
+  explicit operator bool() const noexcept {
+    return beyond.empty() && mismatches.empty();
+  }
+};
+
+/// Compare the deterministic payloads of two bench JSON documents, the
+/// values under "deterministic". The structure must match exactly: kinds,
+/// strings, booleans, object keys in order, array lengths. A number may
+/// move by at most `rel_tol` relative to the larger magnitude, except that
+/// a number integral in both documents (a count, a digest) must not move at
+/// all. The default rel_tol of 0 is the bitwise check: doubles equal as
+/// printed. Requires a finite rel_tol >= 0.
+[[nodiscard]] PayloadComparison compare_deterministic_payload(
+    const util::JsonValue& a, const util::JsonValue& b, double rel_tol = 0.0);
 
 /// Reconstruct the TraceEvent stream from an exported Chrome trace
 /// (`write_chrome_trace`'s inverse, up to the lossy microsecond

@@ -15,25 +15,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-bool JsonValue::operator==(const JsonValue& other) const {
-  if (kind != other.kind) return false;
-  switch (kind) {
-    case Kind::kNull:
-      return true;
-    case Kind::kBool:
-      return boolean == other.boolean;
-    case Kind::kNumber:
-      return number == other.number;
-    case Kind::kString:
-      return string == other.string;
-    case Kind::kArray:
-      return array == other.array;
-    case Kind::kObject:
-      return object == other.object;
-  }
-  return false;
-}
-
 namespace {
 
 // Hand-rolled cursor; errors report the byte offset they fired at.

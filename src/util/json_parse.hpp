@@ -21,9 +21,8 @@
 namespace nldl::util {
 
 /// One JSON document node. A tagged aggregate rather than a std::variant
-/// so the tree is cheap to walk and structurally comparable; object
-/// members preserve source order (determinism culture: no unordered
-/// containers).
+/// so the tree is cheap to walk; object members preserve source order
+/// (determinism culture: no unordered containers).
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -50,10 +49,6 @@ struct JsonValue {
   /// First member with this key, or nullptr (also nullptr when not an
   /// object). Lookup is linear — documents here are small.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
-
-  /// Structural equality: same kind, same contents, doubles compared
-  /// exactly (bitwise reproduction is the whole point of the diff tool).
-  [[nodiscard]] bool operator==(const JsonValue& other) const;
 };
 
 /// Parse a complete JSON document. Throws util::PreconditionError on

@@ -3,8 +3,8 @@
 // The paper's nonlinear allocation equations (w·X^α terms) have no closed
 // form on heterogeneous platforms, and the reproduction guidance notes that
 // external solver libraries are inconvenient here — so nldl ships its own
-// robust scalar solvers: plain bisection and a bisection-safeguarded Newton
-// iteration. Both assume a bracketing interval.
+// robust scalar solver: a Newton iteration safeguarded by a bracketing
+// interval.
 #pragma once
 
 #include <cmath>
@@ -27,50 +27,22 @@ struct RootOptions {
   int max_iterations = 200;
 };
 
-/// Find x in [lo, hi] with f(x) = 0 by bisection.
-///
-/// The caller passes the endpoint values flo = f(lo) and fhi = f(hi), which
-/// must have opposite signs (or one of them must be an exact root); f is
-/// never evaluated at lo or hi here. Converges unconditionally for
-/// continuous f.
-template <typename F>
-RootResult bisect(F&& f, double lo, double hi, double flo, double fhi,
-                  RootOptions opts = {}) {
-  NLDL_REQUIRE(lo <= hi, "bisect requires lo <= hi");
-  if (flo == 0.0) return {lo, 0, true};
-  if (fhi == 0.0) return {hi, 0, true};
-  NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
-               "bisect requires a sign change over [lo, hi]");
-  RootResult result;
-  for (result.iterations = 0; result.iterations < opts.max_iterations;
-       ++result.iterations) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (std::abs(fmid) <= opts.f_tol || (hi - lo) <= opts.x_tol) {
-      result.x = mid;
-      result.converged = true;
-      return result;
-    }
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  result.x = 0.5 * (lo + hi);
-  result.converged = (hi - lo) <= opts.x_tol * 16;
-  return result;
-}
-
 /// Newton's method safeguarded by a bisection bracket: whenever the Newton
 /// step leaves [lo, hi] (or the derivative vanishes), fall back to bisection.
 /// Keeps Newton's quadratic convergence near the root with bisection's
 /// global robustness.
 ///
-/// Takes the endpoint values flo = f(lo) and fhi = f(hi) like bisect: a
+/// The caller passes the endpoint values flo = f(lo) and fhi = f(hi), which
+/// must have opposite signs (or one of them must be an exact root): a
 /// caller that grew its bracket by evaluating f, or knows f in closed form
-/// at an end, already has them.
+/// at an end, already has them. f is never evaluated at lo or hi here.
+///
+/// Call contract: df(x) is called only right after an f(x) at the same x
+/// that did not converge, and f is not called in between. A derivative may
+/// therefore read state that f(x) left behind (the nonlinear solvers read
+/// the chunks f just filled) instead of recomputing it. Likewise a converged
+/// result's x, unless it is an endpoint returned because flo or fhi is 0,
+/// is the x of the last f call, so that state describes the root.
 template <typename F, typename DF>
 RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
                               double flo, double fhi, RootOptions opts = {}) {

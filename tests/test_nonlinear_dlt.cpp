@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -245,10 +246,13 @@ TEST(NonlinearOneWorker, BothSolversPlaceTheWholeLoad) {
 }
 
 // Bit-for-bit oracle for the solver's fast paths. `reference` is the
-// solver as it stood before them: std::pow at every exponent, f evaluated
-// at both ends of every chunk bracket, one chunk solve per worker (and its
-// own copy of the safeguarded Newton loop). The library must return the
-// same NonlinearAllocation, bit for bit, iteration counts included.
+// solver without them: std::pow at every exponent, f evaluated at both ends
+// of every bracket, one chunk solve per worker, and its own copy of the
+// safeguarded Newton loop, inner and outer. Its outer derivative re-solves
+// every chunk instead of reading the ones f just filled, and it re-fills the
+// allocation at the root instead of keeping the last fill. The library must
+// return the same NonlinearAllocation, bit for bit, iteration counts
+// included.
 namespace reference {
 
 template <typename F, typename DF>
@@ -258,6 +262,8 @@ util::RootResult newton(F&& f, DF&& df, double lo, double hi,
   double fhi = f(hi);
   if (flo == 0.0) return {lo, 0, true};
   if (fhi == 0.0) return {hi, 0, true};
+  NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
+               "reference Newton requires a sign change over [lo, hi]");
   double x = 0.5 * (lo + hi);
   util::RootResult result;
   for (result.iterations = 0; result.iterations < opts.max_iterations;
@@ -284,13 +290,15 @@ util::RootResult newton(F&& f, DF&& df, double lo, double hi,
   return result;
 }
 
+double marginal_cost(double c, double w, double alpha, double n) {
+  return c + w * alpha * std::pow(n, alpha - 1.0);
+}
+
 double chunk_for_budget(double c, double w, double alpha, double budget) {
   if (budget <= 0.0) return 0.0;
   const double hi = std::min(budget / c, std::pow(budget / w, 1.0 / alpha));
   auto f = [&](double n) { return c * n + w * std::pow(n, alpha) - budget; };
-  auto df = [&](double n) {
-    return c + w * alpha * std::pow(n, alpha - 1.0);
-  };
+  auto df = [&](double n) { return marginal_cost(c, w, alpha, n); };
   double bracket_hi = hi;
   while (f(bracket_hi) < 0.0) bracket_hi *= 2.0;
   util::RootOptions opts;
@@ -330,14 +338,24 @@ NonlinearAllocation parallel(const Platform& plat, double total_load,
     }
     return sum;
   };
+  // dN/dT = Σ 1/(c_i + alpha·w_i·n_i^(alpha−1)), with every n_i solved
+  // again at T.
+  auto slope = [&](double T) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < p; ++i) {
+      const double n = chunk_for_budget(plat.c(i), plat.w(i), alpha, T);
+      sum += 1.0 / marginal_cost(plat.c(i), plat.w(i), alpha, n);
+    }
+    return sum;
+  };
   double t_hi = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < p; ++i) {
     t_hi = std::min(t_hi, plat.c(i) * total_load +
                               plat.w(i) * std::pow(total_load, alpha));
   }
   const auto f = [&](double T) { return assigned_load(T) - total_load; };
-  const auto root = util::bisect(f, 0.0, t_hi, f(0.0), f(t_hi),
-                                 outer_options(t_hi, total_load));
+  const auto root =
+      newton(f, slope, 0.0, t_hi, outer_options(t_hi, total_load));
   EXPECT_TRUE(root.converged);
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
@@ -378,13 +396,31 @@ NonlinearAllocation one_port(const Platform& plat, double total_load,
     }
     return sum;
   };
+  // dn_i/dT = (1 − D_i)/(c_i + alpha·w_i·n_i^(alpha−1)) for every fed
+  // worker, D_i = Σ_{j fed before i} c_j·dn_j, with the fill solved again
+  // at T.
+  auto slope = [&](double T) {
+    std::vector<double> amounts(p, 0.0);
+    fill_for(T, amounts);
+    double clock_rate = 0.0;
+    double sum = 0.0;
+    for (const std::size_t worker : send_order) {
+      if (amounts[worker] <= 0.0) continue;
+      const double dn =
+          (1.0 - clock_rate) /
+          marginal_cost(plat.c(worker), plat.w(worker), alpha, amounts[worker]);
+      clock_rate += plat.c(worker) * dn;
+      sum += dn;
+    }
+    return sum;
+  };
   const std::size_t first = send_order[0];
   const double t_hi = plat.c(first) * total_load +
                       plat.w(first) * std::pow(total_load, alpha);
   std::vector<double> scratch(p, 0.0);
   const auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
-  const auto root = util::bisect(f, 0.0, t_hi, f(0.0), f(t_hi),
-                                 outer_options(t_hi, total_load));
+  const auto root =
+      newton(f, slope, 0.0, t_hi, outer_options(t_hi, total_load));
   EXPECT_TRUE(root.converged);
   alloc.makespan = root.x;
   alloc.solver_iterations = root.iterations;
@@ -472,22 +508,35 @@ std::vector<std::pair<std::string, Platform>> oracle_platforms() {
   return platforms;
 }
 
-TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
+/// Fixed loads across 1e-3..1e4, then enough log-uniform ones that a
+/// last-bit change in one x^2 evaluation (x*x for std::pow) reaches the
+/// output in several cases.
+std::vector<double> oracle_loads() {
   util::Rng rng(20261016);
-  // Fixed loads across the range, then enough log-uniform ones that a
-  // last-bit change in one x^2 evaluation (x*x for std::pow) reaches the
-  // output in several cases.
   std::vector<double> loads = {1e-3, 0.05, 1.0, 17.3, 640.0, 1e4};
   for (int k = 0; k < 60; ++k) {
     loads.push_back(std::pow(10.0, rng.uniform(-3.0, 4.0)));
   }
+  return loads;
+}
+
+std::vector<std::size_t> forward_order(std::size_t p) {
+  std::vector<std::size_t> order(p);
+  for (std::size_t i = 0; i < p; ++i) order[i] = i;
+  return order;
+}
+
+std::vector<std::size_t> reversed_order(std::size_t p) {
+  std::vector<std::size_t> order(p);
+  for (std::size_t i = 0; i < p; ++i) order[i] = p - 1 - i;
+  return order;
+}
+
+TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
+  const std::vector<double> loads = oracle_loads();
   for (const auto& [name, plat] : oracle_platforms()) {
-    std::vector<std::size_t> reversed(plat.size());
-    for (std::size_t i = 0; i < reversed.size(); ++i) {
-      reversed[i] = reversed.size() - 1 - i;
-    }
-    std::vector<std::size_t> forward(plat.size());
-    for (std::size_t i = 0; i < forward.size(); ++i) forward[i] = i;
+    const std::vector<std::size_t> forward = forward_order(plat.size());
+    const std::vector<std::size_t> reversed = reversed_order(plat.size());
     for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
       for (const double load : loads) {
         SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
@@ -510,6 +559,83 @@ TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
       }
     }
   }
+}
+
+/// Every solve the Newton tests check, on oracle_platforms() × alpha ∈
+/// {1, 1.5, 2, 3} × oracle_loads(): parallel links, then one-port in
+/// forward and in reversed send order. `check` gets the platform, the send
+/// order (empty for parallel links) and the allocation.
+template <typename Check>
+void for_each_oracle_solve(Check check) {
+  const std::vector<double> loads = oracle_loads();
+  for (const auto& [name, plat] : oracle_platforms()) {
+    const std::vector<std::size_t> forward = forward_order(plat.size());
+    const std::vector<std::size_t> reversed = reversed_order(plat.size());
+    for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
+      for (const double load : loads) {
+        SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
+                     " load=" + std::to_string(load));
+        check(plat, std::vector<std::size_t>{},
+              nonlinear_parallel_single_round(plat, load, alpha));
+        for (const std::vector<std::size_t>* order : {&forward, &reversed}) {
+          check(plat, *order,
+                nonlinear_one_port_single_round(plat, load, alpha, *order));
+        }
+      }
+    }
+  }
+}
+
+// The paper's Section 2 optimum gives every fed worker the same finish
+// time. Newton on T stops on the load residual, which pins T far tighter
+// than a stopping width of 1e-10·t_hi does when t_hi = c·N + w·N^alpha sits
+// far above T. Below a unit budget each chunk solve stops at an absolute
+// residual of 1e-12 (its f_tol), which bounds the spread of tiny makespans
+// whatever the outer method; two such residuals are allowed on top.
+TEST(NonlinearNewton, FedWorkersFinishTogether) {
+  for_each_oracle_solve([](const Platform& plat,
+                           const std::vector<std::size_t>& send_order,
+                           const NonlinearAllocation& alloc) {
+    std::vector<double> finishes;
+    double clock = 0.0;  // one-port feed clock; stays 0 on parallel links
+    for (std::size_t k = 0; k < plat.size(); ++k) {
+      const std::size_t i = send_order.empty() ? k : send_order[k];
+      const double n = alloc.amounts[i];
+      if (n <= 0.0) continue;
+      finishes.push_back(clock + plat.c(i) * n +
+                         plat.w(i) * std::pow(n, alloc.alpha));
+      if (!send_order.empty()) clock += plat.c(i) * n;
+    }
+    ASSERT_FALSE(finishes.empty());
+    const auto [lo, hi] = std::minmax_element(finishes.begin(), finishes.end());
+    EXPECT_LE(*hi - *lo, 1e-9 * *hi + 2e-12);
+  });
+}
+
+// Newton converges quadratically on the concave Σ n_i(T), so a handful of
+// outer steps reach the 1e-10 load residual.
+TEST(NonlinearNewton, FewOuterIterations) {
+  int parallel_solves = 0;
+  int parallel_iterations = 0;
+  int one_port_solves = 0;
+  int one_port_iterations = 0;
+  for_each_oracle_solve([&](const Platform&,
+                            const std::vector<std::size_t>& send_order,
+                            const NonlinearAllocation& alloc) {
+    if (send_order.empty()) {
+      ++parallel_solves;
+      parallel_iterations += alloc.solver_iterations;
+    } else {
+      ++one_port_solves;
+      one_port_iterations += alloc.solver_iterations;
+    }
+  });
+  const double parallel_mean =
+      static_cast<double>(parallel_iterations) / parallel_solves;
+  const double one_port_mean =
+      static_cast<double>(one_port_iterations) / one_port_solves;
+  EXPECT_LE(parallel_mean, 8.0);
+  EXPECT_LE(one_port_mean, 8.0);
 }
 
 // The solver skips std::pow at exponents 0 and 1 on the strength of two

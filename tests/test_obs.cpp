@@ -503,6 +503,122 @@ TEST(MetricsValidation, AcceptsRegistryDumpsRejectsMalformed) {
       util::parse_json(R"({"lat": {"q": 0.95, "count": 0}})")));
 }
 
+// --- deterministic-payload diff ---------------------------------------------
+
+obs::PayloadComparison diff(const std::string& a, const std::string& b,
+                            double rel_tol) {
+  return obs::compare_deterministic_payload(util::parse_json(a),
+                                            util::parse_json(b), rel_tol);
+}
+
+constexpr const char* kPayload =
+    R"({"deterministic": {"name": "cell", "ok": true, "none": null,
+        "points": [{"p50": 1.5, "jobs": 40}, {"p50": 2.25, "jobs": 41}]},
+       "measured": {"wall_s": 1.0}})";
+
+TEST(PayloadDiff, IdenticalPayloadsMatchAtZeroTolerance) {
+  // Whitespace and the measured sidecar are ignored by design.
+  const std::string other =
+      R"({"deterministic":{"name":"cell","ok":true,"none":null,)"
+      R"("points":[{"p50":1.5,"jobs":40},{"p50":2.25,"jobs":41}]},)"
+      R"("measured":{"wall_s":7.0}})";
+  const obs::PayloadComparison result = diff(kPayload, other, 0.0);
+  EXPECT_TRUE(result);
+  EXPECT_EQ(result.leaves, 7u);
+  EXPECT_EQ(result.moved, 0u);
+  EXPECT_TRUE(result.max_path.empty());
+  // At zero tolerance one ulp is a difference.
+  EXPECT_FALSE(diff(R"({"deterministic": 0.1})",
+                    R"({"deterministic": 0.10000000000000002})", 0.0));
+}
+
+TEST(PayloadDiff, NumberMovedWithinToleranceIsReported) {
+  const std::string moved =
+      R"({"deterministic": {"name": "cell", "ok": true, "none": null,
+          "points": [{"p50": 1.5, "jobs": 40},
+                     {"p50": 2.2500000001, "jobs": 41}]}})";
+  const obs::PayloadComparison within = diff(kPayload, moved, 1e-8);
+  EXPECT_TRUE(within);
+  EXPECT_EQ(within.moved, 1u);
+  EXPECT_EQ(within.max_path, "deterministic.points[1].p50");
+  EXPECT_NEAR(within.max_relative, 1e-10 / 2.2500000001, 1e-15);
+  // The default tolerance is the bitwise check.
+  EXPECT_FALSE(obs::compare_deterministic_payload(util::parse_json(kPayload),
+                                                  util::parse_json(moved)));
+}
+
+TEST(PayloadDiff, NumberMovedBeyondToleranceFailsWithBothValues) {
+  const std::string moved =
+      R"({"deterministic": {"name": "cell", "ok": true, "none": null,
+          "points": [{"p50": 1.6, "jobs": 40}, {"p50": 2.25, "jobs": 41}]}})";
+  const obs::PayloadComparison result = diff(kPayload, moved, 1e-8);
+  EXPECT_FALSE(result);
+  ASSERT_EQ(result.beyond.size(), 1u);
+  EXPECT_TRUE(result.mismatches.empty());
+  EXPECT_EQ(result.beyond[0].path, "deterministic.points[0].p50");
+  EXPECT_EQ(result.beyond[0].a, "1.5");
+  EXPECT_EQ(result.beyond[0].b, "1.6");
+  EXPECT_TRUE(diff(kPayload, moved, 0.1));
+}
+
+TEST(PayloadDiff, IntegerChangeFailsAtAnyTolerance) {
+  // 1e9 -> 1e9 + 1 is a relative move of 1e-9, inside 1e-8, but a count
+  // or digest that changes at all is a discrete difference.
+  const std::string before =
+      R"({"deterministic": {"busy_periods": 1000000000, "share": 0.5}})";
+  const std::string after =
+      R"({"deterministic": {"busy_periods": 1000000001, "share": 0.5}})";
+  const obs::PayloadComparison result = diff(before, after, 1e-8);
+  EXPECT_FALSE(result);
+  ASSERT_EQ(result.beyond.size(), 1u);
+  EXPECT_EQ(result.beyond[0].path, "deterministic.busy_periods");
+  EXPECT_EQ(result.beyond[0].a, "1e+09");
+  EXPECT_EQ(result.beyond[0].b, "1000000001");
+}
+
+TEST(PayloadDiff, MissingKeyIsAStructuralMismatch) {
+  const std::string fewer =
+      R"({"deterministic": {"name": "cell", "ok": true, "none": null,
+          "points": [{"p50": 1.5}, {"p50": 2.25, "jobs": 41}]}})";
+  const obs::PayloadComparison result = diff(kPayload, fewer, 1.0);
+  EXPECT_FALSE(result);
+  EXPECT_TRUE(result.beyond.empty());
+  ASSERT_EQ(result.mismatches.size(), 1u);
+  EXPECT_EQ(result.mismatches[0].path, "deterministic.points[0].jobs");
+  EXPECT_EQ(result.mismatches[0].what, "key missing");
+  // Members both sides have are still compared.
+  EXPECT_EQ(result.leaves, 6u);
+  // Same keys in another order fail too, as the bitwise check did.
+  EXPECT_FALSE(diff(R"({"deterministic": {"a": 1, "b": 2}})",
+                    R"({"deterministic": {"b": 2, "a": 1}})", 1.0));
+  // So does a document without a payload.
+  EXPECT_FALSE(diff(kPayload, R"({"measured": {}})", 1.0));
+}
+
+TEST(PayloadDiff, ArrayLengthAndScalarKindsAreStructural) {
+  const std::string shorter =
+      R"({"deterministic": {"name": "cell", "ok": true, "none": null,
+          "points": [{"p50": 1.5, "jobs": 40}]}})";
+  const obs::PayloadComparison result = diff(kPayload, shorter, 1.0);
+  EXPECT_FALSE(result);
+  ASSERT_EQ(result.mismatches.size(), 1u);
+  EXPECT_EQ(result.mismatches[0].path, "deterministic.points");
+  EXPECT_EQ(result.mismatches[0].what, "array length differs");
+
+  const std::string changed =
+      R"({"deterministic": {"name": "cell2", "ok": false, "none": 0,
+          "points": [{"p50": 1.5, "jobs": 40}, {"p50": 2.25, "jobs": 41}]}})";
+  const obs::PayloadComparison scalars = diff(kPayload, changed, 1.0);
+  EXPECT_FALSE(scalars);
+  ASSERT_EQ(scalars.mismatches.size(), 3u);
+  EXPECT_EQ(scalars.mismatches[0].what, "string differs");
+  EXPECT_EQ(scalars.mismatches[0].a, "\"cell\"");
+  EXPECT_EQ(scalars.mismatches[0].b, "\"cell2\"");
+  EXPECT_EQ(scalars.mismatches[1].what, "boolean differs");
+  EXPECT_EQ(scalars.mismatches[2].what, "kind differs");
+  EXPECT_THROW((void)diff(kPayload, kPayload, -1.0), util::PreconditionError);
+}
+
 // --- event-kind round trip ---------------------------------------------------
 
 TEST(TraceContent, KindNamesRoundTripThroughStrings) {

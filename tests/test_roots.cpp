@@ -1,62 +1,18 @@
-// Unit and property tests for the scalar root-finders.
+// Unit and property tests for the safeguarded Newton root-finder.
 #include "util/roots.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
 namespace nldl::util {
 namespace {
-
-TEST(Bisect, FindsSqrtTwo) {
-  auto f = [](double x) { return x * x - 2.0; };
-  const auto result = bisect(f, 0.0, 2.0, f(0.0), f(2.0));
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, ExactRootAtBoundary) {
-  auto f = [](double x) { return x * (x - 1.0); };
-  const auto at_lo = bisect(f, 0.0, 0.5, f(0.0), f(0.5));
-  EXPECT_TRUE(at_lo.converged);
-  EXPECT_EQ(at_lo.x, 0.0);
-  EXPECT_EQ(at_lo.iterations, 0);
-  const auto at_hi = bisect(f, 0.5, 1.0, f(0.5), f(1.0));
-  EXPECT_TRUE(at_hi.converged);
-  EXPECT_EQ(at_hi.x, 1.0);
-  EXPECT_EQ(at_hi.iterations, 0);
-}
-
-TEST(Bisect, RequiresSignChange) {
-  auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW((void)bisect(f, -1.0, 1.0, f(-1.0), f(1.0)),
-               PreconditionError);
-  EXPECT_THROW((void)bisect(f, 1.0, 0.0, -1.0, 1.0), PreconditionError);
-}
-
-TEST(Bisect, NeverEvaluatesTheEndpoints) {
-  // The endpoint values come from the caller; f is only asked about
-  // interior points.
-  int endpoint_calls = 0;
-  auto f = [&](double x) {
-    if (!(x > 0.0 && x < 4.0)) ++endpoint_calls;
-    return x - 3.0;
-  };
-  const auto result = bisect(f, 0.0, 4.0, -3.0, 1.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, 3.0, 1e-9);
-  EXPECT_EQ(endpoint_calls, 0);
-}
-
-TEST(Bisect, DecreasingFunction) {
-  auto f = [](double x) { return 1.0 - x * x * x; };
-  const auto result = bisect(f, 0.0, 4.0, f(0.0), f(4.0));
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, 1.0, 1e-9);
-}
 
 TEST(NewtonSafeguarded, QuadraticConvergesFast) {
   int evals = 0;
@@ -97,6 +53,81 @@ TEST(NewtonSafeguarded, ReturnsBracketEndThatIsARoot) {
                PreconditionError);
 }
 
+TEST(NewtonSafeguarded, NeverEvaluatesTheEndpoints) {
+  // The endpoint values come from the caller; f is only asked about
+  // interior points.
+  int endpoint_calls = 0;
+  auto f = [&](double x) {
+    if (!(x > 0.0 && x < 4.0)) ++endpoint_calls;
+    return x - 3.0;
+  };
+  auto df = [](double) { return 1.0; };
+  const auto result = newton_safeguarded(f, df, 0.0, 4.0, -3.0, 1.0);
+  EXPECT_TRUE(result.converged);
+  EXPECT_NEAR(result.x, 3.0, 1e-9);
+  EXPECT_EQ(endpoint_calls, 0);
+}
+
+TEST(NewtonSafeguarded, DecreasingFunction) {
+  auto f = [](double x) { return 1.0 - x * x * x; };
+  auto df = [](double x) { return -3.0 * x * x; };
+  const auto result = newton_safeguarded(f, df, 0.0, 4.0, f(0.0), f(4.0));
+  EXPECT_TRUE(result.converged);
+  EXPECT_NEAR(result.x, 1.0, 1e-9);
+}
+
+// The documented call contract: df(x) comes only right after an f(x) at
+// the same x that did not converge, and a converged x is the last f call's.
+// The nonlinear solvers' outer derivative reads the chunks f just filled on
+// the strength of it.
+TEST(NewtonSafeguarded, DerivativeFollowsAnUnconvergedEvaluationAtTheSameX) {
+  struct Call {
+    bool derivative = false;
+    double x = 0.0;
+  };
+  const auto check = [](auto f_of, auto df_of, double lo, double hi) {
+    std::vector<Call> calls;
+    auto f = [&](double x) {
+      calls.push_back({false, x});
+      return f_of(x);
+    };
+    auto df = [&](double x) {
+      calls.push_back({true, x});
+      return df_of(x);
+    };
+    const auto result =
+        newton_safeguarded(f, df, lo, hi, f_of(lo), f_of(hi));
+    ASSERT_TRUE(result.converged);
+    // f, df, f, df, ..., f: one f per iteration plus the converging one.
+    ASSERT_EQ(calls.size(),
+              2 * static_cast<std::size_t>(result.iterations) + 1);
+    for (std::size_t k = 0; k < calls.size(); ++k) {
+      EXPECT_EQ(calls[k].derivative, k % 2 == 1) << "call " << k;
+      if (calls[k].derivative) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(calls[k].x),
+                  std::bit_cast<std::uint64_t>(calls[k - 1].x))
+            << "call " << k;
+      }
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(calls.back().x),
+              std::bit_cast<std::uint64_t>(result.x));
+  };
+  // Pure Newton steps, bisection fallbacks (overshoot, zero derivative) and
+  // the nonlinear chunk equation.
+  check([](double x) { return x * x - 2.0; },
+        [](double x) { return 2.0 * x; }, 0.0, 2.0);
+  check([](double x) { return std::tanh(20.0 * (x - 0.7)); },
+        [](double x) {
+          const double t = std::tanh(20.0 * (x - 0.7));
+          return 20.0 * (1.0 - t * t);
+        },
+        0.0, 1.0);
+  check([](double x) { return x * x * x; },
+        [](double x) { return 3.0 * x * x; }, -1.0, 2.0);
+  check([](double x) { return 0.5 * x + 2.0 * std::pow(x, 2.5) - 40.0; },
+        [](double x) { return 0.5 + 5.0 * std::pow(x, 1.5); }, 0.0, 80.0);
+}
+
 TEST(NewtonSafeguarded, StaysInsideBracket) {
   // Steep function whose Newton step overshoots from most points.
   auto f = [](double x) { return std::tanh(20.0 * (x - 0.7)); };
@@ -109,11 +140,12 @@ TEST(NewtonSafeguarded, StaysInsideBracket) {
   EXPECT_NEAR(result.x, 0.7, 1e-8);
 }
 
-// Property sweep: both solvers find the root of c·x + w·x^a − T (the
-// nonlinear DLT chunk equation) across random parameters.
+// Property sweep: Newton finds the root of c·x + w·x^a − T (the nonlinear
+// DLT chunk equation) across random parameters; f changes sign within 1e-7
+// relative of it.
 class ChunkEquationProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(ChunkEquationProperty, BothSolversAgree) {
+TEST_P(ChunkEquationProperty, NewtonFindsTheRoot) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   for (int rep = 0; rep < 50; ++rep) {
     const double c = rng.uniform(0.01, 10.0);
@@ -126,12 +158,11 @@ TEST_P(ChunkEquationProperty, BothSolversAgree) {
     };
     double hi = std::min(t / c, std::pow(t / w, 1.0 / a));
     while (f(hi) < 0.0) hi *= 2.0;
-    const auto by_bisect = bisect(f, 0.0, hi, f(0.0), f(hi));
     const auto by_newton = newton_safeguarded(f, df, 0.0, hi, f(0.0), f(hi));
-    ASSERT_TRUE(by_bisect.converged);
     ASSERT_TRUE(by_newton.converged);
-    EXPECT_NEAR(by_bisect.x, by_newton.x,
-                1e-7 * std::max(1.0, by_bisect.x));
+    const double margin = 1e-7 * std::max(1.0, by_newton.x);
+    EXPECT_LT(f(by_newton.x - margin), 0.0);
+    EXPECT_GT(f(by_newton.x + margin), 0.0);
     EXPECT_NEAR(f(by_newton.x), 0.0, 1e-6 * std::max(1.0, t));
   }
 }

@@ -17,10 +17,14 @@
 //       Validate MetricsRegistry JSON dumps (numbers or well-formed
 //       quantile objects). Exit 0 iff every file validates.
 //
-//   nldl_trace_check --bench-diff <a.json> <b.json>
+//   nldl_trace_check --bench-diff [--rel-tol=R] <a.json> <b.json>
 //       Compare the "deterministic" payloads of two bench JSON
 //       artifacts; the "measured" sidecars (wall times, RSS)
-//       are ignored by design. Exit 0 iff the payloads are identical.
+//       are ignored by design. Prints the leaves compared, the leaves
+//       moved and the largest relative deviation with its path, then
+//       every number beyond R, every changed count and every structural
+//       mismatch, each with both values. Exit 0 iff nothing is beyond R
+//       and the structure matches; R defaults to 0, the bitwise check.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -70,29 +74,38 @@ int validate_traces(const std::vector<std::string>& paths) {
   return failures == 0 ? 0 : 1;
 }
 
+/// Read and parse `path`; on failure print why and return false.
+bool read_json(const std::string& path, nldl::util::JsonValue& out) {
+  std::string text;
+  if (!read_file(path, text)) {
+    std::fprintf(stderr, "%s: cannot read\n", path.c_str());
+    return false;
+  }
+  try {
+    out = nldl::util::parse_json(text);
+    return true;
+  } catch (const nldl::util::PreconditionError& error) {
+    std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(),
+                 error.what());
+    return false;
+  }
+}
+
 int validate_metrics(const std::vector<std::string>& paths) {
   int failures = 0;
   for (const std::string& path : paths) {
-    std::string text;
-    if (!read_file(path, text)) {
-      std::fprintf(stderr, "%s: cannot read\n", path.c_str());
+    nldl::util::JsonValue root;
+    if (!read_json(path, root)) {
       ++failures;
       continue;
     }
-    try {
-      const nldl::util::JsonValue root = nldl::util::parse_json(text);
-      const nldl::obs::ValidationResult result =
-          nldl::obs::validate_metrics_json(root);
-      if (result) {
-        std::printf("%s: OK (%zu entries)\n", path.c_str(), result.events);
-      } else {
-        std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(),
-                     result.error.c_str());
-        ++failures;
-      }
-    } catch (const nldl::util::PreconditionError& error) {
-      std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(),
-                   error.what());
+    const nldl::obs::ValidationResult result =
+        nldl::obs::validate_metrics_json(root);
+    if (result) {
+      std::printf("%s: OK (%zu entries)\n", path.c_str(), result.events);
+    } else {
+      std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(),
+                   result.error.c_str());
       ++failures;
     }
   }
@@ -190,33 +203,37 @@ int summarize_trace(const std::string& path, std::size_t top_k,
   return failures == 0 ? 0 : 1;
 }
 
-int bench_diff(const std::string& path_a, const std::string& path_b) {
-  std::string text_a;
-  std::string text_b;
-  if (!read_file(path_a, text_a)) {
-    std::fprintf(stderr, "%s: cannot read\n", path_a.c_str());
-    return 1;
+int bench_diff(const std::string& path_a, const std::string& path_b,
+               double rel_tol) {
+  nldl::util::JsonValue a;
+  nldl::util::JsonValue b;
+  if (!read_json(path_a, a) || !read_json(path_b, b)) return 1;
+  const nldl::obs::PayloadComparison result =
+      nldl::obs::compare_deterministic_payload(a, b, rel_tol);
+  std::printf("%s vs %s: %zu leaves compared, %zu moved", path_a.c_str(),
+              path_b.c_str(), result.leaves, result.moved);
+  if (!result.max_path.empty()) {
+    std::printf(", largest relative deviation %.2e at %s",
+                result.max_relative, result.max_path.c_str());
   }
-  if (!read_file(path_b, text_b)) {
-    std::fprintf(stderr, "%s: cannot read\n", path_b.c_str());
-    return 1;
+  std::printf(" (rel-tol %g)\n", rel_tol);
+  for (const nldl::obs::PayloadDifference& d : result.beyond) {
+    std::printf("  beyond: %s: %s -> %s (%s)\n", d.path.c_str(), d.a.c_str(),
+                d.b.c_str(), d.what.c_str());
   }
-  try {
-    const nldl::util::JsonValue a = nldl::util::parse_json(text_a);
-    const nldl::util::JsonValue b = nldl::util::parse_json(text_b);
-    const nldl::obs::ValidationResult result =
-        nldl::obs::compare_deterministic_payload(a, b);
-    if (result) {
-      std::printf("deterministic payloads identical: %s == %s\n",
-                  path_a.c_str(), path_b.c_str());
-      return 0;
-    }
-    std::fprintf(stderr, "MISMATCH: %s\n", result.error.c_str());
-    return 1;
-  } catch (const nldl::util::PreconditionError& error) {
-    std::fprintf(stderr, "parse error: %s\n", error.what());
-    return 1;
+  for (const nldl::obs::PayloadDifference& d : result.mismatches) {
+    std::printf("  MISMATCH: %s: %s -> %s (%s)\n", d.path.c_str(),
+                d.a.c_str(), d.b.c_str(), d.what.c_str());
   }
+  if (result) {
+    std::printf(result.moved == 0 ? "deterministic payloads identical\n"
+                                  : "within rel-tol\n");
+    return 0;
+  }
+  std::fflush(stdout);
+  std::fprintf(stderr, "MISMATCH: %zu beyond rel-tol, %zu structural\n",
+               result.beyond.size(), result.mismatches.size());
+  return 1;
 }
 
 int usage() {
@@ -225,7 +242,8 @@ int usage() {
       "usage: nldl_trace_check <trace.json> [more.json ...]\n"
       "       nldl_trace_check --summary <trace.json> [--top N] [--slo OBJ]\n"
       "       nldl_trace_check --metrics <metrics.json> [more.json ...]\n"
-      "       nldl_trace_check --bench-diff <a.json> <b.json>\n");
+      "       nldl_trace_check --bench-diff [--rel-tol=R] <a.json> "
+      "<b.json>\n");
   return 2;
 }
 
@@ -234,8 +252,26 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args[0] == "--bench-diff") {
-    if (args.size() != 3) return usage();
-    return bench_diff(args[1], args[2]);
+    std::vector<std::string> paths;
+    double rel_tol = 0.0;
+    const std::string tol_flag = "--rel-tol=";
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      if (args[i].rfind(tol_flag, 0) == 0) {
+        const char* first = args[i].data() + tol_flag.size();
+        const char* last = args[i].data() + args[i].size();
+        auto [ptr, ec] = std::from_chars(first, last, rel_tol);
+        if (ec != std::errc{} || ptr != last || !std::isfinite(rel_tol) ||
+            rel_tol < 0.0) {
+          return usage();
+        }
+      } else if (args[i].rfind("--", 0) == 0) {
+        return usage();
+      } else {
+        paths.push_back(args[i]);
+      }
+    }
+    if (paths.size() != 2) return usage();
+    return bench_diff(paths[0], paths[1], rel_tol);
   }
   if (!args.empty() && args[0] == "--metrics") {
     if (args.size() < 2) return usage();
