@@ -42,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
-#include "online/arrivals.hpp"
 #include "qos/metrics.hpp"
 #include "qos/policy.hpp"
 #include "qos/server.hpp"

@@ -63,10 +63,6 @@ void Harness::config(const std::string& key, bool value) {
       {key, [value](util::JsonWriter& json) { json.value(value); }});
 }
 
-double Harness::speedup() const noexcept {
-  return parallel_seconds_ > 0.0 ? serial_seconds_ / parallel_seconds_ : 0.0;
-}
-
 double Harness::items_per_sec_serial() const noexcept {
   return serial_seconds_ > 0.0
              ? static_cast<double>(items_) / serial_seconds_
@@ -110,10 +106,10 @@ int Harness::finish(
   NLDL_REQUIRE(ran_, "Harness::finish() before run()");
 
   const std::size_t peak_rss = peak_rss_bytes();
-  std::printf("\nrunner[%s]: serial %.3fs | %zu threads %.3fs | speedup "
-              "%.2fx | bit-identical: %s\n",
+  std::printf("\nrunner[%s]: serial %.3fs | %zu threads %.3fs | "
+              "bit-identical: %s\n",
               name_.c_str(), serial_seconds_, threads_, parallel_seconds_,
-              speedup(), bit_identical_ ? "yes" : "NO (runner bug!)");
+              bit_identical_ ? "yes" : "NO (runner bug!)");
   if (items_ > 0) {
     std::printf("runner[%s]: %zu items | %.0f items/s serial | %.0f "
                 "items/s parallel\n",
@@ -162,7 +158,6 @@ int Harness::finish(
     json.key("repetitions").value(options_.repetitions);
     json.key("wall_time_serial_s").value(serial_seconds_);
     json.key("wall_time_parallel_s").value(parallel_seconds_);
-    json.key("speedup").value(speedup());
     if (items_ > 0) {
       json.key("items_per_sec_serial").value(items_per_sec_serial());
       json.key("items_per_sec_parallel").value(items_per_sec_parallel());

@@ -20,9 +20,9 @@
 //            this subtree BITWISE (tools/trace_check --bench-diff checks
 //            exactly it, and CI runs that comparison);
 //        "measured": the wall-clock sidecar — thread count, serial /
-//            parallel wall times, speedup, items/sec, peak RSS, and any
-//            wall times the driver gathered itself. Expected to differ
-//            between runs; never compared.
+//            parallel wall times, items/sec, peak RSS, and any wall times
+//            the driver gathered itself. Expected to differ between runs;
+//            never compared.
 //
 // and turns the self-check into the process exit code, so CI fails loudly
 // on any determinism regression. All wall-clock reads go through
@@ -173,7 +173,6 @@ class Harness {
   [[nodiscard]] double parallel_seconds() const noexcept {
     return parallel_seconds_;
   }
-  [[nodiscard]] double speedup() const noexcept;
 
   /// Deterministic run metrics (obs/metrics.hpp): the driver folds its
   /// reference pass's counters/gauges/quantiles in here and finish()

@@ -15,11 +15,6 @@ std::vector<sim::ChunkAssignment> NonlinearAllocation::to_schedule() const {
   return sim::single_round_schedule(amounts);
 }
 
-std::vector<sim::ChunkAssignment> NonlinearAllocation::to_schedule(
-    const std::vector<std::size_t>& send_order) const {
-  return sim::single_round_schedule(amounts, send_order);
-}
-
 namespace {
 
 /// std::pow(x, e), bit for bit, without the call at the two exponents whose

@@ -27,12 +27,10 @@ struct NonlinearAllocation {
   double makespan = 0.0;        ///< common finish time T
   double alpha = 1.0;
 
-  /// Convert to an engine schedule (one chunk per worker, in the given
-  /// send order; defaults to worker order). Replaying it with
-  /// sim::Engine{platform, {alpha}} reproduces `makespan`.
+  /// Convert to an engine schedule (one chunk per worker, in worker
+  /// order). Replaying it with sim::Engine{platform, {alpha}} reproduces
+  /// `makespan`.
   [[nodiscard]] std::vector<sim::ChunkAssignment> to_schedule() const;
-  [[nodiscard]] std::vector<sim::ChunkAssignment> to_schedule(
-      const std::vector<std::size_t>& send_order) const;
 
   /// Work performed by the round, in unit-speed time: Σ n_i^alpha.
   double work_done = 0.0;

@@ -69,24 +69,6 @@ bool MetricsRegistry::contains(std::string_view name) const {
   return find(name) != nullptr;
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const Entry& entry : other.entries_) {
-    switch (entry.type) {
-      case Type::kCounter:
-        counter(entry.name) += entry.count;
-        break;
-      case Type::kGauge:
-        gauge(entry.name) += entry.gauge;
-        break;
-      case Type::kQuantile:
-        NLDL_REQUIRE(!contains(entry.name),
-                     "cannot merge streaming quantile '" + entry.name + "'");
-        slot(entry.name, Type::kQuantile).quantile = entry.quantile;
-        break;
-    }
-  }
-}
-
 void MetricsRegistry::write_json(util::JsonWriter& json) const {
   json.begin_object();
   for (const Entry& entry : entries_) {

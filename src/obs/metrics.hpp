@@ -3,9 +3,8 @@
 // Where obs/trace.hpp records *when* things happened, the registry
 // accumulates *how much*: named counters (monotone integer tallies),
 // gauges (last-write doubles), and util::P2Quantile streaming quantile
-// estimators. It supersedes the ad-hoc `sim::ReplayTelemetry` struct and
-// the per-server tallies: the servers take an optional registry and
-// account their replay machinery (replay.engine_events, replay.replays,
+// estimators. The servers take an optional registry and account their
+// replay machinery (replay.engine_events, replay.replays,
 // replay.busy_periods) and qos outcomes (qos.admitted, qos.preemptions,
 // qos.restart_time_s, ...) into it.
 //
@@ -33,7 +32,7 @@ namespace nldl::obs {
 /// Accessors create the entry on first use; repeated lookups return the
 /// same slot. Names are free-form; the convention is dotted lowercase
 /// ("replay.engine_events"). Not thread-safe — one registry per
-/// server/bench run, merged explicitly if needed.
+/// server/bench run.
 class MetricsRegistry {
  public:
   /// Monotone integer tally (callers may also add deltas directly).
@@ -54,11 +53,6 @@ class MetricsRegistry {
   [[nodiscard]] bool contains(std::string_view name) const;
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Add every entry of `other` into this registry (counters and gauges
-  /// sum; quantiles require the slot to be absent here — streaming
-  /// estimators do not merge).
-  void merge(const MetricsRegistry& other);
 
   /// Emit one JSON object, entries in first-touch order. Counters emit
   /// as integers, gauges as numbers, quantiles as

@@ -1,10 +1,8 @@
 #include "online/arrivals.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -23,13 +21,18 @@ void JobMix::validate() const {
                "JobMix requires one weight per alpha class");
   double total = 0.0;
   for (const double alpha : alphas) {
-    NLDL_REQUIRE(alpha >= 1.0, "JobMix alphas must be >= 1");
+    NLDL_REQUIRE(std::isfinite(alpha) && alpha >= 1.0,
+                 "JobMix alphas must be finite and >= 1");
   }
+  // sample() scales a uniform draw by the weight total: an infinite
+  // weight (or total) would pin every draw to one class.
   for (const double weight : alpha_weights) {
-    NLDL_REQUIRE(weight >= 0.0, "JobMix weights must be >= 0");
+    NLDL_REQUIRE(std::isfinite(weight) && weight >= 0.0,
+                 "JobMix weights must be finite and >= 0");
     total += weight;
   }
-  NLDL_REQUIRE(total > 0.0, "JobMix weights must not all be zero");
+  NLDL_REQUIRE(std::isfinite(total) && total > 0.0,
+               "JobMix weights must sum to a finite positive total");
 }
 
 double JobMix::mean_load() const {
@@ -74,44 +77,19 @@ Job JobMix::sample(std::size_t id, double arrival, util::Rng& rng) const {
   return job;
 }
 
-namespace {
-
-void require_horizon(double horizon) {
-  NLDL_REQUIRE(horizon > 0.0, "arrival horizon must be positive");
-}
-
-}  // namespace
-
-DeterministicArrivals::DeterministicArrivals(double period, JobMix mix)
-    : period_(period), mix_(std::move(mix)) {
-  NLDL_REQUIRE(period > 0.0, "arrival period must be positive");
-  mix_.validate();
-}
-
-std::vector<Job> DeterministicArrivals::generate(double horizon,
-                                                 util::Rng& rng) const {
-  require_horizon(horizon);
-  util::Rng size_rng = rng.split();
-  std::vector<Job> jobs;
-  // t = i * period, not an accumulating sum: repeated += drifts and can
-  // round the horizon tick itself to just below the horizon.
-  for (std::size_t i = 0;; ++i) {
-    const double t = static_cast<double>(i) * period_;
-    if (t >= horizon) break;
-    jobs.push_back(mix_.sample(i, t, size_rng));
-  }
-  return jobs;
-}
-
 PoissonArrivals::PoissonArrivals(double rate, JobMix mix)
     : rate_(rate), mix_(std::move(mix)) {
-  NLDL_REQUIRE(rate > 0.0, "arrival rate must be positive");
+  // An infinite rate draws every inter-arrival as 0, so generate() would
+  // append jobs at t = 0 until allocation fails.
+  NLDL_REQUIRE(std::isfinite(rate) && rate > 0.0,
+               "arrival rate must be finite and positive");
   mix_.validate();
 }
 
 std::vector<Job> PoissonArrivals::generate(double horizon,
                                            util::Rng& rng) const {
-  require_horizon(horizon);
+  NLDL_REQUIRE(std::isfinite(horizon) && horizon > 0.0,
+               "arrival horizon must be finite and positive");
   util::Rng arrival_rng = rng.split();
   util::Rng size_rng = rng.split();
   std::vector<Job> jobs;
@@ -119,113 +97,6 @@ std::vector<Job> PoissonArrivals::generate(double horizon,
   while (t < horizon) {
     jobs.push_back(mix_.sample(jobs.size(), t, size_rng));
     t += arrival_rng.exponential(rate_);
-  }
-  return jobs;
-}
-
-MmppArrivals::MmppArrivals(double rate_low, double rate_high,
-                           double dwell_low, double dwell_high, JobMix mix)
-    : rate_low_(rate_low),
-      rate_high_(rate_high),
-      dwell_low_(dwell_low),
-      dwell_high_(dwell_high),
-      mix_(std::move(mix)) {
-  NLDL_REQUIRE(rate_low > 0.0 && rate_high > 0.0,
-               "MMPP rates must be positive");
-  NLDL_REQUIRE(dwell_low > 0.0 && dwell_high > 0.0,
-               "MMPP dwell times must be positive");
-  mix_.validate();
-}
-
-std::vector<Job> MmppArrivals::generate(double horizon,
-                                        util::Rng& rng) const {
-  require_horizon(horizon);
-  util::Rng arrival_rng = rng.split();
-  util::Rng size_rng = rng.split();
-  std::vector<Job> jobs;
-  bool burst = false;
-  double t = 0.0;
-  double next_switch = arrival_rng.exponential(1.0 / dwell_low_);
-  while (t < horizon) {
-    const double rate = burst ? rate_high_ : rate_low_;
-    const double candidate = t + arrival_rng.exponential(rate);
-    if (candidate < next_switch) {
-      // Arrival before the next state switch.
-      t = candidate;
-      if (t >= horizon) break;
-      jobs.push_back(mix_.sample(jobs.size(), t, size_rng));
-    } else {
-      // State switch first; the Poisson clock is memoryless, so the
-      // discarded candidate does not bias the new state's stream.
-      t = next_switch;
-      burst = !burst;
-      next_switch =
-          t + arrival_rng.exponential(1.0 / (burst ? dwell_high_
-                                                   : dwell_low_));
-    }
-  }
-  return jobs;
-}
-
-TraceArrivals::TraceArrivals(std::vector<Job> trace)
-    : trace_(std::move(trace)) {
-  std::stable_sort(trace_.begin(), trace_.end(),
-                   [](const Job& a, const Job& b) {
-                     return a.arrival < b.arrival;
-                   });
-  for (std::size_t i = 0; i < trace_.size(); ++i) {
-    NLDL_REQUIRE(trace_[i].arrival >= 0.0,
-                 "trace arrival times must be >= 0");
-    NLDL_REQUIRE(trace_[i].load > 0.0, "trace job loads must be positive");
-    NLDL_REQUIRE(trace_[i].alpha >= 1.0, "trace job alphas must be >= 1");
-    trace_[i].id = i;
-  }
-}
-
-namespace {
-
-double parse_trace_number(const std::string& token, const std::string& path) {
-  double value = 0.0;
-  const auto result =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  NLDL_REQUIRE(result.ec == std::errc{} &&
-                   result.ptr == token.data() + token.size(),
-               "malformed number in trace file: " + path);
-  return value;
-}
-
-}  // namespace
-
-TraceArrivals TraceArrivals::from_file(const std::string& path) {
-  std::ifstream in(path);
-  NLDL_REQUIRE(in.good(), "cannot open trace file: " + path);
-  std::vector<Job> jobs;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream tokens(line);
-    std::vector<std::string> fields;
-    std::string token;
-    while (tokens >> token) fields.push_back(token);
-    if (fields.empty() || fields.front().front() == '#') continue;
-    NLDL_REQUIRE(fields.size() == 3,
-                 "trace rows must be 'arrival load alpha': " + path);
-    Job job;
-    job.arrival = parse_trace_number(fields[0], path);
-    job.load = parse_trace_number(fields[1], path);
-    job.alpha = parse_trace_number(fields[2], path);
-    jobs.push_back(job);
-  }
-  return TraceArrivals(std::move(jobs));
-}
-
-std::vector<Job> TraceArrivals::generate(double horizon,
-                                         util::Rng& rng) const {
-  require_horizon(horizon);
-  (void)rng;  // replay is deterministic by definition
-  std::vector<Job> jobs;
-  for (const Job& job : trace_) {
-    if (job.arrival >= horizon) break;
-    jobs.push_back(job);
   }
   return jobs;
 }

@@ -1,10 +1,8 @@
-// Arrival processes for the online subsystem: how job streams are born.
-//
-// Four generators, spanning the traffic shapes the queueing literature
-// cares about: deterministic (fixed period), Poisson (memoryless),
-// bursty MMPP (two-state Markov-modulated Poisson — heavy bursts between
-// quiet stretches), and trace replay (explicit arrival/load/alpha rows,
-// e.g. recorded from production).
+// Job streams for the online and qos servers: a Poisson arrival process
+// whose jobs draw their load and cost exponent from a JobMix. The serving
+// benches, examples, qos::generate_tenant_traffic and servebench draw
+// their traffic here; a test that needs an exact stream builds its
+// std::vector<Job> directly.
 //
 // Determinism contract: generate() consumes only the util::Rng it is
 // handed, splitting it into an arrival-time sub-stream and a job-size
@@ -14,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "online/job.hpp"
@@ -57,84 +54,21 @@ struct JobMix {
                            util::Rng& rng) const;
 };
 
-/// Abstract generator of job streams.
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-
-  /// Jobs with arrival times in [0, horizon), ids 0..n-1 in
-  /// non-decreasing arrival order. See the file comment for the RNG
-  /// splitting contract.
-  [[nodiscard]] virtual std::vector<Job> generate(double horizon,
-                                                  util::Rng& rng) const = 0;
-};
-
-/// One arrival every `period` time units, starting at t = 0.
-class DeterministicArrivals final : public ArrivalProcess {
- public:
-  DeterministicArrivals(double period, JobMix mix);
-
-  [[nodiscard]] std::vector<Job> generate(double horizon,
-                                          util::Rng& rng) const override;
-
- private:
-  double period_;
-  JobMix mix_;
-};
-
 /// Poisson process: i.i.d. exponential inter-arrival times at `rate`.
-class PoissonArrivals final : public ArrivalProcess {
+class PoissonArrivals {
  public:
+  /// `rate` must be finite and positive; `mix` must validate.
   PoissonArrivals(double rate, JobMix mix);
 
+  /// Jobs with arrival times in [0, horizon), ids 0..n-1 in
+  /// non-decreasing arrival order. `horizon` must be finite and positive.
+  /// See the file comment for the RNG splitting contract.
   [[nodiscard]] std::vector<Job> generate(double horizon,
-                                          util::Rng& rng) const override;
+                                          util::Rng& rng) const;
 
  private:
   double rate_;
   JobMix mix_;
-};
-
-/// Two-state Markov-modulated Poisson process: the stream alternates
-/// between a quiet state (rate_low) and a burst state (rate_high), with
-/// exponentially distributed dwell times. Starts in the quiet state.
-class MmppArrivals final : public ArrivalProcess {
- public:
-  MmppArrivals(double rate_low, double rate_high, double dwell_low,
-               double dwell_high, JobMix mix);
-
-  [[nodiscard]] std::vector<Job> generate(double horizon,
-                                          util::Rng& rng) const override;
-
- private:
-  double rate_low_;
-  double rate_high_;
-  double dwell_low_;
-  double dwell_high_;
-  JobMix mix_;
-};
-
-/// Replay of an explicit job list (ignores the RNG). The trace is sorted
-/// by arrival and re-numbered on construction; generate() keeps the jobs
-/// arriving before the horizon.
-class TraceArrivals final : public ArrivalProcess {
- public:
-  explicit TraceArrivals(std::vector<Job> trace);
-
-  /// Parse a whitespace-separated text trace: one `arrival load alpha`
-  /// row per line; blank lines and lines starting with '#' are skipped.
-  /// Numbers are parsed locale-independently (std::from_chars).
-  [[nodiscard]] static TraceArrivals from_file(const std::string& path);
-
-  [[nodiscard]] std::vector<Job> generate(double horizon,
-                                          util::Rng& rng) const override;
-
-  [[nodiscard]] const std::vector<Job>& trace() const noexcept {
-    return trace_;
-  }
-
- private:
-  std::vector<Job> trace_;
 };
 
 }  // namespace nldl::online

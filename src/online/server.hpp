@@ -110,10 +110,10 @@ class Server {
   /// Simulate the open system to completion (every job served, however
   /// far past the last arrival that takes). `jobs` must satisfy
   /// validate_stream() (online/job.hpp): ids 0..n-1, finite arrivals in
-  /// non-decreasing order, finite loads and alphas — the shape every
-  /// ArrivalProcess produces. Returns one JobStats per job, in id order.
-  /// `metrics`, when non-null, accumulates busy-period replay cost as
-  /// counters (replay.engine_events / replay.replays /
+  /// non-decreasing order, finite loads and alphas — the shape
+  /// PoissonArrivals::generate produces. Returns one JobStats per job, in
+  /// id order. `metrics`, when non-null, accumulates busy-period replay
+  /// cost as counters (replay.engine_events / replay.replays /
   /// replay.busy_periods) under either master mode — the soak bench's
   /// events/sec. A traced run emits, per period, the dispatch instants
   /// (kDispatch.value = the job's chunk count), checkpoint and replay

@@ -16,16 +16,6 @@ void validate_options(const AdmissionOptions& options) {
 
 }  // namespace
 
-AdmissionController::AdmissionController(const platform::Platform& platform,
-                                         ServiceModel service,
-                                         AdmissionOptions options)
-    : owned_model_(make_model(service)), options_(options) {
-  validate_options(options);
-  owned_solver_ =
-      std::make_unique<InstallmentSolver>(platform, *owned_model_, service);
-  solver_ = owned_solver_.get();
-}
-
 AdmissionController::AdmissionController(InstallmentSolver& solver,
                                          AdmissionOptions options)
     : solver_(&solver), options_(options) {

@@ -27,11 +27,7 @@
 // tolerance. Best-effort jobs (no deadline) are always admitted whole.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
 #include "online/job.hpp"
-#include "platform/platform.hpp"
 #include "qos/plan.hpp"
 
 namespace nldl::qos {
@@ -62,12 +58,8 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
-  /// Standalone controller: owns its comm model and installment solver.
-  AdmissionController(const platform::Platform& platform,
-                      ServiceModel service, AdmissionOptions options = {});
-
-  /// Controller sharing an existing solver (the qos::Server wires its
-  /// own through, so admission predictions are memo hits when the
+  /// Controller over the caller's solver (the qos::Server wires its own
+  /// through, so admission predictions are memo hits when the
   /// ServicePlan later solves the same installment). The solver must
   /// outlive the controller.
   explicit AdmissionController(InstallmentSolver& solver,
@@ -80,9 +72,7 @@ class AdmissionController {
   [[nodiscard]] AdmissionDecision decide(const online::Job& job) const;
 
  private:
-  std::unique_ptr<sim::CommModel> owned_model_;
-  std::unique_ptr<InstallmentSolver> owned_solver_;
-  InstallmentSolver* solver_;  ///< owned_solver_ or the shared one
+  InstallmentSolver* solver_;
   AdmissionOptions options_;
 };
 

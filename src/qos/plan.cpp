@@ -48,14 +48,6 @@ double InstallmentSolver::predicted_service(double load, double alpha) {
   return rounds * solve(load / rounds, alpha).duration;
 }
 
-double predicted_service(const ServiceModel& service,
-                         const platform::Platform& platform, double load,
-                         double alpha) {
-  const auto model = make_model(service);
-  InstallmentSolver solver(platform, *model, service);
-  return solver.predicted_service(load, alpha);
-}
-
 ServicePlan::ServicePlan(InstallmentSolver& solver, const online::Job& job,
                          double served_load)
     : solver_(solver),

@@ -101,12 +101,6 @@ class InstallmentSolver {
   std::map<std::pair<double, double>, Installment> cache_;
 };
 
-/// Convenience: predicted service through a throwaway model + solver.
-/// Prefer an InstallmentSolver when predicting more than once.
-[[nodiscard]] double predicted_service(const ServiceModel& service,
-                                       const platform::Platform& platform,
-                                       double load, double alpha);
-
 /// The per-job service state machine the qos server drives.
 ///
 /// Construction solves ONE installment allocation through the shared

@@ -143,7 +143,7 @@ class Server {
   /// Simulate the stream to completion. `jobs` must satisfy
   /// online::validate_stream() — ids 0..n-1, finite arrivals in
   /// non-decreasing order, finite loads and alphas (the shape
-  /// generate_tenant_traffic and every ArrivalProcess produce) — and
+  /// generate_tenant_traffic and PoissonArrivals::generate produce) — and
   /// every deadline must lie strictly after its arrival (+infinity =
   /// best-effort). `policy` is reset() and then owned
   /// for the duration of the run (it accumulates run-local state).

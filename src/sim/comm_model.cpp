@@ -107,15 +107,6 @@ void BoundedMultiportModel::assign_rates(
   std::copy(fair.begin(), fair.end(), rates.begin());
 }
 
-BoundedMultiportModel BoundedMultiportModel::one_port() {
-  return BoundedMultiportModel(std::numeric_limits<double>::infinity(), 1);
-}
-
-BoundedMultiportModel BoundedMultiportModel::parallel_links() {
-  return BoundedMultiportModel(std::numeric_limits<double>::infinity(),
-                               kUnlimited);
-}
-
 std::unique_ptr<CommModel> make_comm_model(CommModelKind kind,
                                            double capacity,
                                            std::size_t max_concurrent) {

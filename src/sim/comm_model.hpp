@@ -118,11 +118,6 @@ class BoundedMultiportModel final : public CommModel {
     return max_concurrent_;
   }
 
-  /// The one-port special case: one transfer at a time, full link speed.
-  [[nodiscard]] static BoundedMultiportModel one_port();
-  /// The parallel-links special case: uncapped, unlimited concurrency.
-  [[nodiscard]] static BoundedMultiportModel parallel_links();
-
  private:
   double capacity_;
   std::size_t max_concurrent_;

@@ -7,6 +7,17 @@
 
 namespace nldl::sim {
 
+namespace {
+
+// Compact the settled run (drop finalized chunks, EngineRun::compact) once
+// it holds at least this many finalized chunks and they are the majority:
+// the per-replay checkpoint copy stays O(live chunks) even for a busy
+// period that never drains (a saturated open system), at amortized O(1)
+// per chunk. Results are identical at any threshold.
+constexpr std::size_t kCompactThreshold = 1024;
+
+}  // namespace
+
 SharedMasterPeriod::SharedMasterPeriod(const Engine& engine,
                                        const CommModel& model,
                                        SharedMasterOptions options)
@@ -123,7 +134,7 @@ std::size_t SharedMasterPeriod::dispatch(
     // renumber chunk_owner_ to match — the per-replay checkpoint copy
     // stays O(live chunks) even when one busy period spans the whole
     // stream (a saturated open system never drains).
-    if (settled_.finalized() >= options_.compact_threshold &&
+    if (settled_.finalized() >= kCompactThreshold &&
         settled_.finalized() * 2 >= settled_.chunks()) {
       const std::size_t dropped = settled_.compact(compact_remap_);
       if (dropped > 0) {

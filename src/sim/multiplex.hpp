@@ -57,12 +57,6 @@ struct SharedMasterOptions {
   /// of re-simulating the whole busy period. Bit-identical to full
   /// replay; off only buys the O(n²) reference behavior.
   bool incremental = true;
-  /// Compact the settled run (drop finalized chunks, EngineRun::compact)
-  /// once it holds at least this many finalized chunks and they are the
-  /// majority — keeps the per-replay checkpoint copy O(live chunks) even
-  /// for a busy period that never drains (a saturated open system), at
-  /// amortized O(1) per chunk. Identical results either way.
-  std::size_t compact_threshold = 1024;
 };
 
 /// One open busy period of a shared master. Holds references to the
@@ -70,8 +64,7 @@ struct SharedMasterOptions {
 ///
 /// Replay-cost accounting (events()/replays()) is what the servers fold
 /// into an obs::MetricsRegistry as replay.engine_events / replay.replays
-/// / replay.busy_periods — the successor of the removed ad-hoc
-/// ReplayTelemetry struct.
+/// / replay.busy_periods.
 class SharedMasterPeriod {
  public:
   SharedMasterPeriod(const Engine& engine, const CommModel& model,

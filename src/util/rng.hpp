@@ -106,7 +106,7 @@ class Rng {
   double lognormal(double mu, double sigma);
 
   /// Exponential with the given rate (mean 1/rate; rate > 0), via
-  /// inversion. Drives the Poisson/MMPP arrival processes of online/.
+  /// inversion. Drives the Poisson arrival process of online/.
   double exponential(double rate);
 
   /// Pareto (type I) with the given scale x_m > 0 and shape a > 0, via

@@ -2,28 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "util/assert.hpp"
 
 namespace nldl::util {
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
@@ -178,62 +160,6 @@ double P2Quantile::value() const {
         std::vector<double>(heights_, heights_ + count_), q_);
   }
   return heights_[2];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  NLDL_REQUIRE(lo < hi, "Histogram requires lo < hi");
-  NLDL_REQUIRE(bins > 0, "Histogram requires at least one bin");
-}
-
-void Histogram::push(double x) noexcept {
-  // NaN has no bin; counting it silently anywhere would skew the shape.
-  if (std::isnan(x)) {
-    ++nan_count_;
-    return;
-  }
-  // Clamp in floating point *before* the integer cast: casting an
-  // out-of-range double (e.g. +/-inf scaled by the bin count) to an
-  // integer is undefined behavior. Infinities land on the boundary bins,
-  // consistent with the documented clamping of out-of-range samples.
-  const double span = hi_ - lo_;
-  const double pos = std::clamp(
-      (x - lo_) / span * static_cast<double>(counts_.size()), 0.0,
-      static_cast<double>(counts_.size() - 1));
-  ++counts_[static_cast<std::size_t>(pos)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  NLDL_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  NLDL_REQUIRE(bin < counts_.size(), "histogram bin out of range");
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t mode = 0;
-  for (const std::size_t c : counts_) mode = std::max(mode, c);
-  std::string out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    char label[64];
-    std::snprintf(label, sizeof(label), "[%9.3f, %9.3f) %8zu |", bin_lo(b),
-                  bin_hi(b), counts_[b]);
-    out += label;
-    const std::size_t bar =
-        mode == 0 ? 0 : counts_[b] * width / std::max<std::size_t>(mode, 1);
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace nldl::util

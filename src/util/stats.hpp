@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace nldl::util {
@@ -22,9 +21,6 @@ class RunningStats {
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
@@ -145,36 +141,6 @@ class P2Quantile {
   double positions_[5] = {};  ///< actual marker positions (1-based ranks)
   double desired_[5] = {};    ///< desired marker positions
   double increments_[5] = {}; ///< per-sample growth of desired positions
-};
-
-/// Fixed-width histogram over [lo, hi); values outside — including the
-/// infinities — are clamped to the boundary bins. NaN samples are rejected
-/// from the bins but counted (nan_count()) so callers can report them.
-/// Used by the examples' ASCII visualizations.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void push(double x) noexcept;
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  /// Number of binned samples (NaN pushes are excluded).
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Number of NaN samples pushed (never binned).
-  [[nodiscard]] std::size_t nan_count() const noexcept { return nan_count_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// Render as rows of "[lo, hi) ####" bars, `width` chars at the mode.
-  [[nodiscard]] std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_count_ = 0;
 };
 
 }  // namespace nldl::util

@@ -104,7 +104,7 @@ TEST(CommModelEquivalence, SingleTransferAtATimeIsOnePort) {
     const Engine engine(plat);
     const SimResult one_port = engine.run(schedule, CommModelKind::kOnePort);
     const SimResult bounded =
-        engine.run(schedule, BoundedMultiportModel::one_port());
+        engine.run(schedule, BoundedMultiportModel(kInf, 1));
     expect_identical(one_port, bounded);
   }
 }
@@ -263,7 +263,7 @@ TEST(CommModelEquivalence, SingleTransferAtATimeIsOnePortWithReleases) {
     const Engine engine(plat);
     const SimResult one_port = engine.run(schedule, CommModelKind::kOnePort);
     const SimResult bounded =
-        engine.run(schedule, BoundedMultiportModel::one_port());
+        engine.run(schedule, BoundedMultiportModel(kInf, 1));
     expect_identical(one_port, bounded);
   }
 }

@@ -101,7 +101,7 @@ TEST(Engine, BoundedMultiportConcurrencyOneIsOnePort) {
   const std::vector<ChunkAssignment> schedule{{1, 4.0}, {0, 2.0}};
   const SimResult one_port = engine.run(schedule, CommModelKind::kOnePort);
   const SimResult bounded =
-      engine.run(schedule, BoundedMultiportModel::one_port());
+      engine.run(schedule, BoundedMultiportModel(kInf, 1));
   ASSERT_EQ(one_port.spans.size(), bounded.spans.size());
   for (std::size_t i = 0; i < one_port.spans.size(); ++i) {
     EXPECT_EQ(one_port.spans[i].comm_start, bounded.spans[i].comm_start);

@@ -7,10 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -79,97 +76,30 @@ TEST(Arrivals, PoissonHitsTheConfiguredRate) {
   }
 }
 
-TEST(Arrivals, DeterministicProcessHasExactSpacing) {
-  const DeterministicArrivals process(2.5, linear_mix(100.0, 100.0));
-  util::Rng rng(1);
-  const auto jobs = process.generate(10.0, rng);
-  ASSERT_EQ(jobs.size(), 4u);  // t = 0, 2.5, 5, 7.5
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(jobs[i].arrival, 2.5 * static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(jobs[i].load, 100.0);
-  }
-
-  // No accumulated-sum drift: 0.1 is inexact in binary, but the t = 1.0
-  // tick must still be excluded from [0, 1).
-  const DeterministicArrivals fine(0.1, linear_mix(100.0, 100.0));
-  EXPECT_EQ(fine.generate(1.0, rng).size(), 10u);
-}
-
-TEST(Arrivals, MmppIsBurstierThanPoissonAtTheSameMeanRate) {
-  // Quiet rate 0.5, burst rate 20, equal dwell: strongly bimodal gaps.
-  const MmppArrivals mmpp(0.5, 20.0, 20.0, 20.0, linear_mix());
-  util::Rng rng_m(11);
-  const auto bursty = mmpp.generate(4000.0, rng_m);
-  ASSERT_GT(bursty.size(), 100u);
-
-  const double mean_rate =
-      static_cast<double>(bursty.size()) / 4000.0;
-  const PoissonArrivals poisson(mean_rate, linear_mix());
-  util::Rng rng_p(11);
-  const auto smooth = poisson.generate(4000.0, rng_p);
-
-  const auto gap_cv = [](const std::vector<Job>& jobs) {
-    std::vector<double> gaps;
-    for (std::size_t i = 1; i < jobs.size(); ++i) {
-      gaps.push_back(jobs[i].arrival - jobs[i - 1].arrival);
-    }
-    return util::stddev_of(gaps) / util::mean_of(gaps);
-  };
-  // Poisson inter-arrivals have CV = 1; the MMPP mix is overdispersed.
-  EXPECT_GT(gap_cv(bursty), 1.3);
-  EXPECT_NEAR(gap_cv(smooth), 1.0, 0.2);
-
-  util::Rng rng_m2(11);
-  expect_same_jobs(bursty, mmpp.generate(4000.0, rng_m2));
-}
-
-TEST(Arrivals, TraceReplaySortsAndRenumbers) {
-  const TraceArrivals trace({{7, 5.0, 10.0, 1.0},
-                             {9, 1.0, 20.0, 2.0},
-                             {3, 3.0, 30.0, 1.0}});
-  const auto& jobs = trace.trace();
-  ASSERT_EQ(jobs.size(), 3u);
-  EXPECT_DOUBLE_EQ(jobs[0].arrival, 1.0);
-  EXPECT_DOUBLE_EQ(jobs[1].arrival, 3.0);
-  EXPECT_DOUBLE_EQ(jobs[2].arrival, 5.0);
-  for (std::size_t i = 0; i < jobs.size(); ++i) EXPECT_EQ(jobs[i].id, i);
-
-  util::Rng rng(1);
-  const auto clipped = trace.generate(4.0, rng);
-  ASSERT_EQ(clipped.size(), 2u);
-  EXPECT_DOUBLE_EQ(clipped[1].load, 30.0);
-}
-
-TEST(Arrivals, TraceReplayParsesFiles) {
-  const std::string path = testing::TempDir() + "nldl_trace_test.txt";
-  {
-    std::ofstream out(path);
-    out << "# arrival load alpha\n"
-        << "2.5 100 1\n"
-        << "\n"
-        << "0.5 60 2.0\n";
-  }
-  const TraceArrivals trace = TraceArrivals::from_file(path);
-  ASSERT_EQ(trace.trace().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.trace()[0].arrival, 0.5);
-  EXPECT_DOUBLE_EQ(trace.trace()[0].alpha, 2.0);
-  EXPECT_DOUBLE_EQ(trace.trace()[1].load, 100.0);
-  std::remove(path.c_str());
-
-  EXPECT_THROW(TraceArrivals::from_file("/nonexistent/trace.txt"),
-               util::PreconditionError);
-}
-
 TEST(Arrivals, ValidatesParameters) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(PoissonArrivals(0.0, linear_mix()), util::PreconditionError);
-  EXPECT_THROW(DeterministicArrivals(-1.0, linear_mix()),
-               util::PreconditionError);
   JobMix bad = linear_mix();
   bad.alphas = {0.5};
   bad.alpha_weights = {1.0};
   EXPECT_THROW(PoissonArrivals(1.0, bad), util::PreconditionError);
-  EXPECT_THROW(TraceArrivals({{0, -1.0, 10.0, 1.0}}),
-               util::PreconditionError);
+
+  // Each of these would otherwise run until allocation fails (every
+  // inter-arrival 0, or no end to the stream) or pin every draw to one
+  // alpha class.
+  EXPECT_THROW(PoissonArrivals(kInf, linear_mix()), util::PreconditionError);
+  const PoissonArrivals process(1.0, linear_mix());
+  util::Rng rng(1);
+  EXPECT_THROW((void)process.generate(kInf, rng), util::PreconditionError);
+  JobMix heavy = mixed_alpha_mix();
+  heavy.alpha_weights = {kInf, 1.0};
+  EXPECT_THROW(PoissonArrivals(1.0, heavy), util::PreconditionError);
+  heavy.alpha_weights = {std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::max()};
+  EXPECT_THROW(PoissonArrivals(1.0, heavy), util::PreconditionError);
+  JobMix steep = mixed_alpha_mix();
+  steep.alphas = {1.0, kInf};
+  EXPECT_THROW(PoissonArrivals(1.0, steep), util::PreconditionError);
 }
 
 // --- Server -----------------------------------------------------------------
@@ -184,13 +114,15 @@ std::vector<Job> make_jobs(
 }
 
 TEST(Server, UncontendedJobsNeverWait) {
-  // Period far beyond any service time: every job finds an idle server.
+  // Arrivals far beyond any service time apart: every job finds an idle
+  // server.
   const auto plat = platform::Platform::homogeneous(4);
   const Server server(plat);
-  const DeterministicArrivals process(500.0, linear_mix(80.0, 120.0));
-  util::Rng rng(3);
-  const auto jobs = process.generate(5000.0, rng);
-  ASSERT_GE(jobs.size(), 5u);
+  const auto jobs = make_jobs({{0.0, 80.0, 1.0},
+                               {500.0, 120.0, 1.0},
+                               {1000.0, 95.0, 1.0},
+                               {1500.0, 110.0, 1.0},
+                               {2000.0, 87.5, 1.0}});
 
   const Scheduler fcfs;
   const auto stats = server.run(jobs, fcfs);

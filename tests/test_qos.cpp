@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,15 @@ ServiceModel make_service(std::size_t rounds, double restart_fraction) {
   return service;
 }
 
+// The comm model a ServiceModel describes and a solver over it, for cases
+// that predict or admit outside a Server. `plat` must outlive it.
+struct ModelSolver {
+  ModelSolver(const platform::Platform& plat, const ServiceModel& service)
+      : model(make_model(service)), solver(plat, *model, service) {}
+  std::unique_ptr<sim::CommModel> model;
+  InstallmentSolver solver;
+};
+
 // --- ServicePlan ------------------------------------------------------------
 
 TEST(ServicePlan, UninterruptedServiceIsRoundsTimesCleanDuration) {
@@ -65,8 +75,10 @@ TEST(ServicePlan, UninterruptedServiceIsRoundsTimesCleanDuration) {
   // T = c·5 + w·5 = 10.
   EXPECT_NEAR(plan.clean_duration(), 10.0, 1e-6);
   EXPECT_DOUBLE_EQ(plan.total_duration(), 4.0 * plan.clean_duration());
-  EXPECT_DOUBLE_EQ(plan.total_duration(),
-                   predicted_service(service, plat, job.load, job.alpha));
+  EXPECT_DOUBLE_EQ(
+      plan.total_duration(),
+      ModelSolver(plat, service).solver.predicted_service(job.load,
+                                                          job.alpha));
 
   double served = 0.0;
   while (!plan.done()) {
@@ -187,7 +199,7 @@ TEST(ServicePlan, ValidatesItsInputs) {
   InstallmentSolver solver(plat, *model, make_service(2, 0.0));
   EXPECT_THROW(ServicePlan(solver, job, 0.0), util::PreconditionError);
   EXPECT_THROW(ServicePlan(solver, job, 20.0), util::PreconditionError);
-  EXPECT_THROW((void)predicted_service(make_service(2, 0.0), plat, -1.0, 1.0),
+  EXPECT_THROW((void)solver.predicted_service(-1.0, 1.0),
                util::PreconditionError);
 }
 
@@ -195,7 +207,8 @@ TEST(ServicePlan, ValidatesItsInputs) {
 
 TEST(Admission, BestEffortJobsAreAlwaysAdmittedWhole) {
   const auto plat = platform::Platform::homogeneous(4);
-  const AdmissionController admission(plat, make_service(2, 0.0));
+  ModelSolver owned(plat, make_service(2, 0.0));
+  const AdmissionController admission(owned.solver);
   const AdmissionDecision decision =
       admission.decide(make_job(0, 0.0, 80.0, 1.0));
   EXPECT_TRUE(decision.admitted);
@@ -212,12 +225,13 @@ TEST(Admission, RejectsProvablyInfeasibleDeadlines) {
   const online::Job infeasible = make_job(0, 10.0, 80.0, 1.0, 40.0);
   const online::Job feasible = make_job(1, 10.0, 80.0, 1.0, 60.0);
 
-  const AdmissionController reject(plat, service,
+  ModelSolver owned(plat, service);
+  const AdmissionController reject(owned.solver,
                                    {AdmissionMode::kReject, 0.25, 32});
   EXPECT_FALSE(reject.decide(infeasible).admitted);
   EXPECT_TRUE(reject.decide(feasible).admitted);
 
-  const AdmissionController admit_all(plat, service,
+  const AdmissionController admit_all(owned.solver,
                                       {AdmissionMode::kAdmitAll, 0.25, 32});
   EXPECT_TRUE(admit_all.decide(infeasible).admitted);
 }
@@ -225,7 +239,8 @@ TEST(Admission, RejectsProvablyInfeasibleDeadlines) {
 TEST(Admission, DegradeShrinksTheLoadToTheSlack) {
   const auto plat = platform::Platform::homogeneous(4);
   const ServiceModel service = make_service(2, 0.0);
-  const AdmissionController degrade(plat, service,
+  ModelSolver owned(plat, service);
+  const AdmissionController degrade(owned.solver,
                                     {AdmissionMode::kDegrade, 0.25, 40});
   // Slack 30 fits 3/4 of the load (service is linear in load here:
   // T(f·80) = 40f <= 30 -> f = 0.75).
@@ -664,6 +679,7 @@ TEST(TenantTraffic, GeneratesTaggedSortedDeadlinedStreams) {
       generate_tenant_traffic(tenants, plat, service, 2000.0, rng);
   ASSERT_GT(jobs.size(), 50u);
 
+  ModelSolver owned(plat, service);
   bool saw_both = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].id, i);
@@ -678,9 +694,8 @@ TEST(TenantTraffic, GeneratesTaggedSortedDeadlinedStreams) {
       // Deadline = arrival + slack x predicted service, bit for bit.
       EXPECT_DOUBLE_EQ(jobs[i].deadline,
                        jobs[i].arrival +
-                           3.0 * predicted_service(service, plat,
-                                                   jobs[i].load,
-                                                   jobs[i].alpha));
+                           3.0 * owned.solver.predicted_service(
+                                     jobs[i].load, jobs[i].alpha));
     }
   }
   EXPECT_TRUE(saw_both);
