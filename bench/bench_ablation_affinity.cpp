@@ -123,18 +123,20 @@ int main(int argc, char** argv) {
                                  blind.imbalance, smart.imbalance};
             });
       },
-      [](const std::vector<AffinityRow>& a,
-         const std::vector<AffinityRow>& b) {
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i].blind_bytes != b[i].blind_bytes ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].aware_bytes != b[i].aware_bytes ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].blind_imbalance != b[i].blind_imbalance ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].aware_imbalance != b[i].aware_imbalance) {  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-            return false;
-          }
+      [&](const std::vector<AffinityRow>& result, util::JsonWriter& json) {
+        for (std::size_t i = 0; i < result.size(); ++i) {
+          const Case& c = cases[i / platforms.size()];
+          json.begin_object();
+          json.key("workload").value(c.name);
+          json.key("platform").value(platforms[i % platforms.size()].first);
+          json.key("no_cache_bytes").value(c.no_cache_bytes);
+          json.key("demand_driven_bytes").value(result[i].blind_bytes);
+          json.key("affinity_bytes").value(result[i].aware_bytes);
+          json.key("imbalance_demand_driven")
+              .value(result[i].blind_imbalance);
+          json.key("imbalance_affinity").value(result[i].aware_imbalance);
+          json.end_object();
         }
-        return true;
       });
 
   util::Table table({"workload", "platform", "no-cache bytes",
@@ -159,18 +161,5 @@ int main(int argc, char** argv) {
               "already benefits from per-worker caches; affinity adds "
               "task selection on top)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      json.begin_object();
-      json.key("workload").value(cases[i / platforms.size()].name);
-      json.key("platform").value(platforms[i % platforms.size()].first);
-      json.key("no_cache_bytes")
-          .value(cases[i / platforms.size()].no_cache_bytes);
-      json.key("demand_driven_bytes").value(rows[i].blind_bytes);
-      json.key("affinity_bytes").value(rows[i].aware_bytes);
-      json.key("imbalance_demand_driven").value(rows[i].blind_imbalance);
-      json.key("imbalance_affinity").value(rows[i].aware_imbalance);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

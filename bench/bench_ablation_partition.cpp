@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 50));
+  const auto trials = args.get_count("trials", 50);
 
   bench::Harness harness("ablation_partition",
                          bench::harness_options_from_args(args));
@@ -132,23 +132,20 @@ int main(int argc, char** argv) {
               cell.bisection.push(r.bisection);
             });
       },
-      [](const std::vector<CellStats>& a, const std::vector<CellStats>& b) {
-        if (a.size() != b.size()) return false;
-        const auto same = [](const util::RunningStats& x,
-                             const util::RunningStats& y) {
-          return x.count() == y.count() && x.mean() == y.mean() &&
-                 x.variance() == y.variance();
-        };
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (!same(a[i].one_column, b[i].one_column) ||
-              !same(a[i].grid_columns, b[i].grid_columns) ||
-              !same(a[i].dp, b[i].dp) ||
-              !same(a[i].peri_max, b[i].peri_max) ||
-              !same(a[i].bisection, b[i].bisection)) {
-            return false;
-          }
+      [](const std::vector<CellStats>& result, util::JsonWriter& json) {
+        for (std::size_t i = 0; i < result.size(); ++i) {
+          json.begin_object();
+          json.key("model").value(
+              platform::to_string(kModels[i / kPs.size()]));
+          json.key("p").value(static_cast<std::size_t>(kPs[i % kPs.size()]));
+          json.key("one_column_mean").value(result[i].one_column.mean());
+          json.key("grid_columns_mean").value(result[i].grid_columns.mean());
+          json.key("dp_mean").value(result[i].dp.mean());
+          json.key("dp_stddev").value(result[i].dp.stddev());
+          json.key("peri_max_mean").value(result[i].peri_max.mean());
+          json.key("bisection_mean").value(result[i].bisection.mean());
+          json.end_object();
         }
-        return true;
       });
 
   util::Table table({"model", "p", "1 column", "sqrt(p) columns",
@@ -169,19 +166,5 @@ int main(int argc, char** argv) {
   std::printf("\n(1 column = 1-D slicing; the DP buys its biggest gains "
               "under heavy-tailed speeds)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      json.begin_object();
-      json.key("model").value(
-          platform::to_string(kModels[i / kPs.size()]));
-      json.key("p").value(static_cast<std::size_t>(kPs[i % kPs.size()]));
-      json.key("one_column_mean").value(cells[i].one_column.mean());
-      json.key("grid_columns_mean").value(cells[i].grid_columns.mean());
-      json.key("dp_mean").value(cells[i].dp.mean());
-      json.key("dp_stddev").value(cells[i].dp.stddev());
-      json.key("peri_max_mean").value(cells[i].peri_max.mean());
-      json.key("bisection_mean").value(cells[i].bisection.mean());
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

@@ -23,12 +23,13 @@
 // bench::Harness serial-vs-parallel bitwise self-check.
 //
 // --trace=FILE re-runs the headline cell (quadratic traffic, fair share,
-// shared master) with an obs::TraceRecorder attached, proves the traced
-// metrics bit-identical to the sweep's own cell (part of the exit code),
-// exports the timeline as Chrome trace-event JSON to FILE, and prints
-// the ASCII time-attribution summary.
+// shared master) with an obs::TraceRecorder attached, proves it emits
+// the sweep's own point text (part of the exit code), exports the
+// timeline as Chrome trace-event JSON to FILE, and prints the ASCII
+// time-attribution summary.
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -77,26 +78,32 @@ struct PointResult {
   online::ServiceMetrics metrics;
 };
 
-struct ContentionResults {
-  std::vector<PointResult> points;
+void write_point(util::JsonWriter& json, const PointResult& point) {
+  json.begin_object();
+  json.key("alpha").value(kAlphas[point.alpha]);
+  json.key("scheduler")
+      .value(online::to_string(kSchedulers[point.scheduler]));
+  json.key("master").value(online::to_string(kMasterModes[point.master]));
+  json.key("jobs").value(point.jobs);
+  online::write_service_metrics(json, point.metrics);
+  json.end_object();
+}
 
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const PointResult& point : points) {
-      sig.push_back(static_cast<double>(point.alpha));
-      sig.push_back(static_cast<double>(point.scheduler));
-      sig.push_back(static_cast<double>(point.master));
-      sig.push_back(static_cast<double>(point.jobs));
-      const auto metrics = point.metrics.signature();
-      sig.insert(sig.end(), metrics.begin(), metrics.end());
-    }
-    return sig;
-  }
-};
+void emit_points(const std::vector<PointResult>& points,
+                 util::JsonWriter& json) {
+  for (const PointResult& point : points) write_point(json, point);
+}
 
-ContentionResults compute_all(std::size_t threads,
-                              const platform::Platform& plat,
-                              double jobs_target, std::uint64_t seed) {
+/// The points text the driver emits for one cell.
+std::string point_text(const PointResult& point) {
+  return bench::points_text(
+      [&point](util::JsonWriter& json) { write_point(json, point); });
+}
+
+std::vector<PointResult> compute_all(std::size_t threads,
+                                     const platform::Platform& plat,
+                                     double jobs_target,
+                                     std::uint64_t seed) {
   // One pre-generated stream per traffic class, replayed pathwise
   // through every (scheduler, master) cell: the load factor maps to an
   // arrival rate against the class's own exclusive-service capacity, so
@@ -120,38 +127,35 @@ ContentionResults compute_all(std::size_t threads,
   options.threads = threads;
   options.seed = seed;
 
-  ContentionResults results;
-  results.points =
-      util::Sweep(std::move(grid), options)
-          .map<PointResult>([&](const util::SweepPoint& point, util::Rng&) {
-            PointResult result;
-            result.alpha = point.index_of("alpha");
-            result.scheduler = point.index_of("sched");
-            result.master = point.index_of("master");
+  return util::Sweep(std::move(grid), options)
+      .map<PointResult>([&](const util::SweepPoint& point, util::Rng&) {
+        PointResult result;
+        result.alpha = point.index_of("alpha");
+        result.scheduler = point.index_of("sched");
+        result.master = point.index_of("master");
 
-            const std::vector<online::Job>& jobs = streams[result.alpha];
-            result.jobs = jobs.size();
+        const std::vector<online::Job>& jobs = streams[result.alpha];
+        result.jobs = jobs.size();
 
-            online::ServerOptions server_options;
-            server_options.comm = sim::CommModelKind::kBoundedMultiport;
-            server_options.capacity = kBoundedCapacity;
-            server_options.master = kMasterModes[result.master];
-            const online::Server server(plat, server_options);
-            const auto scheduler = online::make_scheduler(
-                kSchedulers[result.scheduler], kFairShareSlots,
-                server_options.comm);
-            result.metrics = online::summarize(
-                server.run(jobs, *scheduler), plat.size());
-            return result;
-          });
-  return results;
+        online::ServerOptions server_options;
+        server_options.comm = sim::CommModelKind::kBoundedMultiport;
+        server_options.capacity = kBoundedCapacity;
+        server_options.master = kMasterModes[result.master];
+        const online::Server server(plat, server_options);
+        const auto scheduler = online::make_scheduler(
+            kSchedulers[result.scheduler], kFairShareSlots,
+            server_options.comm);
+        result.metrics = online::summarize(
+            server.run(jobs, *scheduler), plat.size());
+        return result;
+      });
 }
 
-void print_table(const ContentionResults& results) {
+void print_table(const std::vector<PointResult>& points) {
   util::Table table({"alpha", "scheduler", "master", "jobs", "util",
                      "p50 lat", "p95 lat", "p99 lat", "mean slowdown",
                      "p99 slowdown"});
-  for (const PointResult& point : results.points) {
+  for (const PointResult& point : points) {
     table.row()
         .cell(kAlphas[point.alpha], 0)
         .cell(online::to_string(kSchedulers[point.scheduler]))
@@ -169,10 +173,10 @@ void print_table(const ContentionResults& results) {
 }
 
 /// Mean slowdown of a (alpha, scheduler, master) cell.
-double cell_slowdown(const ContentionResults& results, std::size_t alpha,
-                     online::SchedulerKind scheduler,
+double cell_slowdown(const std::vector<PointResult>& points,
+                     std::size_t alpha, online::SchedulerKind scheduler,
                      online::MasterMode master) {
-  for (const PointResult& point : results.points) {
+  for (const PointResult& point : points) {
     if (point.alpha == alpha &&  // nldl-lint: allow(double-eq): exact grid-point lookup; values copied verbatim
         kSchedulers[point.scheduler] == scheduler &&
         kMasterModes[point.master] == master) {
@@ -187,7 +191,7 @@ double cell_slowdown(const ContentionResults& results, std::size_t alpha,
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const double jobs_target = args.get_double("jobs", 120.0);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 
@@ -204,29 +208,27 @@ int main(int argc, char** argv) {
   harness.config("load_factor", kLoadFactor);
   harness.config("seed", static_cast<std::int64_t>(seed));
 
-  const ContentionResults results = harness.run<ContentionResults>(
+  const auto points = harness.run<std::vector<PointResult>>(
       [&](std::size_t threads) {
         return compute_all(threads, plat, jobs_target, seed);
       },
-      [](const ContentionResults& a, const ContentionResults& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   std::printf("=== Cross-slot contention: private ports vs one shared "
               "master (load %.1f, capped master) ===\n\n",
               kLoadFactor);
-  print_table(results);
+  print_table(points);
 
   using online::MasterMode;
   using online::SchedulerKind;
   const double linear_private = cell_slowdown(
-      results, 0, SchedulerKind::kFairShare, MasterMode::kPrivatePort);
+      points, 0, SchedulerKind::kFairShare, MasterMode::kPrivatePort);
   const double linear_shared = cell_slowdown(
-      results, 0, SchedulerKind::kFairShare, MasterMode::kSharedMaster);
+      points, 0, SchedulerKind::kFairShare, MasterMode::kSharedMaster);
   const double quad_private = cell_slowdown(
-      results, 1, SchedulerKind::kFairShare, MasterMode::kPrivatePort);
+      points, 1, SchedulerKind::kFairShare, MasterMode::kPrivatePort);
   const double quad_shared = cell_slowdown(
-      results, 1, SchedulerKind::kFairShare, MasterMode::kSharedMaster);
+      points, 1, SchedulerKind::kFairShare, MasterMode::kSharedMaster);
   std::printf("\nfair-share mean slowdown, private -> shared master:\n");
   std::printf("  linear    (alpha=1): %.3f -> %.3f (x%.3f)\n",
               linear_private, linear_shared,
@@ -238,8 +240,8 @@ int main(int argc, char** argv) {
               "modes: single-job busy periods cannot contend)\n");
 
   // --trace=FILE: re-run the headline cell (quadratic, fair share,
-  // shared master) with a recorder attached, prove it bit-identical to
-  // the sweep's own point, and export the Perfetto-loadable timeline.
+  // shared master) with a recorder attached, prove it emits the sweep's
+  // own point text, and export the Perfetto-loadable timeline.
   bool trace_identical = true;
   const bench::TracedCellFlags traced_flags = bench::traced_cell_flags(args);
   if (traced_flags.any()) {
@@ -266,15 +268,16 @@ int main(int argc, char** argv) {
     const online::Server server(plat, server_options);
     const auto scheduler = online::make_scheduler(
         kSchedulers[scheduler_index], kFairShareSlots, server_options.comm);
-    const online::ServiceMetrics traced = online::summarize(
-        server.run(jobs, *scheduler, &registry), plat.size());
+    const PointResult traced{
+        alpha_index, scheduler_index, master_index, jobs.size(),
+        online::summarize(server.run(jobs, *scheduler, &registry),
+                          plat.size())};
 
-    for (const PointResult& point : results.points) {
+    for (const PointResult& point : points) {
       if (point.alpha == alpha_index &&  // nldl-lint: allow(double-eq): exact grid-point lookup; values copied verbatim
           point.scheduler == scheduler_index &&
           point.master == master_index) {
-        trace_identical = bench::identical_doubles(
-            traced.signature(), point.metrics.signature());
+        trace_identical = point_text(traced) == point_text(point);
       }
     }
     std::printf("\ntraced quadratic fair-share shared-master: %zu jobs, "
@@ -290,18 +293,6 @@ int main(int argc, char** argv) {
         trace_identical;
   }
 
-  const int harness_code = harness.finish([&](util::JsonWriter& json) {
-    for (const PointResult& point : results.points) {
-      json.begin_object();
-      json.key("alpha").value(kAlphas[point.alpha]);
-      json.key("scheduler")
-          .value(online::to_string(kSchedulers[point.scheduler]));
-      json.key("master")
-          .value(online::to_string(kMasterModes[point.master]));
-      json.key("jobs").value(point.jobs);
-      online::write_service_metrics(json, point.metrics);
-      json.end_object();
-    }
-  });
+  const int harness_code = harness.finish();
   return trace_identical ? harness_code : 1;
 }

@@ -70,15 +70,17 @@ int main(int argc, char** argv) {
               return row;
             });
       },
-      [](const std::vector<Row25D>& a, const std::vector<Row25D>& b) {
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i].valid != b[i].valid || a[i].words != b[i].words ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].bound != b[i].bound || a[i].memory != b[i].memory) {  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-            return false;
-          }
+      [](const std::vector<Row25D>& result, util::JsonWriter& json) {
+        for (const Row25D& row : result) {
+          if (!row.valid) continue;
+          json.begin_object();
+          json.key("p").value(row.p);
+          json.key("c").value(row.c);
+          json.key("words_per_proc").value(row.words);
+          json.key("itt_lower_bound").value(row.bound);
+          json.key("memory_per_proc").value(row.memory);
+          json.end_object();
         }
-        return true;
       });
 
   util::Table table({"p", "c", "words/proc", "vs c=1", "ITT lower bound",
@@ -105,16 +107,5 @@ int main(int argc, char** argv) {
               "the memory — why the paper calls\n 2.5D the notable "
               "exception to outer-product-based implementations)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (const Row25D& row : rows) {
-      if (!row.valid) continue;
-      json.begin_object();
-      json.key("p").value(row.p);
-      json.key("c").value(row.c);
-      json.key("words_per_proc").value(row.words);
-      json.key("itt_lower_bound").value(row.bound);
-      json.key("memory_per_proc").value(row.memory);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

@@ -47,15 +47,6 @@ struct BestRow {
 struct MultiRoundResults {
   std::vector<double> makespans;  ///< case-major × kRounds
   std::vector<BestRow> best;      ///< one per case
-
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig = makespans;
-    for (const auto& row : best) {
-      sig.push_back(static_cast<double>(row.rounds));
-      sig.push_back(row.makespan);
-    }
-    return sig;
-  }
 };
 
 }  // namespace
@@ -110,8 +101,25 @@ int main(int argc, char** argv) {
         }
         return out;
       },
-      [](const MultiRoundResults& a, const MultiRoundResults& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
+      [&](const MultiRoundResults& result, util::JsonWriter& json) {
+        for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+          for (std::size_t ri = 0; ri < kRounds.size(); ++ri) {
+            json.begin_object();
+            json.key("family").value("round_sweep");
+            json.key("platform").value(cases[ci].name);
+            json.key("rounds").value(
+                static_cast<std::size_t>(kRounds[ri]));
+            json.key("makespan").value(
+                result.makespans[ci * kRounds.size() + ri]);
+            json.end_object();
+          }
+          json.begin_object();
+          json.key("family").value("auto_tuned");
+          json.key("platform").value(cases[ci].name);
+          json.key("best_rounds").value(result.best[ci].rounds);
+          json.key("best_makespan").value(result.best[ci].makespan);
+          json.end_object();
+        }
       });
 
   util::Table table({"platform", "c/w ratio", "R=1", "R=2", "R=4", "R=8",
@@ -134,24 +142,5 @@ int main(int argc, char** argv) {
               "~c*N no matter\n how many rounds. best_multi_round scans "
               "uniform and geometric installment shapes.)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t ci = 0; ci < cases.size(); ++ci) {
-      for (std::size_t ri = 0; ri < kRounds.size(); ++ri) {
-        json.begin_object();
-        json.key("family").value("round_sweep");
-        json.key("platform").value(cases[ci].name);
-        json.key("rounds").value(
-            static_cast<std::size_t>(kRounds[ri]));
-        json.key("makespan").value(
-            results.makespans[ci * kRounds.size() + ri]);
-        json.end_object();
-      }
-      json.begin_object();
-      json.key("family").value("auto_tuned");
-      json.key("platform").value(cases[ci].name);
-      json.key("best_rounds").value(results.best[ci].rounds);
-      json.key("best_makespan").value(results.best[ci].makespan);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

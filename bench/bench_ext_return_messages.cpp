@@ -98,15 +98,17 @@ int main(int argc, char** argv) {
               return row;
             });
       },
-      [](const std::vector<ReturnRow>& a, const std::vector<ReturnRow>& b) {
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i].ideal != b[i].ideal || a[i].fifo != b[i].fifo ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].lifo != b[i].lifo || a[i].solo != b[i].solo) {  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-            return false;
-          }
+      [&](const std::vector<ReturnRow>& result, util::JsonWriter& json) {
+        for (std::size_t i = 0; i < result.size(); ++i) {
+          json.begin_object();
+          json.key("platform").value(platforms[i / kDeltas.size()].first);
+          json.key("delta").value(kDeltas[i % kDeltas.size()]);
+          json.key("parallel_links").value(result[i].ideal);
+          json.key("fifo").value(result[i].fifo);
+          json.key("lifo").value(result[i].lifo);
+          json.key("best_solo").value(result[i].solo);
+          json.end_object();
         }
-        return true;
       });
 
   util::Table table({"platform", "delta", "parallel-links", "FIFO",
@@ -128,16 +130,5 @@ int main(int argc, char** argv) {
               "the best solo worker — participation is not free,\n echoing "
               "ref [29]'s idle-processor optima.)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      json.begin_object();
-      json.key("platform").value(platforms[i / kDeltas.size()].first);
-      json.key("delta").value(kDeltas[i % kDeltas.size()]);
-      json.key("parallel_links").value(rows[i].ideal);
-      json.key("fifo").value(rows[i].fifo);
-      json.key("lifo").value(rows[i].lifo);
-      json.key("best_solo").value(rows[i].solo);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

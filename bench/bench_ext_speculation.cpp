@@ -87,18 +87,19 @@ int main(int argc, char** argv) {
                              spec.total_bytes - plain.total_bytes};
             });
       },
-      [](const std::vector<SpecRow>& a, const std::vector<SpecRow>& b) {
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i].plain_makespan != b[i].plain_makespan ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].spec_makespan != b[i].spec_makespan ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].backups != b[i].backups ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].backups_won != b[i].backups_won ||  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-              a[i].extra_bytes != b[i].extra_bytes) {  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
-            return false;
-          }
+      [&](const std::vector<SpecRow>& result, util::JsonWriter& json) {
+        for (std::size_t i = 0; i < result.size(); ++i) {
+          json.begin_object();
+          json.key("workload")
+              .value(workloads[i / kSlowdowns.size()].name);
+          json.key("slowdown").value(kSlowdowns[i % kSlowdowns.size()]);
+          json.key("makespan_plain").value(result[i].plain_makespan);
+          json.key("makespan_speculative").value(result[i].spec_makespan);
+          json.key("backup_launches").value(result[i].backups);
+          json.key("backups_won").value(result[i].backups_won);
+          json.key("extra_bytes").value(result[i].extra_bytes);
+          json.end_object();
         }
-        return true;
       });
 
   for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
@@ -128,18 +129,5 @@ int main(int argc, char** argv) {
               "modest duplicate-fetch cost —\n the mechanism that lets "
               "MapReduce tolerate the heterogeneity the paper studies)\n");
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      json.begin_object();
-      json.key("workload")
-          .value(workloads[i / kSlowdowns.size()].name);
-      json.key("slowdown").value(kSlowdowns[i % kSlowdowns.size()]);
-      json.key("makespan_plain").value(rows[i].plain_makespan);
-      json.key("makespan_speculative").value(rows[i].spec_makespan);
-      json.key("backup_launches").value(rows[i].backups);
-      json.key("backups_won").value(rows[i].backups_won);
-      json.key("extra_bytes").value(rows[i].extra_bytes);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

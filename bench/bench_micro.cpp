@@ -4,9 +4,10 @@
 //
 // Each grid point is one (kernel, size) pair: the kernel runs
 // --micro-reps times (default 3), the best wall time is reported, and a
-// deterministic checksum of the kernel's output enters the harness's
-// serial-vs-parallel bit-identity self-check. Wall times are measured on
-// the serial pass only; the parallel pass re-validates the checksums.
+// deterministic checksum of the kernel's output is the point the
+// harness's serial-vs-parallel bit-identity self-check compares. Wall
+// times are reported from the serial pass only; the parallel pass
+// re-validates the checksums.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -224,8 +225,7 @@ MicroResult run_kernel(const KernelCase& kernel, std::size_t reps) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto micro_reps =
-      static_cast<std::size_t>(args.get_int("micro-reps", 3));
+  const auto micro_reps = args.get_count("micro-reps", 3);
 
   bench::Harness harness("micro", bench::harness_options_from_args(args));
   harness.config("micro_reps", micro_reps);
@@ -245,15 +245,16 @@ int main(int argc, char** argv) {
               return run_kernel(kCases[point.index_of("case")], micro_reps);
             });
       },
-      [](const std::vector<MicroResult>& a,
-         const std::vector<MicroResult>& b) {
-        // Only the checksums enter the identity check — wall times are
-        // honest measurements and never bit-stable.
-        if (a.size() != b.size()) return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          if (a[i].checksum != b[i].checksum) return false;  // nldl-lint: allow(double-eq): bitwise reproducibility self-check
+      [](const std::vector<MicroResult>& result, util::JsonWriter& json) {
+        // Only the checksums are points — wall times are honest
+        // measurements and never bit-stable.
+        for (std::size_t i = 0; i < result.size(); ++i) {
+          json.begin_object();
+          json.key("kernel").value(kCases[i].name);
+          json.key("n").value(kCases[i].n);
+          json.key("checksum").value(result[i].checksum);
+          json.end_object();
         }
-        return true;
       });
 
   util::Table table({"kernel", "n", "best (s)", "checksum"});
@@ -267,27 +268,17 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  return harness.finish(
-      [&](util::JsonWriter& json) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          json.begin_object();
-          json.key("kernel").value(kCases[i].name);
-          json.key("n").value(kCases[i].n);
-          json.key("checksum").value(results[i].checksum);
-          json.end_object();
-        }
-      },
-      [&](util::JsonWriter& json) {
-        // Wall times live in the measured sidecar: honest measurements,
-        // never bit-stable, never part of the reproduction check.
-        json.key("kernels").begin_array();
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          json.begin_object();
-          json.key("kernel").value(kCases[i].name);
-          json.key("n").value(kCases[i].n);
-          json.key("best_seconds").value(results[i].best_seconds);
-          json.end_object();
-        }
-        json.end_array();
-      });
+  return harness.finish([&](util::JsonWriter& json) {
+    // Wall times live in the measured sidecar: honest measurements,
+    // never bit-stable, never part of the reproduction check.
+    json.key("kernels").begin_array();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      json.begin_object();
+      json.key("kernel").value(kCases[i].name);
+      json.key("n").value(kCases[i].n);
+      json.key("best_seconds").value(results[i].best_seconds);
+      json.end_object();
+    }
+    json.end_array();
+  });
 }

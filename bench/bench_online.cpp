@@ -17,11 +17,12 @@
 //
 // --trace=FILE runs one extra high-load fair-share bounded-multiport
 // cell twice on a fresh deterministic stream — once bare, once with an
-// obs::TraceRecorder attached — proves the two runs bit-identical (part
-// of the exit code), exports the traced timeline as Chrome trace-event
-// JSON to FILE, and prints the ASCII time-attribution summary.
+// obs::TraceRecorder attached — proves the two emit the same point text
+// (part of the exit code), exports the traced timeline as Chrome
+// trace-event JSON to FILE, and prints the ASCII time-attribution summary.
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -70,25 +71,32 @@ struct PointResult {
   online::ServiceMetrics metrics;
 };
 
-struct OnlineResults {
-  std::vector<PointResult> points;
+void write_point(util::JsonWriter& json, const PointResult& point) {
+  json.begin_object();
+  json.key("load_factor").value(point.load_factor);
+  json.key("scheduler")
+      .value(online::to_string(kSchedulers[point.scheduler]));
+  json.key("comm").value(sim::to_string(kCommModels[point.comm]));
+  json.key("jobs").value(point.jobs);
+  online::write_service_metrics(json, point.metrics);
+  json.end_object();
+}
 
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const PointResult& point : points) {
-      sig.push_back(point.load_factor);
-      sig.push_back(static_cast<double>(point.scheduler));
-      sig.push_back(static_cast<double>(point.comm));
-      sig.push_back(static_cast<double>(point.jobs));
-      const auto metrics = point.metrics.signature();
-      sig.insert(sig.end(), metrics.begin(), metrics.end());
-    }
-    return sig;
-  }
-};
+void emit_points(const std::vector<PointResult>& points,
+                 util::JsonWriter& json) {
+  for (const PointResult& point : points) write_point(json, point);
+}
 
-OnlineResults compute_all(std::size_t threads, const platform::Platform& plat,
-                          double jobs_target, std::uint64_t seed) {
+/// The points text the driver emits for one cell.
+std::string point_text(const PointResult& point) {
+  return bench::points_text(
+      [&point](util::JsonWriter& json) { write_point(json, point); });
+}
+
+std::vector<PointResult> compute_all(std::size_t threads,
+                                     const platform::Platform& plat,
+                                     double jobs_target,
+                                     std::uint64_t seed) {
   // Exclusive-service capacity reference: a load factor L maps to
   // arrival rate L / T_ref. The parallel-links reference is used for
   // every comm cell so a given load factor means the same arrival stream
@@ -103,45 +111,42 @@ OnlineResults compute_all(std::size_t threads, const platform::Platform& plat,
   options.threads = threads;
   options.seed = seed;
 
-  OnlineResults results;
-  results.points =
-      util::Sweep(std::move(grid), options)
-          .map<PointResult>([&](const util::SweepPoint& point,
-                                util::Rng& rng) {
-            PointResult result;
-            result.load_factor = point.value("load");
-            result.scheduler = point.index_of("sched");
-            result.comm = point.index_of("comm");
+  return util::Sweep(std::move(grid), options)
+      .map<PointResult>([&](const util::SweepPoint& point,
+                            util::Rng& rng) {
+        PointResult result;
+        result.load_factor = point.value("load");
+        result.scheduler = point.index_of("sched");
+        result.comm = point.index_of("comm");
 
-            const double rate = result.load_factor / t_ref;
-            const double horizon = jobs_target / rate;
-            const online::PoissonArrivals arrivals(rate, job_mix());
-            const auto jobs = arrivals.generate(horizon, rng);
-            result.jobs = jobs.size();
+        const double rate = result.load_factor / t_ref;
+        const double horizon = jobs_target / rate;
+        const online::PoissonArrivals arrivals(rate, job_mix());
+        const auto jobs = arrivals.generate(horizon, rng);
+        result.jobs = jobs.size();
 
-            online::ServerOptions server_options;
-            server_options.comm = kCommModels[result.comm];
-            if (server_options.comm ==
-                sim::CommModelKind::kBoundedMultiport) {
-              server_options.capacity = kBoundedCapacity;
-            }
-            const online::Server server(plat, server_options);
-            const auto scheduler = online::make_scheduler(
-                kSchedulers[result.scheduler], kFairShareSlots,
-                server_options.comm);
-            result.metrics =
-                online::summarize(server.run(jobs, *scheduler),
-                                  plat.size());
-            return result;
-          });
-  return results;
+        online::ServerOptions server_options;
+        server_options.comm = kCommModels[result.comm];
+        if (server_options.comm ==
+            sim::CommModelKind::kBoundedMultiport) {
+          server_options.capacity = kBoundedCapacity;
+        }
+        const online::Server server(plat, server_options);
+        const auto scheduler = online::make_scheduler(
+            kSchedulers[result.scheduler], kFairShareSlots,
+            server_options.comm);
+        result.metrics =
+            online::summarize(server.run(jobs, *scheduler),
+                              plat.size());
+        return result;
+      });
 }
 
-void print_table(const OnlineResults& results) {
+void print_table(const std::vector<PointResult>& points) {
   util::Table table({"load", "scheduler", "comm", "jobs", "util",
                      "p50 lat", "p95 lat", "p99 lat", "mean slowdown",
                      "p99 slowdown"});
-  for (const PointResult& point : results.points) {
+  for (const PointResult& point : points) {
     table.row()
         .cell(point.load_factor, 1)
         .cell(online::to_string(kSchedulers[point.scheduler]))
@@ -163,7 +168,7 @@ void print_table(const OnlineResults& results) {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const double jobs_target = args.get_double("jobs", 150.0);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 
@@ -178,23 +183,21 @@ int main(int argc, char** argv) {
   harness.config("bounded_capacity", kBoundedCapacity);
   harness.config("seed", static_cast<std::int64_t>(seed));
 
-  const OnlineResults results = harness.run<OnlineResults>(
+  const auto points = harness.run<std::vector<PointResult>>(
       [&](std::size_t threads) {
         return compute_all(threads, plat, jobs_target, seed);
       },
-      [](const OnlineResults& a, const OnlineResults& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   std::printf("=== Online multi-job service: load x scheduler x comm "
               "(Poisson arrivals, mixed alpha in {1, 2}) ===\n\n");
-  print_table(results);
+  print_table(points);
   std::printf("\n(slowdown = latency / isolated whole-platform makespan; "
               "SPMF ranks by predicted nonlinear makespan, not size)\n");
 
   // --trace=FILE: one extra high-load fair-share bounded-multiport cell,
-  // run untraced then traced on the same fresh stream; the pair must be
-  // bit-identical, and the traced timeline is exported. --blame adds the
+  // run untraced then traced on the same fresh stream; the pair must emit
+  // the same point text, and the traced timeline is exported. --blame adds the
   // critical-path blame table (and the pid-4 path overlay in the trace);
   // --metrics=FILE dumps the cell's MetricsRegistry as JSON. Either flag
   // runs the cell even without --trace.
@@ -225,10 +228,12 @@ int main(int argc, char** argv) {
     };
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;
-    const online::ServiceMetrics bare = run_cell(nullptr, nullptr);
-    const online::ServiceMetrics traced = run_cell(&recorder, &registry);
-    trace_identical =
-        bench::identical_doubles(bare.signature(), traced.signature());
+    // Compared as the points would print it: fair share (kSchedulers[1])
+    // under bounded multiport (kCommModels[2]).
+    PointResult cell{load, 1, 2, jobs.size(), run_cell(nullptr, nullptr)};
+    const std::string bare = point_text(cell);
+    cell.metrics = run_cell(&recorder, &registry);
+    trace_identical = point_text(cell) == bare;
     std::printf("\ntraced load=%.1f fair-share bounded: %zu jobs, "
                 "%zu events | vs untraced: %s\n",
                 load, jobs.size(), recorder.size(),
@@ -241,17 +246,6 @@ int main(int argc, char** argv) {
         trace_identical;
   }
 
-  const int harness_code = harness.finish([&](util::JsonWriter& json) {
-    for (const PointResult& point : results.points) {
-      json.begin_object();
-      json.key("load_factor").value(point.load_factor);
-      json.key("scheduler")
-          .value(online::to_string(kSchedulers[point.scheduler]));
-      json.key("comm").value(sim::to_string(kCommModels[point.comm]));
-      json.key("jobs").value(point.jobs);
-      online::write_service_metrics(json, point.metrics);
-      json.end_object();
-    }
-  });
+  const int harness_code = harness.finish();
   return trace_identical ? harness_code : 1;
 }

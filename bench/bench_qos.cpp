@@ -27,13 +27,14 @@
 // the metrics land in BENCH_qos.json.
 //
 // --trace=FILE re-runs the headline flip cell (overload, SRPT,
-// bounded-multiport, rho = 2) with an obs::TraceRecorder attached, proves
-// the traced metrics bit-identical to the sweep's own cell (part of the
-// exit code), exports the timeline as Chrome trace-event JSON to FILE,
-// and prints the ASCII time-attribution summary.
+// bounded-multiport, rho = 2) at concurrency 4, bare and with an
+// obs::TraceRecorder attached, proves the two emit the same point text
+// (part of the exit code), exports the timeline as Chrome trace-event
+// JSON to FILE, and prints the ASCII time-attribution summary.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,25 +87,51 @@ struct PointResult {
   qos::QosMetrics metrics;
 };
 
-struct QosResults {
-  std::vector<PointResult> points;
+void write_point(util::JsonWriter& json, const PointResult& point) {
+  json.begin_object();
+  json.key("load_factor").value(point.load_factor);
+  json.key("policy").value(qos::to_string(kPolicies[point.policy]));
+  json.key("comm").value(sim::to_string(kCommModels[point.comm]));
+  json.key("restart_fraction").value(point.restart);
+  const qos::QosMetrics& m = point.metrics;
+  json.key("offered").value(m.offered);
+  json.key("admitted").value(m.admitted);
+  json.key("rejected").value(m.rejected);
+  json.key("degraded").value(m.degraded);
+  json.key("deadline_misses").value(m.deadline_misses);
+  json.key("miss_rate").value(m.miss_rate);
+  json.key("slo_violation_rate").value(m.slo_violation_rate);
+  json.key("goodput").value(m.goodput);
+  json.key("utilization").value(m.utilization);
+  json.key("preemptions_per_job").value(m.preemptions_per_job);
+  json.key("restart_share").value(m.restart_share);
+  json.key("jain_fairness").value(m.jain_fairness);
+  json.key("horizon").value(m.horizon);
+  json.key("mean_latency").value(m.service.mean_latency);
+  json.key("p50_latency").value(m.service.p50_latency);
+  json.key("p95_latency").value(m.service.p95_latency);
+  json.key("p99_latency").value(m.service.p99_latency);
+  json.key("tenant_on_time_load").begin_array();
+  for (const double load : m.tenant_on_time_load) json.value(load);
+  json.end_array();
+  json.end_object();
+}
 
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const PointResult& point : points) {
-      sig.push_back(point.load_factor);
-      sig.push_back(static_cast<double>(point.policy));
-      sig.push_back(static_cast<double>(point.comm));
-      sig.push_back(point.restart);
-      const auto metrics = point.metrics.signature();
-      sig.insert(sig.end(), metrics.begin(), metrics.end());
-    }
-    return sig;
-  }
-};
+void emit_points(const std::vector<PointResult>& points,
+                 util::JsonWriter& json) {
+  for (const PointResult& point : points) write_point(json, point);
+}
 
-QosResults compute_all(std::size_t threads, const platform::Platform& plat,
-                       double jobs_target, std::uint64_t seed) {
+/// The points text the driver emits for one cell.
+std::string point_text(const PointResult& point) {
+  return bench::points_text(
+      [&point](util::JsonWriter& json) { write_point(json, point); });
+}
+
+std::vector<PointResult> compute_all(std::size_t threads,
+                                     const platform::Platform& plat,
+                                     double jobs_target,
+                                     std::uint64_t seed) {
   const std::vector<qos::TenantSpec> base = qos::reference_tenants();
   // Capacity reference under the parallel-links service model, so a
   // given load factor means the same arrival rates across every cell.
@@ -143,41 +170,38 @@ QosResults compute_all(std::size_t threads, const platform::Platform& plat,
   options.threads = threads;
   options.seed = seed;
 
-  QosResults results;
-  results.points =
-      util::Sweep(std::move(grid), options)
-          .map<PointResult>([&](const util::SweepPoint& point,
-                                util::Rng&) {
-            PointResult result;
-            result.load_factor = kLoadFactors[point.index_of("load")];
-            result.policy = point.index_of("policy");
-            result.comm = point.index_of("comm");
-            result.restart = kRestartFractions[point.index_of("restart")];
+  return util::Sweep(std::move(grid), options)
+      .map<PointResult>([&](const util::SweepPoint& point,
+                            util::Rng&) {
+        PointResult result;
+        result.load_factor = kLoadFactors[point.index_of("load")];
+        result.policy = point.index_of("policy");
+        result.comm = point.index_of("comm");
+        result.restart = kRestartFractions[point.index_of("restart")];
 
-            const qos::ServiceModel service = make_service(
-                kCommModels[result.comm], result.restart);
-            // Identical arrivals across the policy and restart axes
-            // (deadlines comm-matched): the policy rankings in the JSON
-            // are pathwise comparisons. The sweep's own pre-split rng is
-            // deliberately unused — the streams were precomputed above.
-            const auto& jobs =
-                streams[point.index_of("load")][result.comm];
+        const qos::ServiceModel service = make_service(
+            kCommModels[result.comm], result.restart);
+        // Identical arrivals across the policy and restart axes
+        // (deadlines comm-matched): the policy rankings in the JSON
+        // are pathwise comparisons. The sweep's own pre-split rng is
+        // deliberately unused — the streams were precomputed above.
+        const auto& jobs =
+            streams[point.index_of("load")][result.comm];
 
-            const qos::Server server(plat, {service, {}});
-            const auto policy = qos::make_policy(
-                kPolicies[result.policy], qos::tenant_weights(base));
-            result.metrics =
-                qos::summarize(server.run(jobs, *policy), plat.size(),
-                               qos::tenant_weights(base));
-            return result;
-          });
-  return results;
+        const qos::Server server(plat, {service, {}});
+        const auto policy = qos::make_policy(
+            kPolicies[result.policy], qos::tenant_weights(base));
+        result.metrics =
+            qos::summarize(server.run(jobs, *policy), plat.size(),
+                           qos::tenant_weights(base));
+        return result;
+      });
 }
 
-void print_table(const QosResults& results) {
+void print_table(const std::vector<PointResult>& points) {
   util::Table table({"load", "policy", "comm", "rho", "jobs", "miss",
                      "goodput", "jain", "restart%", "p95 lat"});
-  for (const PointResult& point : results.points) {
+  for (const PointResult& point : points) {
     table.row()
         .cell(point.load_factor, 1)
         .cell(qos::to_string(kPolicies[point.policy]))
@@ -199,7 +223,7 @@ void print_table(const QosResults& results) {
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const double jobs_target = args.get_double("jobs", 100.0);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 
@@ -216,24 +240,22 @@ int main(int argc, char** argv) {
                             "analytics(quadratic)");
   harness.config("seed", static_cast<std::int64_t>(seed));
 
-  const QosResults results = harness.run<QosResults>(
+  const auto points = harness.run<std::vector<PointResult>>(
       [&](std::size_t threads) {
         return compute_all(threads, plat, jobs_target, seed);
       },
-      [](const QosResults& a, const QosResults& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   std::printf("=== QoS: load x policy x comm x restart fraction "
               "(3 tenants, heavy-tailed + SLO traffic) ===\n\n");
-  print_table(results);
+  print_table(points);
   std::printf("\n(miss = deadline-miss rate among admitted SLO jobs; "
               "jain = fairness of weighted on-time goodput;\n restart%% = "
               "share of service time burned re-dispatching preempted "
               "state — preemption's nonlinear price)\n");
 
   // --trace=FILE: re-run the headline flip cell with a recorder attached,
-  // prove it bit-identical to the sweep's own point, and export the
+  // prove it emits the same point as its untraced twin, and export the
   // Perfetto-loadable timeline. --blame adds the critical-path blame
   // table (and the pid-4 path overlay); --metrics=FILE dumps the cell's
   // MetricsRegistry as JSON; --slo sets the burn-rate objective (the
@@ -264,7 +286,7 @@ int main(int argc, char** argv) {
     // engine run per busy period: the trace then carries real per-worker
     // transfer/compute spans (the serial whole-platform mode only knows
     // aggregate installment durations). Run the cell bare, then traced —
-    // the pair must be bit-identical.
+    // the pair must emit the same point text.
     std::vector<qos::JobRecord> cell_records;
     const auto run_cell = [&](obs::TraceSink* trace,
                               obs::MetricsRegistry* metrics,
@@ -286,11 +308,11 @@ int main(int argc, char** argv) {
     };
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;
-    const qos::QosMetrics bare = run_cell(nullptr, nullptr, nullptr);
-    const qos::QosMetrics traced =
-        run_cell(&recorder, &registry, &cell_records);
-    trace_identical =
-        bench::identical_doubles(bare.signature(), traced.signature());
+    PointResult cell{kLoadFactors[load_index], policy_index, comm_index,
+                     restart, run_cell(nullptr, nullptr, nullptr)};
+    const std::string bare = point_text(cell);
+    cell.metrics = run_cell(&recorder, &registry, &cell_records);
+    trace_identical = point_text(cell) == bare;
     std::printf("\ntraced load=%.1f srpt bounded rho=%.0f conc=4: "
                 "%zu jobs, %zu events | vs untraced: %s\n",
                 kLoadFactors[load_index], restart, jobs.size(),
@@ -324,36 +346,6 @@ int main(int argc, char** argv) {
         trace_identical;
   }
 
-  const int harness_code = harness.finish([&](util::JsonWriter& json) {
-    for (const PointResult& point : results.points) {
-      json.begin_object();
-      json.key("load_factor").value(point.load_factor);
-      json.key("policy").value(qos::to_string(kPolicies[point.policy]));
-      json.key("comm").value(sim::to_string(kCommModels[point.comm]));
-      json.key("restart_fraction").value(point.restart);
-      const qos::QosMetrics& m = point.metrics;
-      json.key("offered").value(m.offered);
-      json.key("admitted").value(m.admitted);
-      json.key("rejected").value(m.rejected);
-      json.key("degraded").value(m.degraded);
-      json.key("deadline_misses").value(m.deadline_misses);
-      json.key("miss_rate").value(m.miss_rate);
-      json.key("slo_violation_rate").value(m.slo_violation_rate);
-      json.key("goodput").value(m.goodput);
-      json.key("utilization").value(m.utilization);
-      json.key("preemptions_per_job").value(m.preemptions_per_job);
-      json.key("restart_share").value(m.restart_share);
-      json.key("jain_fairness").value(m.jain_fairness);
-      json.key("horizon").value(m.horizon);
-      json.key("mean_latency").value(m.service.mean_latency);
-      json.key("p50_latency").value(m.service.p50_latency);
-      json.key("p95_latency").value(m.service.p95_latency);
-      json.key("p99_latency").value(m.service.p99_latency);
-      json.key("tenant_on_time_load").begin_array();
-      for (const double load : m.tenant_on_time_load) json.value(load);
-      json.end_array();
-      json.end_object();
-    }
-  });
+  const int harness_code = harness.finish();
   return trace_identical ? harness_code : 1;
 }

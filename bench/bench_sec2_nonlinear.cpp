@@ -56,36 +56,6 @@ struct Sec2Results {
   std::vector<HetPoint> heterogeneous;      ///< model-major, p fastest
   std::vector<MakespanRow> makespan;
   std::vector<core::CapacitySweepRow> capacity;
-
-  /// Flat numeric signature for the harness's bitwise self-check.
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    const auto nfl = [&sig](const core::NflPoint& point) {
-      sig.push_back(static_cast<double>(point.p));
-      sig.push_back(point.alpha);
-      sig.push_back(point.closed_form);
-      sig.push_back(point.simulated_parallel);
-      sig.push_back(point.simulated_one_port);
-    };
-    for (const auto& point : homogeneous) nfl(point);
-    for (const auto& point : heterogeneous) {
-      nfl(point.alpha2);
-      nfl(point.alpha3);
-    }
-    for (const auto& row : makespan) {
-      sig.push_back(static_cast<double>(row.p));
-      sig.push_back(row.makespan);
-      sig.push_back(row.work_done);
-      sig.push_back(row.total_work);
-    }
-    for (const auto& row : capacity) {
-      sig.push_back(row.capacity);
-      sig.push_back(row.comm_phase_end);
-      sig.push_back(row.makespan);
-      sig.push_back(row.covered_fraction);
-    }
-    return sig;
-  }
 };
 
 Sec2Results compute_all(std::size_t threads, double total_load,
@@ -145,6 +115,53 @@ Sec2Results compute_all(std::size_t threads, double total_load,
     results.capacity = core::capacity_sweep(config);
   }
   return results;
+}
+
+void emit_points(const Sec2Results& results, util::JsonWriter& json) {
+  for (const auto& point : results.homogeneous) {
+    json.begin_object();
+    json.key("family").value("homogeneous_remaining_fraction");
+    json.key("p").value(point.p);
+    json.key("alpha").value(point.alpha);
+    json.key("closed_form").value(point.closed_form);
+    json.key("parallel_links").value(point.simulated_parallel);
+    json.key("one_port").value(point.simulated_one_port);
+    json.end_object();
+  }
+  for (std::size_t i = 0; i < results.heterogeneous.size(); ++i) {
+    for (const core::NflPoint* point :
+         {&results.heterogeneous[i].alpha2,
+          &results.heterogeneous[i].alpha3}) {
+      json.begin_object();
+      json.key("family").value("heterogeneous_remaining_fraction");
+      json.key("model").value(
+          platform::to_string(kHetModels[i / kHetPs.size()]));
+      json.key("p").value(point->p);
+      json.key("alpha").value(point->alpha);
+      json.key("parallel_links").value(point->simulated_parallel);
+      json.key("one_port").value(point->simulated_one_port);
+      json.key("homog_closed_form").value(point->closed_form);
+      json.end_object();
+    }
+  }
+  for (const auto& row : results.makespan) {
+    json.begin_object();
+    json.key("family").value("round_vs_total_makespan");
+    json.key("p").value(row.p);
+    json.key("makespan").value(row.makespan);
+    json.key("work_done").value(row.work_done);
+    json.key("total_work").value(row.total_work);
+    json.end_object();
+  }
+  for (const auto& row : results.capacity) {
+    json.begin_object();
+    json.key("family").value("capacity_sweep");
+    json.key("capacity").value(row.capacity);
+    json.key("comm_phase_end").value(row.comm_phase_end);
+    json.key("makespan").value(row.makespan);
+    json.key("covered_fraction").value(row.covered_fraction);
+    json.end_object();
+  }
 }
 
 void print_tables(const Sec2Results& results, double total_load) {
@@ -229,56 +246,9 @@ int main(int argc, char** argv) {
       [&](std::size_t threads) {
         return compute_all(threads, total_load, seed);
       },
-      [](const Sec2Results& a, const Sec2Results& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   print_tables(results, total_load);
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (const auto& point : results.homogeneous) {
-      json.begin_object();
-      json.key("family").value("homogeneous_remaining_fraction");
-      json.key("p").value(point.p);
-      json.key("alpha").value(point.alpha);
-      json.key("closed_form").value(point.closed_form);
-      json.key("parallel_links").value(point.simulated_parallel);
-      json.key("one_port").value(point.simulated_one_port);
-      json.end_object();
-    }
-    for (std::size_t i = 0; i < results.heterogeneous.size(); ++i) {
-      for (const core::NflPoint* point :
-           {&results.heterogeneous[i].alpha2,
-            &results.heterogeneous[i].alpha3}) {
-        json.begin_object();
-        json.key("family").value("heterogeneous_remaining_fraction");
-        json.key("model").value(
-            platform::to_string(kHetModels[i / kHetPs.size()]));
-        json.key("p").value(point->p);
-        json.key("alpha").value(point->alpha);
-        json.key("parallel_links").value(point->simulated_parallel);
-        json.key("one_port").value(point->simulated_one_port);
-        json.key("homog_closed_form").value(point->closed_form);
-        json.end_object();
-      }
-    }
-    for (const auto& row : results.makespan) {
-      json.begin_object();
-      json.key("family").value("round_vs_total_makespan");
-      json.key("p").value(row.p);
-      json.key("makespan").value(row.makespan);
-      json.key("work_done").value(row.work_done);
-      json.key("total_work").value(row.total_work);
-      json.end_object();
-    }
-    for (const auto& row : results.capacity) {
-      json.begin_object();
-      json.key("family").value("capacity_sweep");
-      json.key("capacity").value(row.capacity);
-      json.key("comm_phase_end").value(row.comm_phase_end);
-      json.key("makespan").value(row.makespan);
-      json.key("covered_fraction").value(row.covered_fraction);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

@@ -12,8 +12,9 @@
 //
 // Families (1)–(3) are deterministic util::Sweep grids driven by
 // bench::Harness (serial vs parallel bit-identity self-checked at
-// runtime); family (4) measures real wall-clock, so it runs once and its
-// timings are reported in the JSON without entering the identity check.
+// runtime); family (4) measures real wall-clock, so it runs once, before
+// the sweeps: its bucket-size ratios join the points and its timings go
+// to the measured sidecar.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -57,34 +58,6 @@ struct Sec3Results {
   std::vector<sort::BucketBoundCheck> bound_hom;  ///< n-major, p fastest
   std::vector<sort::BucketBoundCheck> bound_het;
   std::vector<PipelineRow> pipeline;
-
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const auto& point : fractions) {
-      sig.insert(sig.end(),
-                 {point.n, static_cast<double>(point.p), point.fraction,
-                  point.step1, point.step2, point.step3,
-                  point.preprocessing_ratio});
-    }
-    const auto bound = [&sig](const sort::BucketBoundCheck& check) {
-      sig.insert(sig.end(),
-                 {static_cast<double>(check.n),
-                  static_cast<double>(check.p),
-                  static_cast<double>(check.oversampling), check.threshold,
-                  check.probability_bound,
-                  static_cast<double>(check.violations),
-                  check.violation_rate, check.mean_max_over_expected});
-    };
-    for (const auto& check : bound_hom) bound(check);
-    for (const auto& check : bound_het) bound(check);
-    for (const auto& row : pipeline) {
-      sig.insert(sig.end(),
-                 {static_cast<double>(row.platform), row.n,
-                  row.heterogeneous ? 1.0 : 0.0, row.makespan, row.ideal,
-                  row.overhead});
-    }
-    return sig;
-  }
 };
 
 /// The star platforms of the scheduled-pipeline family. The heterogeneous
@@ -291,6 +264,60 @@ std::vector<SortRaceRow> sample_vs_merge(std::uint64_t seed) {
   return rows;
 }
 
+/// Families (1)-(3), then the executed sorts' bucket-size ratios: a pure
+/// function of the seed, while their wall-clock timings go to "measured".
+void emit_points(const Sec3Results& results,
+                 const std::vector<ExecutedSortRow>& executed,
+                 util::JsonWriter& json) {
+  for (const auto& point : results.fractions) {
+    json.begin_object();
+    json.key("family").value("fraction");
+    json.key("n").value(point.n);
+    json.key("p").value(point.p);
+    json.key("log_p_over_log_n").value(point.fraction);
+    json.key("preprocessing_ratio").value(point.preprocessing_ratio);
+    json.end_object();
+  }
+  const auto emit_bound = [&json](const sort::BucketBoundCheck& check,
+                                  const char* family) {
+    json.begin_object();
+    json.key("family").value(family);
+    json.key("n").value(check.n);
+    json.key("p").value(check.p);
+    json.key("oversampling").value(check.oversampling);
+    json.key("violation_rate").value(check.violation_rate);
+    json.key("probability_bound").value(check.probability_bound);
+    json.key("mean_max_over_expected")
+        .value(check.mean_max_over_expected);
+    json.end_object();
+  };
+  for (const auto& check : results.bound_hom) {
+    emit_bound(check, "bucket_bound");
+  }
+  for (const auto& check : results.bound_het) {
+    emit_bound(check, "bucket_bound_heterogeneous");
+  }
+  for (const auto& row : results.pipeline) {
+    json.begin_object();
+    json.key("family").value("scheduled_pipeline");
+    json.key("platform").value(row.platform);
+    json.key("n").value(row.n);
+    json.key("heterogeneous_buckets").value(row.heterogeneous);
+    json.key("makespan").value(row.makespan);
+    json.key("ideal").value(row.ideal);
+    json.key("overhead_ratio").value(row.overhead);
+    json.end_object();
+  }
+  for (const auto& row : executed) {
+    json.begin_object();
+    json.key("family").value("executed_sample_sort");
+    json.key("n").value(row.n);
+    json.key("p").value(row.p);
+    json.key("max_over_expected").value(row.stats.max_over_expected);
+    json.end_object();
+  }
+}
+
 void print_tables(
     const Sec3Results& results,
     const std::vector<std::pair<std::string, platform::Platform>>&
@@ -371,71 +398,23 @@ int main(int argc, char** argv) {
       platform::make_platform(platform::SpeedModel::kUniform, 16, het_rng)
           .speeds();
 
+  // The executed sample sorts run first: their bucket ratios are points,
+  // so every pass's emitter must see them.
+  const auto executed = executed_sort(seed);
+
   const Sec3Results results = harness.run<Sec3Results>(
       [&](std::size_t threads) {
         return compute_all(threads, seed, platforms, het_speeds);
       },
-      [](const Sec3Results& a, const Sec3Results& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
+      [&](const Sec3Results& result, util::JsonWriter& json) {
+        emit_points(result, executed, json);
       });
 
   print_tables(results, platforms);
 
-  const auto executed = executed_sort(seed);
   const auto race = sample_vs_merge(seed);
 
   return harness.finish([&](util::JsonWriter& json) {
-    for (const auto& point : results.fractions) {
-      json.begin_object();
-      json.key("family").value("fraction");
-      json.key("n").value(point.n);
-      json.key("p").value(point.p);
-      json.key("log_p_over_log_n").value(point.fraction);
-      json.key("preprocessing_ratio").value(point.preprocessing_ratio);
-      json.end_object();
-    }
-    const auto emit_bound = [&json](const sort::BucketBoundCheck& check,
-                                    const char* family) {
-      json.begin_object();
-      json.key("family").value(family);
-      json.key("n").value(check.n);
-      json.key("p").value(check.p);
-      json.key("oversampling").value(check.oversampling);
-      json.key("violation_rate").value(check.violation_rate);
-      json.key("probability_bound").value(check.probability_bound);
-      json.key("mean_max_over_expected")
-          .value(check.mean_max_over_expected);
-      json.end_object();
-    };
-    for (const auto& check : results.bound_hom) {
-      emit_bound(check, "bucket_bound");
-    }
-    for (const auto& check : results.bound_het) {
-      emit_bound(check, "bucket_bound_heterogeneous");
-    }
-    for (const auto& row : results.pipeline) {
-      json.begin_object();
-      json.key("family").value("scheduled_pipeline");
-      json.key("platform").value(row.platform);
-      json.key("n").value(row.n);
-      json.key("heterogeneous_buckets").value(row.heterogeneous);
-      json.key("makespan").value(row.makespan);
-      json.key("ideal").value(row.ideal);
-      json.key("overhead_ratio").value(row.overhead);
-      json.end_object();
-    }
-    // The executed families' bucket-size ratios are a pure function of
-    // the seed and stay here; their wall-clock timings go to "measured".
-    for (const auto& row : executed) {
-      json.begin_object();
-      json.key("family").value("executed_sample_sort");
-      json.key("n").value(row.n);
-      json.key("p").value(row.p);
-      json.key("max_over_expected").value(row.stats.max_over_expected);
-      json.end_object();
-    }
-  },
-  [&](util::JsonWriter& json) {
     json.key("executed_sample_sort").begin_array();
     for (const auto& row : executed) {
       json.begin_object();

@@ -66,25 +66,6 @@ struct Sec41Results {
   std::vector<FormulaRow> formulas;  ///< one per kFormulaCases entry
   std::vector<RhoRow> rho;           ///< one per kRhoKs entry
   std::vector<ExecutedRow> executed; ///< [het, hom]
-
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const auto& row : formulas) {
-      sig.insert(sig.end(), {row.formula_volume, row.hom_volume,
-                             row.het_volume, row.het_bound,
-                             row.lower_bound});
-    }
-    for (const auto& row : rho) {
-      sig.insert(sig.end(), {row.k, row.rho, row.bound, row.weak_bound,
-                             row.hom_over_lb, row.het_over_lb});
-    }
-    for (const auto& row : executed) {
-      sig.insert(sig.end(),
-                 {static_cast<double>(row.total_elements), row.per_cell,
-                  row.imbalance, row.max_error});
-    }
-    return sig;
-  }
 };
 
 Sec41Results compute_all(std::size_t threads, std::uint64_t seed) {
@@ -180,6 +161,40 @@ Sec41Results compute_all(std::size_t threads, std::uint64_t seed) {
   return results;
 }
 
+void emit_points(const Sec41Results& results, util::JsonWriter& json) {
+  for (std::size_t i = 0; i < results.formulas.size(); ++i) {
+    const FormulaRow& row = results.formulas[i];
+    json.begin_object();
+    json.key("family").value("formula_validation");
+    json.key("platform").value(kFormulaCases[i].first);
+    json.key("formula_volume").value(row.formula_volume);
+    json.key("hom_volume").value(row.hom_volume);
+    json.key("het_volume").value(row.het_volume);
+    json.key("lower_bound").value(row.lower_bound);
+    json.end_object();
+  }
+  for (const RhoRow& row : results.rho) {
+    json.begin_object();
+    json.key("family").value("rho_two_class");
+    json.key("k").value(row.k);
+    json.key("rho").value(row.rho);
+    json.key("bound").value(row.bound);
+    json.key("hom_over_lb").value(row.hom_over_lb);
+    json.key("het_over_lb").value(row.het_over_lb);
+    json.end_object();
+  }
+  for (std::size_t i = 0; i < results.executed.size(); ++i) {
+    const ExecutedRow& row = results.executed[i];
+    json.begin_object();
+    json.key("family").value("executed_outer_product");
+    json.key("strategy").value(i == 0 ? "het" : "hom");
+    json.key("elements_shipped").value(row.total_elements);
+    json.key("imbalance").value(row.imbalance);
+    json.key("max_error").value(row.max_error);
+    json.end_object();
+  }
+}
+
 void print_tables(const Sec41Results& results) {
   std::printf("=== Formula validation (Section 4.1.1/4.1.2) ===\n\n");
   util::Table formulas({"platform", "Comm_hom formula", "Comm_hom measured",
@@ -247,43 +262,9 @@ int main(int argc, char** argv) {
 
   const Sec41Results results = harness.run<Sec41Results>(
       [&](std::size_t threads) { return compute_all(threads, seed); },
-      [](const Sec41Results& a, const Sec41Results& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   print_tables(results);
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < results.formulas.size(); ++i) {
-      const FormulaRow& row = results.formulas[i];
-      json.begin_object();
-      json.key("family").value("formula_validation");
-      json.key("platform").value(kFormulaCases[i].first);
-      json.key("formula_volume").value(row.formula_volume);
-      json.key("hom_volume").value(row.hom_volume);
-      json.key("het_volume").value(row.het_volume);
-      json.key("lower_bound").value(row.lower_bound);
-      json.end_object();
-    }
-    for (const RhoRow& row : results.rho) {
-      json.begin_object();
-      json.key("family").value("rho_two_class");
-      json.key("k").value(row.k);
-      json.key("rho").value(row.rho);
-      json.key("bound").value(row.bound);
-      json.key("hom_over_lb").value(row.hom_over_lb);
-      json.key("het_over_lb").value(row.het_over_lb);
-      json.end_object();
-    }
-    for (std::size_t i = 0; i < results.executed.size(); ++i) {
-      const ExecutedRow& row = results.executed[i];
-      json.begin_object();
-      json.key("family").value("executed_outer_product");
-      json.key("strategy").value(i == 0 ? "het" : "hom");
-      json.key("elements_shipped").value(row.total_elements);
-      json.key("imbalance").value(row.imbalance);
-      json.key("max_error").value(row.max_error);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

@@ -83,35 +83,6 @@ struct Sec42Results {
   std::vector<CyclicRow> cyclic;
   std::vector<ReplicationRow> replication;
   std::vector<double> replication_at_scale;  ///< volumes, n-major
-
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const auto& row : executed) {
-      sig.insert(sig.end(),
-                 {static_cast<double>(row.total_elements),
-                  row.analytic_volume, row.imbalance, row.max_error});
-    }
-    for (const auto& row : at_scale) {
-      sig.insert(sig.end(), {row.hom, row.hom_k, row.het, row.lower_bound,
-                             row.het_over_lb, row.hom_k_over_lb});
-    }
-    for (const auto& row : cyclic) {
-      sig.push_back(row.n);
-      sig.push_back(static_cast<double>(row.grid_index));
-      sig.insert(sig.end(), row.volume_per_block.begin(),
-                 row.volume_per_block.end());
-      sig.push_back(row.closed_form);
-    }
-    for (const auto& row : replication) {
-      sig.insert(sig.end(),
-                 {static_cast<double>(row.block),
-                  static_cast<double>(row.map_tasks), row.volume,
-                  static_cast<double>(row.shuffle_records), row.max_error});
-    }
-    sig.insert(sig.end(), replication_at_scale.begin(),
-               replication_at_scale.end());
-    return sig;
-  }
 };
 
 Sec42Results compute_all(std::size_t threads, std::uint64_t seed) {
@@ -233,6 +204,52 @@ Sec42Results compute_all(std::size_t threads, std::uint64_t seed) {
   return results;
 }
 
+void emit_points(const Sec42Results& results, util::JsonWriter& json) {
+  for (std::size_t i = 0; i < results.executed.size(); ++i) {
+    const ExecutedRow& row = results.executed[i];
+    json.begin_object();
+    json.key("family").value("executed_matmul");
+    json.key("platform").value(kExecutedCases[i].first);
+    json.key("elements_shipped").value(row.total_elements);
+    json.key("analytic_volume").value(row.analytic_volume);
+    json.key("imbalance").value(row.imbalance);
+    json.key("max_error").value(row.max_error);
+    json.end_object();
+  }
+  for (std::size_t i = 0; i < results.at_scale.size(); ++i) {
+    const ScaleRow& row = results.at_scale[i];
+    json.begin_object();
+    json.key("family").value("strategy_at_scale");
+    json.key("case").value(i);
+    json.key("hom").value(row.hom);
+    json.key("hom_k").value(row.hom_k);
+    json.key("het").value(row.het);
+    json.key("lower_bound").value(row.lower_bound);
+    json.end_object();
+  }
+  for (const CyclicRow& row : results.cyclic) {
+    json.begin_object();
+    json.key("family").value("block_cyclic");
+    json.key("n").value(row.n);
+    json.key("grid").value(row.grid_index);
+    json.key("volumes").begin_array();
+    for (const double volume : row.volume_per_block) json.value(volume);
+    json.end_array();
+    json.key("closed_form").value(row.closed_form);
+    json.end_object();
+  }
+  for (const ReplicationRow& row : results.replication) {
+    json.begin_object();
+    json.key("family").value("mapreduce_replication");
+    json.key("block").value(row.block);
+    json.key("map_tasks").value(row.map_tasks);
+    json.key("volume").value(row.volume);
+    json.key("shuffle_records").value(row.shuffle_records);
+    json.key("max_error").value(row.max_error);
+    json.end_object();
+  }
+}
+
 void print_tables(const Sec42Results& results) {
   std::printf("=== Executed outer-product matmul (SUMMA) on a PERI-SUM "
               "layout, N = 96 ===\n\n");
@@ -340,55 +357,9 @@ int main(int argc, char** argv) {
 
   const Sec42Results results = harness.run<Sec42Results>(
       [&](std::size_t threads) { return compute_all(threads, seed); },
-      [](const Sec42Results& a, const Sec42Results& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
-      });
+      emit_points);
 
   print_tables(results);
 
-  return harness.finish([&](util::JsonWriter& json) {
-    for (std::size_t i = 0; i < results.executed.size(); ++i) {
-      const ExecutedRow& row = results.executed[i];
-      json.begin_object();
-      json.key("family").value("executed_matmul");
-      json.key("platform").value(kExecutedCases[i].first);
-      json.key("elements_shipped").value(row.total_elements);
-      json.key("analytic_volume").value(row.analytic_volume);
-      json.key("imbalance").value(row.imbalance);
-      json.key("max_error").value(row.max_error);
-      json.end_object();
-    }
-    for (std::size_t i = 0; i < results.at_scale.size(); ++i) {
-      const ScaleRow& row = results.at_scale[i];
-      json.begin_object();
-      json.key("family").value("strategy_at_scale");
-      json.key("case").value(i);
-      json.key("hom").value(row.hom);
-      json.key("hom_k").value(row.hom_k);
-      json.key("het").value(row.het);
-      json.key("lower_bound").value(row.lower_bound);
-      json.end_object();
-    }
-    for (const CyclicRow& row : results.cyclic) {
-      json.begin_object();
-      json.key("family").value("block_cyclic");
-      json.key("n").value(row.n);
-      json.key("grid").value(row.grid_index);
-      json.key("volumes").begin_array();
-      for (const double volume : row.volume_per_block) json.value(volume);
-      json.end_array();
-      json.key("closed_form").value(row.closed_form);
-      json.end_object();
-    }
-    for (const ReplicationRow& row : results.replication) {
-      json.begin_object();
-      json.key("family").value("mapreduce_replication");
-      json.key("block").value(row.block);
-      json.key("map_tasks").value(row.map_tasks);
-      json.key("volume").value(row.volume);
-      json.key("shuffle_records").value(row.shuffle_records);
-      json.key("max_error").value(row.max_error);
-      json.end_object();
-    }
-  });
+  return harness.finish();
 }

@@ -19,19 +19,19 @@
 // Every cell derives its job stream from a fixed seed (comparison pairs
 // share one), so the whole bench is a util::Sweep under bench::Harness:
 // parallel and serial passes must agree bit for bit. Per-cell wall times
-// are measured inside the pass but excluded from the bitwise signature
-// (they land in the measured sidecar, not the deterministic payload).
+// are measured inside the pass but are not points: they land in the
+// measured sidecar, not the deterministic payload.
 //
 // --trace=FILE additionally re-runs the qos/incremental2 cell with an
-// obs::TraceRecorder attached, proves the traced digest bit-identical to
-// the untraced cell (part of the exit code), exports the timeline as
-// Chrome trace-event JSON to FILE, and prints the ASCII time-attribution
-// summary.
+// obs::TraceRecorder attached, proves it emits the untraced cell's point
+// text (part of the exit code), exports the timeline as Chrome
+// trace-event JSON to FILE, and prints the ASCII time-attribution summary.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -70,8 +70,8 @@ online::JobMix job_mix() {
 }
 
 /// FNV-1a over the bytes of per-job (dispatch, finish) pairs, exposed as
-/// an exactly-representable double (53 bits) so it can ride the
-/// harness's identical_doubles signature check.
+/// an exactly-representable double (53 bits) so the payload prints it
+/// exactly.
 class JobDigest {
  public:
   void add(double dispatch, double finish) noexcept {
@@ -109,25 +109,30 @@ struct CellResult {
   std::uint64_t replays = 0;
   std::uint64_t busy_periods = 0;
   /// Wall seconds of this cell in the pass it was computed in — timing,
-  /// not simulation output, so it is NOT part of the bitwise signature.
+  /// not simulation output, so write_cell() leaves it out of the points.
   double wall_seconds = 0.0;
 };
 
-struct SoakResults {
-  std::vector<CellResult> cells;
+void write_cell(util::JsonWriter& json, const CellSpec& spec,
+                const CellResult& cell) {
+  json.begin_object();
+  json.key("cell").value(spec.name);
+  json.key("incremental").value(spec.incremental);
+  json.key("jobs").value(cell.jobs);
+  json.key("digest").value(cell.digest);
+  json.key("busy_periods").value(static_cast<std::size_t>(cell.busy_periods));
+  json.key("replays").value(static_cast<std::size_t>(cell.replays));
+  json.key("engine_events")
+      .value(static_cast<std::size_t>(cell.engine_events));
+  json.end_object();
+}
 
-  [[nodiscard]] std::vector<double> signature() const {
-    std::vector<double> sig;
-    for (const CellResult& cell : cells) {
-      sig.push_back(static_cast<double>(cell.jobs));
-      sig.push_back(cell.digest);
-      sig.push_back(static_cast<double>(cell.engine_events));
-      sig.push_back(static_cast<double>(cell.replays));
-      sig.push_back(static_cast<double>(cell.busy_periods));
-    }
-    return sig;
-  }
-};
+/// The points text the driver emits for one cell.
+std::string cell_text(const CellSpec& spec, const CellResult& cell) {
+  return bench::points_text([&](util::JsonWriter& json) {
+    write_cell(json, spec, cell);
+  });
+}
 
 /// Horizon for ~`target` Poisson arrivals, padded 2% so the realized
 /// count lands at or above the target (a 10^6-job soak should actually
@@ -208,43 +213,37 @@ CellResult run_qos_cell(const platform::Platform& plat,
   return result;
 }
 
-SoakResults compute_all(std::size_t threads,
-                        const platform::Platform& plat,
-                        const std::vector<CellSpec>& specs,
-                        double online_rate, double qos_rate) {
+std::vector<CellResult> compute_all(std::size_t threads,
+                                    const platform::Platform& plat,
+                                    const std::vector<CellSpec>& specs,
+                                    double online_rate, double qos_rate) {
   util::Grid grid;
   grid.axis("cell", specs.size());
   util::SweepOptions options;
   options.threads = threads;
 
-  SoakResults results;
-  results.cells =
-      util::Sweep(std::move(grid), options)
-          .map<CellResult>([&](const util::SweepPoint& point, util::Rng&) {
-            const CellSpec& spec = specs[point.index_of("cell")];
-            CellResult cell;
-            {
-              const bench::ProfileScope timer(cell.wall_seconds);
-              cell = spec.qos ? run_qos_cell(plat, spec, qos_rate)
-                              : run_online_cell(plat, spec, online_rate);
-            }
-            return cell;
-          });
-  return results;
+  return util::Sweep(std::move(grid), options)
+      .map<CellResult>([&](const util::SweepPoint& point, util::Rng&) {
+        const CellSpec& spec = specs[point.index_of("cell")];
+        CellResult cell;
+        {
+          const bench::ProfileScope timer(cell.wall_seconds);
+          cell = spec.qos ? run_qos_cell(plat, spec, qos_rate)
+                          : run_online_cell(plat, spec, online_rate);
+        }
+        return cell;
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto jobs =
-      static_cast<std::size_t>(args.get_int("jobs", 1000000));
-  const auto qos_jobs =
-      static_cast<std::size_t>(args.get_int("qos-jobs", 100000));
-  const auto compare_jobs =
-      static_cast<std::size_t>(args.get_int("compare-jobs", 10000));
+  const auto jobs = args.get_count("jobs", 1000000);
+  const auto qos_jobs = args.get_count("qos-jobs", 100000);
+  const auto compare_jobs = args.get_count("compare-jobs", 10000);
   const double load = args.get_double("load", 0.9);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
 
   const platform::Platform plat =
       platform::Platform::two_class(p, 1.0, 4.0);
@@ -288,24 +287,26 @@ int main(int argc, char** argv) {
   harness.config("fair_share_slots", kFairShareSlots);
   harness.config("bounded_capacity", kBoundedCapacity);
 
-  const SoakResults results = harness.run<SoakResults>(
+  const auto cells = harness.run<std::vector<CellResult>>(
       [&](std::size_t threads) {
         return compute_all(threads, plat, specs, online_rate, qos_rate);
       },
-      [](const SoakResults& a, const SoakResults& b) {
-        return bench::identical_doubles(a.signature(), b.signature());
+      [&specs](const std::vector<CellResult>& pass, util::JsonWriter& json) {
+        for (std::size_t i = 0; i < pass.size(); ++i) {
+          write_cell(json, specs[i], pass[i]);
+        }
       });
 
   std::size_t total_jobs = 0;
-  for (const CellResult& cell : results.cells) total_jobs += cell.jobs;
+  for (const CellResult& cell : cells) total_jobs += cell.jobs;
   harness.items(total_jobs);
 
   std::printf("=== Shared-master soak: %zu-cell sustained load %.2f ===\n\n",
-              results.cells.size(), load);
+              cells.size(), load);
   util::Table table({"cell", "jobs", "busy periods", "replays",
                      "engine events", "wall s", "jobs/s", "events/s"});
-  for (std::size_t i = 0; i < results.cells.size(); ++i) {
-    const CellResult& cell = results.cells[i];
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellResult& cell = cells[i];
     const double wall = cell.wall_seconds > 0.0 ? cell.wall_seconds : 1e-9;
     table.row()
         .cell(specs[i].name)
@@ -323,9 +324,9 @@ int main(int argc, char** argv) {
   // Incremental must reproduce full replay bit for bit — this is part of
   // the exit code, exactly like the harness's serial/parallel check.
   bool replay_identical = true;
-  for (std::size_t full = 1; full + 1 < results.cells.size(); full += 3) {
-    const CellResult& reference = results.cells[full];
-    const CellResult& incremental = results.cells[full + 1];
+  for (std::size_t full = 1; full + 1 < cells.size(); full += 3) {
+    const CellResult& reference = cells[full];
+    const CellResult& incremental = cells[full + 1];
     const bool match = reference.jobs == incremental.jobs &&
                        reference.digest == incremental.digest;  // nldl-lint: allow(double-eq): bitwise replay digest compare
     if (!match) replay_identical = false;
@@ -354,10 +355,9 @@ int main(int argc, char** argv) {
     const CellResult traced = run_qos_cell(
         plat, specs[traced_cell], qos_rate, &recorder, &registry,
         &cell_records);
-    const CellResult& untraced = results.cells[traced_cell];
-    trace_identical = traced.jobs == untraced.jobs &&
-                      traced.digest == untraced.digest &&  // nldl-lint: allow(double-eq): bitwise replay digest compare
-                      traced.engine_events == untraced.engine_events;
+    trace_identical =
+        cell_text(specs[traced_cell], traced) ==
+        cell_text(specs[traced_cell], cells[traced_cell]);
     std::printf("\ntraced %s: %zu jobs, %zu events | vs untraced: %s\n",
                 specs[traced_cell].name, traced.jobs,
                 static_cast<std::size_t>(traced.engine_events),
@@ -394,39 +394,20 @@ int main(int argc, char** argv) {
                stdout);
   }
 
-  const int harness_code = harness.finish(
-      [&](util::JsonWriter& json) {
-        for (std::size_t i = 0; i < results.cells.size(); ++i) {
-          const CellResult& cell = results.cells[i];
-          json.begin_object();
-          json.key("cell").value(specs[i].name);
-          json.key("incremental").value(specs[i].incremental);
-          json.key("jobs").value(cell.jobs);
-          json.key("digest").value(cell.digest);
-          json.key("busy_periods")
-              .value(static_cast<std::size_t>(cell.busy_periods));
-          json.key("replays").value(static_cast<std::size_t>(cell.replays));
-          json.key("engine_events")
-              .value(static_cast<std::size_t>(cell.engine_events));
-          json.end_object();
-        }
-      },
-      [&](util::JsonWriter& json) {
-        json.key("cells").begin_array();
-        for (std::size_t i = 0; i < results.cells.size(); ++i) {
-          const CellResult& cell = results.cells[i];
-          const double wall =
-              cell.wall_seconds > 0.0 ? cell.wall_seconds : 1e-9;
-          json.begin_object();
-          json.key("cell").value(specs[i].name);
-          json.key("wall_seconds").value(cell.wall_seconds);
-          json.key("jobs_per_sec")
-              .value(static_cast<double>(cell.jobs) / wall);
-          json.key("events_per_sec")
-              .value(static_cast<double>(cell.engine_events) / wall);
-          json.end_object();
-        }
-        json.end_array();
-      });
+  const int harness_code = harness.finish([&](util::JsonWriter& json) {
+    json.key("cells").begin_array();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const CellResult& cell = cells[i];
+      const double wall = cell.wall_seconds > 0.0 ? cell.wall_seconds : 1e-9;
+      json.begin_object();
+      json.key("cell").value(specs[i].name);
+      json.key("wall_seconds").value(cell.wall_seconds);
+      json.key("jobs_per_sec").value(static_cast<double>(cell.jobs) / wall);
+      json.key("events_per_sec")
+          .value(static_cast<double>(cell.engine_events) / wall);
+      json.end_object();
+    }
+    json.end_array();
+  });
   return replay_identical && trace_identical ? harness_code : 1;
 }

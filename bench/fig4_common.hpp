@@ -14,27 +14,24 @@
 
 namespace nldl::bench {
 
-/// Bitwise comparison of two sweeps: the parallel runner must reproduce
-/// the serial run exactly (same sub-streams, same reduction order).
-inline bool fig4_rows_identical(const std::vector<core::Fig4Row>& a,
-                                const std::vector<core::Fig4Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto same = [](const util::RunningStats& x,
-                         const util::RunningStats& y) {
-      return x.count() == y.count() && x.mean() == y.mean() &&
-             x.variance() == y.variance();
-    };
-    if (a[i].p != b[i].p || !same(a[i].het, b[i].het) ||
-        !same(a[i].hom, b[i].hom) || !same(a[i].hom_k, b[i].hom_k) ||
-        !same(a[i].k_used, b[i].k_used) ||
-        !same(a[i].hom_imbalance, b[i].hom_imbalance) ||
-        a[i].hom_imbalance_dropped != b[i].hom_imbalance_dropped ||
-        a[i].hom_idle_trials != b[i].hom_idle_trials) {
-      return false;
-    }
+/// The deterministic "points" of one panel: one object per p.
+inline void emit_fig4_points(const std::vector<core::Fig4Row>& rows,
+                             util::JsonWriter& json) {
+  for (const auto& row : rows) {
+    json.begin_object();
+    json.key("p").value(row.p);
+    json.key("het_mean").value(row.het.mean());
+    json.key("het_stddev").value(row.het.stddev());
+    json.key("hom_mean").value(row.hom.mean());
+    json.key("hom_stddev").value(row.hom.stddev());
+    json.key("hom_k_mean").value(row.hom_k.mean());
+    json.key("hom_k_stddev").value(row.hom_k.stddev());
+    json.key("k_mean").value(row.k_used.mean());
+    json.key("hom_imbalance_mean").value(row.hom_imbalance.mean());
+    json.key("hom_imbalance_dropped").value(row.hom_imbalance_dropped);
+    json.key("hom_idle_trials").value(row.hom_idle_trials);
+    json.end_object();
   }
-  return true;
 }
 
 /// Run one Figure 4 panel: print the paper-style table, then record the
@@ -50,7 +47,7 @@ inline int run_fig4_panel(const char* figure, const char* panel,
   const util::Args args(argc, argv);
   core::Fig4Config config;
   config.model = model;
-  config.trials = static_cast<std::size_t>(args.get_int("trials", 100));
+  config.trials = args.get_count("trials", 100);
   config.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
   config.strategy_options.imbalance_target = args.get_double("target", 0.01);
@@ -73,15 +70,15 @@ inline int run_fig4_panel(const char* figure, const char* panel,
   std::printf("paper expectation: %s\n\n", expectation);
 
   // Serial reference run, then the pooled run; the harness requires the
-  // two to agree bit for bit (per-trial RNG sub-streams + ordered
-  // reduction inside core::run_fig4's util::Sweep).
+  // two to emit the same points bit for bit (per-trial RNG sub-streams +
+  // ordered reduction inside core::run_fig4's util::Sweep).
   const auto rows = harness.run<std::vector<core::Fig4Row>>(
       [&config](std::size_t threads) {
         core::Fig4Config run_config = config;
         run_config.threads = threads;
         return core::run_fig4(run_config);
       },
-      fig4_rows_identical);
+      emit_fig4_points);
 
   const auto table = core::fig4_table(rows);
   table.print(std::cout);
@@ -105,23 +102,7 @@ inline int run_fig4_panel(const char* figure, const char* panel,
   chart.add_series("Comm_hom/k", '*', ps, hom_k);
   std::printf("\n%s", chart.render().c_str());
 
-  const int exit_code = harness.finish([&rows](util::JsonWriter& json) {
-    for (const auto& row : rows) {
-      json.begin_object();
-      json.key("p").value(row.p);
-      json.key("het_mean").value(row.het.mean());
-      json.key("het_stddev").value(row.het.stddev());
-      json.key("hom_mean").value(row.hom.mean());
-      json.key("hom_stddev").value(row.hom.stddev());
-      json.key("hom_k_mean").value(row.hom_k.mean());
-      json.key("hom_k_stddev").value(row.hom_k.stddev());
-      json.key("k_mean").value(row.k_used.mean());
-      json.key("hom_imbalance_mean").value(row.hom_imbalance.mean());
-      json.key("hom_imbalance_dropped").value(row.hom_imbalance_dropped);
-      json.key("hom_idle_trials").value(row.hom_idle_trials);
-      json.end_object();
-    }
-  });
+  const int exit_code = harness.finish();
 
   if (args.has("csv")) {
     const std::string path = args.get_string("csv", "");

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const auto n = args.get_int("n", 240);
   const auto block = args.get_int("block", 12);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 6));
+  const auto p = args.get_count("p", 6);
   const double k = args.get_double("k", 8.0);
   if (n % block != 0) {
     std::fprintf(stderr, "n must be divisible by block\n");

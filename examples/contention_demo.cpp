@@ -58,7 +58,7 @@ online::JobMix single_class_mix(double alpha) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const double rho = args.get_double("rho", 0.7);
   const double jobs_target = args.get_double("jobs", 80.0);
   const auto seed = static_cast<std::uint64_t>(

@@ -55,11 +55,10 @@ void render(const std::vector<std::vector<bool>>& owned, std::size_t grid) {
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const double k = args.get_double("k", 12.0);
-  const auto grid = static_cast<std::size_t>(args.get_int("grid", 48));
-  auto worker = static_cast<std::size_t>(
-      args.get_int("worker", static_cast<long long>(p) - 1));
+  const auto grid = args.get_count("grid", 48);
+  auto worker = args.get_count("worker", p - 1);
   if (worker >= p) worker = p - 1;
 
   const auto plat = platform::Platform::two_class(p, 1.0, k);

@@ -17,8 +17,8 @@ using namespace nldl;
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 96));
-  const auto block = static_cast<std::size_t>(args.get_int("block", 8));
+  const auto n = args.get_count("n", 96);
+  const auto block = args.get_count("block", 8);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
   if (n % block != 0) {

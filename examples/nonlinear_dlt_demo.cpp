@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   const double n = args.get_double("n", 1000.0);
   const double alpha = args.get_double("alpha", 2.0);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
 
   std::printf("=== Section 2: one optimal DLT round on a workload of cost "
               "N^%.1f ===\n\n", alpha);

@@ -35,7 +35,7 @@ using namespace nldl;
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const double rho = args.get_double("rho", 0.85);
   const double horizon = args.get_double("horizon", 30.0);
   const auto seed = static_cast<std::uint64_t>(

@@ -18,7 +18,7 @@ using namespace nldl;
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 480));
+  const auto n = args.get_count("n", 480);
   const double k = args.get_double("k", 16.0);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));

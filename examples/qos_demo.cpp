@@ -37,7 +37,7 @@ using namespace nldl;
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto p = args.get_count("p", 8);
   const double rho_load = args.get_double("rho-load", 0.9);
   const double jobs_target = args.get_double("jobs", 80.0);
   const auto seed = static_cast<std::uint64_t>(

@@ -12,7 +12,7 @@ using namespace nldl;
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto p = static_cast<std::size_t>(args.get_int("p", 12));
+  const auto p = args.get_count("p", 12);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
   const std::string model_name = args.get_string("model", "lognormal");

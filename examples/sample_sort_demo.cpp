@@ -31,8 +31,8 @@ void print_bucket_bars(const std::vector<std::size_t>& sizes,
 
 int main(int argc, char** argv) {
   const util::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 1 << 20));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
+  const auto n = args.get_count("n", 1 << 20);
+  const auto p = args.get_count("p", 8);
   const auto seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(util::Rng::kDefaultSeed)));
 

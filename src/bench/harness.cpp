@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -14,21 +15,20 @@ namespace nldl::bench {
 
 HarnessOptions harness_options_from_args(const util::Args& args) {
   HarnessOptions options;
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  options.repetitions =
-      static_cast<std::size_t>(args.get_int("reps", 1));
-  options.warmup = static_cast<std::size_t>(args.get_int("warmup", 0));
+  options.threads = args.get_count("threads", 0);
+  options.repetitions = args.get_count("reps", 1);
+  options.warmup = args.get_count("warmup", 0);
   options.json_path = args.get_string("json", "");
   return options;
 }
 
-bool identical_doubles(const std::vector<double>& a,
-                       const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
+std::string points_text(const std::function<void(util::JsonWriter&)>& emit) {
+  std::ostringstream out;
+  util::JsonWriter json(out);
+  json.begin_array();
+  emit(json);
+  json.end_array();
+  return out.str();
 }
 
 Harness::Harness(std::string name, HarnessOptions options)
@@ -101,9 +101,9 @@ std::size_t Harness::peak_rss_bytes() noexcept {
 }
 
 int Harness::finish(
-    const std::function<void(util::JsonWriter&)>& emit_points,
     const std::function<void(util::JsonWriter&)>& emit_measured) {
-  NLDL_REQUIRE(ran_, "Harness::finish() before run()");
+  NLDL_REQUIRE(static_cast<bool>(emit_reference_),
+               "Harness::finish() before run()");
 
   const std::size_t peak_rss = peak_rss_bytes();
   std::printf("\nrunner[%s]: serial %.3fs | %zu threads %.3fs | "
@@ -148,7 +148,7 @@ int Harness::finish(
       metrics_.write_json(json);
     }
     json.key("points").begin_array();
-    emit_points(json);
+    emit_reference_(json);
     json.end_array();
     json.end_object();
 

@@ -7,9 +7,11 @@
 //   2. times `repetitions` serial passes (threads = 1) and keeps the best
 //      wall time and the first pass's results as the reference,
 //   3. times `repetitions` parallel passes (the configured width) and
-//      checks every one bit-identical to the serial reference — the
-//      runtime proof that the util::Sweep contract (pre-split RNG
-//      sub-streams + ordered reduction) held,
+//      requires every repeated serial pass and every parallel pass to
+//      emit the reference pass's "points" text byte for byte — the text
+//      the payload publishes, so the runtime proof that the util::Sweep
+//      contract (pre-split RNG sub-streams + ordered reduction) held
+//      covers exactly what CI diffs,
 //   4. streams a machine-readable BENCH_<name>.json via util::JsonWriter,
 //      split into two top-level objects:
 //
@@ -59,11 +61,11 @@ struct HarnessOptions {
 [[nodiscard]] HarnessOptions harness_options_from_args(
     const util::Args& args);
 
-/// Bitwise equality for result vectors built of doubles — the default
-/// self-check comparator. (Exact comparison is the point: the parallel
-/// sweep must reproduce the serial one to the last bit.)
-[[nodiscard]] bool identical_doubles(const std::vector<double>& a,
-                                     const std::vector<double>& b);
+/// The text `emit` writes as the elements of a JSON array: what the
+/// self-check compares between passes. Drivers compare a traced cell with
+/// its untraced twin the same way.
+[[nodiscard]] std::string points_text(
+    const std::function<void(util::JsonWriter&)>& emit);
 
 class Harness {
  public:
@@ -117,26 +119,34 @@ class Harness {
 
   /// Run the protocol: warmup, timed serial passes, timed parallel passes,
   /// self-check. `run_sweep(threads)` must evaluate the full experiment at
-  /// the given thread count; `identical` decides bit-identity. Returns the
-  /// serial reference result (the one every table/JSON point should be
-  /// derived from).
+  /// the given thread count; `emit_points(result, json)` writes one pass's
+  /// "points" array elements. Every pass's points text must equal the
+  /// first serial pass's byte for byte, and finish() publishes that
+  /// reference. Returns the reference result (the one every table should
+  /// be derived from).
   template <typename Result>
   Result run(const std::function<Result(std::size_t)>& run_sweep,
-             const std::function<bool(const Result&, const Result&)>&
-                 identical) {
+             const std::function<void(const Result&, util::JsonWriter&)>&
+                 emit_points) {
+    const auto text_of = [&emit_points](const Result& result) {
+      return points_text(
+          [&](util::JsonWriter& json) { emit_points(result, json); });
+    };
     for (std::size_t i = 0; i < options_.warmup; ++i) {
       (void)run_sweep(1);
     }
 
     Result reference{};
+    std::string reference_text;
     serial_seconds_ = -1.0;
     for (std::size_t rep = 0; rep < options_.repetitions; ++rep) {
       const double start = WallClock::now();
       Result result = run_sweep(1);
       const double elapsed = WallClock::now() - start;
       if (rep == 0) {
+        reference_text = text_of(result);
         reference = std::move(result);
-      } else if (!identical(reference, result)) {
+      } else if (text_of(result) != reference_text) {
         bit_identical_ = false;  // serial runs disagree: not deterministic
       }
       if (serial_seconds_ < 0.0 || elapsed < serial_seconds_) {
@@ -149,21 +159,15 @@ class Harness {
       const double start = WallClock::now();
       const Result result = run_sweep(threads_);
       const double elapsed = WallClock::now() - start;
-      if (!identical(reference, result)) bit_identical_ = false;
+      if (text_of(result) != reference_text) bit_identical_ = false;
       if (parallel_seconds_ < 0.0 || elapsed < parallel_seconds_) {
         parallel_seconds_ = elapsed;
       }
     }
-    ran_ = true;
+    emit_reference_ = [reference, emit_points](util::JsonWriter& json) {
+      emit_points(reference, json);
+    };
     return reference;
-  }
-
-  /// run() with the default comparator (Result = std::vector<double> or
-  /// anything with operator==).
-  template <typename Result>
-  Result run(const std::function<Result(std::size_t)>& run_sweep) {
-    return run<Result>(run_sweep,
-                       [](const Result& a, const Result& b) { return a == b; });
   }
 
   [[nodiscard]] bool bit_identical() const noexcept { return bit_identical_; }
@@ -186,12 +190,11 @@ class Harness {
   /// Print the runner summary line, write BENCH_<name>.json (the
   /// deterministic payload + measured sidecar described in the file
   /// comment), and return the process exit code: 0 iff the self-check
-  /// passed and the JSON landed on disk. `emit_points` fills the
-  /// deterministic "points" array; `emit_measured`, when given, appends
-  /// extra keys to the measured sidecar (wall times the driver gathered
-  /// itself — it must not emit deterministic data there).
-  int finish(const std::function<void(util::JsonWriter&)>& emit_points,
-             const std::function<void(util::JsonWriter&)>& emit_measured =
+  /// passed and the JSON landed on disk. The "points" array is the
+  /// reference pass's, as run() compared it; `emit_measured`, when given,
+  /// appends extra keys to the measured sidecar (wall times the driver
+  /// gathered itself — it must not emit deterministic data there).
+  int finish(const std::function<void(util::JsonWriter&)>& emit_measured =
                  {});
 
  private:
@@ -206,7 +209,8 @@ class Harness {
   std::size_t items_ = 0;
   std::vector<ConfigEntry> config_;
   obs::MetricsRegistry metrics_;
-  bool ran_ = false;
+  /// Writes the reference pass's points; set by run().
+  std::function<void(util::JsonWriter&)> emit_reference_;
   bool bit_identical_ = true;
   double serial_seconds_ = 0.0;
   double parallel_seconds_ = 0.0;

@@ -3,11 +3,12 @@
 //
 // Each of those drivers re-runs one headline cell with an
 // obs::TraceRecorder and an obs::MetricsRegistry attached and proves the
-// traced run bit-identical to its untraced twin. The recording then comes
-// here: every job's blame components must sum to its latency bit for bit,
-// --blame prints the blame table, --trace=FILE exports the Chrome timeline
-// with the critical-path overlay, --metrics=FILE dumps the registry, and
-// the time-attribution table closes the report.
+// traced run emits the same point text as its untraced twin. The
+// recording then comes here: every job's blame components must sum to its
+// latency bit for bit, --blame prints the blame table, --trace=FILE
+// exports the Chrome timeline with the critical-path overlay,
+// --metrics=FILE dumps the registry, and the time-attribution table
+// closes the report.
 #pragma once
 
 #include <cstddef>

@@ -7,24 +7,6 @@
 
 namespace nldl::online {
 
-std::vector<double> ServiceMetrics::signature() const {
-  return {static_cast<double>(jobs),
-          static_cast<double>(degenerate_slowdowns),
-          horizon,
-          throughput,
-          utilization,
-          mean_wait,
-          max_wait,
-          mean_latency,
-          p50_latency,
-          p95_latency,
-          p99_latency,
-          mean_slowdown,
-          p50_slowdown,
-          p95_slowdown,
-          p99_slowdown};
-}
-
 MetricsAccumulator::MetricsAccumulator(std::size_t platform_size)
     : platform_size_(platform_size) {
   NLDL_REQUIRE(platform_size >= 1,

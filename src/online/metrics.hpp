@@ -38,9 +38,6 @@ struct ServiceMetrics {
   double p50_slowdown = 0.0;
   double p95_slowdown = 0.0;
   double p99_slowdown = 0.0;
-
-  /// Flat numeric signature (bench serial-vs-parallel bitwise self-check).
-  [[nodiscard]] std::vector<double> signature() const;
 };
 
 /// Streaming accumulator over completed jobs.

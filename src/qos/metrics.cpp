@@ -7,36 +7,6 @@
 
 namespace nldl::qos {
 
-std::vector<double> QosMetrics::signature() const {
-  std::vector<double> sig{static_cast<double>(offered),
-                          static_cast<double>(admitted),
-                          static_cast<double>(rejected),
-                          static_cast<double>(degraded),
-                          static_cast<double>(offered_with_deadline),
-                          static_cast<double>(admitted_with_deadline),
-                          static_cast<double>(deadline_misses),
-                          miss_rate,
-                          slo_violation_rate,
-                          offered_load,
-                          served_load,
-                          on_time_load,
-                          goodput,
-                          static_cast<double>(preemptions),
-                          preemptions_per_job,
-                          restart_time,
-                          restart_share,
-                          horizon,
-                          utilization,
-                          jain_fairness};
-  sig.insert(sig.end(), tenant_served_load.begin(),
-             tenant_served_load.end());
-  sig.insert(sig.end(), tenant_on_time_load.begin(),
-             tenant_on_time_load.end());
-  const auto base = service.signature();
-  sig.insert(sig.end(), base.begin(), base.end());
-  return sig;
-}
-
 QosMetrics summarize(const std::vector<JobRecord>& records,
                      std::size_t platform_size,
                      const std::vector<double>& weights) {

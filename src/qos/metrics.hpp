@@ -60,10 +60,6 @@ struct QosMetrics {
   /// fields are normalized by each job's PREDICTED uninterrupted
   /// service (qos runs record no isolated whole-platform baseline).
   online::ServiceMetrics service;
-
-  /// Flat numeric signature (bench serial-vs-parallel bitwise
-  /// self-check).
-  [[nodiscard]] std::vector<double> signature() const;
 };
 
 /// Aggregate `records` (in id order, as Server::run returns them).

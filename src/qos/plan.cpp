@@ -8,7 +8,7 @@ namespace nldl::qos {
 
 std::unique_ptr<sim::CommModel> make_model(const ServiceModel& service) {
   return sim::make_comm_model(service.comm, service.capacity,
-                              service.max_concurrent);
+                              sim::BoundedMultiportModel::kUnlimited);
 }
 
 InstallmentSolver::InstallmentSolver(const platform::Platform& platform,

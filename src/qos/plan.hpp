@@ -47,13 +47,13 @@ struct PlanOptions {
 };
 
 /// Everything that determines how the qos server serves work: the
-/// communication model (with its bounded-multiport knobs) and the
-/// installment plan. Shared by the server, the admission controller, and
-/// the traffic generator so predictions and reality agree.
+/// communication model (with its bounded-multiport capacity; concurrent
+/// transfers are not capped) and the installment plan. Shared by the
+/// server, the admission controller, and the traffic generator so
+/// predictions and reality agree.
 struct ServiceModel {
   sim::CommModelKind comm = sim::CommModelKind::kParallelLinks;
   double capacity = std::numeric_limits<double>::infinity();
-  std::size_t max_concurrent = sim::BoundedMultiportModel::kUnlimited;
   PlanOptions plan;
 };
 

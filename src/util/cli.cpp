@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 
 #include "util/assert.hpp"
 
@@ -40,7 +39,22 @@ std::string Args::get_string(const std::string& key,
 long long Args::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stoll(it->second);
+  const std::string& text = it->second;
+  long long value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  NLDL_REQUIRE(ec == std::errc() && ptr == text.data() + text.size(),
+               "unparseable integer for --" + key + ": " + text);
+  return value;
+}
+
+std::size_t Args::get_count(const std::string& key,
+                            std::size_t fallback) const {
+  const std::string text = get_string(key, "");
+  if (text.empty()) return fallback;
+  const long long value = get_int(key, 0);
+  NLDL_REQUIRE(value >= 0, "--" + key + " must not be negative: " + text);
+  return static_cast<std::size_t>(value);
 }
 
 double Args::get_double(const std::string& key, double fallback) const {

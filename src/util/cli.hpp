@@ -5,6 +5,7 @@
 // through); strict CLIs can validate against values().
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,8 +20,14 @@ class Args {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// The whole value must be a decimal integer; anything else (`3x`,
+  /// `abc`, out of range) throws PreconditionError naming the flag.
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
+  /// get_int for counts (sizes, repetitions, threads): a negative value
+  /// throws PreconditionError instead of wrapping to 2^64 - 1.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   /// --flag or --flag=true/1/yes => true; --flag=false/0/no => false.

@@ -25,19 +25,6 @@ double quantile(std::vector<double> sample, double q) {
   return quantile_sorted(sample, q);
 }
 
-double mean_of(const std::vector<double>& sample) {
-  NLDL_REQUIRE(!sample.empty(), "mean of empty sample");
-  double acc = 0.0;
-  for (const double x : sample) acc += x;
-  return acc / static_cast<double>(sample.size());
-}
-
-double stddev_of(const std::vector<double>& sample) {
-  RunningStats stats;
-  for (const double x : sample) stats.push(x);
-  return stats.stddev();
-}
-
 double jain_index(const std::vector<double>& allocations) {
   double sum = 0.0;
   double sum_sq = 0.0;

@@ -57,9 +57,6 @@ class RunningStats {
 [[nodiscard]] double quantile_sorted(const std::vector<double>& sorted,
                                      double q);
 
-/// Mean of a non-empty sample.
-[[nodiscard]] double mean_of(const std::vector<double>& sample);
-
 /// Load imbalance e = (t_max − t_min)/t_min over the *positive* entries
 /// of `times` — the workers that actually received work. Returns 0 when
 /// fewer than two entries are positive. This is the one shared definition
@@ -70,9 +67,6 @@ class RunningStats {
 
 /// Number of non-positive entries of `times` (idle workers).
 [[nodiscard]] std::size_t count_idle(const std::vector<double>& times);
-
-/// Sample standard deviation of a sample (0 for fewer than two values).
-[[nodiscard]] double stddev_of(const std::vector<double>& sample);
 
 /// Jain's fairness index J = (Σx)² / (n·Σx²) over per-entity allocations
 /// (Jain, Chiu, Hawe 1984): 1 when every entity receives the same share,

@@ -96,8 +96,6 @@ struct SweepOptions {
   /// Master seed; each grid point receives its own sub-stream split from
   /// it (jump-ahead by 2^128 per point, so streams never overlap).
   std::uint64_t seed = Rng::kDefaultSeed;
-  /// Contiguous grid points per pool task.
-  std::size_t grain = 1;
 };
 
 /// Resolve a thread-count knob: 0 means one thread per hardware thread,
@@ -145,8 +143,7 @@ class Sweep {
       for (std::size_t i = 0; i < total; ++i) run_one(i);
     } else {
       ThreadPool pool(threads);
-      parallel_for(pool, 0, total, std::max<std::size_t>(options_.grain, 1),
-                   run_one);
+      parallel_for(pool, 0, total, 1, run_one);
     }
     return results;
   }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace nldl::util {
@@ -49,6 +51,30 @@ TEST(Args, BooleanSpellings) {
 TEST(Args, RejectsGarbageBoolean) {
   const Args args = make({"prog", "--x=maybe"});
   EXPECT_THROW((void)args.get_bool("x", false), PreconditionError);
+}
+
+TEST(Args, IntegersParseTheWholeValue) {
+  const Args args = make({"prog", "--a=3x", "--b=abc",
+                          "--c=99999999999999999999", "--d=-7"});
+  EXPECT_THROW((void)args.get_int("a", 0), PreconditionError);
+  EXPECT_THROW((void)args.get_int("b", 0), PreconditionError);
+  EXPECT_THROW((void)args.get_int("c", 0), PreconditionError);
+  EXPECT_EQ(args.get_int("d", 0), -7);  // seeds may be negative
+  try {
+    (void)args.get_int("b", 0);
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("--b"), std::string::npos);
+  }
+}
+
+TEST(Args, CountsRejectNegativesInsteadOfWrapping) {
+  const Args args =
+      make({"prog", "--n=12", "--neg=-1", "--bad=3x", "--empty="});
+  EXPECT_EQ(args.get_count("n", 0), 12U);
+  EXPECT_EQ(args.get_count("missing", 5), 5U);
+  EXPECT_EQ(args.get_count("empty", 5), 5U);
+  EXPECT_THROW((void)args.get_count("neg", 0), PreconditionError);
+  EXPECT_THROW((void)args.get_count("bad", 0), PreconditionError);
 }
 
 TEST(Args, PositionalArguments) {

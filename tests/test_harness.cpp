@@ -50,11 +50,21 @@ TEST(HarnessOptions, ReadsSharedFlags) {
   EXPECT_EQ(options.json_path, "out.json");
 }
 
-TEST(IdenticalDoubles, ExactComparison) {
-  EXPECT_TRUE(identical_doubles({1.0, 2.0}, {1.0, 2.0}));
-  EXPECT_FALSE(identical_doubles({1.0}, {1.0, 2.0}));
-  EXPECT_FALSE(identical_doubles({1.0}, {1.0 + 1e-15}));
-  EXPECT_TRUE(identical_doubles({}, {}));
+TEST(HarnessOptions, RejectsNegativeCounts) {
+  // A negative count must not wrap to 2^64 - 1 repetitions.
+  const char* argv[] = {"bench", "--reps=-1"};
+  const util::Args args(2, argv);
+  EXPECT_THROW((void)harness_options_from_args(args),
+               util::PreconditionError);
+}
+
+/// One "value" object per double: the points of the tests' sweeps.
+void emit_values(const std::vector<double>& values, util::JsonWriter& json) {
+  for (const double value : values) {
+    json.begin_object();
+    json.key("value").value(value);
+    json.end_object();
+  }
 }
 
 TEST(Harness, SelfCheckPassesForDeterministicSweep) {
@@ -75,20 +85,15 @@ TEST(Harness, SelfCheckPassesForDeterministicSweep) {
             [](const util::SweepPoint& point, util::Rng& rng) {
               return point.value("x") + rng.uniform();
             });
-      });
+      },
+      emit_values);
 
   EXPECT_EQ(result.size(), 3U);
   EXPECT_TRUE(harness.bit_identical());
   EXPECT_GE(harness.serial_seconds(), 0.0);
   EXPECT_GE(harness.parallel_seconds(), 0.0);
 
-  const int exit_code = harness.finish([&](util::JsonWriter& writer) {
-    for (const double value : result) {
-      writer.begin_object();
-      writer.key("value").value(value);
-      writer.end_object();
-    }
-  });
+  const int exit_code = harness.finish();
   EXPECT_EQ(exit_code, 0);
 
   const std::string text = json.read();
@@ -107,6 +112,16 @@ TEST(Harness, SelfCheckPassesForDeterministicSweep) {
             std::count(text.begin(), text.end(), '}'));
   EXPECT_EQ(std::count(text.begin(), text.end(), '['),
             std::count(text.begin(), text.end(), ']'));
+
+  // The payload's points are the reference pass's, as emitted.
+  const util::JsonValue doc = util::parse_json(text);
+  ASSERT_NE(doc.find("deterministic"), nullptr);
+  const util::JsonValue* points = doc.find("deterministic")->find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_EQ(points->array.size(), result.size());
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(points->array[i].find("value")->number, result[i]);
+  }
 }
 
 TEST(Harness, SplitSchemaSeparatesDeterministicFromMeasured) {
@@ -118,16 +133,10 @@ TEST(Harness, SplitSchemaSeparatesDeterministicFromMeasured) {
   harness.metrics().gauge("unit.seconds") = 1.5;
 
   (void)harness.run<std::vector<double>>(
-      [](std::size_t) { return std::vector<double>{1.0, 2.0, 3.0, 4.0}; });
-  const int exit_code = harness.finish(
-      [](util::JsonWriter& writer) {
-        writer.begin_object();
-        writer.key("value").value(1.0);
-        writer.end_object();
-      },
-      [](util::JsonWriter& writer) {
-        writer.key("driver_wall_s").value(0.125);
-      });
+      [](std::size_t) { return std::vector<double>{1.0}; }, emit_values);
+  const int exit_code = harness.finish([](util::JsonWriter& writer) {
+    writer.key("driver_wall_s").value(0.125);
+  });
   EXPECT_EQ(exit_code, 0);
 
   const util::JsonValue doc = util::parse_json(json.read());
@@ -186,15 +195,74 @@ TEST(Harness, SelfCheckFailsForThreadDependentSweep) {
 
   // A "sweep" whose result depends on the thread count — exactly the
   // determinism bug the harness exists to catch.
-  (void)harness.run<std::vector<double>>([](std::size_t threads) {
-    return std::vector<double>{static_cast<double>(threads)};
-  });
+  (void)harness.run<std::vector<double>>(
+      [](std::size_t threads) {
+        return std::vector<double>{static_cast<double>(threads)};
+      },
+      emit_values);
   EXPECT_FALSE(harness.bit_identical());
 
-  const int exit_code = harness.finish([](util::JsonWriter&) {});
+  const int exit_code = harness.finish();
   EXPECT_EQ(exit_code, 1);
   EXPECT_NE(json.read().find("\"parallel_bit_identical\": false"),
             std::string::npos);
+}
+
+TEST(Harness, SelfCheckFailsOnTheSignOfAZero) {
+  TempJson json("test_harness_zero.json");
+  Harness harness("test_zero", options_with_json(json.path, 2));
+
+  // 0.0 == -0.0, but the payload prints "0" for one and "-0" for the
+  // other: the passes disagree on what is published.
+  (void)harness.run<std::vector<double>>(
+      [](std::size_t threads) {
+        return std::vector<double>{threads == 1 ? 0.0 : -0.0};
+      },
+      emit_values);
+  EXPECT_FALSE(harness.bit_identical());
+  EXPECT_EQ(harness.finish(), 1);
+}
+
+TEST(Harness, SelfCheckIgnoresWhatThePointsLeaveOut) {
+  TempJson json("test_harness_measured.json");
+  HarnessOptions options = options_with_json(json.path, 2);
+  options.repetitions = 2;
+  Harness harness("test_measured", options);
+
+  // Each pass times itself; the time goes to the measured sidecar, not
+  // into the points, so passes that differ only there agree.
+  struct Timed {
+    double value = 0.0;
+    double seconds = 0.0;
+  };
+  int calls = 0;
+  const Timed result = harness.run<Timed>(
+      [&calls](std::size_t) {
+        return Timed{2.5, static_cast<double>(++calls)};
+      },
+      [](const Timed& timed, util::JsonWriter& writer) {
+        emit_values({timed.value}, writer);
+      });
+  EXPECT_TRUE(harness.bit_identical());
+  const int exit_code = harness.finish([&result](util::JsonWriter& writer) {
+    writer.key("pass_seconds").value(result.seconds);
+  });
+  EXPECT_EQ(exit_code, 0);
+}
+
+TEST(Harness, NanPointsAgreeAsNull) {
+  TempJson json("test_harness_nan.json");
+  Harness harness("test_nan", options_with_json(json.path, 2));
+
+  // NaN != NaN, but both passes print null: the published text agrees.
+  (void)harness.run<std::vector<double>>(
+      [](std::size_t) {
+        return std::vector<double>{std::numeric_limits<double>::quiet_NaN()};
+      },
+      emit_values);
+  EXPECT_TRUE(harness.bit_identical());
+  EXPECT_EQ(harness.finish(), 0);
+  EXPECT_NE(json.read().find("\"value\": null"), std::string::npos);
 }
 
 TEST(Harness, RepetitionsCatchRunToRunNondeterminism) {
@@ -205,11 +273,13 @@ TEST(Harness, RepetitionsCatchRunToRunNondeterminism) {
 
   // Deterministic in the thread count but different on every call.
   int calls = 0;
-  (void)harness.run<std::vector<double>>([&calls](std::size_t) {
-    return std::vector<double>{static_cast<double>(calls++)};
-  });
+  (void)harness.run<std::vector<double>>(
+      [&calls](std::size_t) {
+        return std::vector<double>{static_cast<double>(calls++)};
+      },
+      emit_values);
   EXPECT_FALSE(harness.bit_identical());
-  EXPECT_EQ(harness.finish([](util::JsonWriter&) {}), 1);
+  EXPECT_EQ(harness.finish(), 1);
 }
 
 TEST(PeakRss, RuMaxrssNormalizesBothPlatformConventions) {
@@ -254,8 +324,7 @@ TEST(Harness, RejectsMisuse) {
   no_reps.repetitions = 0;
   EXPECT_THROW(Harness("x", no_reps), util::PreconditionError);
   Harness unrun("x", HarnessOptions{});
-  EXPECT_THROW((void)unrun.finish([](util::JsonWriter&) {}),
-               util::PreconditionError);
+  EXPECT_THROW((void)unrun.finish(), util::PreconditionError);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "online/metrics.hpp"
 #include "online/scheduler.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
+#include "util/json_parse.hpp"
 #include "util/stats.hpp"
 
 namespace nldl::online {
@@ -408,6 +411,21 @@ TEST(Server, SkippingIsolatedBaselineZeroesSlowdown) {
 
 // --- Metrics ----------------------------------------------------------------
 
+/// Every value write_service_metrics publishes for `metrics`, as a payload
+/// reads it back: a non-finite value would come back as null.
+std::vector<util::JsonValue> published(const ServiceMetrics& metrics) {
+  std::ostringstream out;
+  util::JsonWriter json(out);
+  json.begin_object();
+  write_service_metrics(json, metrics);
+  json.end_object();
+  std::vector<util::JsonValue> values;
+  for (auto& field : util::parse_json(out.str()).object) {
+    values.push_back(std::move(field.second));
+  }
+  return values;
+}
+
 TEST(Metrics, SummarizeMatchesHandComputation) {
   // Three jobs on p = 2; percentiles of n <= 5 samples are exact.
   std::vector<JobStats> stats(3);
@@ -428,7 +446,6 @@ TEST(Metrics, SummarizeMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(metrics.p50_latency, util::quantile({3, 4, 5}, 0.5));
   EXPECT_DOUBLE_EQ(metrics.p99_latency, util::quantile({3, 4, 5}, 0.99));
   EXPECT_DOUBLE_EQ(metrics.mean_slowdown, 2.0);
-  EXPECT_EQ(metrics.signature().size(), 15u);
   EXPECT_EQ(metrics.degenerate_slowdowns, 0u);
 }
 
@@ -437,10 +454,11 @@ TEST(Metrics, EmptyRunIsAllZeros) {
   EXPECT_EQ(metrics.jobs, 0u);
   EXPECT_DOUBLE_EQ(metrics.throughput, 0.0);
   EXPECT_DOUBLE_EQ(metrics.p99_latency, 0.0);
-  // EVERY field of the zero-jobs summary is exactly zero — no NaN, no
-  // -inf max over an empty accumulator.
-  for (const double value : metrics.signature()) {
-    EXPECT_DOUBLE_EQ(value, 0.0);
+  // EVERY published field of the zero-jobs summary is exactly zero — no
+  // NaN, no -inf max over an empty accumulator.
+  for (const util::JsonValue& value : published(metrics)) {
+    ASSERT_TRUE(value.is_number());
+    EXPECT_DOUBLE_EQ(value.number, 0.0);
   }
 }
 
@@ -453,8 +471,8 @@ TEST(Metrics, SingleJobPercentilesAreThatSample) {
   only.isolated_makespan = 2.0;
   const ServiceMetrics metrics = summarize({only}, 4);
   EXPECT_EQ(metrics.jobs, 1u);
-  for (const double value : metrics.signature()) {
-    EXPECT_TRUE(std::isfinite(value));
+  for (const util::JsonValue& value : published(metrics)) {
+    EXPECT_TRUE(value.is_number());
   }
   EXPECT_DOUBLE_EQ(metrics.mean_wait, 1.0);
   EXPECT_DOUBLE_EQ(metrics.max_wait, 1.0);
@@ -475,8 +493,8 @@ TEST(Metrics, ZeroHorizonSingleJobHasNoDivisionByZero) {
   const ServiceMetrics metrics = summarize({instant}, 2);
   EXPECT_DOUBLE_EQ(metrics.throughput, 0.0);
   EXPECT_DOUBLE_EQ(metrics.utilization, 0.0);
-  for (const double value : metrics.signature()) {
-    EXPECT_TRUE(std::isfinite(value));
+  for (const util::JsonValue& value : published(metrics)) {
+    EXPECT_TRUE(value.is_number());
   }
 }
 
@@ -518,8 +536,8 @@ TEST(Metrics, DegenerateSlowdownSamplesAreExcludedNotPoisonous) {
   const ServiceMetrics metrics = acc.finish();
   EXPECT_EQ(metrics.jobs, 3u);
   EXPECT_EQ(metrics.degenerate_slowdowns, 1u);
-  for (const double value : metrics.signature()) {
-    EXPECT_TRUE(std::isfinite(value));
+  for (const util::JsonValue& value : published(metrics)) {
+    EXPECT_TRUE(value.is_number());
   }
   // The excluded job still counts toward latency and throughput, and the
   // surviving slowdown samples are unpolluted.
@@ -542,8 +560,8 @@ TEST(Metrics, AllDegenerateSlowdownsReportZeroNotEmptyEstimators) {
   EXPECT_EQ(metrics.degenerate_slowdowns, 1u);
   EXPECT_DOUBLE_EQ(metrics.mean_slowdown, 0.0);
   EXPECT_DOUBLE_EQ(metrics.p99_slowdown, 0.0);
-  for (const double value : metrics.signature()) {
-    EXPECT_TRUE(std::isfinite(value));
+  for (const util::JsonValue& value : published(metrics)) {
+    EXPECT_TRUE(value.is_number());
   }
 }
 

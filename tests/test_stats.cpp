@@ -74,14 +74,6 @@ TEST(Quantile, RejectsEmptyAndBadOrder) {
   EXPECT_THROW((void)quantile({1.0}, 1.1), PreconditionError);
 }
 
-TEST(MeanStddevOf, MatchRunningStats) {
-  const std::vector<double> sample{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(sample), 2.5);
-  RunningStats stats;
-  for (const double x : sample) stats.push(x);
-  EXPECT_DOUBLE_EQ(stddev_of(sample), stats.stddev());
-}
-
 TEST(JainIndex, KnownAllocations) {
   // Equal shares are perfectly fair; one-takes-all scores 1/n.
   EXPECT_DOUBLE_EQ(jain_index({3.0, 3.0, 3.0}), 1.0);

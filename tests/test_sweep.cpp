@@ -130,21 +130,6 @@ TEST(Sweep, OrderedReductionBitIdentical) {
   }
 }
 
-TEST(Sweep, GrainDoesNotChangeResults) {
-  Grid grid;
-  grid.axis("x", {1.0, 2.0, 3.0}).axis("trial", std::size_t{11});
-  SweepOptions reference_options;
-  reference_options.threads = 1;
-  const auto reference =
-      Sweep(grid, reference_options).map<double>(noisy_point);
-  for (const std::size_t grain : {2UL, 5UL, 100UL}) {
-    SweepOptions options;
-    options.threads = 3;
-    options.grain = grain;
-    EXPECT_EQ(Sweep(grid, options).map<double>(noisy_point), reference);
-  }
-}
-
 TEST(Sweep, PointExceptionPropagates) {
   Grid grid;
   grid.axis("x", {1.0, 2.0, 3.0, 4.0});

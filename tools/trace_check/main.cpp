@@ -11,7 +11,8 @@
 //       (reconstructed from the exported events with the microsecond
 //       tolerance), and a burn-rate block over the trace's deadline-miss
 //       instants at objective OBJ (default 0.95). Exit 0 iff the file
-//       validates and every job's blame closes on its latency.
+//       validates and every job's blame closes on its latency; a
+//       malformed N or OBJ prints the usage and exits 2.
 //
 //   nldl_trace_check --metrics <metrics.json> [more.json ...]
 //       Validate MetricsRegistry JSON dumps (numbers or well-formed
@@ -284,7 +285,11 @@ int main(int argc, char** argv) {
     double slo_objective = 0.95;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--top" && i + 1 < args.size()) {
-        top_k = static_cast<std::size_t>(std::stoul(args[++i]));
+        // Unsigned from_chars rejects a sign, so "-1" cannot wrap.
+        const std::string& text = args[++i];
+        const char* last = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), last, top_k);
+        if (ec != std::errc{} || ptr != last) return usage();
       } else if (args[i] == "--slo" && i + 1 < args.size()) {
         const std::string& text = args[++i];
         const char* last = text.data() + text.size();
