@@ -17,7 +17,7 @@ std::string to_string(Strategy strategy) {
     case Strategy::kHeterogeneousBlocks:
       return "Comm_het";
   }
-  NLDL_ASSERT(false, "unknown Strategy");
+  NLDL_UNREACHABLE("unknown Strategy");
 }
 
 StrategyEvaluation evaluate_strategy(Strategy strategy,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string_view>
 #include <utility>
 
 #include "obs/critical_path.hpp"
@@ -126,17 +128,18 @@ void write_chrome_trace(std::ostream& out,
   // Route every event to its track; kJob spans become balanced B/E pairs.
   std::vector<Emit> emits;
   emits.reserve(ordered.size() + ordered.size() / 4);
-  // Jobs seen, in first-appearance order, with a tenant when known.
+  // Jobs seen, in first-appearance order, with a tenant when known;
+  // `slot_of` indexes them by job id (ordered: no hash map).
   std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  const auto note_job = [&jobs](const TraceEvent& event) {
+  std::map<std::size_t, std::size_t> slot_of;
+  const auto note_job = [&jobs, &slot_of](const TraceEvent& event) {
     if (event.job == kNoIndex) return;
-    for (auto& [id, tenant] : jobs) {
-      if (id == event.job) {
-        if (tenant == kNoIndex) tenant = event.tenant;
-        return;
-      }
+    const auto [it, inserted] = slot_of.try_emplace(event.job, jobs.size());
+    if (inserted) {
+      jobs.emplace_back(event.job, event.tenant);
+    } else if (jobs[it->second].second == kNoIndex) {
+      jobs[it->second].second = event.tenant;
     }
-    jobs.emplace_back(event.job, event.tenant);
   };
 
   for (const TraceEvent* event : ordered) {
@@ -282,7 +285,7 @@ void write_chrome_trace(std::ostream& out,
                                ? emit.name
                                : to_string(emit.event->kind));
     json.key("cat").value("nldl");
-    json.key("ph").value(std::string(1, emit.phase));
+    json.key("ph").value(std::string_view(&emit.phase, 1));
     json.key("ts").value(emit.ts);
     if (emit.phase == 'X') json.key("dur").value(emit.dur);
     if (emit.phase == 'i') json.key("s").value("t");

@@ -45,7 +45,11 @@ struct ChromeTraceOptions {
 
 /// Write the events as Chrome trace-event JSON. Events are stably sorted
 /// by start time (emission order breaks ties), so the output is
-/// deterministic for a deterministic recording.
+/// deterministic for a deterministic recording. Job tracks are named in
+/// the order jobs first appear, found through an ordered index from job
+/// id (O(log jobs) per event). The document goes out through
+/// util::JsonWriter and ends with a blank line; tests/test_obs.cpp pins
+/// its exact bytes.
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
                         const ChromeTraceOptions& options = {});

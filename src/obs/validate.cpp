@@ -20,6 +20,23 @@ ValidationResult fail(std::size_t index, const std::string& what) {
   return result;
 }
 
+/// The args events_from_chrome_trace decodes into std::size_t indices.
+constexpr const char* kIndexArgs[] = {"job", "worker", "tenant"};
+
+/// An index arg is a JSON number; only a whole number in [0, 2^53), where
+/// a double holds every integer exactly, converts to std::size_t. NaN and
+/// infinities fail the range test.
+bool is_index(double value) {
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  double whole = 0.0;
+  return value >= 0.0 && value < kTwoTo53 && std::modf(value, &whole) == 0.0;
+}
+
+std::string bad_index(const char* key) {
+  return std::string("args \"") + key +
+         "\" is not a whole number in [0, 2^53)";
+}
+
 }  // namespace
 
 ValidationResult validate_chrome_trace(const util::JsonValue& document) {
@@ -74,6 +91,16 @@ ValidationResult validate_chrome_trace(const util::JsonValue& document) {
     }
     if (tid == nullptr || !tid->is_number()) {
       return fail(i, "missing numeric \"tid\"");
+    }
+    const util::JsonValue* args = event.find("args");
+    if (args != nullptr && args->is_object()) {
+      for (const char* key : kIndexArgs) {
+        const util::JsonValue* index = args->find(key);
+        if (index != nullptr && index->is_number() &&
+            !is_index(index->number)) {
+          return fail(i, bad_index(key));
+        }
+      }
     }
     ++result.events;
     if (phase == 'M') continue;  // metadata carries no timeline position
@@ -137,9 +164,10 @@ std::vector<TraceEvent> events_from_chrome_trace(
   const auto number_or = [](const util::JsonValue* node, double fallback) {
     return node != nullptr && node->is_number() ? node->number : fallback;
   };
-  const auto index_arg = [&](const util::JsonValue& args, const char* key) {
+  const auto index_arg = [](const util::JsonValue& args, const char* key) {
     const util::JsonValue* node = args.find(key);
     if (node == nullptr || !node->is_number()) return kNoIndex;
+    NLDL_REQUIRE(is_index(node->number), "trace event " + bad_index(key));
     return static_cast<std::size_t>(node->number);
   };
 

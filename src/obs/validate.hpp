@@ -32,7 +32,8 @@ struct ValidationResult {
 /// a "traceEvents" array whose entries carry name/ph/pid/tid, a numeric
 /// ts (metadata "M" events excepted), ph one of M/X/B/E/i/C/s/t/f, a
 /// non-negative dur on "X" events, non-decreasing ts over non-metadata
-/// events, and balanced B/E nesting per (pid, tid) track.
+/// events, balanced B/E nesting per (pid, tid) track, and numeric "job",
+/// "worker" and "tenant" args that are whole numbers in [0, 2^53).
 [[nodiscard]] ValidationResult validate_chrome_trace(
     const util::JsonValue& document);
 
@@ -84,7 +85,9 @@ struct PayloadComparison {
 /// exactly this). Metadata, flow arrows, and the pid-4 critical-path
 /// overlay are skipped; kJob events are rebuilt from their B/E pairs.
 /// Throws util::PreconditionError on events the exporter cannot have
-/// written (unknown name, unbalanced B/E).
+/// written (unknown name, unbalanced B/E, a numeric "job", "worker" or
+/// "tenant" arg that is not a whole number in [0, 2^53); the message names
+/// the arg).
 [[nodiscard]] std::vector<TraceEvent> events_from_chrome_trace(
     const util::JsonValue& document);
 

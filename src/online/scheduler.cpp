@@ -50,7 +50,7 @@ std::string to_string(SchedulerKind kind) {
     case SchedulerKind::kSpmf:
       return "spmf";
   }
-  NLDL_ASSERT(false, "unknown scheduler kind");
+  NLDL_UNREACHABLE("unknown scheduler kind");
 }
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
@@ -64,7 +64,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
     case SchedulerKind::kSpmf:
       return std::make_unique<SpmfScheduler>(comm);
   }
-  NLDL_ASSERT(false, "unknown scheduler kind");
+  NLDL_UNREACHABLE("unknown scheduler kind");
 }
 
 }  // namespace nldl::online

@@ -39,7 +39,7 @@ std::string to_string(MasterMode mode) {
     case MasterMode::kSharedMaster:
       return "shared-master";
   }
-  NLDL_ASSERT(false, "unknown MasterMode");
+  NLDL_UNREACHABLE("unknown MasterMode");
 }
 
 Server::Server(const platform::Platform& platform, ServerOptions options)

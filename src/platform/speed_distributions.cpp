@@ -15,7 +15,7 @@ std::string to_string(SpeedModel model) {
     case SpeedModel::kTwoClass:
       return "two-class(1,k)";
   }
-  NLDL_ASSERT(false, "unknown SpeedModel");
+  NLDL_UNREACHABLE("unknown SpeedModel");
 }
 
 Platform make_platform(SpeedModel model, std::size_t p, util::Rng& rng,

@@ -1,7 +1,6 @@
 #include "qos/plan.hpp"
 
 #include "dlt/nonlinear_dlt.hpp"
-#include "sim/engine.hpp"
 #include "util/assert.hpp"
 
 namespace nldl::qos {
@@ -14,7 +13,10 @@ std::unique_ptr<sim::CommModel> make_model(const ServiceModel& service) {
 InstallmentSolver::InstallmentSolver(const platform::Platform& platform,
                                      const sim::CommModel& model,
                                      ServiceModel service)
-    : platform_(platform), model_(model), service_(service) {
+    : platform_(platform),
+      service_(service),
+      engine_(platform),
+      run_(engine_, model) {
   NLDL_REQUIRE(service.plan.rounds >= 1,
                "service plans require at least one round");
 }
@@ -29,13 +31,17 @@ InstallmentSolver::Installment InstallmentSolver::solve(double load,
   // Solve the matched optimal allocation and replay it under the actual
   // comm model (the replay reproduces the allocator's makespan under the
   // matched discrete models and corrects it under bounded multiport).
+  // The chunks go in worker order, as allocation.to_schedule() lists them.
   const auto allocation =
       dlt::nonlinear_single_round_for(service_.comm, platform_, load, alpha);
-  const sim::Engine engine(platform_, {alpha});
-  const sim::SimResult result = engine.run(allocation.to_schedule(), model_);
+  run_.reset();
+  for (std::size_t w = 0; w < allocation.amounts.size(); ++w) {
+    (void)run_.append({w, allocation.amounts[w], 0.0, alpha});
+  }
+  run_.drain();
   Installment installment;
-  installment.duration = result.makespan;
-  for (const double t : result.worker_compute_time) {
+  installment.duration = run_.makespan();
+  for (const double t : run_.worker_compute_time()) {
     installment.busy += t;
   }
   cache_[key] = installment;

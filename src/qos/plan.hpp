@@ -33,6 +33,7 @@
 #include "online/job.hpp"
 #include "platform/platform.hpp"
 #include "sim/comm_model.hpp"
+#include "sim/engine.hpp"
 
 namespace nldl::qos {
 
@@ -67,12 +68,22 @@ struct ServiceModel {
 /// need the same installment — sharing one solver (the Server owns one)
 /// collapses those three solver runs per job into one. Results are
 /// bit-identical to unmemoized calls (the memo only deduplicates).
-/// Holds references to the platform and model, which must outlive it;
-/// not safe for concurrent use.
+///
+/// Every memo miss replays on the solver's one sim::EngineRun: reset, one
+/// chunk per worker carrying the job's alpha, drain. The answer carries
+/// the bits of a fresh sim::Engine(platform, {alpha}).run(...), whatever
+/// the run replayed before (the engine raises each chunk to its own alpha
+/// in the same std::pow call), without building an engine, a run and a
+/// SimResult per miss. The run points at the solver's own engine, so the
+/// solver is neither copyable nor movable. Holds references to the
+/// platform and model, which must outlive it; not safe for concurrent
+/// use.
 class InstallmentSolver {
  public:
   InstallmentSolver(const platform::Platform& platform,
                     const sim::CommModel& model, ServiceModel service);
+  InstallmentSolver(const InstallmentSolver&) = delete;
+  InstallmentSolver& operator=(const InstallmentSolver&) = delete;
 
   struct Installment {
     double duration = 0.0;  ///< simulated makespan of the installment
@@ -96,8 +107,9 @@ class InstallmentSolver {
 
  private:
   const platform::Platform& platform_;
-  const sim::CommModel& model_;
   ServiceModel service_;
+  sim::Engine engine_;  ///< default alpha; each chunk carries its own
+  sim::EngineRun run_;  ///< reset and refilled on every memo miss
   std::map<std::pair<double, double>, Installment> cache_;
 };
 

@@ -114,7 +114,7 @@ std::string to_string(PolicyKind kind) {
     case PolicyKind::kWfq:
       return "wfq";
   }
-  NLDL_ASSERT(false, "unknown policy kind");
+  NLDL_UNREACHABLE("unknown policy kind");
 }
 
 std::unique_ptr<Policy> make_policy(PolicyKind kind,
@@ -131,7 +131,7 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind,
     case PolicyKind::kWfq:
       return std::make_unique<WfqPolicy>(std::move(tenant_weights));
   }
-  NLDL_ASSERT(false, "unknown policy kind");
+  NLDL_UNREACHABLE("unknown policy kind");
 }
 
 }  // namespace nldl::qos

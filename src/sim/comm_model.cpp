@@ -16,7 +16,7 @@ std::string to_string(CommModelKind kind) {
     case CommModelKind::kBoundedMultiport:
       return "bounded-multiport";
   }
-  NLDL_ASSERT(false, "unknown CommModelKind");
+  NLDL_UNREACHABLE("unknown CommModelKind");
 }
 
 std::vector<double> max_min_fair_rates(const std::vector<double>& caps,
@@ -119,7 +119,7 @@ std::unique_ptr<CommModel> make_comm_model(CommModelKind kind,
       return std::make_unique<BoundedMultiportModel>(capacity,
                                                      max_concurrent);
   }
-  NLDL_ASSERT(false, "unknown CommModelKind");
+  NLDL_UNREACHABLE("unknown CommModelKind");
 }
 
 }  // namespace nldl::sim

@@ -218,6 +218,13 @@ class EngineRun {
     return spans_;
   }
   [[nodiscard]] double makespan() const noexcept { return makespan_; }
+  /// Per-worker compute busy time of the chunks finalized so far (what
+  /// take_result() moves out as SimResult::worker_compute_time), for
+  /// callers that read a drained run in place and reset() it.
+  [[nodiscard]] const std::vector<double>& worker_compute_time()
+      const noexcept {
+    return worker_compute_;
+  }
   [[nodiscard]] const std::vector<ChunkAssignment>& schedule()
       const noexcept {
     return schedule_;

@@ -53,3 +53,11 @@ class InvariantError : public std::logic_error {
       ::nldl::util::throw_invariant(#cond, __FILE__, __LINE__, msg);  \
     }                                                                 \
   } while (0)
+
+/// Mark a path control never reaches, such as the end of a function whose
+/// switch returns on every enumerator; reaching it is a bug in nldl
+/// itself. The call is unconditional and [[noreturn]], so every build
+/// sees that the function does not fall off its end (GCC's -Wreturn-type
+/// misses that after NLDL_ASSERT(false, ...) in unoptimized TSan builds).
+#define NLDL_UNREACHABLE(msg) \
+  ::nldl::util::throw_invariant("unreachable", __FILE__, __LINE__, msg)

@@ -2,14 +2,21 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/assert.hpp"
 
 namespace nldl::util {
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
+namespace {
+
+/// Buffered bytes that trigger a write() before the document completes.
+constexpr std::size_t kFlushBytes = std::size_t{64} * 1024;
+
+void append_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   // std::to_chars is locale-independent and emits the shortest string that
   // round-trips the exact double — unlike %g/%lf, which honor the C locale
   // and would print a comma decimal point (invalid JSON) under e.g. de_DE.
@@ -22,36 +29,82 @@ std::string json_number(double value) {
       std::from_chars(buffer, result.ptr, parsed);
   NLDL_ASSERT(back.ec == std::errc{} && parsed == value,
               "json_number failed to round-trip");
-  return std::string(buffer, result.ptr);
+  out.append(buffer, result.ptr);
 }
 
-std::string json_quote(const std::string& value) {
-  std::string out = "\"";
-  for (const char ch : value) {
+template <typename Integer>
+void append_integer(std::string& out, Integer value) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  NLDL_ASSERT(result.ec == std::errc{}, "integer does not fit json buffer");
+  out.append(buffer, result.ptr);
+}
+
+void append_quoted(std::string& out, std::string_view text) {
+  out += '"';
+  // Runs with nothing to escape go in with one append each.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char ch = text[i];
+    const auto byte = static_cast<unsigned char>(ch);
+    if (ch != '"' && ch != '\\' && byte >= 0x20) continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(ch));
-          out += buffer;
-        } else {
-          out += ch;
-        }
+      default: {
+        constexpr const char* kHex = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
-  out += "\"";
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
+}
+
+}  // namespace
+
+std::string json_number(double value) {
+  std::string out;
+  append_number(out, value);
   return out;
 }
 
+std::string json_quote(std::string_view value) {
+  std::string out;
+  append_quoted(out, value);
+  return out;
+}
+
+JsonWriter::~JsonWriter() {
+  try {
+    flush();
+  } catch (...) {
+    // Only a stream set to throw gets here, and it set badbit before
+    // throwing, so the failure stays readable from the stream; a
+    // destructor must not throw it again.
+  }
+}
+
+void JsonWriter::flush() {
+  if (buffer_.empty()) return;
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+}
+
+void JsonWriter::finish_value() {
+  if (stack_.empty() || buffer_.size() >= kFlushBytes) flush();
+}
+
 void JsonWriter::indent() {
-  out_ << '\n';
-  for (std::size_t i = 0; i < stack_.size(); ++i) out_ << "  ";
+  buffer_ += '\n';
+  buffer_.append(2 * stack_.size(), ' ');
 }
 
 void JsonWriter::prepare_value() {
@@ -61,101 +114,104 @@ void JsonWriter::prepare_value() {
     wrote_root_ = true;
     return;
   }
-  if (stack_.back() == Scope::kObject) {
+  Frame& frame = stack_.back();
+  if (frame.scope == Scope::kObject) {
     NLDL_ASSERT(pending_key_, "object values need a key() first");
     pending_key_ = false;
     return;
   }
-  if (scope_has_items_.back()) out_ << ',';
-  scope_has_items_.back() = true;
+  if (frame.has_items) buffer_ += ',';
+  frame.has_items = true;
   indent();
 }
 
-JsonWriter& JsonWriter::key(const std::string& name) {
-  NLDL_ASSERT(!stack_.empty() && stack_.back() == Scope::kObject,
+void JsonWriter::open(Scope scope, char bracket) {
+  prepare_value();
+  buffer_ += bracket;
+  stack_.push_back({scope, false});
+}
+
+void JsonWriter::close(char bracket) {
+  const bool had_items = stack_.back().has_items;
+  stack_.pop_back();
+  if (had_items) indent();
+  buffer_ += bracket;
+  if (stack_.empty()) buffer_ += '\n';
+  finish_value();
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  NLDL_ASSERT(!stack_.empty() && stack_.back().scope == Scope::kObject,
               "key() outside an object");
   NLDL_ASSERT(!pending_key_, "two key() calls in a row");
-  if (scope_has_items_.back()) out_ << ',';
-  scope_has_items_.back() = true;
+  Frame& frame = stack_.back();
+  if (frame.has_items) buffer_ += ',';
+  frame.has_items = true;
   indent();
-  out_ << json_quote(name) << ": ";
+  append_quoted(buffer_, name);
+  buffer_ += ": ";
   pending_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_object() {
-  prepare_value();
-  out_ << '{';
-  stack_.push_back(Scope::kObject);
-  scope_has_items_.push_back(false);
+  open(Scope::kObject, '{');
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
-  NLDL_ASSERT(!stack_.empty() && stack_.back() == Scope::kObject,
+  NLDL_ASSERT(!stack_.empty() && stack_.back().scope == Scope::kObject,
               "end_object() without begin_object()");
   NLDL_ASSERT(!pending_key_, "dangling key() at end_object()");
-  const bool had_items = scope_has_items_.back();
-  stack_.pop_back();
-  scope_has_items_.pop_back();
-  if (had_items) indent();
-  out_ << '}';
-  if (stack_.empty()) out_ << '\n';
+  close('}');
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
-  prepare_value();
-  out_ << '[';
-  stack_.push_back(Scope::kArray);
-  scope_has_items_.push_back(false);
+  open(Scope::kArray, '[');
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
-  NLDL_ASSERT(!stack_.empty() && stack_.back() == Scope::kArray,
+  NLDL_ASSERT(!stack_.empty() && stack_.back().scope == Scope::kArray,
               "end_array() without begin_array()");
-  const bool had_items = scope_has_items_.back();
-  stack_.pop_back();
-  scope_has_items_.pop_back();
-  if (had_items) indent();
-  out_ << ']';
-  if (stack_.empty()) out_ << '\n';
+  close(']');
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double number) {
   prepare_value();
-  out_ << json_number(number);
+  append_number(buffer_, number);
+  finish_value();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
   prepare_value();
-  out_ << number;
+  append_integer(buffer_, number);
+  finish_value();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::size_t number) {
   prepare_value();
-  out_ << number;
+  append_integer(buffer_, number);
+  finish_value();
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool boolean) {
   prepare_value();
-  out_ << (boolean ? "true" : "false");
+  buffer_ += boolean ? "true" : "false";
+  finish_value();
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& text) {
+JsonWriter& JsonWriter::value(std::string_view text) {
   prepare_value();
-  out_ << json_quote(text);
+  append_quoted(buffer_, text);
+  finish_value();
   return *this;
-}
-
-JsonWriter& JsonWriter::value(const char* text) {
-  return value(std::string(text));
 }
 
 }  // namespace nldl::util

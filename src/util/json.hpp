@@ -7,20 +7,23 @@
 // (JSON has no Infinity/NaN literals).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nldl::util {
 
 /// Round-trip (shortest-exact) JSON representation of a double via
 /// std::to_chars, so the output is locale-independent; "null" for NaN and
-/// infinities.
+/// infinities. The same formatter JsonWriter::value(double) uses.
 [[nodiscard]] std::string json_number(double value);
 
-/// JSON string literal with the mandatory escapes.
-[[nodiscard]] std::string json_quote(const std::string& value);
+/// JSON string literal with the mandatory escapes; the same escaping
+/// JsonWriter applies to keys and string values.
+[[nodiscard]] std::string json_quote(std::string_view value);
 
 /// Streaming writer with explicit scopes:
 ///
@@ -34,9 +37,21 @@ namespace nldl::util {
 ///
 /// The writer validates scope nesting (misuse throws InvariantError) and
 /// pretty-prints with two-space indentation.
+///
+/// Output is built in a member buffer and handed to the stream in one
+/// write() whenever the buffer passes 64 KiB and when the document
+/// completes (its root closes), so the whole document is in the stream as
+/// soon as the root is written, with the writer still in scope. Do not
+/// write to the stream yourself mid-document: those bytes would land
+/// ahead of whatever the writer still buffers. Writing after the root
+/// (say, a trailing newline) is fine. The destructor flushes whatever is
+/// left of an unfinished document and never throws.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
+  ~JsonWriter();
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   JsonWriter& begin_object();
   JsonWriter& end_object();
@@ -44,7 +59,7 @@ class JsonWriter {
   JsonWriter& end_array();
 
   /// Emit an object key; the next value/begin_* call supplies its value.
-  JsonWriter& key(const std::string& name);
+  JsonWriter& key(std::string_view name);
 
   JsonWriter& value(double number);
   JsonWriter& value(std::int64_t number);
@@ -53,8 +68,11 @@ class JsonWriter {
     return value(static_cast<std::int64_t>(number));
   }
   JsonWriter& value(bool boolean);
-  JsonWriter& value(const std::string& text);
-  JsonWriter& value(const char* text);
+  JsonWriter& value(std::string_view text);
+  /// Without this overload a string literal would bind to value(bool).
+  JsonWriter& value(const char* text) {
+    return value(std::string_view(text));
+  }
 
   /// True when every scope has been closed.
   [[nodiscard]] bool complete() const noexcept {
@@ -63,13 +81,22 @@ class JsonWriter {
 
  private:
   enum class Scope { kObject, kArray };
+  struct Frame {
+    Scope scope;
+    bool has_items;
+  };
 
   void prepare_value();
   void indent();
+  void open(Scope scope, char bracket);
+  void close(char bracket);
+  /// After a value: flush a completed document or a full buffer.
+  void finish_value();
+  void flush();
 
   std::ostream& out_;
-  std::vector<Scope> stack_;
-  std::vector<bool> scope_has_items_;
+  std::string buffer_;
+  std::vector<Frame> stack_;
   bool pending_key_ = false;
   bool wrote_root_ = false;
 };

@@ -7,6 +7,8 @@
 #include <charconv>
 #include <clocale>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -113,6 +115,86 @@ TEST(JsonWriter, ArraysSeparateElements) {
   std::string text = out.str();
   // Exactly two commas for three elements.
   EXPECT_EQ(std::count(text.begin(), text.end(), ','), 2);
+}
+
+// One document touching every formatting rule the writer has: nesting
+// three deep, empty scopes, escapes in keys and values, signed zero,
+// non-finite doubles, the integer extremes, booleans and a C string.
+void write_pinned_document(JsonWriter& json) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const char* literal = "c-string";
+  json.begin_object();
+  json.key("outer").begin_object();
+  json.key("middle").begin_array();
+  json.begin_object();
+  json.key("inner").value(1);
+  json.end_object();
+  json.end_array();
+  json.end_object();
+  json.key("empty_object").begin_object();
+  json.end_object();
+  json.key("empty_array").begin_array();
+  json.end_array();
+  json.key("needs \"escaping\"\n")
+      .value(std::string("q\" b\\ n\n r\r t\t \x01 \x1f"));
+  json.key("numbers").begin_array();
+  json.value(-0.0).value(0.1 + 0.2).value(std::nan("")).value(inf).value(
+      -inf);
+  json.value(std::numeric_limits<std::int64_t>::min());
+  json.value(std::numeric_limits<std::size_t>::max());
+  json.end_array();
+  json.key("yes").value(true);
+  json.key("no").value(false);
+  json.key("literal").value(literal);
+  json.end_object();
+}
+
+// The exact bytes write_pinned_document produces, newline after the root
+// included. Every BENCH_*.json payload and trace export goes through this
+// formatting, so any change to it shows up here first.
+constexpr const char* kPinnedDocument = R"({
+  "outer": {
+    "middle": [
+      {
+        "inner": 1
+      }
+    ]
+  },
+  "empty_object": {},
+  "empty_array": [],
+  "needs \"escaping\"\n": "q\" b\\ n\n r\r t\t \u0001 \u001f",
+  "numbers": [
+    -0,
+    0.30000000000000004,
+    null,
+    null,
+    null,
+    -9223372036854775808,
+    18446744073709551615
+  ],
+  "yes": true,
+  "no": false,
+  "literal": "c-string"
+}
+)";
+
+TEST(JsonWriter, PinnedDocumentBytes) {
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    write_pinned_document(json);
+    EXPECT_TRUE(json.complete());
+  }
+  EXPECT_EQ(out.str(), kPinnedDocument);
+}
+
+// bench::points_text reads the stream while its writer is still in scope:
+// the whole document must be there as soon as the root closes.
+TEST(JsonWriter, DocumentReachesTheStreamWhenTheRootCloses) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  write_pinned_document(json);
+  EXPECT_EQ(out.str(), kPinnedDocument);
 }
 
 TEST(JsonWriter, MisuseThrows) {

@@ -3,12 +3,14 @@
 // ordering/type/merge rules, Chrome trace-event export validating
 // against the schema checker, the time-attribution partition, and the
 // event-stream ASCII gantt.
+#include <cstddef>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -297,6 +299,494 @@ TEST(ChromeExport, ValidatorRejectsBrokenDocuments) {
       R"({"traceEvents":[
         {"name":"a","ph":"B","ts":1,"pid":1,"tid":1},
         {"name":"a","ph":"E","ts":2,"pid":1,"tid":1}]})"));
+}
+
+// --- pinned Chrome export bytes --------------------------------------------
+
+obs::TraceEvent make_event(obs::EventKind kind, double start, double end,
+                           std::size_t job, std::size_t tenant,
+                           std::size_t worker = obs::kNoIndex) {
+  obs::TraceEvent event;
+  event.kind = kind;
+  event.start = start;
+  event.end = end;
+  event.job = job;
+  event.tenant = tenant;
+  event.worker = worker;
+  return event;
+}
+
+/// Two jobs through one worker: job 1 arrives without a tenant (named
+/// later by its spans), waits behind job 0 on the link and the cpu, and
+/// misses its deadline. Exported with its critical path, this covers
+/// every phase the exporter writes: M, X, B/E, i, and s/t/f with "bp".
+std::vector<obs::TraceEvent> pinned_events() {
+  using obs::EventKind;
+  constexpr std::size_t kNone = obs::kNoIndex;
+  std::vector<obs::TraceEvent> events;
+  events.push_back(make_event(EventKind::kArrival, 0.0, 0.0, 0, 1));
+  events.push_back(make_event(EventKind::kArrival, 0.25, 0.25, 1, kNone));
+  obs::TraceEvent dispatch = make_event(EventKind::kDispatch, 0.5, 0.5, 0, 1);
+  dispatch.value = 1.0;
+  events.push_back(dispatch);
+  obs::TraceEvent rerate =
+      make_event(EventKind::kRerate, 0.5, 0.5, kNone, kNone);
+  rerate.value = 1.0;
+  events.push_back(rerate);
+  obs::TraceEvent transfer =
+      make_event(EventKind::kTransfer, 0.5, 1.5, 0, 1, 0);
+  transfer.size = 2.0;
+  events.push_back(transfer);
+  obs::TraceEvent compute = make_event(EventKind::kCompute, 1.5, 3.0, 0, 1, 0);
+  compute.size = 2.0;
+  compute.alpha = 2.0;
+  events.push_back(compute);
+  obs::TraceEvent transfer1 =
+      make_event(EventKind::kTransfer, 1.5, 2.0, 1, 2, 0);
+  transfer1.size = 0.5;
+  events.push_back(transfer1);
+  obs::TraceEvent compute1 =
+      make_event(EventKind::kCompute, 3.0, 3.5, 1, 2, 0);
+  compute1.size = 0.5;
+  compute1.alpha = 1.5;
+  events.push_back(compute1);
+  events.push_back(make_event(EventKind::kJob, 0.5, 3.0, 0, 1));
+  events.push_back(make_event(EventKind::kJob, 1.0, 3.5, 1, 2));
+  obs::TraceEvent miss =
+      make_event(EventKind::kDeadlineMiss, 3.5, 3.5, 1, 2);
+  miss.value = 0.125;
+  events.push_back(miss);
+  return events;
+}
+
+// The exact bytes write_chrome_trace produces for pinned_events(), the
+// blank line after the root included.
+constexpr const char* kPinnedChromeTrace = R"json({
+  "displayTimeUnit": "ms",
+  "traceEvents": [
+    {
+      "name": "process_name",
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": "pin workers"
+      }
+    },
+    {
+      "name": "process_name",
+      "ph": "M",
+      "pid": 2,
+      "tid": 0,
+      "args": {
+        "name": "pin jobs"
+      }
+    },
+    {
+      "name": "process_name",
+      "ph": "M",
+      "pid": 3,
+      "tid": 0,
+      "args": {
+        "name": "pin scheduler"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "name": "w0 link"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "name": "w0 cpu"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 2,
+      "tid": 0,
+      "args": {
+        "name": "job 0 (tenant 1)"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 2,
+      "tid": 1,
+      "args": {
+        "name": "job 1 (tenant 2)"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 3,
+      "tid": 0,
+      "args": {
+        "name": "master"
+      }
+    },
+    {
+      "name": "process_name",
+      "ph": "M",
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "name": "pin critical path"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "name": "job 0 path"
+      }
+    },
+    {
+      "name": "thread_name",
+      "ph": "M",
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "name": "job 1 path"
+      }
+    },
+    {
+      "name": "arrival",
+      "cat": "nldl",
+      "ph": "i",
+      "ts": 0,
+      "s": "t",
+      "pid": 2,
+      "tid": 0,
+      "args": {
+        "job": 0,
+        "tenant": 1
+      }
+    },
+    {
+      "name": "arrival",
+      "cat": "nldl",
+      "ph": "i",
+      "ts": 250000,
+      "s": "t",
+      "pid": 2,
+      "tid": 1,
+      "args": {
+        "job": 1
+      }
+    },
+    {
+      "name": "dispatch",
+      "cat": "nldl",
+      "ph": "i",
+      "ts": 5e+05,
+      "s": "t",
+      "pid": 3,
+      "tid": 0,
+      "args": {
+        "job": 0,
+        "tenant": 1,
+        "value": 1
+      }
+    },
+    {
+      "name": "rerate",
+      "cat": "nldl",
+      "ph": "i",
+      "ts": 5e+05,
+      "s": "t",
+      "pid": 3,
+      "tid": 0,
+      "args": {
+        "value": 1
+      }
+    },
+    {
+      "name": "transfer",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 5e+05,
+      "dur": 1e+06,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "job": 0,
+        "tenant": 1,
+        "worker": 0,
+        "size": 2
+      }
+    },
+    {
+      "name": "job",
+      "cat": "nldl",
+      "ph": "B",
+      "ts": 5e+05,
+      "pid": 2,
+      "tid": 0,
+      "args": {
+        "job": 0,
+        "tenant": 1
+      }
+    },
+    {
+      "name": "comm",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 5e+05,
+      "dur": 1e+06,
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "critical path",
+      "cat": "nldl",
+      "ph": "s",
+      "ts": 5e+05,
+      "id": 0,
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "job",
+      "cat": "nldl",
+      "ph": "B",
+      "ts": 1e+06,
+      "pid": 2,
+      "tid": 1,
+      "args": {
+        "job": 1,
+        "tenant": 2
+      }
+    },
+    {
+      "name": "stall",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 1e+06,
+      "dur": 5e+05,
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "critical path",
+      "cat": "nldl",
+      "ph": "s",
+      "ts": 1e+06,
+      "id": 1,
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "compute",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 1500000,
+      "dur": 1500000,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "job": 0,
+        "tenant": 1,
+        "worker": 0,
+        "size": 2,
+        "alpha": 2
+      }
+    },
+    {
+      "name": "transfer",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 1500000,
+      "dur": 5e+05,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "job": 1,
+        "tenant": 2,
+        "worker": 0,
+        "size": 0.5
+      }
+    },
+    {
+      "name": "compute",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 1500000,
+      "dur": 1500000,
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "critical path",
+      "cat": "nldl",
+      "ph": "f",
+      "ts": 1500000,
+      "id": 0,
+      "bp": "e",
+      "pid": 4,
+      "tid": 0,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "stall",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 1500000,
+      "dur": 1500000,
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "critical path",
+      "cat": "nldl",
+      "ph": "t",
+      "ts": 1500000,
+      "id": 1,
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 0
+      }
+    },
+    {
+      "name": "job",
+      "cat": "nldl",
+      "ph": "E",
+      "ts": 3e+06,
+      "pid": 2,
+      "tid": 0,
+      "args": {
+        "job": 0,
+        "tenant": 1
+      }
+    },
+    {
+      "name": "compute",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 3e+06,
+      "dur": 5e+05,
+      "pid": 1,
+      "tid": 1,
+      "args": {
+        "job": 1,
+        "tenant": 2,
+        "worker": 0,
+        "size": 0.5,
+        "alpha": 1.5
+      }
+    },
+    {
+      "name": "compute",
+      "cat": "nldl",
+      "ph": "X",
+      "ts": 3e+06,
+      "dur": 5e+05,
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 1
+      }
+    },
+    {
+      "name": "critical path",
+      "cat": "nldl",
+      "ph": "f",
+      "ts": 3e+06,
+      "id": 1,
+      "bp": "e",
+      "pid": 4,
+      "tid": 1,
+      "args": {
+        "worker": 0,
+        "via_job": 1
+      }
+    },
+    {
+      "name": "job",
+      "cat": "nldl",
+      "ph": "E",
+      "ts": 3500000,
+      "pid": 2,
+      "tid": 1,
+      "args": {
+        "job": 1,
+        "tenant": 2
+      }
+    },
+    {
+      "name": "deadline_miss",
+      "cat": "nldl",
+      "ph": "i",
+      "ts": 3500000,
+      "s": "t",
+      "pid": 2,
+      "tid": 1,
+      "args": {
+        "job": 1,
+        "tenant": 2,
+        "value": 0.125
+      }
+    }
+  ]
+}
+
+)json";
+
+TEST(ChromeExport, PinnedTraceBytes) {
+  const std::vector<obs::TraceEvent> events = pinned_events();
+  const obs::CriticalPath path(events);
+  obs::ChromeTraceOptions options;
+  options.label = "pin";
+  options.critical_path = &path;
+  std::ostringstream out;
+  obs::write_chrome_trace(out, events, options);
+  EXPECT_EQ(out.str(), kPinnedChromeTrace);
+  const obs::ValidationResult result =
+      obs::validate_chrome_trace_text(out.str());
+  EXPECT_TRUE(result) << result.error;
 }
 
 // --- attribution -------------------------------------------------------------
@@ -725,6 +1215,48 @@ TEST(ChromeExport, ArrivalAndAlertInstantsRouteToTheirTracks) {
   EXPECT_EQ(decoded[0].value, 2.0);
   EXPECT_EQ(decoded[1].kind, obs::EventKind::kAlert);
   EXPECT_EQ(decoded[1].value, 15.0);
+}
+
+TEST(ChromeImport, RejectsIndicesThatAreNotWholeNumbers) {
+  // The "job", "worker" and "tenant" args become std::size_t indices.
+  // Negative, fractional, huge or inexact values fail the schema check
+  // and make the decoder throw, each naming the arg, instead of reaching
+  // an out-of-range cast.
+  const auto trace = [](const std::string& key, const std::string& value) {
+    return R"({"traceEvents":[{"name":"transfer","ph":"X","ts":0,"dur":1,)"
+           R"("pid":1,"tid":0,"args":{")" +
+           key + "\":" + value + "}}]}";
+  };
+  for (const std::string key : {"job", "worker", "tenant"}) {
+    const std::string quoted = "\"" + key + "\"";
+    for (const std::string value : {"-1", "1e30", "2.5", "9007199254740992"}) {
+      const std::string text = trace(key, value);
+      const obs::ValidationResult result =
+          obs::validate_chrome_trace_text(text);
+      EXPECT_FALSE(result) << text;
+      EXPECT_NE(result.error.find(quoted), std::string::npos) << result.error;
+      try {
+        (void)obs::events_from_chrome_trace(util::parse_json(text));
+        ADD_FAILURE() << "decoded " << text;
+      } catch (const util::PreconditionError& error) {
+        EXPECT_NE(std::string(error.what()).find(quoted), std::string::npos)
+            << error.what();
+      }
+    }
+    for (const std::string value : {"0", "-0", "9007199254740991"}) {
+      const std::string text = trace(key, value);
+      const obs::ValidationResult result =
+          obs::validate_chrome_trace_text(text);
+      EXPECT_TRUE(result) << result.error;
+      const std::vector<obs::TraceEvent> events =
+          obs::events_from_chrome_trace(util::parse_json(text));
+      ASSERT_EQ(events.size(), 1u);
+      const std::size_t index = key == "job"      ? events[0].job
+                                : key == "worker" ? events[0].worker
+                                                  : events[0].tenant;
+      EXPECT_EQ(index, value == "9007199254740991" ? 9007199254740991u : 0u);
+    }
+  }
 }
 
 TEST(TraceContent, ServersEmitOneArrivalPerOfferedJob) {

@@ -13,18 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "dlt/nonlinear_dlt.hpp"
 #include "online/arrivals.hpp"
 #include "qos/admission.hpp"
 #include "qos/metrics.hpp"
 #include "qos/plan.hpp"
 #include "qos/policy.hpp"
 #include "qos/tenant.hpp"
+#include "sim/comm_model.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 
 namespace nldl::qos {
@@ -201,6 +207,74 @@ TEST(ServicePlan, ValidatesItsInputs) {
   EXPECT_THROW(ServicePlan(solver, job, 20.0), util::PreconditionError);
   EXPECT_THROW((void)solver.predicted_service(-1.0, 1.0),
                util::PreconditionError);
+}
+
+// --- InstallmentSolver -----------------------------------------------------
+
+// The solver's replay run points at the solver's own engine, so a copy or
+// a move would leave the run pointing at the original.
+static_assert(!std::is_copy_constructible_v<InstallmentSolver> &&
+              !std::is_copy_assignable_v<InstallmentSolver> &&
+              !std::is_move_constructible_v<InstallmentSolver> &&
+              !std::is_move_assignable_v<InstallmentSolver>);
+
+/// Test-local oracle: one installment the unshared way, a fresh engine
+/// with the job's alpha replaying the matched allocation's schedule.
+InstallmentSolver::Installment fresh_replay(const platform::Platform& plat,
+                                            const sim::CommModel& model,
+                                            sim::CommModelKind comm,
+                                            double load, double alpha) {
+  const auto allocation =
+      dlt::nonlinear_single_round_for(comm, plat, load, alpha);
+  const sim::Engine engine(plat, {alpha});
+  const sim::SimResult result = engine.run(allocation.to_schedule(), model);
+  InstallmentSolver::Installment installment;
+  installment.duration = result.makespan;
+  for (const double t : result.worker_compute_time) installment.busy += t;
+  return installment;
+}
+
+TEST(InstallmentSolver, EverySolveMatchesAFreshEngineWhateverCameBefore) {
+  // One long-lived solver per comm model replays every memo miss on the
+  // same run. Loads go ascending, then descending, then interleaved low
+  // and high (each pass on its own grid, so every call is a miss), each
+  // load at every alpha: whatever the run replayed last, the answer must
+  // carry the oracle's bits.
+  const auto plat = platform::Platform::two_class(8, 1.0, 4.0);
+  std::vector<double> grid;
+  for (double load = 0.5; load < 500.0; load *= 1.7) grid.push_back(load);
+  std::vector<double> loads = grid;
+  for (auto it = grid.rbegin(); it != grid.rend(); ++it) {
+    loads.push_back(*it * 1.1);
+  }
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const std::size_t k = i % 2 == 0 ? i / 2 : grid.size() - 1 - i / 2;
+    loads.push_back(grid[k] * 1.2);
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  for (const sim::CommModelKind comm :
+       {sim::CommModelKind::kParallelLinks, sim::CommModelKind::kOnePort,
+        sim::CommModelKind::kBoundedMultiport}) {
+    ServiceModel service = make_service(1, 0.0);
+    service.comm = comm;
+    if (comm == sim::CommModelKind::kBoundedMultiport) service.capacity = 2.0;
+    const auto model = make_model(service);
+    InstallmentSolver solver(plat, *model, service);
+    for (const double load : loads) {
+      for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
+        const InstallmentSolver::Installment got = solver.solve(load, alpha);
+        const InstallmentSolver::Installment want =
+            fresh_replay(plat, *model, comm, load, alpha);
+        EXPECT_EQ(bits(got.duration), bits(want.duration))
+            << "comm " << static_cast<int>(comm) << " load " << load
+            << " alpha " << alpha;
+        EXPECT_EQ(bits(got.busy), bits(want.busy))
+            << "comm " << static_cast<int>(comm) << " load " << load
+            << " alpha " << alpha;
+      }
+    }
+  }
 }
 
 // --- Admission --------------------------------------------------------------
