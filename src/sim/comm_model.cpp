@@ -19,48 +19,6 @@ std::string to_string(CommModelKind kind) {
   NLDL_UNREACHABLE("unknown CommModelKind");
 }
 
-std::vector<double> max_min_fair_rates(const std::vector<double>& caps,
-                                       double capacity) {
-  // Water-filling garbage in, garbage out: a NaN or negative capacity
-  // would silently propagate NaN shares (NaN comparisons are all false,
-  // so no cap ever "saturates") and a NaN cap would poison the remaining
-  // budget. Reject both up front; +inf capacity and +inf caps are
-  // legitimate (uncapped master / uncapped link).
-  NLDL_REQUIRE(!std::isnan(capacity) && capacity >= 0.0,
-               "aggregate capacity must be >= 0 (NaN is not a capacity)");
-  for (const double cap : caps) {
-    NLDL_REQUIRE(!std::isnan(cap) && cap >= 0.0,
-                 "private link caps must be >= 0 (NaN is not a rate)");
-  }
-  const std::size_t count = caps.size();
-  std::vector<double> rates(count, 0.0);
-  std::vector<bool> saturated(count, false);
-  double remaining = capacity;
-  std::size_t unsaturated = count;
-  for (std::size_t pass = 0; pass < count && unsaturated > 0; ++pass) {
-    const double share = remaining / static_cast<double>(unsaturated);
-    bool any_saturated = false;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (saturated[i]) continue;
-      if (caps[i] <= share) {
-        rates[i] = caps[i];
-        remaining -= caps[i];
-        saturated[i] = true;
-        --unsaturated;
-        any_saturated = true;
-      }
-    }
-    if (!any_saturated) {
-      // Everyone is share-limited: split the remainder equally.
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!saturated[i]) rates[i] = share;
-      }
-      break;
-    }
-  }
-  return rates;
-}
-
 void ParallelLinksModel::assign_rates(
     const std::vector<TransferView>& eligible,
     std::vector<double>& rates) const {
@@ -92,19 +50,53 @@ BoundedMultiportModel::BoundedMultiportModel(double capacity,
                "master must serve at least one transfer at a time");
 }
 
+// Water-filling in place: a negative entry in `rates` marks a transfer
+// still unsaturated (a granted rate is a validated cap or a share, never
+// negative), and caps are read straight from the views, so no buffer is
+// allocated. The passes and the order of the share and remaining updates
+// are those of the textbook loop over copied caps with a saturation mask,
+// so the rates are its bits (test_comm_models pins this).
 void BoundedMultiportModel::assign_rates(
     const std::vector<TransferView>& eligible,
     std::vector<double>& rates) const {
-  std::fill(rates.begin(), rates.end(), 0.0);
+  constexpr double kUnsaturated = -1.0;
   const std::size_t admitted =
       std::min<std::size_t>(eligible.size(), max_concurrent_);
-  if (admitted == 0) return;
-  std::vector<double> caps(admitted);
+  // Transfers past the concurrency limit wait.
+  std::fill(rates.begin() + static_cast<std::ptrdiff_t>(admitted),
+            rates.end(), 0.0);
+  // A NaN cap would poison the remaining budget (NaN comparisons are all
+  // false, so it would never saturate); +inf caps are legitimate
+  // (uncapped link). The capacity was validated at construction.
   for (std::size_t j = 0; j < admitted; ++j) {
-    caps[j] = eligible[j].link_rate;
+    const double cap = eligible[j].link_rate;
+    NLDL_REQUIRE(!std::isnan(cap) && cap >= 0.0,
+                 "private link caps must be >= 0 (NaN is not a rate)");
+    rates[j] = kUnsaturated;
   }
-  const std::vector<double> fair = max_min_fair_rates(caps, capacity_);
-  std::copy(fair.begin(), fair.end(), rates.begin());
+  double remaining = capacity_;
+  std::size_t unsaturated = admitted;
+  for (std::size_t pass = 0; pass < admitted && unsaturated > 0; ++pass) {
+    const double share = remaining / static_cast<double>(unsaturated);
+    bool any_saturated = false;
+    for (std::size_t j = 0; j < admitted; ++j) {
+      if (rates[j] >= 0.0) continue;
+      const double cap = eligible[j].link_rate;
+      if (cap <= share) {
+        rates[j] = cap;
+        remaining -= cap;
+        --unsaturated;
+        any_saturated = true;
+      }
+    }
+    if (!any_saturated) {
+      // Everyone is share-limited: split the remainder equally.
+      for (std::size_t j = 0; j < admitted; ++j) {
+        if (rates[j] < 0.0) rates[j] = share;
+      }
+      break;
+    }
+  }
 }
 
 std::unique_ptr<CommModel> make_comm_model(CommModelKind kind,

@@ -110,6 +110,13 @@ class BoundedMultiportModel final : public CommModel {
   explicit BoundedMultiportModel(double capacity,
                                  std::size_t max_concurrent = kUnlimited);
 
+  /// Water-fills the first max_concurrent eligible transfers directly in
+  /// `rates` (allocation-free: an engine event allocates nothing here):
+  /// repeatedly grant every unsaturated transfer an equal share of the
+  /// remaining capacity; those whose private cap (link_rate) is below
+  /// their share saturate at the cap. Rates past max_concurrent stay 0.
+  /// A NaN or negative link_rate throws util::PreconditionError rather
+  /// than water-filling NaN shares (+inf is legal: an uncapped link).
   void assign_rates(const std::vector<TransferView>& eligible,
                     std::vector<double>& rates) const override;
 
@@ -129,15 +136,5 @@ class BoundedMultiportModel final : public CommModel {
     CommModelKind kind,
     double capacity = std::numeric_limits<double>::infinity(),
     std::size_t max_concurrent = BoundedMultiportModel::kUnlimited);
-
-/// Max-min fair rates for transfers with private caps `caps` sharing an
-/// aggregate `capacity`: repeatedly grant every unsaturated transfer an
-/// equal share of the remaining capacity; transfers whose private cap is
-/// below their share saturate at the cap. Exposed for tests and for model
-/// implementations. `capacity` and every cap must be >= 0 and not NaN
-/// (+inf is legal on both sides); anything else throws
-/// util::PreconditionError rather than water-filling NaN shares.
-[[nodiscard]] std::vector<double> max_min_fair_rates(
-    const std::vector<double>& caps, double capacity);
 
 }  // namespace nldl::sim

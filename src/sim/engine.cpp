@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -45,9 +44,12 @@ Engine::Engine(const platform::Platform& platform, EngineOptions options)
 
 std::vector<ChunkAssignment> single_round_schedule(
     const std::vector<double>& amounts) {
-  std::vector<std::size_t> order(amounts.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return single_round_schedule(amounts, order);
+  std::vector<ChunkAssignment> schedule;
+  schedule.reserve(amounts.size());
+  for (std::size_t worker = 0; worker < amounts.size(); ++worker) {
+    schedule.push_back({worker, amounts[worker]});
+  }
+  return schedule;
 }
 
 std::vector<ChunkAssignment> single_round_schedule(

@@ -184,7 +184,8 @@ class Engine;
 /// run advanced to the last dispatch, copy it, and drain only the copy.
 ///
 /// Scratch buffers (model views, rate arrays, completion batches) live in
-/// the run and are reused across events, appends, and reset() — a
+/// the run and are reused across events, appends, and reset(), and the
+/// built-in CommModels rate in place into the run's rate buffer — a
 /// long-lived run allocates only when the schedule outgrows every
 /// previous high-water mark.
 ///
@@ -266,6 +267,9 @@ class EngineRun {
   /// harvest spans through the completion hook instead. The checkpoint
   /// copy of a long-lived run shrinks from O(all chunks ever) to O(live
   /// chunks) — what keeps an open-ended busy period's replay cost flat.
+  /// sim::SharedMasterPeriod compacts whenever finalized() is at least
+  /// half of chunks(), so its checkpoint copies stay O(live + newly
+  /// finalized chunks) at amortized O(1) compaction work per chunk.
   std::size_t compact(std::vector<std::size_t>& old_to_new);
 
   /// Move the accumulated spans / per-worker statistics out as a

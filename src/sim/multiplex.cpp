@@ -7,17 +7,6 @@
 
 namespace nldl::sim {
 
-namespace {
-
-// Compact the settled run (drop finalized chunks, EngineRun::compact) once
-// it holds at least this many finalized chunks and they are the majority:
-// the per-replay checkpoint copy stays O(live chunks) even for a busy
-// period that never drains (a saturated open system), at amortized O(1)
-// per chunk. Results are identical at any threshold.
-constexpr std::size_t kCompactThreshold = 1024;
-
-}  // namespace
-
 SharedMasterPeriod::SharedMasterPeriod(const Engine& engine,
                                        const CommModel& model,
                                        SharedMasterOptions options)
@@ -130,12 +119,15 @@ std::size_t SharedMasterPeriod::dispatch(
     settled_.advance_to(release, ChunkCompletionRef(hook));
     events_ += settled_.events() - before;
 
-    // Once finalized chunks dominate the settled run, drop them and
-    // renumber chunk_owner_ to match — the per-replay checkpoint copy
-    // stays O(live chunks) even when one busy period spans the whole
-    // stream (a saturated open system never drains).
-    if (settled_.finalized() >= kCompactThreshold &&
-        settled_.finalized() * 2 >= settled_.chunks()) {
+    // Compaction rule: whenever finalized chunks are at least half of the
+    // settled run, drop them and renumber chunk_owner_ to match. Every
+    // checkpoint copy is then O(live + newly finalized chunks), even when
+    // one busy period spans the whole stream (a saturated open system
+    // never drains), and a compaction's O(chunks) <= 2 x finalized cost
+    // is amortized O(1) per chunk. The trajectory is unchanged
+    // (EngineRun::compact).
+    if (settled_.finalized() > 0 &&
+        2 * settled_.finalized() >= settled_.chunks()) {
       const std::size_t dropped = settled_.compact(compact_remap_);
       if (dropped > 0) {
         constexpr std::size_t kDropped =

@@ -27,12 +27,19 @@
 // never changes, so the period keeps a persistent EngineRun advanced
 // exactly to the latest dispatch's release — every event before that
 // barrier is final — and each replay() checkpoints that run (a capacity-
-// reusing copy) and drains only the speculative tail. Each replay is
-// amortized O(new + in-flight chunk events) instead of O(period), which
-// is the difference between O(n) and O(n²) total work for an n-dispatch
-// busy period. Owner totals split the same way: settled contributions
-// accumulate once, forever; only owners the speculative tail touched are
-// re-estimated (and rolled back to settled before the next drain).
+// reusing copy) and drains only the speculative tail. Compaction rule:
+// after each advance, whenever the chunks the settled run has finalized
+// are at least half of the chunks it holds, dispatch() drops them
+// (EngineRun::compact, which never alters the event trajectory). The
+// settled run therefore never holds more dead chunks than live ones, so
+// each checkpoint copy is O(live + newly finalized chunks) and each
+// replay is amortized O(new + in-flight chunk events) instead of
+// O(period) — a compaction costs O(chunks) <= 2 x finalized, amortized
+// O(1) per chunk. That is the difference between O(n) and O(n²) total
+// work for an n-dispatch busy period. Owner totals split the same way:
+// settled contributions accumulate once, forever; only owners the
+// speculative tail touched are re-estimated (and rolled back to settled
+// before the next drain).
 //
 // Full replay (SharedMasterOptions::incremental = false) re-simulates
 // the whole period from scratch on every call — the original semantics,
@@ -107,7 +114,10 @@ class SharedMasterPeriod {
   /// also advances the settled prefix to the new release barrier —
   /// everything simulated before it is final. Returns the owner index to
   /// query finish()/busy() with after the next replay(). `job`/`tenant`
-  /// attribute the owner's trace spans (ignored untraced).
+  /// attribute the owner's trace spans (ignored untraced). Compacts the
+  /// settled run first whenever its finalized chunks are at least half of
+  /// it (the file comment's rule; a traced period emits a kCompact
+  /// instant each time).
   std::size_t dispatch(double now, double alpha,
                        const std::vector<ChunkAssignment>& chunks,
                        const std::vector<std::size_t>& worker_map,

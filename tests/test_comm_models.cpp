@@ -16,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -169,21 +173,150 @@ TEST(CommModelEquivalence, MakespanMonotoneInCapacity) {
   }
 }
 
-TEST(CommModel, MaxMinFairRatesWaterFill) {
+/// Eligible transfers with the given private caps, in schedule order.
+std::vector<TransferView> views_with_caps(const std::vector<double>& caps) {
+  std::vector<TransferView> views(caps.size());
+  for (std::size_t j = 0; j < caps.size(); ++j) {
+    views[j].chunk = j;
+    views[j].worker = j;
+    views[j].link_rate = caps[j];
+    views[j].remaining = 1.0;
+  }
+  return views;
+}
+
+std::vector<double> water_fill(const BoundedMultiportModel& model,
+                               const std::vector<double>& caps) {
+  std::vector<double> rates(caps.size(), 0.0);
+  model.assign_rates(views_with_caps(caps), rates);
+  return rates;
+}
+
+TEST(CommModel, BoundedMultiportWaterFill) {
   // Private caps 0.5 and 10 sharing capacity 4: the slow link saturates,
   // the fast one takes the rest.
-  const auto rates = max_min_fair_rates({0.5, 10.0}, 4.0);
+  const auto rates = water_fill(BoundedMultiportModel(4.0), {0.5, 10.0});
   EXPECT_DOUBLE_EQ(rates[0], 0.5);
   EXPECT_DOUBLE_EQ(rates[1], 3.5);
   // Equal caps under a binding capacity split evenly.
-  const auto equal = max_min_fair_rates({10.0, 10.0}, 1.0);
+  const auto equal = water_fill(BoundedMultiportModel(1.0), {10.0, 10.0});
   EXPECT_DOUBLE_EQ(equal[0], 0.5);
   EXPECT_DOUBLE_EQ(equal[1], 0.5);
   // Unbounded capacity saturates every private cap.
-  const auto caps = max_min_fair_rates({1.0, 2.0, 3.0}, kInf);
+  const auto caps = water_fill(BoundedMultiportModel(kInf), {1.0, 2.0, 3.0});
   EXPECT_DOUBLE_EQ(caps[0], 1.0);
   EXPECT_DOUBLE_EQ(caps[1], 2.0);
   EXPECT_DOUBLE_EQ(caps[2], 3.0);
+  // Transfers past the concurrency limit wait; the admitted ones share.
+  const auto limited =
+      water_fill(BoundedMultiportModel(4.0, 2), {0.5, 10.0, 1.0});
+  EXPECT_DOUBLE_EQ(limited[0], 0.5);
+  EXPECT_DOUBLE_EQ(limited[1], 3.5);
+  EXPECT_EQ(limited[2], 0.0);
+}
+
+TEST(CommModel, BoundedMultiportRejectsBadCaps) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const BoundedMultiportModel model(4.0);
+  EXPECT_THROW((void)water_fill(model, {1.0, nan}), util::PreconditionError);
+  EXPECT_THROW((void)water_fill(model, {-0.5, 1.0}),
+               util::PreconditionError);
+}
+
+namespace reference {
+
+/// The textbook water-fill over copied caps with a saturation mask: the
+/// loop BoundedMultiportModel::assign_rates must reproduce bit for bit.
+std::vector<double> max_min_fair_rates(const std::vector<double>& caps,
+                                       double capacity) {
+  const std::size_t count = caps.size();
+  std::vector<double> rates(count, 0.0);
+  std::vector<bool> saturated(count, false);
+  double remaining = capacity;
+  std::size_t unsaturated = count;
+  for (std::size_t pass = 0; pass < count && unsaturated > 0; ++pass) {
+    const double share = remaining / static_cast<double>(unsaturated);
+    bool any_saturated = false;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (saturated[i]) continue;
+      if (caps[i] <= share) {
+        rates[i] = caps[i];
+        remaining -= caps[i];
+        saturated[i] = true;
+        --unsaturated;
+        any_saturated = true;
+      }
+    }
+    if (!any_saturated) {
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!saturated[i]) rates[i] = share;
+      }
+      break;
+    }
+  }
+  return rates;
+}
+
+}  // namespace reference
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(CommModel, WaterFillMatchesReferenceLoopBitwise) {
+  // Every combination of cap shape x capacity x concurrency limit, on
+  // random sizes; the in-place water-fill must return the reference
+  // loop's bits for the admitted transfers and exact zeros past them.
+  util::Rng rng(20130520);
+  for (int rep = 0; rep < 27 * 40; ++rep) {
+    const int cap_kind = rep % 3;             // random, equal, zeros
+    const int capacity_kind = (rep / 3) % 3;  // finite, +inf, below caps
+    const int limit_kind = (rep / 9) % 3;     // unlimited, below, above
+    const std::size_t count = static_cast<std::size_t>(
+        rng.uniform_int(limit_kind == 1 ? 2 : 1, 8));
+    std::vector<double> caps(count);
+    const double equal_cap = rng.uniform(0.1, 10.0);
+    for (double& cap : caps) {
+      if (cap_kind == 1) {
+        cap = equal_cap;
+      } else if (cap_kind == 2 && rng.uniform() < 0.5) {
+        cap = 0.0;
+      } else {
+        cap = rng.uniform(0.1, 10.0);
+      }
+    }
+    double smallest_positive = kInf;
+    for (const double cap : caps) {
+      if (cap > 0.0) smallest_positive = std::min(smallest_positive, cap);
+    }
+    double capacity = rng.uniform(0.1, 30.0);
+    if (capacity_kind == 1) capacity = kInf;
+    if (capacity_kind == 2) {
+      capacity = rng.uniform(0.05, 0.95) *
+                 (smallest_positive < kInf ? smallest_positive : 1.0);
+    }
+    std::size_t limit = BoundedMultiportModel::kUnlimited;
+    if (limit_kind == 1) {
+      limit = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(count) - 1));
+    }
+    if (limit_kind == 2) {
+      limit = count + static_cast<std::size_t>(rng.uniform_int(0, 3));
+    }
+
+    const BoundedMultiportModel model(capacity, limit);
+    std::vector<double> rates(count, 7.5);  // stale values must not leak
+    model.assign_rates(views_with_caps(caps), rates);
+
+    const std::size_t admitted = std::min(count, limit);
+    const std::vector<double> want = reference::max_min_fair_rates(
+        {caps.begin(), caps.begin() + static_cast<std::ptrdiff_t>(admitted)},
+        capacity);
+    for (std::size_t j = 0; j < count; ++j) {
+      const double expected = j < admitted ? want[j] : 0.0;
+      EXPECT_EQ(bits(rates[j]), bits(expected))
+          << "rep " << rep << " transfer " << j << " of " << count
+          << " capacity " << capacity << " limit " << limit;
+    }
+  }
 }
 
 TEST(CommModel, FactoryAndNames) {
@@ -219,22 +352,6 @@ TEST(CommModel, RejectsBadParameters) {
   EXPECT_THROW(
       (void)make_comm_model(CommModelKind::kBoundedMultiport, 1.0, 0),
       util::PreconditionError);
-}
-
-TEST(CommModel, MaxMinFairRatesRejectsDegenerateInputs) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)max_min_fair_rates({1.0, 2.0}, nan),
-               util::PreconditionError);
-  EXPECT_THROW((void)max_min_fair_rates({1.0, 2.0}, -1.0),
-               util::PreconditionError);
-  EXPECT_THROW((void)max_min_fair_rates({1.0, nan}, 4.0),
-               util::PreconditionError);
-  EXPECT_THROW((void)max_min_fair_rates({-0.5, 1.0}, 4.0),
-               util::PreconditionError);
-  // Zero capacity is a defined (all-zero) answer, not garbage.
-  const auto zero = max_min_fair_rates({1.0, 2.0}, 0.0);
-  EXPECT_DOUBLE_EQ(zero[0], 0.0);
-  EXPECT_DOUBLE_EQ(zero[1], 0.0);
 }
 
 // --- degenerate limits on time-released schedules -------------------------
