@@ -17,24 +17,53 @@ std::vector<sim::ChunkAssignment> NonlinearAllocation::to_schedule() const {
 
 namespace {
 
-/// std::pow(x, e), bit for bit, without the call at the two exponents whose
-/// result is exact: pow(x, ±0) = 1 for every x (C Annex F), and pow(x, 1) =
-/// x. For x that is not a power of two, glibc's sub-ULP error bound leaves
-/// x as the only candidate; NonlinearFastPaths.LibmPowIdentitiesHold pins
-/// every power of two plus ±0, ±inf and NaN. x^2 and x^0.5 still call
-/// std::pow: glibc's pow differs from x*x and from std::sqrt in the last
-/// bit on ~0.1% of inputs.
+constexpr double kSmallestNormal = std::numeric_limits<double>::min();
+
+/// x^e, without std::pow at the three exponents with an exact or correctly
+/// rounded shortcut: pow(x, ±0) = 1 for every x (C Annex F); pow(x, 1) = x
+/// (for x that is not a power of two glibc's sub-ULP error bound leaves x as
+/// the only candidate; NonlinearFastPaths.LibmPowIdentitiesHold pins every
+/// power of two plus ±0, ±inf and NaN); and x^2 = x * x, the correctly
+/// rounded square, where glibc's pow is one ULP off on ~0.08% of inputs.
+/// Every other exponent is std::pow's.
 double power(double x, double e) {
   if (e == 0.0) return 1.0;
   if (e == 1.0) return x;  // nldl-lint: allow(double-eq): exact exponent 1, where pow(x, 1) == x bit for bit
+  if (e == 2.0) return x * x;  // nldl-lint: allow(double-eq): exact exponent 2, whose correctly rounded value is x * x
   return std::pow(x, e);
 }
 
+/// The inputs every solver shares: a finite load that is 0 or a normal
+/// double, and a finite alpha >= 1. A subnormal load has too few
+/// significant bits to split, and the solvers' tolerances scale with it.
 void require_solver_inputs(double total_load, double alpha) {
   NLDL_REQUIRE(std::isfinite(total_load) && total_load >= 0.0,
                "total_load must be finite and >= 0");
   NLDL_REQUIRE(std::isfinite(alpha) && alpha >= 1.0,
                "alpha must be finite and >= 1");
+  NLDL_REQUIRE(total_load == 0.0 || total_load >= kSmallestNormal,
+               "total_load is subnormal (below DBL_MIN): too few significant "
+               "bits to split");
+}
+
+/// The makespan bracket t_hi, one worker's time c·N + w·N^alpha for the
+/// whole load, must be a finite normal double: past DBL_MAX (N^alpha or the
+/// sum overflows) the solve has no upper end, and below DBL_MIN the makespan
+/// has too few significant bits to stop on.
+void require_makespan_bracket(double t_hi) {
+  NLDL_REQUIRE(std::isfinite(t_hi),
+               "c*N + w*N^alpha overflows double precision: the load is too "
+               "large for this platform and alpha");
+  NLDL_REQUIRE(t_hi >= kSmallestNormal,
+               "c*N + w*N^alpha is subnormal (below DBL_MIN): the load is too "
+               "small for this platform and alpha");
+}
+
+/// The next upper end of a bracket whose f is still negative there: twice
+/// hi, and never below the smallest subnormal, so an end that underflowed to
+/// 0 grows back instead of doubling 0 forever.
+double grow_bracket(double hi) {
+  return std::max(2.0 * hi, std::numeric_limits<double>::denorm_min());
 }
 
 /// d(c·n + w·n^alpha)/dn: the time one more load unit costs a worker that
@@ -45,18 +74,34 @@ double marginal_cost(double c, double w, double alpha, double n) {
 }
 
 /// Solve c·n + w·n^alpha = budget for n >= 0 (unique root; 0 if budget <= 0).
+/// alpha = 1 and alpha = 2 have closed forms. Every other alpha runs the
+/// safeguarded Newton, as do alpha = 1 where c + w overflows and alpha = 2
+/// where c² + 4·w·budget does.
 double chunk_for_budget(double c, double w, double alpha, double budget) {
   if (budget <= 0.0) return 0.0;
+  if (alpha == 1.0) {  // nldl-lint: allow(double-eq): exact exponent 1 selects the linear closed form
+    const double unit_cost = c + w;
+    if (std::isfinite(unit_cost)) return budget / unit_cost;
+  } else if (alpha == 2.0) {  // nldl-lint: allow(double-eq): exact exponent 2 selects the quadratic closed form
+    // The positive root of w·n² + c·n − budget, written as
+    // 2·budget / (c + √(c² + 4·w·budget)) so that nothing cancels: the
+    // textbook (√(c² + 4·w·budget) − c) / (2·w) loses every digit once
+    // 4·w·budget is small next to c².
+    const double discriminant = c * c + 4.0 * w * budget;
+    if (std::isfinite(discriminant)) {
+      return 2.0 * (budget / (c + std::sqrt(discriminant)));
+    }
+  }
   auto f = [&](double n) { return c * n + w * power(n, alpha) - budget; };
   auto df = [&](double n) { return marginal_cost(c, w, alpha, n); };
   // Upper bracket: n <= budget / c (communication alone) and
   // n <= (budget / w)^(1/alpha) (computation alone). In exact arithmetic f
-  // >= 0 at either bound, hence at their min; the doubling loop only
-  // absorbs rounding that leaves f(hi) just below zero.
+  // >= 0 at either bound, hence at their min; the growth loop only absorbs
+  // rounding that leaves f(hi) just below zero, or a bound that underflowed.
   double hi = std::min(budget / c, power(budget / w, 1.0 / alpha));
   double fhi = f(hi);
   while (fhi < 0.0) {
-    hi *= 2.0;
+    hi = grow_bracket(hi);
     fhi = f(hi);
   }
   // Tolerances must scale with the problem: |f| carries the magnitude of
@@ -85,14 +130,15 @@ bool same_bits(const platform::Processor& a, const platform::Processor& b) {
 /// safeguarded by the bracket [0, t_hi]. f(0) is exactly −N: every chunk is
 /// 0 at a zero budget. t_hi holds the whole load in exact arithmetic, but a
 /// tight bracket (one worker) can leave f(t_hi) just below zero after
-/// rounding in the chunk solves, so t_hi doubles until f turns non-negative.
+/// rounding in the chunk solves, so t_hi grows until f turns non-negative.
 /// df is the exact dN/dT at the T of the f call just before it.
 template <typename F, typename DF>
 util::RootResult solve_makespan(F&& f, DF&& df, double total_load,
                                 double t_hi) {
+  require_makespan_bracket(t_hi);
   double f_hi = f(t_hi);
   while (f_hi < 0.0) {
-    t_hi *= 2.0;
+    t_hi = grow_bracket(t_hi);
     f_hi = f(t_hi);
   }
   util::RootOptions opts;

@@ -3,9 +3,10 @@
 // Compute cost on worker i for a chunk of X load units is w_i · X^alpha with
 // alpha > 1 (e.g. alpha = 2 for the "quadratic loads" of Hung & Robertazzi,
 // Suresh et al. — refs [31–35] of the paper). Optimal single-round
-// allocations equalize finish times; they have no closed form on
-// heterogeneous platforms, so nldl solves the optimality conditions with its
-// own bracketed Newton iteration (util/roots.hpp).
+// allocations equalize finish times; the common makespan has no closed form
+// on heterogeneous platforms, so nldl solves the optimality conditions with
+// its own bracketed Newton iteration (util/roots.hpp). Each worker's chunk
+// for a given makespan has one at alpha = 1 and alpha = 2.
 //
 // The headline quantity is `remaining_fraction`: the share of the total
 // work W = N^alpha that is *not* performed by the single DLT round,
@@ -46,28 +47,32 @@ struct NonlinearAllocation {
 ///   c_i·n_i + w_i·n_i^alpha = T for all i,  Σ n_i = total_load.
 /// Solved by Newton on T with the exact derivative
 ///   dN/dT = Σ_i 1/(c_i + alpha·w_i·n_i^(alpha−1)),
-/// each n_i(T) itself found by Newton on n; both run in
+/// each n_i(T) itself in closed form at alpha = 1 and 2 and by Newton on n
+/// otherwise (see Arithmetic below); every Newton runs in
 /// util::newton_safeguarded, inside a bracket. A worker whose (c, w) bit
 /// patterns equal the previous worker's reuses its chunk (and its term of
 /// dN/dT) instead of solving again; sums still run in worker order.
 /// Requires alpha >= 1; with alpha == 1 this matches the linear closed form.
 ///
-/// Bit-exactness: every solver here returns the same bits as one that calls
-/// std::pow for every x^alpha, x^(alpha−1) and x^(1/alpha). It skips the
-/// call only where the exponent is 0 (pow(x, ±0) = 1, C Annex F) or 1
-/// (pow(x, 1) = x: glibc's sub-ULP error bound gives it for x that are not
-/// powers of two, and a test pins every power of two plus ±0, ±inf and
-/// NaN). x^2 and x^0.5 keep std::pow: glibc's pow differs from x*x and from
-/// std::sqrt in the last bit on ~0.1% of inputs, which would change the
-/// bench payloads.
+/// Arithmetic: at alpha = 1 and alpha = 2 each chunk is its closed-form
+/// root for a budget B, n = B/(c + w) and n = 2B/(c + √(c² + 4·w·B)) (the
+/// quadratic root written so that nothing cancels). Every other alpha finds
+/// the chunk by Newton on n, which is also the fallback wherever c + w or
+/// c² + 4·w·B overflows. Powers skip std::pow at three exponents: x^0 = 1
+/// and x^1 = x, which are exact (a test pins the libm identities), and x^2,
+/// which is x * x, the correctly rounded square. Every other exponent
+/// (x^1.5, x^3, x^(1/alpha), ...) is std::pow's.
 ///
-/// All solvers require finite total_load >= 0 and finite alpha >= 1. Their
-/// Newton iteration on T starts from the bracket [0, t_hi], t_hi the time
-/// one worker takes for the whole load, and stops once |Σ n_i − N| is
-/// within 1e-10 of N or the bracket within 1e-10 of t_hi, or after 200
-/// steps. Σ n_i(T) is increasing and concave, so it usually stops on the
-/// load residual within a few steps; that pins T much tighter than a
-/// bracket width of 1e-10·t_hi would when t_hi sits far above T.
+/// All solvers require finite total_load >= 0 and finite alpha >= 1, a
+/// load that is 0 or a normal double (>= DBL_MIN), and a bracket t_hi that
+/// is a finite normal double; anything else throws util::PreconditionError
+/// naming the cause. Their Newton iteration on T starts from the bracket
+/// [0, t_hi], t_hi the time one worker takes for the whole load
+/// (c·N + w·N^alpha), and stops once |Σ n_i − N| is within 1e-10 of N or
+/// the bracket within 1e-10 of t_hi, or after 200 steps. Σ n_i(T) is
+/// increasing and concave, so it usually stops on the load residual within
+/// a few steps; that pins T much tighter than a bracket width of
+/// 1e-10·t_hi would when t_hi sits far above T.
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha);
 

@@ -1,6 +1,7 @@
 #include "online/job.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -16,6 +17,9 @@ void validate_stream(const std::vector<Job>& jobs) {
                  "jobs must be sorted by arrival time");
     NLDL_REQUIRE(std::isfinite(job.load) && job.load > 0.0,
                  "job loads must be finite and positive");
+    NLDL_REQUIRE(job.load >= std::numeric_limits<double>::min(),
+                 "job load is subnormal (below DBL_MIN): too few significant "
+                 "bits to split");
     NLDL_REQUIRE(std::isfinite(job.alpha) && job.alpha >= 1.0,
                  "job alphas must be finite and >= 1");
   }

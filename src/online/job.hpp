@@ -39,9 +39,13 @@ struct Job {
 
 /// The stream contract both servers (online::Server, qos::Server) share:
 /// ids 0..n-1 in order, arrivals finite, >= 0 and non-decreasing, loads
-/// finite and > 0, alphas finite and >= 1. Throws util::PreconditionError
-/// on the first violation — a NaN or infinite field is a caller error,
-/// not a stream the event loop could ever drain. Deadlines are the
+/// finite and normal (>= DBL_MIN), alphas finite and >= 1. Throws
+/// util::PreconditionError on the first violation — a NaN or infinite field
+/// is a caller error, not a stream the event loop could ever drain, and a
+/// subnormal load has too few bits for the dlt solvers to split. A load
+/// whose load^alpha overflows, or whose makespan bracket does on the
+/// server's platform, is rejected by the solver at the job's first solve
+/// (dlt/nonlinear_dlt.hpp), also as a PreconditionError. Deadlines are the
 /// caller's to check (+infinity is a legal best-effort deadline).
 void validate_stream(const std::vector<Job>& jobs);
 

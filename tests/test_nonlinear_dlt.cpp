@@ -246,13 +246,19 @@ TEST(NonlinearOneWorker, BothSolversPlaceTheWholeLoad) {
 }
 
 // Bit-for-bit oracle for the solver's fast paths. `reference` is the
-// solver without them: std::pow at every exponent, f evaluated at both ends
-// of every bracket, one chunk solve per worker, and its own copy of the
-// safeguarded Newton loop, inner and outer. Its outer derivative re-solves
-// every chunk instead of reading the ones f just filled, and it re-fills the
-// allocation at the root instead of keeping the last fill. The library must
-// return the same NonlinearAllocation, bit for bit, iteration counts
-// included.
+// solver without them: f evaluated at both ends of every bracket, one chunk
+// solve per worker, and its own copy of the safeguarded Newton loop, inner
+// and outer. Its outer derivative re-solves every chunk instead of reading
+// the ones f just filled, and it re-fills the allocation at the root
+// instead of keeping the last fill. Its arithmetic is the solver's: the
+// closed-form chunks at alpha = 1 and alpha = 2, x * x for x^alpha at
+// alpha = 2, and std::pow at every other exponent; at alpha = 1.5 and 3 it
+// solves every chunk with newton_chunk. The library squares n^(alpha − 1)
+// at alpha = 3 as x * x where the reference keeps std::pow(n, 2): the two
+// differ in the last bit on ~0.08% of inputs, a differing derivative only
+// nudges a Newton step, and on this grid no such nudge reaches the output.
+// The library must return the same NonlinearAllocation, bit for bit,
+// iteration counts included.
 namespace reference {
 
 template <typename F, typename DF>
@@ -290,11 +296,19 @@ util::RootResult newton(F&& f, DF&& df, double lo, double hi,
   return result;
 }
 
+/// x^alpha as the solver forms it: the correctly rounded square at
+/// alpha = 2, std::pow at every other alpha.
+double pow_alpha(double x, double alpha) {
+  return alpha == 2.0 ? x * x : std::pow(x, alpha);
+}
+
 double marginal_cost(double c, double w, double alpha, double n) {
   return c + w * alpha * std::pow(n, alpha - 1.0);
 }
 
-double chunk_for_budget(double c, double w, double alpha, double budget) {
+/// The chunk solve from before the closed forms, at every alpha: the
+/// safeguarded Newton on c·n + w·n^alpha = budget with std::pow throughout.
+double newton_chunk(double c, double w, double alpha, double budget) {
   if (budget <= 0.0) return 0.0;
   const double hi = std::min(budget / c, std::pow(budget / w, 1.0 / alpha));
   auto f = [&](double n) { return c * n + w * std::pow(n, alpha) - budget; };
@@ -309,11 +323,26 @@ double chunk_for_budget(double c, double w, double alpha, double budget) {
   return result.x;
 }
 
+/// The chunk the solver forms: the closed forms at alpha = 1 and alpha = 2,
+/// written as the library writes them, and newton_chunk at every other
+/// alpha.
+double chunk_for_budget(double c, double w, double alpha, double budget) {
+  if (budget <= 0.0) return 0.0;
+  if (alpha == 1.0) return budget / (c + w);
+  if (alpha == 2.0) {
+    const double discriminant = c * c + 4.0 * w * budget;
+    if (std::isfinite(discriminant)) {
+      return 2.0 * (budget / (c + std::sqrt(discriminant)));
+    }
+  }
+  return newton_chunk(c, w, alpha, budget);
+}
+
 void finalize(NonlinearAllocation& alloc, double total_load, double alpha) {
   alloc.alpha = alpha;
-  alloc.total_work = std::pow(total_load, alpha);
+  alloc.total_work = pow_alpha(total_load, alpha);
   alloc.work_done = 0.0;
-  for (const double n : alloc.amounts) alloc.work_done += std::pow(n, alpha);
+  for (const double n : alloc.amounts) alloc.work_done += pow_alpha(n, alpha);
   alloc.remaining_fraction =
       alloc.total_work > 0.0 ? 1.0 - alloc.work_done / alloc.total_work : 0.0;
 }
@@ -351,7 +380,7 @@ NonlinearAllocation parallel(const Platform& plat, double total_load,
   double t_hi = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < p; ++i) {
     t_hi = std::min(t_hi, plat.c(i) * total_load +
-                              plat.w(i) * std::pow(total_load, alpha));
+                              plat.w(i) * pow_alpha(total_load, alpha));
   }
   const auto f = [&](double T) { return assigned_load(T) - total_load; };
   const auto root =
@@ -371,7 +400,7 @@ NonlinearAllocation parallel(const Platform& plat, double total_load,
       alloc.makespan =
           std::max(alloc.makespan,
                    plat.c(i) * alloc.amounts[i] +
-                       plat.w(i) * std::pow(alloc.amounts[i], alpha));
+                       plat.w(i) * pow_alpha(alloc.amounts[i], alpha));
     }
   }
   finalize(alloc, total_load, alpha);
@@ -416,7 +445,7 @@ NonlinearAllocation one_port(const Platform& plat, double total_load,
   };
   const std::size_t first = send_order[0];
   const double t_hi = plat.c(first) * total_load +
-                      plat.w(first) * std::pow(total_load, alpha);
+                      plat.w(first) * pow_alpha(total_load, alpha);
   std::vector<double> scratch(p, 0.0);
   const auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
   const auto root =
@@ -508,9 +537,7 @@ std::vector<std::pair<std::string, Platform>> oracle_platforms() {
   return platforms;
 }
 
-/// Fixed loads across 1e-3..1e4, then enough log-uniform ones that a
-/// last-bit change in one x^2 evaluation (x*x for std::pow) reaches the
-/// output in several cases.
+/// Fixed loads across 1e-3..1e4, then 60 log-uniform ones.
 std::vector<double> oracle_loads() {
   util::Rng rng(20261016);
   std::vector<double> loads = {1e-3, 0.05, 1.0, 17.3, 640.0, 1e4};
@@ -586,30 +613,226 @@ void for_each_oracle_solve(Check check) {
   }
 }
 
+/// The earliest and latest finish time over the workers `alloc` feeds, in
+/// `send_order` under one-port (empty for parallel links).
+std::pair<double, double> fed_finish_range(
+    const Platform& plat, const std::vector<std::size_t>& send_order,
+    const NonlinearAllocation& alloc) {
+  std::vector<double> finishes;
+  double clock = 0.0;  // one-port feed clock; stays 0 on parallel links
+  for (std::size_t k = 0; k < plat.size(); ++k) {
+    const std::size_t i = send_order.empty() ? k : send_order[k];
+    const double n = alloc.amounts[i];
+    if (n <= 0.0) continue;
+    finishes.push_back(clock + plat.c(i) * n +
+                       plat.w(i) * std::pow(n, alloc.alpha));
+    if (!send_order.empty()) clock += plat.c(i) * n;
+  }
+  EXPECT_FALSE(finishes.empty());
+  if (finishes.empty()) return {0.0, 0.0};
+  const auto [lo, hi] = std::minmax_element(finishes.begin(), finishes.end());
+  return {*lo, *hi};
+}
+
 // The paper's Section 2 optimum gives every fed worker the same finish
 // time. Newton on T stops on the load residual, which pins T far tighter
 // than a stopping width of 1e-10·t_hi does when t_hi = c·N + w·N^alpha sits
-// far above T. Below a unit budget each chunk solve stops at an absolute
-// residual of 1e-12 (its f_tol), which bounds the spread of tiny makespans
-// whatever the outer method; two such residuals are allowed on top.
+// far above T. Below a unit budget each Newton chunk solve stops at an
+// absolute residual of 1e-12 (its f_tol), which bounds the spread of tiny
+// makespans whatever the outer method; two such residuals are allowed on
+// top.
 TEST(NonlinearNewton, FedWorkersFinishTogether) {
   for_each_oracle_solve([](const Platform& plat,
                            const std::vector<std::size_t>& send_order,
                            const NonlinearAllocation& alloc) {
-    std::vector<double> finishes;
-    double clock = 0.0;  // one-port feed clock; stays 0 on parallel links
-    for (std::size_t k = 0; k < plat.size(); ++k) {
-      const std::size_t i = send_order.empty() ? k : send_order[k];
-      const double n = alloc.amounts[i];
-      if (n <= 0.0) continue;
-      finishes.push_back(clock + plat.c(i) * n +
-                         plat.w(i) * std::pow(n, alloc.alpha));
-      if (!send_order.empty()) clock += plat.c(i) * n;
-    }
-    ASSERT_FALSE(finishes.empty());
-    const auto [lo, hi] = std::minmax_element(finishes.begin(), finishes.end());
-    EXPECT_LE(*hi - *lo, 1e-9 * *hi + 2e-12);
+    const auto [lo, hi] = fed_finish_range(plat, send_order, alloc);
+    EXPECT_LE(hi - lo, 1e-9 * hi + 2e-12);
   });
+}
+
+// At alpha = 1 and 2 each chunk is its closed-form root, exact to a few
+// ULPs at any budget, so what separates the finish times is only the
+// outer solve's load residual (at most 1e-10·N, rescaled onto every
+// chunk): the spread stays within 1e-10·T, with no absolute term for tiny
+// makespans.
+TEST(NonlinearClosedForms, FedWorkersFinishWithinATenBillionthOfT) {
+  for_each_oracle_solve([](const Platform& plat,
+                           const std::vector<std::size_t>& send_order,
+                           const NonlinearAllocation& alloc) {
+    if (alloc.alpha != 1.0 && alloc.alpha != 2.0) return;
+    const auto [lo, hi] = fed_finish_range(plat, send_order, alloc);
+    EXPECT_LE(hi - lo, 1e-10 * hi);
+  });
+}
+
+// The quadratic closed form against the Newton chunk solve it replaced, on
+// 10^5 generated (c, w, budget): the root's residual stays within 1e-15 of
+// the budget, where Newton stops at 1e-12·max(1, budget), and the two roots
+// agree to 1e-9. The residual is taken in long double, so it measures the
+// root rather than the check's own rounding. The formula is the reference
+// solver's, which MatchReferenceSolverBitForBit ties to the library's bits.
+TEST(NonlinearClosedForms, QuadraticRootIsAccurate) {
+  util::Rng rng(20261017);
+  double worst_residual = 0.0;
+  double worst_gap = 0.0;
+  for (int k = 0; k < 100000; ++k) {
+    const double c = std::pow(10.0, rng.uniform(-2.0, 1.0));
+    const double w = std::pow(10.0, rng.uniform(-2.0, 1.0));
+    const double budget = std::pow(10.0, rng.uniform(-3.0, 6.0));
+    const double n = reference::chunk_for_budget(c, w, 2.0, budget);
+    const long double root = n;
+    const long double residual =
+        std::fabs(static_cast<long double>(c) * root +
+                  static_cast<long double>(w) * root * root -
+                  static_cast<long double>(budget));
+    worst_residual =
+        std::max(worst_residual, static_cast<double>(residual / budget));
+    const double newton = reference::newton_chunk(c, w, 2.0, budget);
+    worst_gap = std::max(worst_gap, std::abs(n - newton) / newton);
+  }
+  EXPECT_LE(worst_residual, 1e-15);
+  EXPECT_LE(worst_gap, 1e-9);
+}
+
+// Where a closed form's intermediate overflows it would starve the worker:
+// c + w = inf reads B/(c + w) = 0 at alpha = 1, and c² = inf reads
+// 2·B/(c + inf) = 0 at alpha = 2. The solver falls back to the Newton chunk
+// there.
+TEST(NonlinearClosedForms, FallBackToNewtonWhereTheClosedFormOverflows) {
+  // alpha = 2: worker 0 (c = 1e155 or 1e200, w = 1e155) holds n with
+  // w·n² ≈ T ≈ 1e300, n = 3.1622776601683791e72 as before the closed forms.
+  // One-port feeds worker 1 first: its bracket is the first worker's time
+  // for the whole load, which overflows for worker 0.
+  const double want = 3.1622776601683791e72;
+  for (const double c : {1e155, 1e200}) {
+    SCOPED_TRACE("c=" + std::to_string(c));
+    const Platform plat({{c, 1e155}, {1.0, 1.0}});
+    for (const NonlinearAllocation& alloc :
+         {nonlinear_parallel_single_round(plat, 1e150, 2.0),
+          nonlinear_one_port_single_round(plat, 1e150, 2.0,
+                                          std::vector<std::size_t>{1, 0})}) {
+      EXPECT_NEAR(alloc.amounts[0], want, 1e-9 * want);
+      EXPECT_NEAR(alloc.amounts[0] + alloc.amounts[1], 1e150, 1e-12 * 1e150);
+    }
+  }
+  // alpha = 1: worker 0 (c = w = 1e308) holds T/(c + w) ≈ 1e-208.
+  const Platform plat({{1e308, 1e308}, {1.0, 1.0}});
+  const NonlinearAllocation alloc =
+      nonlinear_parallel_single_round(plat, 1e100, 1.0);
+  const double linear = alloc.makespan / 1e308 / 2.0;
+  EXPECT_NEAR(alloc.amounts[0], linear, 1e-9 * linear);
+}
+
+// x^2 is x * x in every place the solver squares: the total work, the work
+// done and the rescaled makespan. glibc's pow(x, 2) differs from x * x on
+// ~0.08% of inputs, so over 20,000 loads a std::pow square would show.
+// The oracle grid above cannot see this: none of its loads and chunks
+// happens to be such an input.
+TEST(NonlinearClosedForms, SquaresAreCorrectlyRounded) {
+  const Platform plat({{0.5, 1.0}, {1.5, 0.25}});
+  util::Rng rng(20261018);
+  for (int k = 0; k < 20000; ++k) {
+    const double load = std::pow(10.0, rng.uniform(-3.0, 6.0));
+    const NonlinearAllocation alloc =
+        nonlinear_parallel_single_round(plat, load, 2.0);
+    double work_done = 0.0;
+    double makespan = 0.0;
+    for (std::size_t i = 0; i < plat.size(); ++i) {
+      const double n = alloc.amounts[i];
+      work_done += n * n;
+      makespan = std::max(makespan, plat.c(i) * n + plat.w(i) * (n * n));
+    }
+    ASSERT_EQ(bits(alloc.total_work), bits(load * load)) << load;
+    ASSERT_EQ(bits(alloc.work_done), bits(work_done)) << load;
+    ASSERT_EQ(bits(alloc.makespan), bits(makespan)) << load;
+  }
+}
+
+// Loads from the smallest subnormal to DBL_MAX, on platforms whose c and w
+// run from 1e-10 to 1e10: every solve either places the whole load in
+// finite, non-negative chunks or throws PreconditionError. Never a hang (a
+// bracket end that underflowed to 0 used to double forever), an
+// InvariantError from a solve that cannot converge, or a misleading "sign
+// change" error from an overflowed bracket. Subnormal loads are always
+// rejected; a unit load always solves.
+TEST(NonlinearDomain, EveryLoadIsPlacedOrRejected) {
+  const double loads[] = {std::ldexp(1.0, -1074),
+                          1e-320,
+                          1e-305,
+                          std::numeric_limits<double>::min(),
+                          1.0,
+                          1e300,
+                          std::numeric_limits<double>::max()};
+  const double scales[] = {1e-10, 1.0, 1e10};
+  for (const double load : loads) {
+    for (const double c : scales) {
+      for (const double w : scales) {
+        const Platform plat({{c, w}, {c, 2.0 * w}});
+        for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
+          for (const bool one_port : {false, true}) {
+            SCOPED_TRACE("load=" + std::to_string(load) +
+                         " c=" + std::to_string(c) +
+                         " w=" + std::to_string(w) +
+                         " alpha=" + std::to_string(alpha) +
+                         (one_port ? " one-port" : " parallel"));
+            std::optional<NonlinearAllocation> alloc;
+            try {
+              alloc = one_port
+                          ? nonlinear_one_port_single_round(plat, load, alpha)
+                          : nonlinear_parallel_single_round(plat, load, alpha);
+            } catch (const util::PreconditionError&) {
+              EXPECT_NE(load, 1.0) << "a unit load must solve";
+              continue;
+            }
+            EXPECT_GE(load, std::numeric_limits<double>::min())
+                << "a subnormal load must be rejected";
+            EXPECT_TRUE(std::isfinite(alloc->makespan));
+            long double placed = 0.0L;
+            for (const double n : alloc->amounts) {
+              EXPECT_TRUE(std::isfinite(n) && n >= 0.0) << n;
+              placed += n;
+            }
+            EXPECT_LE(std::fabs(placed - static_cast<long double>(load)),
+                      1e-12L * load);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Workers whose c and w lie 10^200 and more apart, on normal loads: one
+// bound of a chunk's bracket, budget/c or (budget/w)^(1/alpha),
+// underflows to 0, and the growth loop that used to double it stayed at 0
+// forever. Each solve now places the whole load.
+TEST(NonlinearDomain, ABracketEndThatUnderflowsStillGrows) {
+  struct Case {
+    platform::Processor first;
+    platform::Processor second;
+    double load;
+    double alpha;
+    bool one_port;
+  };
+  const Case cases[] = {
+      {{4.27743e152, 3.80822e269}, {2.80911e-230, 1.40574e235},
+       5.79346e-216, 1.5, false},
+      {{6.19114e-228, 5.78976e-128}, {1.54618e-243, 3.9135e111},
+       7.69738e-34, 3.0, true},
+      {{4.07299e-73, 1.33236e226}, {1.11873e-274, 3.54746e8},
+       7.04125e-159, 1.5, false},
+      {{2.24595e-144, 1.09664e25}, {1.34956e220, 1.59593e87},
+       6.58032e-204, 1.5, true},
+      {{6.53913e95, 3.30658e166}, {8.71742e278, 1.31577e-243},
+       1.2716e-291, 1.5, true}};
+  for (const Case& k : cases) {
+    SCOPED_TRACE("load=" + std::to_string(k.load) +
+                 (k.one_port ? " one-port" : " parallel"));
+    const Platform plat({k.first, k.second});
+    const NonlinearAllocation alloc =
+        k.one_port ? nonlinear_one_port_single_round(plat, k.load, k.alpha)
+                   : nonlinear_parallel_single_round(plat, k.load, k.alpha);
+    EXPECT_NEAR(alloc.amounts[0] + alloc.amounts[1], k.load, 1e-12 * k.load);
+  }
 }
 
 // Newton converges quadratically on the concave Σ n_i(T), so a handful of

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -394,6 +395,47 @@ TEST(Server, ValidatesTheJobStream) {
                    util::PreconditionError);
       EXPECT_THROW(server.run(make_jobs({{0.0, 10.0, bad}}), fair),
                    util::PreconditionError);
+    }
+  }
+}
+
+/// Runs `run`, which must throw util::PreconditionError naming `cause`.
+template <typename Run>
+void expect_rejected_for(Run run, const std::string& cause) {
+  try {
+    run();
+    ADD_FAILURE() << "expected a PreconditionError naming " << cause;
+  } catch (const util::PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find(cause), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Server, RejectsLoadsDoublePrecisionCannotSplit) {
+  // A subnormal load is rejected up front (validate_stream): one such job
+  // used to hang the server on {{1, 1}, {1, 2}}, where a chunk bracket
+  // underflowed to 0 and doubled forever, and threw InvariantError on
+  // two_class(8, 1, 4). A load whose load^alpha overflows fails at its
+  // first solve, also as a PreconditionError naming the cause.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const platform::Platform& plat :
+       {platform::Platform({{1.0, 1.0}, {1.0, 2.0}}),
+        platform::Platform::two_class(8, 1.0, 4.0)}) {
+    for (const MasterMode master :
+         {MasterMode::kPrivatePort, MasterMode::kSharedMaster}) {
+      SCOPED_TRACE(to_string(master));
+      ServerOptions options;
+      options.master = master;
+      const Server server(plat, options);
+      const Scheduler fcfs;
+      for (const double alpha : {1.0, 2.0}) {
+        expect_rejected_for(
+            [&] { (void)server.run(make_jobs({{0.0, tiny, alpha}}), fcfs); },
+            "subnormal");
+      }
+      expect_rejected_for(
+          [&] { (void)server.run(make_jobs({{0.0, 1e300, 2.0}}), fcfs); },
+          "overflows");
     }
   }
 }

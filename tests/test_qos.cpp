@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dlt/nonlinear_dlt.hpp"
@@ -623,6 +624,33 @@ TEST(Server, ValidatesTheJobStream) {
                    util::PreconditionError);
       EXPECT_THROW(server.run({make_job(0, 0.0, 10.0, bad)}, fcfs),
                    util::PreconditionError);
+    }
+  }
+}
+
+TEST(Server, RejectsLoadsDoublePrecisionCannotSplit) {
+  // The stream check names a subnormal load for what it is; the qos server
+  // used to fail on it with "installments require a positive load" (the
+  // load split into rounds rounded to 0). A load whose load^alpha
+  // overflows fails at its first solve with the solver's own message.
+  const platform::Platform plat({{1.0, 1.0}, {1.0, 2.0}});
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    ServerOptions options;
+    options.concurrency = concurrency;
+    const Server server(plat, options);
+    FcfsPolicy fcfs;
+    for (const auto& [load, cause] :
+         {std::pair<double, std::string>{tiny, "subnormal"},
+          std::pair<double, std::string>{1e300, "overflows"}}) {
+      try {
+        (void)server.run({make_job(0, 0.0, load, 2.0)}, fcfs);
+        ADD_FAILURE() << "expected a PreconditionError naming " << cause;
+      } catch (const util::PreconditionError& error) {
+        EXPECT_NE(std::string(error.what()).find(cause), std::string::npos)
+            << error.what();
+      }
     }
   }
 }
