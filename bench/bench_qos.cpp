@@ -284,9 +284,9 @@ int main(int argc, char** argv) {
 
     // Concurrency 4 so the installments multiplex through one shared
     // engine run per busy period: the trace then carries real per-worker
-    // transfer/compute spans (the serial whole-platform mode only knows
-    // aggregate installment durations). Run the cell bare, then traced —
-    // the pair must emit the same point text.
+    // transfer/compute spans (at concurrency 1 the solver alone times
+    // each installment). Run the cell bare, then traced — the pair must
+    // emit the same point text.
     std::vector<qos::JobRecord> cell_records;
     const auto run_cell = [&](obs::TraceSink* trace,
                               obs::MetricsRegistry* metrics,

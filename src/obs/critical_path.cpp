@@ -216,9 +216,9 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     };
 
     // Gating span: the job's own compute span ending at its finish (any
-    // comm model, both servers); serial qos has no worker spans, so fall
-    // back to the job's installment timeline; a stream with neither gets
-    // one honest stall segment.
+    // comm model, both servers); qos at concurrency 1 has no worker spans,
+    // so fall back to the job's installment timeline; a stream with
+    // neither gets one honest stall segment.
     Node node;
     bool have_node = false;
     {

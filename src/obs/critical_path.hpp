@@ -15,12 +15,12 @@
 // compute are the path time inside the job's OWN transfer/compute spans
 // (compute split against the job's restart spans, so re-work is billed
 // separately), and stall is the path time spent inside OTHER jobs' spans
-// plus any residue the stream cannot attribute (serial qos installment
-// gaps, dispatch-barrier shift noise). The five components sum
-// BIT-EXACTLY to the observed latency (finish − arrival, evaluated in
-// the canonical left-to-right order of total()) — the per-job causal
-// analogue of attribute_time's 100%-coverage invariant, pinned across
-// all comm models, both servers, and both master modes by
+// plus any residue the stream cannot attribute (gaps between qos
+// installments at concurrency 1, dispatch-barrier shift noise). The five
+// components sum BIT-EXACTLY to the observed latency (finish − arrival,
+// evaluated in the canonical left-to-right order of total()) — the
+// per-job causal analogue of attribute_time's 100%-coverage invariant,
+// pinned across all comm models, both servers, and both master modes by
 // tests/test_critical_path.cpp.
 //
 // The reconstruction leans on event-loop exactness, not tolerances:
@@ -66,7 +66,7 @@ struct PathSegment {
   double start = 0.0;
   double end = 0.0;
   /// Worker whose span the path runs through (kNoIndex for job-level
-  /// segments: serial-qos installments, unattributed residue).
+  /// segments: qos installments at concurrency 1, unattributed residue).
   std::size_t worker = kNoIndex;
   /// Job owning the span the path runs through — the culprit for kStall
   /// segments, the job itself for own-span segments, kNoIndex for gaps.

@@ -10,13 +10,17 @@ namespace nldl::obs {
 
 namespace {
 
-/// Windows must cover a whole number of base windows; returns the count.
+/// Windows must cover a whole number of base windows, at most
+/// BurnRateMonitor::kMaxWindows of them; returns the count.
 std::size_t window_multiple(double window, double base) {
   NLDL_REQUIRE(window > 0.0, "burn window must be > 0");
   const double ratio = window / base;
   const double rounded = std::round(ratio);
   NLDL_REQUIRE(rounded >= 1.0 && std::fabs(ratio - rounded) < 1e-9,
                "burn windows must be integer multiples of the base window");
+  NLDL_REQUIRE(
+      rounded <= static_cast<double>(BurnRateMonitor::kMaxWindows),
+      "a burn window may span at most 2^16 base windows");
   return static_cast<std::size_t>(rounded);
 }
 
@@ -36,8 +40,11 @@ BurnRateMonitor::BurnRateMonitor(SloPolicy policy, double horizon)
                "SLO base window must be finite and > 0");
   NLDL_REQUIRE(std::isfinite(horizon) && horizon >= 0.0,
                "SLO horizon must be finite and >= 0");
-  const std::size_t windows = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(horizon / policy_.window)));
+  const double count = std::ceil(horizon / policy_.window);
+  NLDL_REQUIRE(count <= static_cast<double>(kMaxWindows),
+               "SLO horizon spans more than 2^16 base windows");
+  const std::size_t windows =
+      std::max<std::size_t>(1, static_cast<std::size_t>(count));
   window_totals_.assign(windows, 0);
   window_misses_.assign(windows, 0);
   NLDL_REQUIRE(policy_.objective > 0.0 && policy_.objective < 1.0,

@@ -59,10 +59,18 @@ struct SloPolicy {
 /// Deterministic multi-window burn-rate evaluation over one run.
 class BurnRateMonitor {
  public:
+  /// Most base windows a monitor keeps, and most base windows one rule
+  /// window may span: 2^16, far above the 72 the benches and
+  /// nldl_trace_check use. It keeps every window count inside
+  /// std::size_t, the two per-window count vectors at 1 MiB, and
+  /// finalize(), whose trailing sums cost windows × rule span, at 2^32
+  /// additions per rule window.
+  static constexpr std::size_t kMaxWindows = std::size_t{1} << 16;
+
   /// `horizon` is the simulated span covered, rounded up to a whole
-  /// number of base windows (at least one); observations past it fold
-  /// into the last base window. The base window must be finite and > 0,
-  /// the horizon finite and >= 0.
+  /// number of base windows (at least one, at most kMaxWindows);
+  /// observations past it fold into the last base window. The base
+  /// window must be finite and > 0, the horizon finite and >= 0.
   BurnRateMonitor(SloPolicy policy, double horizon);
 
   /// Record one job outcome at simulated time `t` (its finish, finite and

@@ -40,8 +40,9 @@ enum class EventKind : std::uint8_t {
   kTransfer,     ///< chunk receive on a worker's link [comm_start, comm_end]
   kCompute,      ///< chunk compute on a worker [compute_start, compute_end]
   kJob,          ///< whole job service [dispatch, finish]
-  kInstallment,  ///< solver-timed qos installment (serial mode has no
-                 ///< per-chunk replay; this is the honest granularity)
+  kInstallment,  ///< one qos installment: solver-timed at concurrency 1,
+                 ///< where no per-chunk replay runs (so this is the
+                 ///< honest granularity), replay-timed above it
   kRestart,      ///< restart-surcharge re-work, solver-estimated duration
   // -- instants ------------------------------------------------------------
   kRerate,       ///< comm model re-rated the eligible transfer set

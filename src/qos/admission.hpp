@@ -11,7 +11,7 @@
 // the prediction stays whole-platform while service happens on a 1/k
 // subset with contention, widening the optimism: rejections remain sound
 // — subset service is never faster than whole-platform service — but
-// admit/degrade decisions are looser than in serial mode; see
+// admit/degrade decisions are looser than at concurrency 1; see
 // qos/server.hpp.) Three modes:
 //
 //   kAdmitAll   SLO bookkeeping only (the baseline).

@@ -87,14 +87,9 @@ std::vector<JobRecord> Server::run(const std::vector<online::Job>& jobs,
       (void)metrics->counter("replay.busy_periods");
     }
   }
-  if (concurrency > 1) {
-    run_concurrent(jobs, policy, records, concurrency, metrics);
-  } else {
-    run_serial(jobs, policy, records);
-  }
+  serve(jobs, policy, records, concurrency, metrics);
 
-  // Whole-job spans, deadline misses, and outcome metrics — mode
-  // independent, so both event loops stay span-for-span comparable.
+  // Whole-job spans, deadline misses, and outcome metrics.
   for (const JobRecord& record : records) {
     const bool miss = record.admitted && record.finish > record.job.deadline;
     if (options_.trace != nullptr && record.admitted) {
@@ -122,127 +117,15 @@ std::vector<JobRecord> Server::run(const std::vector<online::Job>& jobs,
   return records;
 }
 
-void Server::admit_until(double t, const std::vector<online::Job>& jobs,
-                         std::size_t& next_arrival,
-                         std::vector<JobRecord>& records,
-                         std::vector<std::unique_ptr<ServicePlan>>& plans,
-                         std::vector<std::size_t>& ready) const {
+void Server::serve(const std::vector<online::Job>& jobs, Policy& policy,
+                   std::vector<JobRecord>& records, std::size_t concurrency,
+                   obs::MetricsRegistry* metrics) const {
   obs::TraceSink* const trace = options_.trace;
-  while (next_arrival < jobs.size() && jobs[next_arrival].arrival <= t) {
-    const online::Job& job = jobs[next_arrival];
-    JobRecord& record = records[job.id];
-    record.job = job;
-    if (trace != nullptr) {
-      // Queue-position cause of the admission wait: jobs already ready.
-      emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
-           job.load, static_cast<double>(ready.size()));
-    }
-    const AdmissionDecision decision = admission_.decide(job);
-    record.admitted = decision.admitted;
-    record.degraded = decision.degraded;
-    record.served_load = decision.served_load;
-    record.predicted_service = decision.predicted_service;
-    if (trace != nullptr) emit_verdict(trace, job, decision);
-    if (decision.admitted) {
-      plans[job.id] =
-          std::make_unique<ServicePlan>(solver_, job, decision.served_load);
-      ready.push_back(job.id);
-    } else {
-      record.finish = job.arrival;  // turned away on the spot
-    }
-    ++next_arrival;
-  }
-}
-
-void Server::run_serial(const std::vector<online::Job>& jobs, Policy& policy,
-                        std::vector<JobRecord>& records) const {
-  obs::TraceSink* const trace = options_.trace;
-  std::vector<std::unique_ptr<ServicePlan>> plans(jobs.size());
-  std::vector<std::size_t> ready;  // admitted unfinished job ids, ascending
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-  std::size_t last = kNone;  // job that ran the preceding installment
-
-  std::vector<Candidate> candidates;
-  while (true) {
-    admit_until(now, jobs, next_arrival, records, plans, ready);
-    if (ready.empty()) {
-      if (next_arrival >= jobs.size()) break;  // drained
-      now = std::max(now, jobs[next_arrival].arrival);
-      continue;
-    }
-
-    // One candidate per ready job, in ascending id (arrival) order.
-    candidates.clear();
-    for (const std::size_t id : ready) {
-      Candidate candidate;
-      candidate.job = &records[id].job;
-      candidate.remaining_duration = plans[id]->remaining_duration();
-      candidate.total_duration = plans[id]->total_duration();
-      candidate.started = plans[id]->started();
-      candidate.active = id == last;
-      candidates.push_back(candidate);
-    }
-    const std::size_t k = policy.pick(candidates, now);
-    NLDL_ASSERT(k < ready.size(), "policy picked outside the ready set");
-    const std::size_t id = ready[k];
-
-    // Switching away from a started, unfinished job preempts it: its
-    // plan flags the restart surcharge for the eventual resume.
-    if (last != kNone && last != id && plans[last] != nullptr &&
-        !plans[last]->done()) {
-      const bool flags =
-          plans[last]->started() && !plans[last]->restart_pending();
-      plans[last]->pause();
-      if (trace != nullptr && flags) {
-        // next_duration() forces the (memoized) restart solve the resume
-        // would trigger anyway — deterministic and result-neutral.
-        emit(trace, obs::EventKind::kPreempt, now, now, records[last].job,
-             0.0,
-             plans[last]->next_duration() - plans[last]->clean_duration());
-      }
-    }
-
-    JobRecord& record = records[id];
-    if (!plans[id]->started()) record.dispatch = now;
-    const double duration = plans[id]->next_duration();
-    if (trace != nullptr) {
-      if (plans[id]->restart_pending()) {
-        emit(trace, obs::EventKind::kRestart, now,
-             now + duration - plans[id]->clean_duration(), record.job, 0.0,
-             0.0);
-      }
-      emit(trace, obs::EventKind::kInstallment, now, now + duration,
-           record.job, plans[id]->next_load(), 0.0);
-    }
-    plans[id]->advance();
-    policy.on_service(candidates[k], duration);
-    now += duration;
-    record.service_time += duration;
-    last = id;
-
-    if (plans[id]->done()) {
-      record.finish = now;
-      record.preemptions = plans[id]->preemptions();
-      record.restart_time = plans[id]->restart_time();
-      record.compute_time = plans[id]->compute_time();
-      ready.erase(ready.begin() +
-                  static_cast<std::ptrdiff_t>(k));
-      plans[id].reset();
-    }
-    // Arrivals during the installment become visible at this boundary.
-    admit_until(now, jobs, next_arrival, records, plans, ready);
-  }
-
-  NLDL_ASSERT(ready.empty() && next_arrival == jobs.size(),
-              "qos server stopped with unserved jobs");
-}
-
-void Server::run_concurrent(const std::vector<online::Job>& jobs,
-                            Policy& policy, std::vector<JobRecord>& records,
-                            std::size_t concurrency,
-                            obs::MetricsRegistry* metrics) const {
-  obs::TraceSink* const trace = options_.trace;
+  // Only one step depends on k: where an installment's timeline comes
+  // from. At k = 1 installments never overlap, so the plan's solver-timed
+  // duration IS the served timeline; at k > 1 they contend on the shared
+  // master and take their timelines from its replay.
+  const bool shared = concurrency > 1;
   // Carve the platform into `concurrency` disjoint interleaved subsets
   // (worker i serves subset i mod k, like the online server's slots).
   const platform::Platform::Partition carve =
@@ -277,10 +160,41 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
   std::size_t next_arrival = 0;
   double now = 0.0;
 
+  // Offer every job arriving by `now` to the admission controller.
+  // Admitted jobs get a ServicePlan and join `ready`; rejected ones
+  // finish on the spot.
+  const auto admit_arrivals = [&]() {
+    while (next_arrival < jobs.size() && jobs[next_arrival].arrival <= now) {
+      const online::Job& job = jobs[next_arrival];
+      JobRecord& record = records[job.id];
+      record.job = job;
+      if (trace != nullptr) {
+        // Queue-position cause of the admission wait: jobs waiting to run.
+        emit(trace, obs::EventKind::kArrival, job.arrival, job.arrival, job,
+             job.load, static_cast<double>(ready.size()));
+      }
+      const AdmissionDecision decision = admission_.decide(job);
+      record.admitted = decision.admitted;
+      record.degraded = decision.degraded;
+      record.served_load = decision.served_load;
+      record.predicted_service = decision.predicted_service;
+      if (trace != nullptr) emit_verdict(trace, job, decision);
+      if (decision.admitted) {
+        plans[job.id] =
+            std::make_unique<ServicePlan>(solver_, job, decision.served_load);
+        ready.push_back(job.id);
+      } else {
+        record.finish = job.arrival;  // turned away on the spot
+      }
+      ++next_arrival;
+    }
+  };
+
   // One sim::SharedMasterPeriod per busy period multiplexes every
   // subset's installments through a single engine run under the one
   // configured model (see sim/multiplex.hpp). Each INSTALLMENT is one
   // period owner; installment timelines settle once `now` passes them.
+  // At k = 1 the period stays empty.
   const sim::Engine engine(platform_, {});
   sim::SharedMasterPeriod period(engine, *model_,
                                  {options_.incremental_replay});
@@ -317,10 +231,11 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
 
   std::vector<Candidate> candidates;
   while (true) {
-    admit_until(now, jobs, next_arrival, records, plans, ready);
+    admit_arrivals();
 
     // Free subsets whose installment has completed; unfinished jobs
-    // return to the ready set (ascending id keeps picks deterministic).
+    // return to the ready set (ascending id keeps picks deterministic),
+    // finished ones take the plan's accounting and release it.
     for (std::size_t s = 0; s < concurrency; ++s) {
       if (running[s] == kNone || busy_until[s] > now) continue;
       const std::size_t id = running[s];
@@ -329,16 +244,25 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
       if (!plans[id]->done()) {
         ready.insert(
             std::lower_bound(ready.begin(), ready.end(), id), id);
+        continue;
       }
+      JobRecord& record = records[id];
+      record.preemptions = plans[id]->preemptions();
+      record.restart_time = plans[id]->restart_time();
+      if (!shared) {
+        record.finish = busy_until[s];
+        record.compute_time = plans[id]->compute_time();
+      }
+      plans[id].reset();
     }
 
     // The gap rule, applied the moment a job goes cold (not lazily at
     // dispatch): a started ready job whose previous installment did not
     // end at this very instant pays the restart surcharge on resume, and
     // flagging it NOW makes the policies price the surcharge into
-    // remaining_duration() before ranking — exactly like the serial
-    // server, which pauses at switch-away. pause() is idempotent, so
-    // re-flagging on later boundaries charges nothing twice.
+    // remaining_duration() before ranking. A job the policy passes over
+    // at a boundary is flagged at the next event. pause() is idempotent,
+    // so re-flagging on later boundaries charges nothing twice.
     for (const std::size_t id : ready) {
       if (plans[id]->started() && last_end[id] < now) {
         const bool flags = !plans[id]->restart_pending();
@@ -394,15 +318,25 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
       }
       plans[id]->advance();
       policy.on_service(candidates[k], predicted);
+      running[s] = id;
 
+      if (!shared) {
+        // Alone on the platform: the installment ends exactly when the
+        // solver predicted, so it settles at dispatch.
+        busy_until[s] = now + predicted;
+        record.service_time += predicted;
+        if (trace != nullptr) {
+          emit(trace, obs::EventKind::kInstallment, now, busy_until[s],
+               record.job, load, 0.0);
+        }
+        continue;
+      }
       subset_owner[s] = period.dispatch(
-          now, records[id].job.alpha,
-          subset_schedule(s, load, records[id].job.alpha),
-          subset_workers[s], records[id].job.id, records[id].job.tenant);
+          now, record.job.alpha, subset_schedule(s, load, record.job.alpha),
+          subset_workers[s], record.job.id, record.job.tenant);
       installments.push_back({id, now, load});
       NLDL_ASSERT(subset_owner[s] + 1 == installments.size(),
                   "period owners and installments fell out of step");
-      running[s] = id;
       dispatched = true;
     }
     if (dispatched) {
@@ -414,9 +348,11 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
       }
     }
 
+    // An installment too short to move the clock (now + duration == now)
+    // ends at `now`: the loop comes round at the same instant to free it.
     double next_event = kNever;
     for (std::size_t s = 0; s < concurrency; ++s) {
-      if (running[s] != kNone && busy_until[s] > now) {
+      if (running[s] != kNone) {
         next_event = std::min(next_event, busy_until[s]);
       }
     }
@@ -427,22 +363,15 @@ void Server::run_concurrent(const std::vector<online::Job>& jobs,
     now = next_event;
   }
 
-  if (metrics != nullptr) {
+  if (metrics != nullptr && shared) {
     metrics->counter("replay.engine_events") += period.events();
     metrics->counter("replay.replays") += period.replays();
   }
   flush_period();
-  NLDL_ASSERT(ready.empty() && next_arrival == jobs.size(),
+  NLDL_ASSERT(ready.empty() && next_arrival == jobs.size() &&
+                  std::all_of(plans.begin(), plans.end(),
+                              [](const auto& plan) { return plan == nullptr; }),
               "qos server stopped with unserved jobs");
-
-  // Plan-side accounting (preemptions, solver-estimated restart time).
-  for (std::size_t id = 0; id < jobs.size(); ++id) {
-    if (plans[id] == nullptr) continue;
-    NLDL_ASSERT(plans[id]->done(),
-                "qos server finished with an unfinished plan");
-    records[id].preemptions = plans[id]->preemptions();
-    records[id].restart_time = plans[id]->restart_time();
-  }
 }
 
 }  // namespace nldl::qos

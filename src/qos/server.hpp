@@ -4,43 +4,42 @@
 // Where online::Server serves whole jobs atomically, the qos server
 // drives every admitted job through a preemptable ServicePlan
 // (qos/plan.hpp) and re-decides at every chunk boundary which ready job
-// runs next (qos/policy.hpp):
+// runs next (qos/policy.hpp). One event loop serves every concurrency:
 //
 //   - arrivals pass through the AdmissionController: a job whose deadline
 //     provably cannot be met is rejected or degraded BEFORE it can clog
 //     the queue;
-//   - with ServerOptions::concurrency == 1 (default) the platform serves
-//     one installment at a time (whole-platform service — the exclusive
-//     shape where SRPT/EDF theory applies); arrivals during an
-//     installment are only seen at its end: chunk boundaries are the only
-//     decision points, a running chunk is never abandoned;
-//   - with concurrency k > 1 the platform is carved into k disjoint
+//   - the platform is carved into k = ServerOptions::concurrency disjoint
 //     interleaved worker subsets, and up to k installments of DIFFERENT
-//     jobs run concurrently — one per subset — as time-released chunks
-//     multiplexed through ONE sim::Engine run per busy period under the
-//     single configured CommModel. A bounded-multiport capacity is then
+//     jobs run at once, one per subset. Chunk boundaries are the only
+//     decision points: an arrival joins the ready set at once but waits
+//     for a subset to free, and a running chunk is never abandoned;
+//   - at k = 1 (default) the one subset is the whole platform and
+//     installments never overlap (the exclusive shape where SRPT/EDF
+//     theory applies), so each installment's solver-timed duration is
+//     its served timeline;
+//   - at k > 1 the installments are time-released chunks multiplexed
+//     through ONE sim::Engine run per busy period under the single
+//     configured CommModel. A bounded-multiport capacity is then
 //     genuinely shared: concurrent installments contend for the master's
 //     bandwidth instead of each enjoying a private port (honest
 //     contention, ROADMAP's dynamic-repartitioning step (b)). Policy
 //     priorities and WFQ's attained-service accounting still use the
 //     solver's contention-free whole-platform duration estimates (a
 //     consistent yardstick); actual timing comes from the shared replay.
-//     In this mode a started job that does not resume seamlessly at the
-//     boundary where its previous installment ended pays the restart
-//     surcharge (its state went cold while others used the platform) —
-//     the gap rule replacing the serial mode's switched-away rule.
 //     NOTE: admission keeps predicting against uninterrupted
 //     WHOLE-PLATFORM service — on a 1/k subset under contention real
 //     service is strictly longer (superlinearly so for alpha > 1), so
 //     concurrency makes the admission check MORE optimistic: rejections
 //     stay provably correct (whole-platform service is a lower bound on
-//     any subset's), but admitted/degraded jobs can miss deadlines the
-//     serial server would have met. Subset-aware admission is future
+//     any subset's), but admitted/degraded jobs can miss deadlines a
+//     k = 1 server would have met. Subset-aware admission is future
 //     work (ROADMAP, dynamic repartitioning (d));
-//   - switching away from a started job pauses its plan; the eventual
-//     resume pays the plan's nonlinear restart surcharge, so preemption
-//     is observable in both the latency metrics and the per-job restart
-//     accounting;
+//   - the gap rule: a started job that does not resume seamlessly at the
+//     boundary where its previous installment ended is paused (its state
+//     went cold while others used the platform), and its resume pays the
+//     plan's nonlinear restart surcharge, so preemption is observable in
+//     both the latency metrics and the per-job restart accounting;
 //   - the whole run consumes no RNG and breaks every tie
 //     deterministically, so a run is a pure function of the job stream —
 //     bit-identical wherever it executes (the property bench_qos's
@@ -69,9 +68,8 @@ struct ServerOptions {
   ServiceModel service;
   AdmissionOptions admission;
   /// Disjoint worker subsets serving installments of different jobs
-  /// concurrently (clamped to the worker count). 1 = the serial
-  /// whole-platform event loop, bit-identical to the pre-concurrency
-  /// server.
+  /// concurrently (clamped to the worker count). 1 = whole-platform
+  /// installments, one at a time, timed by the solver alone.
   std::size_t concurrency = 1;
   /// Shared-master busy periods (concurrency > 1) resume each replay
   /// from a checkpoint of the settled prefix
@@ -157,22 +155,11 @@ class Server {
       obs::MetricsRegistry* metrics = nullptr) const;
 
  private:
-  /// The serial (concurrency == 1) and concurrent (k subsets, shared
-  /// master) event loops behind run(); both fill `records` in place.
-  void run_serial(const std::vector<online::Job>& jobs, Policy& policy,
-                  std::vector<JobRecord>& records) const;
-  void run_concurrent(const std::vector<online::Job>& jobs, Policy& policy,
-                      std::vector<JobRecord>& records,
-                      std::size_t concurrency,
-                      obs::MetricsRegistry* metrics) const;
-
-  /// Offer every job arriving by `t` (from `next_arrival` on) to the
-  /// admission controller — both loops' arrival intake. Admitted jobs get
-  /// a ServicePlan and join `ready`; rejected ones finish on the spot.
-  void admit_until(double t, const std::vector<online::Job>& jobs,
-                   std::size_t& next_arrival, std::vector<JobRecord>& records,
-                   std::vector<std::unique_ptr<ServicePlan>>& plans,
-                   std::vector<std::size_t>& ready) const;
+  /// The event loop behind run(), over `concurrency` worker subsets;
+  /// fills `records` in place.
+  void serve(const std::vector<online::Job>& jobs, Policy& policy,
+             std::vector<JobRecord>& records, std::size_t concurrency,
+             obs::MetricsRegistry* metrics) const;
 
   const platform::Platform& platform_;
   ServerOptions options_;

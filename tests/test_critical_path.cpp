@@ -6,6 +6,7 @@
 // Chrome-trace roundtrip under the microsecond tolerance.
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,31 +261,42 @@ TEST(BlameExport, FlowTrackValidatesAndCarriesPathSlices) {
 }
 
 TEST(BlameExport, ChromeRoundtripClosesUnderTolerance) {
-  const auto events =
-      traced_online(sim::CommModelKind::kBoundedMultiport,
-                    online::MasterMode::kSharedMaster);
-  const obs::CriticalPath direct(events);
+  // Two granularities: the online shared-master stream carries per-chunk
+  // transfer and compute spans; the k = 1 qos stream carries only
+  // solver-timed installments and restarts, the blame nldl_trace_check
+  // --summary re-derives from exported qos files.
+  const std::vector<std::pair<std::string, std::vector<obs::TraceEvent>>>
+      inputs{{"online shared master",
+              traced_online(sim::CommModelKind::kBoundedMultiport,
+                            online::MasterMode::kSharedMaster)},
+             {"qos concurrency 1",
+              traced_qos(sim::CommModelKind::kOnePort, 1)}};
+  for (const auto& [label, events] : inputs) {
+    SCOPED_TRACE(label);
+    const obs::CriticalPath direct(events);
+    ASSERT_FALSE(direct.jobs().empty());
 
-  std::ostringstream out;
-  obs::ChromeTraceOptions options;
-  options.workers = test_platform().size();
-  options.critical_path = &direct;
-  obs::write_chrome_trace(out, events, options);
+    std::ostringstream out;
+    obs::ChromeTraceOptions options;
+    options.workers = test_platform().size();
+    options.critical_path = &direct;
+    obs::write_chrome_trace(out, events, options);
 
-  // Reconstruct the event stream from the exported document. The
-  // microsecond encoding perturbs endpoints, so the causal matching
-  // needs the relative tolerance — the exactness invariants still hold.
-  const util::JsonValue root = util::parse_json(out.str());
-  const std::vector<obs::TraceEvent> decoded =
-      obs::events_from_chrome_trace(root);
-  expect_exact(decoded, 1e-9);
+    // Reconstruct the event stream from the exported document. The
+    // microsecond encoding perturbs endpoints, so the causal matching
+    // needs the relative tolerance — the exactness invariants still hold.
+    const util::JsonValue root = util::parse_json(out.str());
+    const std::vector<obs::TraceEvent> decoded =
+        obs::events_from_chrome_trace(root);
+    expect_exact(decoded, 1e-9);
 
-  const obs::CriticalPath roundtrip(decoded, 1e-9);
-  ASSERT_EQ(roundtrip.jobs().size(), direct.jobs().size());
-  for (std::size_t i = 0; i < direct.jobs().size(); ++i) {
-    EXPECT_EQ(roundtrip.jobs()[i].job, direct.jobs()[i].job);
-    EXPECT_NEAR(roundtrip.jobs()[i].latency, direct.jobs()[i].latency,
-                1e-5);
+    const obs::CriticalPath roundtrip(decoded, 1e-9);
+    ASSERT_EQ(roundtrip.jobs().size(), direct.jobs().size());
+    for (std::size_t i = 0; i < direct.jobs().size(); ++i) {
+      EXPECT_EQ(roundtrip.jobs()[i].job, direct.jobs()[i].job);
+      EXPECT_NEAR(roundtrip.jobs()[i].latency, direct.jobs()[i].latency,
+                  1e-5);
+    }
   }
 }
 

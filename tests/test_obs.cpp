@@ -3,7 +3,9 @@
 // ordering/type/merge rules, Chrome trace-event export validating
 // against the schema checker, the time-attribution partition, and the
 // event-stream ASCII gantt.
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -214,6 +216,88 @@ TEST(TraceContent, QosSerialEmitsVerdictsInstallmentsAndPreemptions) {
   }
   EXPECT_EQ(recorder.of_kind(obs::EventKind::kRestart).size(), preemptions);
   EXPECT_FALSE(recorder.of_kind(obs::EventKind::kInstallment).empty());
+}
+
+TEST(TraceContent, QosArrivalCountsOnlyWaitingJobs) {
+  // Job 1 arrives during the first of job 0's three installments, with
+  // nothing else waiting. The job in service is not queued ahead of it,
+  // so its kArrival carries queue depth 0 at every k.
+  const platform::Platform plat = platform::Platform::homogeneous(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<online::Job> jobs{{0, 0.0, 60.0, 1.0, inf, 0},
+                                      {1, 1.0, 30.0, 1.0, inf, 0}};
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    obs::TraceRecorder recorder;
+    qos::ServerOptions options =
+        qos_options(sim::CommModelKind::kParallelLinks, concurrency);
+    options.trace = &recorder;
+    qos::FcfsPolicy fcfs;
+    (void)qos::Server(plat, options).run(jobs, fcfs);
+
+    const auto installments = recorder.of_kind(obs::EventKind::kInstallment);
+    ASSERT_FALSE(installments.empty());
+    EXPECT_EQ(installments.front().job, 0u);
+    EXPECT_LT(installments.front().start, 1.0);
+    EXPECT_GT(installments.front().end, 1.0);
+    const auto arrivals = recorder.of_kind(obs::EventKind::kArrival);
+    ASSERT_EQ(arrivals.size(), 2u);
+    EXPECT_EQ(arrivals[1].job, 1u);
+    EXPECT_EQ(arrivals[1].value, 0.0);
+  }
+}
+
+TEST(TraceContent, QosPreemptsLandAfterTheSwitch) {
+  // One kPreempt per counted preemption, at every k and comm model. The
+  // job goes cold at the first event after the boundary the policy passed
+  // it over at, so each instant lies strictly after the end of the job's
+  // previous installment and no later than the start of its next one,
+  // which pays the restart.
+  const platform::Platform plat = test_platform();
+  std::size_t total = 0;
+  for (const sim::CommModelKind comm : kCommKinds) {
+    for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(sim::to_string(comm) + " / concurrency " +
+                   std::to_string(concurrency));
+      obs::TraceRecorder recorder;
+      qos::ServerOptions options = qos_options(comm, concurrency);
+      options.trace = &recorder;
+      qos::SrptPolicy srpt;
+      const auto records = qos::Server(plat, options).run(burst_jobs(), srpt);
+      std::size_t preemptions = 0;
+      for (const qos::JobRecord& record : records) {
+        preemptions += record.preemptions;
+      }
+      const auto preempts = recorder.of_kind(obs::EventKind::kPreempt);
+      EXPECT_EQ(preempts.size(), preemptions);
+      total += preempts.size();
+
+      const auto installments =
+          recorder.of_kind(obs::EventKind::kInstallment);
+      const auto restarts = recorder.of_kind(obs::EventKind::kRestart);
+      for (const obs::TraceEvent& preempt : preempts) {
+        double previous_end = -1.0;
+        double next_start = std::numeric_limits<double>::infinity();
+        for (const obs::TraceEvent& span : installments) {
+          if (span.job != preempt.job) continue;
+          if (span.end <= preempt.start) {
+            previous_end = std::max(previous_end, span.end);
+          } else {
+            next_start = std::min(next_start, span.start);
+          }
+        }
+        EXPECT_GE(previous_end, 0.0) << "job " << preempt.job;
+        EXPECT_LT(previous_end, preempt.start) << "job " << preempt.job;
+        EXPECT_GE(next_start, preempt.start) << "job " << preempt.job;
+        bool restarted = false;
+        for (const obs::TraceEvent& span : restarts) {
+          restarted |= span.job == preempt.job && span.start == next_start;
+        }
+        EXPECT_TRUE(restarted) << "job " << preempt.job;
+      }
+    }
+  }
+  EXPECT_GT(total, 0u) << "scenario must exercise preemption";
 }
 
 TEST(TraceContent, SharedMasterRunsCarryWorkerSpans) {
@@ -940,6 +1024,21 @@ TEST(MetricsRegistry, ServersAccountIntoRegistry) {
             records.size());
   EXPECT_EQ(qos_metrics.counter_value("qos.preemptions"), preemptions);
   EXPECT_GE(qos_metrics.gauge_value("qos.restart_time_s"), 0.0);
+  // At k = 1 no shared replay runs, so the layout is the outcome block
+  // alone; k > 1 appends the replay counters.
+  const std::vector<std::string> outcomes{
+      "qos.admitted",        "qos.degraded",    "qos.rejected",
+      "qos.deadline_misses", "qos.preemptions", "qos.restart_time_s"};
+  EXPECT_EQ(qos_metrics.names(), outcomes);
+  obs::MetricsRegistry shared_metrics;
+  qos::SrptPolicy shared_srpt;
+  (void)qos::Server(plat, qos_options(sim::CommModelKind::kParallelLinks, 2))
+      .run(jobs, shared_srpt, &shared_metrics);
+  std::vector<std::string> with_replay = outcomes;
+  with_replay.insert(with_replay.end(),
+                     {"replay.engine_events", "replay.replays",
+                      "replay.busy_periods"});
+  EXPECT_EQ(shared_metrics.names(), with_replay);
 }
 
 // --- metrics JSON validation -------------------------------------------------

@@ -386,6 +386,11 @@ TEST(Server, ValidatesTheJobStream) {
     EXPECT_THROW(server.run(bad_ids, fair), util::PreconditionError);
     EXPECT_THROW(server.run(make_jobs({{0.0, 0.0, 1.0}}), fair),
                  util::PreconditionError);
+    // Alphas below 1 are outside the job model.
+    for (const double alpha : {0.0, 0.5}) {
+      EXPECT_THROW(server.run(make_jobs({{0.0, 10.0, alpha}}), fair),
+                   util::PreconditionError);
+    }
     for (const double bad : {nan, inf, -inf}) {
       SCOPED_TRACE(bad);
       EXPECT_THROW(

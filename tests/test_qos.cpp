@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -591,9 +593,10 @@ TEST(Server, OneWorkerInstallmentsServeEveryJob) {
 
 TEST(Server, ValidatesTheJobStream) {
   // The stream contract online::Server shares (online::validate_stream),
-  // under both the serial and the concurrent event loop, plus the qos
-  // deadline check. Best-effort deadlines (+inf) are legal, so a NaN or
-  // infinite arrival, load or alpha is rejected for itself.
+  // at k = 1 and k = 2, plus the qos deadline check. Best-effort
+  // deadlines (+inf) are legal, so a NaN or infinite arrival, load or
+  // alpha is rejected for itself, and so are a zero load and an alpha
+  // below 1, outside the job model.
   const auto plat = platform::Platform::homogeneous(4);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
@@ -610,6 +613,12 @@ TEST(Server, ValidatesTheJobStream) {
                  util::PreconditionError);
     EXPECT_THROW(server.run({make_job(0, 0.0, -1.0, 1.0)}, fcfs),
                  util::PreconditionError);
+    EXPECT_THROW(server.run({make_job(0, 0.0, 0.0, 1.0)}, fcfs),
+                 util::PreconditionError);
+    for (const double alpha : {0.0, 0.5}) {
+      EXPECT_THROW(server.run({make_job(0, 0.0, 10.0, alpha)}, fcfs),
+                   util::PreconditionError);
+    }
     // A deadline at (or before) the arrival is unserviceable nonsense.
     EXPECT_THROW(server.run({make_job(0, 5.0, 10.0, 1.0, 5.0)}, fcfs),
                  util::PreconditionError);
@@ -650,6 +659,217 @@ TEST(Server, RejectsLoadsDoublePrecisionCannotSplit) {
       } catch (const util::PreconditionError& error) {
         EXPECT_NE(std::string(error.what()).find(cause), std::string::npos)
             << error.what();
+      }
+    }
+  }
+}
+
+// --- One event loop at k = 1 ------------------------------------------------
+
+/// The serial event loop the server ran at concurrency 1 before one loop
+/// served every k, rebuilt on the public API as the differential
+/// reference. It serves one whole-platform installment at a time, sees
+/// arrivals only at installment ends, and pauses the job that ran last
+/// when the policy switches away from it (the switched-away rule).
+std::vector<JobRecord> reference_serial(const platform::Platform& plat,
+                                        const ServerOptions& options,
+                                        const std::vector<online::Job>& jobs,
+                                        Policy& policy) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const auto model = make_model(options.service);
+  InstallmentSolver solver(plat, *model, options.service);
+  const AdmissionController admission(solver, options.admission);
+  std::size_t tenants = 1;
+  for (const online::Job& job : jobs) {
+    tenants = std::max(tenants, job.tenant + 1);
+  }
+  policy.reset(tenants);
+
+  std::vector<JobRecord> records(jobs.size());
+  std::vector<std::unique_ptr<ServicePlan>> plans(jobs.size());
+  std::vector<std::size_t> ready;  // admitted unfinished job ids, ascending
+  std::size_t next_arrival = 0;
+  double now = 0.0;
+  std::size_t last = kNone;  // job that ran the preceding installment
+  const auto admit_until = [&](double t) {
+    while (next_arrival < jobs.size() && jobs[next_arrival].arrival <= t) {
+      const online::Job& job = jobs[next_arrival++];
+      JobRecord& record = records[job.id];
+      record.job = job;
+      const AdmissionDecision decision = admission.decide(job);
+      record.admitted = decision.admitted;
+      record.degraded = decision.degraded;
+      record.served_load = decision.served_load;
+      record.predicted_service = decision.predicted_service;
+      if (decision.admitted) {
+        plans[job.id] =
+            std::make_unique<ServicePlan>(solver, job, decision.served_load);
+        ready.push_back(job.id);
+      } else {
+        record.finish = job.arrival;
+      }
+    }
+  };
+
+  std::vector<Candidate> candidates;
+  while (true) {
+    admit_until(now);
+    if (ready.empty()) {
+      if (next_arrival >= jobs.size()) break;
+      now = std::max(now, jobs[next_arrival].arrival);
+      continue;
+    }
+    candidates.clear();
+    for (const std::size_t id : ready) {
+      Candidate candidate;
+      candidate.job = &records[id].job;
+      candidate.remaining_duration = plans[id]->remaining_duration();
+      candidate.total_duration = plans[id]->total_duration();
+      candidate.started = plans[id]->started();
+      candidate.active = id == last;
+      candidates.push_back(candidate);
+    }
+    const std::size_t k = policy.pick(candidates, now);
+    const std::size_t id = ready[k];
+    if (last != kNone && last != id && plans[last] != nullptr &&
+        !plans[last]->done()) {
+      plans[last]->pause();
+    }
+
+    JobRecord& record = records[id];
+    if (!plans[id]->started()) record.dispatch = now;
+    const double duration = plans[id]->next_duration();
+    plans[id]->advance();
+    policy.on_service(candidates[k], duration);
+    now += duration;
+    record.service_time += duration;
+    last = id;
+    if (plans[id]->done()) {
+      record.finish = now;
+      record.preemptions = plans[id]->preemptions();
+      record.restart_time = plans[id]->restart_time();
+      record.compute_time = plans[id]->compute_time();
+      ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
+      plans[id].reset();
+    }
+  }
+  return records;
+}
+
+/// Every record field of `got` carries the bits of `want`'s.
+void expect_same_records(const std::vector<JobRecord>& got,
+                         const std::vector<JobRecord>& want) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(got[i].admitted, want[i].admitted);
+    EXPECT_EQ(got[i].degraded, want[i].degraded);
+    EXPECT_EQ(bits(got[i].served_load), bits(want[i].served_load));
+    EXPECT_EQ(bits(got[i].predicted_service),
+              bits(want[i].predicted_service));
+    EXPECT_EQ(bits(got[i].dispatch), bits(want[i].dispatch));
+    EXPECT_EQ(bits(got[i].finish), bits(want[i].finish));
+    EXPECT_EQ(bits(got[i].service_time), bits(want[i].service_time));
+    EXPECT_EQ(bits(got[i].compute_time), bits(want[i].compute_time));
+    EXPECT_EQ(got[i].preemptions, want[i].preemptions);
+    EXPECT_EQ(bits(got[i].restart_time), bits(want[i].restart_time));
+  }
+}
+
+TEST(Server, OneLoopReproducesTheSerialLoopBitForBit) {
+  // Generated reference_tenants() traffic at load 1.1 with deadlines at
+  // 0.35x their slack factors, so kReject turns jobs away and kDegrade
+  // shrinks them: every record field must carry the reference's bits for
+  // every policy, restart fraction, admission mode and comm model.
+  const auto plat = platform::Platform::two_class(6, 1.0, 3.0);
+  std::size_t preempted = 0;
+  std::size_t degraded = 0;
+  std::size_t rejected = 0;
+  for (const sim::CommModelKind comm :
+       {sim::CommModelKind::kParallelLinks, sim::CommModelKind::kOnePort,
+        sim::CommModelKind::kBoundedMultiport}) {
+    for (const double rho : {0.0, 0.3, 2.0}) {
+      ServiceModel service = make_service(3, rho);
+      service.comm = comm;
+      if (comm == sim::CommModelKind::kBoundedMultiport) {
+        service.capacity = 2.0;
+      }
+      std::vector<TenantSpec> tenants = reference_tenants();
+      const double load_factor = 1.1;
+      const double mean_service =
+          mean_predicted_service(tenants, plat, service);
+      for (TenantSpec& tenant : tenants) {
+        tenant.rate *= load_factor / mean_service;
+        tenant.slo_slack_factor *= 0.35;
+      }
+      util::Rng rng(20130520);
+      const auto jobs = generate_tenant_traffic(
+          tenants, plat, service, 60.0 * mean_service / load_factor, rng);
+      ASSERT_GT(jobs.size(), 30u);
+
+      for (const AdmissionMode mode :
+           {AdmissionMode::kAdmitAll, AdmissionMode::kReject,
+            AdmissionMode::kDegrade}) {
+        ServerOptions options{service, {}};
+        options.admission.mode = mode;
+        const Server server(plat, options);
+        for (const PolicyKind kind :
+             {PolicyKind::kFcfs, PolicyKind::kSpmf, PolicyKind::kSrpt,
+              PolicyKind::kEdf, PolicyKind::kWfq}) {
+          SCOPED_TRACE(sim::to_string(comm) + " rho " + std::to_string(rho) +
+                       " mode " + std::to_string(static_cast<int>(mode)) +
+                       " " + to_string(kind));
+          const auto want_policy = make_policy(kind, tenant_weights(tenants));
+          const auto got_policy = make_policy(kind, tenant_weights(tenants));
+          const auto want = reference_serial(plat, options, jobs, *want_policy);
+          const auto got = server.run(jobs, *got_policy);
+          expect_same_records(got, want);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            preempted += want[i].preemptions > 0 ? 1 : 0;
+            degraded += want[i].degraded ? 1 : 0;
+            rejected += want[i].admitted ? 0 : 1;
+          }
+        }
+      }
+    }
+  }
+  // The grid must reach preemption, degradation and rejection.
+  EXPECT_GT(preempted, 0u);
+  EXPECT_GT(degraded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Server, InstallmentsTooShortToMoveTheClockStillEnd) {
+  // A 1e-200 load arriving at t = 1 serves in ~1e-200 s, so each of its
+  // installments ends at its own dispatch instant. It must finish there,
+  // unpreempted, at every k: alone (the concurrent loop used to stop with
+  // the plan unfinished) and with a later arrival (which it used to wait
+  // for, paying two restarts). At k = 1 the serial reference agrees.
+  const auto plat = platform::Platform::homogeneous(4);
+  const std::vector<online::Job> pair{make_job(0, 1.0, 1e-200, 1.0),
+                                      make_job(1, 2.0, 10.0, 1.0)};
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE("concurrency " + std::to_string(concurrency) + ", " +
+                   std::to_string(count) + " jobs");
+      const std::vector<online::Job> jobs(
+          pair.begin(), pair.begin() + static_cast<std::ptrdiff_t>(count));
+      ServerOptions options{make_service(3, 0.5), {}};
+      options.concurrency = concurrency;
+      FcfsPolicy fcfs;
+      const auto records = Server(plat, options).run(jobs, fcfs);
+      ASSERT_EQ(records.size(), count);
+      EXPECT_EQ(records[0].dispatch, 1.0);
+      EXPECT_EQ(records[0].finish, 1.0);
+      EXPECT_EQ(records[0].preemptions, 0u);
+      if (count == 2) {
+        EXPECT_EQ(records[1].dispatch, 2.0);
+      }
+      if (concurrency == 1) {
+        FcfsPolicy reference;
+        expect_same_records(records,
+                            reference_serial(plat, options, jobs, reference));
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +54,43 @@ TEST(BurnRate, PolicyValidation) {
   obs::BurnRateMonitor monitor(paging, 360.0);
   monitor.finalize();
   EXPECT_TRUE(monitor.alerts().empty());
+}
+
+TEST(BurnRate, WindowCountsStayWithinTheBound) {
+  // Both window counts are casts of a double ratio to std::size_t. A
+  // horizon of 1e300 base windows of 1e-300 is an infinite ratio, 1e10
+  // over 1e-10 is 1e20 (past std::size_t), and 1e12 windows would ask for
+  // 16 TB of counts: each is a PreconditionError, as is one window past
+  // the bound, while the bound itself constructs.
+  constexpr double bound =
+      static_cast<double>(obs::BurnRateMonitor::kMaxWindows);
+  static_assert(obs::BurnRateMonitor::kMaxWindows >= 900 * 72);
+  for (const auto& [base, horizon] :
+       {std::pair<double, double>{1e-300, 1e300}, {1e-10, 1e10},
+        {1.0, 1e12}, {1.0, bound + 1.0}}) {
+    SCOPED_TRACE(horizon);
+    EXPECT_THROW(obs::BurnRateMonitor(obs::SloPolicy::paging(0.95, base),
+                                      horizon),
+                 util::PreconditionError);
+  }
+  obs::SloPolicy policy;
+  policy.window = 1.0;
+  policy.rules = {{1.0, 1.0, 2.0}};
+  obs::BurnRateMonitor at_bound(policy, bound);
+  at_bound.observe(bound - 0.5, true);
+  at_bound.finalize();
+  ASSERT_EQ(at_bound.alerts().size(), 1u);
+  EXPECT_EQ(at_bound.alerts()[0].time, bound);  // the last window's end
+
+  // A rule window is cast the same way, whatever the horizon.
+  for (const double slow : {bound + 1.0, 1e20, 1e300}) {
+    SCOPED_TRACE(slow);
+    policy.rules = {{1.0, slow, 2.0}};
+    EXPECT_THROW(obs::BurnRateMonitor(policy, 10.0), util::PreconditionError);
+  }
+  policy.rules = {{1.0, bound, 2.0}};
+  obs::BurnRateMonitor widest(policy, 10.0);
+  widest.finalize();
 }
 
 TEST(BurnRate, BaseWindowAddressingAndClamping) {

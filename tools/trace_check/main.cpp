@@ -12,7 +12,8 @@
 //       tolerance), and a burn-rate block over the trace's deadline-miss
 //       instants at objective OBJ (default 0.95). Exit 0 iff the file
 //       validates and every job's blame closes on its latency; a
-//       malformed N or OBJ prints the usage and exits 2.
+//       malformed N, or an OBJ outside (0, 1), prints the usage and
+//       exits 2.
 //
 //   nldl_trace_check --metrics <metrics.json> [more.json ...]
 //       Validate MetricsRegistry JSON dumps (numbers or well-formed
@@ -294,7 +295,11 @@ int main(int argc, char** argv) {
         const std::string& text = args[++i];
         const char* last = text.data() + text.size();
         auto [ptr, ec] = std::from_chars(text.data(), last, slo_objective);
-        if (ec != std::errc{} || ptr != last) return usage();
+        // An objective lies in (0, 1); the comparison also rejects NaN.
+        if (ec != std::errc{} || ptr != last ||
+            !(slo_objective > 0.0 && slo_objective < 1.0)) {
+          return usage();
+        }
       } else if (path.empty() && args[i].rfind("--", 0) != 0) {
         path = args[i];
       } else {
