@@ -1,6 +1,9 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string_view>
@@ -20,9 +23,12 @@ constexpr std::int64_t kJobsPid = 2;
 constexpr std::int64_t kSchedulerPid = 3;
 constexpr std::int64_t kPathPid = 4;
 
+/// Buffered bytes that trigger a write() before the document completes.
+constexpr std::size_t kFlushBytes = std::size_t{64} * 1024;
+
 // One line of the traceEvents array, pre-routed to its track. `event`
 // is null for synthesized critical-path slices and flow arrows, which
-// carry their own name/args fields instead.
+// carry their own args fields instead.
 struct Emit {
   double ts = 0.0;  // microseconds
   char phase = 'X';
@@ -30,7 +36,7 @@ struct Emit {
   std::int64_t pid = kSchedulerPid;
   std::int64_t tid = 0;
   const TraceEvent* event = nullptr;
-  const char* name = nullptr;         // overrides to_string(event->kind)
+  const char* name = nullptr;         // an event kind or blame bucket name
   std::int64_t flow_id = -1;          // s/t/f flow binding id (the job)
   std::size_t arg_worker = kNoIndex;  // synthesized-slice args
   std::size_t arg_via = kNoIndex;
@@ -44,29 +50,149 @@ std::size_t infer_workers(const std::vector<TraceEvent>& events) {
   return workers;
 }
 
-void write_metadata(util::JsonWriter& json, std::int64_t pid, std::int64_t tid,
-                    const char* meta, const std::string& name) {
-  json.begin_object();
-  json.key("name").value(meta);
-  json.key("ph").value("M");
-  json.key("pid").value(pid);
-  json.key("tid").value(tid);
-  json.key("args").begin_object();
-  json.key("name").value(name);
-  json.end_object();
-  json.end_object();
-}
+/// One numeric field's text, formatted again only when the value's bits
+/// change: consecutive records often share a timestamp.
+class NumberText {
+ public:
+  std::string_view operator()(double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    if (size_ == 0 || bits != bits_) {
+      bits_ = bits;
+      size_ = static_cast<std::size_t>(
+          util::format_json_number(value, text_) - text_);
+    }
+    return {text_, size_};
+  }
 
-void write_args(util::JsonWriter& json, const TraceEvent& event) {
-  json.key("args").begin_object();
-  if (event.job != kNoIndex) json.key("job").value(event.job);
-  if (event.tenant != kNoIndex) json.key("tenant").value(event.tenant);
-  if (event.worker != kNoIndex) json.key("worker").value(event.worker);
-  if (event.size != 0.0) json.key("size").value(event.size);
-  if (event.alpha != 0.0) json.key("alpha").value(event.alpha);
-  if (event.value != 0.0) json.key("value").value(event.value);
-  json.end_object();
-}
+ private:
+  std::uint64_t bits_ = 0;
+  std::size_t size_ = 0;
+  char text_[util::kJsonNumberChars] = {};
+};
+
+/// The Chrome document in util::JsonWriter's exact layout (two-space
+/// indentation, `"key": value`, `{}` for an empty object, a newline after
+/// the root), printed from fixed text fragments into a buffer that goes
+/// to the stream once per 64 KiB. Kind and bucket names are plain
+/// lower-case words that need no escaping; names built from outside
+/// strings (the label, job names) go through util::json_quote.
+class ChromeDocument {
+ public:
+  explicit ChromeDocument(std::ostream& out) : out_(out) {
+    buffer_.reserve(2 * kFlushBytes);
+    put("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
+  }
+
+  void metadata(std::int64_t pid, std::int64_t tid, std::string_view meta,
+                const std::string& name) {
+    begin_record();
+    put("\n      \"name\": \"");
+    put(meta);
+    put("\",\n      \"ph\": \"M\",\n      \"pid\": ");
+    put_integer(pid);
+    put(",\n      \"tid\": ");
+    put_integer(tid);
+    put(",\n      \"args\": {\n        \"name\": ");
+    put(util::json_quote(name));
+    put("\n      }");
+    end_record();
+  }
+
+  void record(const Emit& emit) {
+    begin_record();
+    put("\n      \"name\": \"");
+    put(emit.name);
+    put("\",\n      \"cat\": \"nldl\",\n      \"ph\": \"");
+    buffer_ += emit.phase;
+    put("\",\n      \"ts\": ");
+    put(ts_(emit.ts));
+    if (emit.phase == 'X') {
+      put(",\n      \"dur\": ");
+      put(dur_(emit.dur));
+    }
+    if (emit.phase == 'i') put(",\n      \"s\": \"t\"");
+    if (emit.flow_id >= 0) {
+      put(",\n      \"id\": ");
+      put_integer(emit.flow_id);
+      if (emit.phase == 'f') put(",\n      \"bp\": \"e\"");
+    }
+    put(",\n      \"pid\": ");
+    put_integer(emit.pid);
+    put(",\n      \"tid\": ");
+    put_integer(emit.tid);
+    put(",\n      \"args\": {");
+    args_ = 0;
+    if (emit.event != nullptr) {
+      const TraceEvent& event = *emit.event;
+      if (event.job != kNoIndex) arg_integer("job", event.job);
+      if (event.tenant != kNoIndex) arg_integer("tenant", event.tenant);
+      if (event.worker != kNoIndex) arg_integer("worker", event.worker);
+      if (event.size != 0.0) arg_number("size", size_(event.size));
+      if (event.alpha != 0.0) arg_number("alpha", alpha_(event.alpha));
+      if (event.value != 0.0) arg_number("value", value_(event.value));
+    } else {
+      if (emit.arg_worker != kNoIndex) arg_integer("worker", emit.arg_worker);
+      if (emit.arg_via != kNoIndex) arg_integer("via_job", emit.arg_via);
+    }
+    put(args_ == 0 ? "}" : "\n      }");
+    end_record();
+  }
+
+  /// Close the array and the root, add the blank line, write the rest.
+  void finish() {
+    put("\n  ]\n}\n\n");
+    flush();
+  }
+
+ private:
+  void put(std::string_view text) { buffer_.append(text); }
+
+  template <typename Integer>
+  void put_integer(Integer value) {
+    char text[24];
+    const auto result = std::to_chars(text, text + sizeof(text), value);
+    NLDL_ASSERT(result.ec == std::errc{}, "integer does not fit its buffer");
+    buffer_.append(text, result.ptr);
+  }
+
+  void arg_key(std::string_view key) {
+    put(args_ == 0 ? "\n        \"" : ",\n        \"");
+    put(key);
+    put("\": ");
+    ++args_;
+  }
+  void arg_integer(std::string_view key, std::size_t value) {
+    arg_key(key);
+    put_integer(value);
+  }
+  void arg_number(std::string_view key, std::string_view text) {
+    arg_key(key);
+    put(text);
+  }
+
+  void begin_record() {
+    put(first_ ? "\n    {" : ",\n    {");
+    first_ = false;
+  }
+  void end_record() {
+    put("\n    }");
+    if (buffer_.size() >= kFlushBytes) flush();
+  }
+  void flush() {
+    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    buffer_.clear();
+  }
+
+  std::ostream& out_;
+  std::string buffer_;
+  bool first_ = true;
+  std::size_t args_ = 0;  // args written in the current record
+  NumberText ts_;
+  NumberText dur_;
+  NumberText size_;
+  NumberText alpha_;
+  NumberText value_;
+};
 
 // Merge intervals in place; returns total union length.
 double union_length(std::vector<std::pair<double, double>>& intervals) {
@@ -126,8 +252,19 @@ void write_chrome_trace(std::ostream& out,
                    });
 
   // Route every event to its track; kJob spans become balanced B/E pairs.
+  // One line per event, a second per kJob, and the critical-path overlay.
+  std::size_t lines = events.size();
+  for (const TraceEvent& event : events) {
+    if (event.kind == EventKind::kJob) ++lines;
+  }
+  if (options.critical_path != nullptr) {
+    for (const JobBlame& blame : options.critical_path->jobs()) {
+      lines += blame.path.size() < 2 ? blame.path.size()
+                                     : 2 * blame.path.size();
+    }
+  }
   std::vector<Emit> emits;
-  emits.reserve(ordered.size() + ordered.size() / 4);
+  emits.reserve(lines);
   // Jobs seen, in first-appearance order, with a tenant when known;
   // `slot_of` indexes them by job id (ordered: no hash map).
   std::vector<std::pair<std::size_t, std::size_t>> jobs;
@@ -146,6 +283,7 @@ void write_chrome_trace(std::ostream& out,
     note_job(*event);
     Emit emit;
     emit.event = event;
+    emit.name = to_string(event->kind);
     emit.ts = event->start * kMicrosPerSecond;
     switch (event->kind) {
       case EventKind::kTransfer:
@@ -239,78 +377,51 @@ void write_chrome_trace(std::ostream& out,
   }
 
   // The B/E expansion can put an E after a later-starting event's record;
-  // restore global timestamp order (stable: emission order breaks ties).
-  std::stable_sort(emits.begin(), emits.end(),
-                   [](const Emit& a, const Emit& b) { return a.ts < b.ts; });
+  // restore global timestamp order (stable: emission order breaks ties)
+  // by sorting (ts, line) keys instead of whole Emits.
+  std::vector<std::pair<double, std::size_t>> order;
+  order.reserve(emits.size());
+  for (std::size_t i = 0; i < emits.size(); ++i) {
+    order.emplace_back(emits[i].ts, i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
 
-  util::JsonWriter json(out);
-  json.begin_object();
-  json.key("displayTimeUnit").value("ms");
-  json.key("traceEvents").begin_array();
-
+  ChromeDocument document(out);
   // Track metadata first: process and thread names.
-  write_metadata(json, kWorkersPid, 0, "process_name",
-                 options.label + " workers");
-  write_metadata(json, kJobsPid, 0, "process_name", options.label + " jobs");
-  write_metadata(json, kSchedulerPid, 0, "process_name",
-                 options.label + " scheduler");
+  document.metadata(kWorkersPid, 0, "process_name",
+                    options.label + " workers");
+  document.metadata(kJobsPid, 0, "process_name", options.label + " jobs");
+  document.metadata(kSchedulerPid, 0, "process_name",
+                    options.label + " scheduler");
   for (std::size_t w = 0; w < workers; ++w) {
     std::string worker_name = "w";
     worker_name += std::to_string(w);
-    write_metadata(json, kWorkersPid, static_cast<std::int64_t>(2 * w),
-                   "thread_name", worker_name + " link");
-    write_metadata(json, kWorkersPid, static_cast<std::int64_t>(2 * w + 1),
-                   "thread_name", worker_name + " cpu");
+    document.metadata(kWorkersPid, static_cast<std::int64_t>(2 * w),
+                      "thread_name", worker_name + " link");
+    document.metadata(kWorkersPid, static_cast<std::int64_t>(2 * w + 1),
+                      "thread_name", worker_name + " cpu");
   }
   for (const auto& [job, tenant] : jobs) {
     std::string name = "job " + std::to_string(job);
     if (tenant != kNoIndex) name += " (tenant " + std::to_string(tenant) + ")";
-    write_metadata(json, kJobsPid, static_cast<std::int64_t>(job),
-                   "thread_name", name);
+    document.metadata(kJobsPid, static_cast<std::int64_t>(job),
+                      "thread_name", name);
   }
-  write_metadata(json, kSchedulerPid, 0, "thread_name", "master");
+  document.metadata(kSchedulerPid, 0, "thread_name", "master");
   if (options.critical_path != nullptr) {
-    write_metadata(json, kPathPid, 0, "process_name",
-                   options.label + " critical path");
+    document.metadata(kPathPid, 0, "process_name",
+                      options.label + " critical path");
     for (const JobBlame& blame : options.critical_path->jobs()) {
-      write_metadata(json, kPathPid, static_cast<std::int64_t>(blame.job),
-                     "thread_name",
-                     "job " + std::to_string(blame.job) + " path");
+      document.metadata(kPathPid, static_cast<std::int64_t>(blame.job),
+                        "thread_name",
+                        "job " + std::to_string(blame.job) + " path");
     }
   }
-
-  for (const Emit& emit : emits) {
-    json.begin_object();
-    json.key("name").value(emit.name != nullptr
-                               ? emit.name
-                               : to_string(emit.event->kind));
-    json.key("cat").value("nldl");
-    json.key("ph").value(std::string_view(&emit.phase, 1));
-    json.key("ts").value(emit.ts);
-    if (emit.phase == 'X') json.key("dur").value(emit.dur);
-    if (emit.phase == 'i') json.key("s").value("t");
-    if (emit.flow_id >= 0) {
-      json.key("id").value(emit.flow_id);
-      if (emit.phase == 'f') json.key("bp").value("e");
-    }
-    json.key("pid").value(emit.pid);
-    json.key("tid").value(emit.tid);
-    if (emit.event != nullptr) {
-      write_args(json, *emit.event);
-    } else {
-      json.key("args").begin_object();
-      if (emit.arg_worker != kNoIndex) {
-        json.key("worker").value(emit.arg_worker);
-      }
-      if (emit.arg_via != kNoIndex) json.key("via_job").value(emit.arg_via);
-      json.end_object();
-    }
-    json.end_object();
-  }
-
-  json.end_array();
-  json.end_object();
-  out << '\n';
+  for (const auto& [ts, line] : order) document.record(emits[line]);
+  document.finish();
 }
 
 Attribution attribute_time(const std::vector<TraceEvent>& events,

@@ -47,9 +47,18 @@ struct ChromeTraceOptions {
 /// by start time (emission order breaks ties), so the output is
 /// deterministic for a deterministic recording. Job tracks are named in
 /// the order jobs first appear, found through an ordered index from job
-/// id (O(log jobs) per event). The document goes out through
-/// util::JsonWriter and ends with a blank line; tests/test_obs.cpp pins
-/// its exact bytes.
+/// id (O(log jobs) per event).
+///
+/// The bytes are util::JsonWriter's: its two-space layout, its shortest
+/// round-trip numbers (util::format_json_number, so non-finite values
+/// print null whatever the C locale), its escaping for the label and job
+/// names, and a blank line after the root. They are printed from fixed
+/// text fragments, each numeric field re-formatted only when its value's
+/// bits change, into a buffer written to `out` once per 64 KiB. Where
+/// they are pinned (tests/test_obs.cpp): ChromeExport.PinnedTraceBytes
+/// holds one document verbatim, and the MatchesTheReference* tests
+/// require the bytes of a test-local exporter built on JsonWriter calls,
+/// over server traces, escapes, non-finite args and a comma locale.
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
                         const ChromeTraceOptions& options = {});

@@ -81,16 +81,24 @@ void BurnRateMonitor::finalize(TraceSink* sink, MetricsRegistry* registry) {
     const std::size_t windows = window_totals_.size();
     const double budget = 1.0 - policy_.objective;
 
+    // Prefix sums over the base windows: jobs_before[i] counts the jobs in
+    // windows [0, i), misses_before[i] their misses. A trailing window's
+    // counts are then two exact integer differences, the same integers a
+    // window-by-window sum gives, so finalize() is linear in the window
+    // count whatever the rules span.
+    std::vector<std::uint64_t> jobs_before(windows + 1, 0);
+    std::vector<std::uint64_t> misses_before(windows + 1, 0);
+    for (std::size_t w = 0; w < windows; ++w) {
+      jobs_before[w + 1] = jobs_before[w] + window_totals_[w];
+      misses_before[w + 1] = misses_before[w] + window_misses_[w];
+    }
+
     // Trailing-window miss rate ending at base window `i`, spanning the
     // last `span` base windows (clamped at the run start).
     const auto burn_at = [&](std::size_t i, std::size_t span) {
       const std::size_t first = i + 1 >= span ? i + 1 - span : 0;
-      std::uint64_t jobs = 0;
-      std::uint64_t bad = 0;
-      for (std::size_t w = first; w <= i; ++w) {
-        jobs += window_totals_[w];
-        bad += window_misses_[w];
-      }
+      const std::uint64_t jobs = jobs_before[i + 1] - jobs_before[first];
+      const std::uint64_t bad = misses_before[i + 1] - misses_before[first];
       if (jobs == 0) return 0.0;
       return (static_cast<double>(bad) / static_cast<double>(jobs)) / budget;
     };

@@ -62,9 +62,9 @@ class BurnRateMonitor {
   /// Most base windows a monitor keeps, and most base windows one rule
   /// window may span: 2^16, far above the 72 the benches and
   /// nldl_trace_check use. It keeps every window count inside
-  /// std::size_t, the two per-window count vectors at 1 MiB, and
-  /// finalize(), whose trailing sums cost windows × rule span, at 2^32
-  /// additions per rule window.
+  /// std::size_t and the two per-window count vectors at 1 MiB;
+  /// finalize() is linear in the window count (prefix sums), so the
+  /// bound is not a time limit.
   static constexpr std::size_t kMaxWindows = std::size_t{1} << 16;
 
   /// `horizon` is the simulated span covered, rounded up to a whole

@@ -1,9 +1,32 @@
 #include "qos/plan.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "dlt/nonlinear_dlt.hpp"
 #include "util/assert.hpp"
 
 namespace nldl::qos {
+
+namespace {
+
+/// Table size of a memo's first insert. Doubling from it must reach the
+/// cap of 2 × kMemoEntries slots exactly.
+constexpr std::size_t kMemoMinSlots = 16;
+static_assert(std::has_single_bit(InstallmentSolver::kMemoEntries) &&
+              kMemoMinSlots <= 2 * InstallmentSolver::kMemoEntries);
+
+/// Home slot hash of a (load, alpha) key: splitmix64's finalizer over
+/// both bit patterns, so loads one ulp apart land far apart.
+std::uint64_t memo_hash(std::uint64_t load, std::uint64_t alpha) noexcept {
+  std::uint64_t h = load ^ (alpha * 0x9e3779b97f4a7c15ULL);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
 
 std::unique_ptr<sim::CommModel> make_model(const ServiceModel& service) {
   return sim::make_comm_model(service.comm, service.capacity,
@@ -24,9 +47,15 @@ InstallmentSolver::InstallmentSolver(const platform::Platform& platform,
 InstallmentSolver::Installment InstallmentSolver::solve(double load,
                                                         double alpha) {
   NLDL_REQUIRE(load > 0.0, "installments require a positive load");
-  const auto key = std::make_pair(load, alpha);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  // Bit patterns name the same keys as values here: the solve below
+  // rejects every alpha but finite ones >= 1, so neither a NaN nor a
+  // signed zero reaches the memo.
+  const auto load_bits = std::bit_cast<std::uint64_t>(load);
+  const auto alpha_bits = std::bit_cast<std::uint64_t>(alpha);
+  if (!memo_.empty()) {
+    const MemoSlot& slot = memo_[probe(load_bits, alpha_bits)];
+    if (slot.load_bits != 0) return slot.installment;
+  }
 
   // Solve the matched optimal allocation and replay it under the actual
   // comm model (the replay reproduces the allocator's makespan under the
@@ -44,8 +73,43 @@ InstallmentSolver::Installment InstallmentSolver::solve(double load,
   for (const double t : run_.worker_compute_time()) {
     installment.busy += t;
   }
-  cache_[key] = installment;
+  remember(load_bits, alpha_bits, installment);
   return installment;
+}
+
+std::size_t InstallmentSolver::probe(std::uint64_t load_bits,
+                                     std::uint64_t alpha_bits) const noexcept {
+  const std::size_t mask = memo_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>(memo_hash(load_bits, alpha_bits)) & mask;
+  while (memo_[i].load_bits != 0 && (memo_[i].load_bits != load_bits ||
+                                     memo_[i].alpha_bits != alpha_bits)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void InstallmentSolver::remember(std::uint64_t load_bits,
+                                 std::uint64_t alpha_bits,
+                                 const Installment& installment) {
+  // At most half full, so every probe run ends at an empty slot.
+  if (2 * (memo_size_ + 1) > memo_.size()) {
+    if (memo_.size() == 2 * kMemoEntries) {
+      std::fill(memo_.begin(), memo_.end(), MemoSlot{});
+      memo_size_ = 0;
+    } else {
+      const std::vector<MemoSlot> old = std::exchange(
+          memo_, std::vector<MemoSlot>(
+                     std::max(kMemoMinSlots, 2 * memo_.size())));
+      for (const MemoSlot& slot : old) {
+        if (slot.load_bits != 0) {
+          memo_[probe(slot.load_bits, slot.alpha_bits)] = slot;
+        }
+      }
+    }
+  }
+  memo_[probe(load_bits, alpha_bits)] = {load_bits, alpha_bits, installment};
+  ++memo_size_;
 }
 
 double InstallmentSolver::predicted_service(double load, double alpha) {

@@ -25,10 +25,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
-#include <utility>
+#include <vector>
 
 #include "online/job.hpp"
 #include "platform/platform.hpp"
@@ -64,10 +64,21 @@ struct ServiceModel {
 
 /// Memoized installment solver: ONE nonlinear solve + engine replay per
 /// distinct (installment load, alpha) under a fixed (platform, model,
-/// service). Deadline assignment, admission, and plan construction all
-/// need the same installment — sharing one solver (the Server owns one)
-/// collapses those three solver runs per job into one. Results are
-/// bit-identical to unmemoized calls (the memo only deduplicates).
+/// service), for as long as that key stays in the bounded memo. Deadline
+/// assignment, admission, and plan construction all need the same
+/// installment — sharing one solver (the Server owns one) collapses those
+/// three solver runs per job into one, and recurring job sizes hit too.
+/// Results are bit-identical to unmemoized calls whatever the memo holds
+/// (it only deduplicates; a key it dropped is solved again, to the same
+/// bits).
+///
+/// The memo is a flat open-addressing table keyed on the bit patterns of
+/// (load, alpha) with linear probing, never more than half full. It
+/// allocates in proportion to what it holds: it doubles when an insert
+/// would pass half full, up to 2 × kMemoEntries slots, and there it is
+/// cleared instead. Its memory is O(1) in the stream length, and a window
+/// of the last few thousand keys keeps the admission → plan hits and the
+/// recurring sizes.
 ///
 /// Every memo miss replays on the solver's one sim::EngineRun: reset, one
 /// chunk per worker carrying the job's alpha, drain. The answer carries
@@ -90,6 +101,10 @@ class InstallmentSolver {
     double busy = 0.0;      ///< Σ compute busy time across workers
   };
 
+  /// Most installments the memo holds: the next distinct key clears it
+  /// first. Its table then has 2 × kMemoEntries slots.
+  static constexpr std::size_t kMemoEntries = 4096;
+
   /// Solve + replay one installment of `load` units (memoized).
   [[nodiscard]] Installment solve(double load, double alpha);
 
@@ -110,7 +125,24 @@ class InstallmentSolver {
   ServiceModel service_;
   sim::Engine engine_;  ///< default alpha; each chunk carries its own
   sim::EngineRun run_;  ///< reset and refilled on every memo miss
-  std::map<std::pair<double, double>, Installment> cache_;
+
+  /// One memo slot. Loads are > 0, so the bits of +0.0 (all zero) never
+  /// name a key and mark an empty slot.
+  struct MemoSlot {
+    std::uint64_t load_bits = 0;
+    std::uint64_t alpha_bits = 0;
+    Installment installment;
+  };
+  /// Slot of the key: the one holding it, or the empty slot that ends
+  /// its probe run. Requires a non-empty table.
+  [[nodiscard]] std::size_t probe(std::uint64_t load_bits,
+                                  std::uint64_t alpha_bits) const noexcept;
+  /// Insert a key probe() did not find, growing or clearing first.
+  void remember(std::uint64_t load_bits, std::uint64_t alpha_bits,
+                const Installment& installment);
+
+  std::vector<MemoSlot> memo_;  ///< power-of-two size, or empty
+  std::size_t memo_size_ = 0;   ///< occupied slots
 };
 
 /// The per-job service state machine the qos server drives.

@@ -165,8 +165,8 @@ class Server {
   ServerOptions options_;
   std::unique_ptr<sim::CommModel> model_;
   /// Shared by admission and every ServicePlan: one nonlinear solve per
-  /// distinct installment per server lifetime. mutable because run() is
-  /// const but the memo grows.
+  /// distinct installment while it stays in the solver's bounded memo.
+  /// mutable because run() is const but the memo changes.
   mutable InstallmentSolver solver_;
   AdmissionController admission_;
 };

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -13,23 +14,8 @@ namespace {
 constexpr std::size_t kFlushBytes = std::size_t{64} * 1024;
 
 void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  // std::to_chars is locale-independent and emits the shortest string that
-  // round-trips the exact double — unlike %g/%lf, which honor the C locale
-  // and would print a comma decimal point (invalid JSON) under e.g. de_DE.
-  char buffer[40];
-  const auto result =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  NLDL_ASSERT(result.ec == std::errc{}, "double does not fit json buffer");
-  double parsed = 0.0;
-  const auto back =
-      std::from_chars(buffer, result.ptr, parsed);
-  NLDL_ASSERT(back.ec == std::errc{} && parsed == value,
-              "json_number failed to round-trip");
-  out.append(buffer, result.ptr);
+  char buffer[kJsonNumberChars];
+  out.append(buffer, format_json_number(value, buffer));
 }
 
 template <typename Integer>
@@ -69,6 +55,23 @@ void append_quoted(std::string& out, std::string_view text) {
 }
 
 }  // namespace
+
+char* format_json_number(double value, char* out) {
+  if (!std::isfinite(value)) {
+    constexpr std::string_view kNull = "null";
+    return std::copy(kNull.begin(), kNull.end(), out);
+  }
+  // std::to_chars is locale-independent and emits the shortest string that
+  // round-trips the exact double — unlike %g/%lf, which honor the C locale
+  // and would print a comma decimal point (invalid JSON) under e.g. de_DE.
+  const auto result = std::to_chars(out, out + kJsonNumberChars, value);
+  NLDL_ASSERT(result.ec == std::errc{}, "double does not fit json buffer");
+  double parsed = 0.0;
+  const auto back = std::from_chars(out, result.ptr, parsed);
+  NLDL_ASSERT(back.ec == std::errc{} && parsed == value,
+              "json_number failed to round-trip");
+  return result.ptr;
+}
 
 std::string json_number(double value) {
   std::string out;

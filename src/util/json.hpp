@@ -21,6 +21,15 @@ namespace nldl::util {
 /// infinities. The same formatter JsonWriter::value(double) uses.
 [[nodiscard]] std::string json_number(double value);
 
+/// Room format_json_number needs: the longest shortest round-trip double,
+/// "-2.2250738585072014e-308", has 24 characters.
+inline constexpr std::size_t kJsonNumberChars = 32;
+
+/// json_number without the allocation: writes the same text into `out`,
+/// which must hold kJsonNumberChars characters, and returns one past its
+/// end. JsonWriter and json_number format through it.
+char* format_json_number(double value, char* out);
+
 /// JSON string literal with the mandatory escapes; the same escaping
 /// JsonWriter applies to keys and string values.
 [[nodiscard]] std::string json_quote(std::string_view value);

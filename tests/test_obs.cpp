@@ -1,13 +1,20 @@
 // Tests for src/obs/: the tracing contract (attaching a sink never
 // changes results, recording is deterministic), the metrics registry's
 // ordering/type/merge rules, Chrome trace-event export validating
-// against the schema checker, the time-attribution partition, and the
-// event-stream ASCII gantt.
+// against the schema checker and matching a JsonWriter-built reference
+// byte for byte, the time-attribution partition, and the event-stream
+// ASCII gantt.
 #include <algorithm>
+#include <clocale>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -871,6 +878,392 @@ TEST(ChromeExport, PinnedTraceBytes) {
   const obs::ValidationResult result =
       obs::validate_chrome_trace_text(out.str());
   EXPECT_TRUE(result) << result.error;
+}
+
+// --- exporter against a reference ------------------------------------------
+
+// Test-local reference: the exporter as it was written before it printed
+// from fixed text fragments, one util::JsonWriter call per token and a
+// stable sort of whole lines. write_chrome_trace must reproduce its bytes
+// on every input.
+struct ReferenceEmit {
+  double ts = 0.0;
+  char phase = 'X';
+  double dur = 0.0;
+  std::int64_t pid = 3;
+  std::int64_t tid = 0;
+  const obs::TraceEvent* event = nullptr;
+  const char* name = nullptr;
+  std::int64_t flow_id = -1;
+  std::size_t arg_worker = obs::kNoIndex;
+  std::size_t arg_via = obs::kNoIndex;
+};
+
+void reference_metadata(util::JsonWriter& json, std::int64_t pid,
+                        std::int64_t tid, const char* meta,
+                        const std::string& name) {
+  json.begin_object();
+  json.key("name").value(meta);
+  json.key("ph").value("M");
+  json.key("pid").value(pid);
+  json.key("tid").value(tid);
+  json.key("args").begin_object();
+  json.key("name").value(name);
+  json.end_object();
+  json.end_object();
+}
+
+void reference_chrome_trace(std::ostream& out,
+                            const std::vector<obs::TraceEvent>& events,
+                            const obs::ChromeTraceOptions& options) {
+  using obs::EventKind;
+  constexpr std::size_t kNone = obs::kNoIndex;
+  std::size_t workers = options.workers;
+  if (workers == 0) {
+    for (const obs::TraceEvent& event : events) {
+      if (event.worker != kNone) workers = std::max(workers, event.worker + 1);
+    }
+  }
+  std::vector<const obs::TraceEvent*> ordered;
+  for (const obs::TraceEvent& event : events) ordered.push_back(&event);
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const obs::TraceEvent* a, const obs::TraceEvent* b) {
+                     return a->start < b->start;
+                   });
+  std::vector<ReferenceEmit> emits;
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;
+  std::map<std::size_t, std::size_t> slot_of;
+  for (const obs::TraceEvent* event : ordered) {
+    if (event->job != kNone) {
+      const auto [it, inserted] = slot_of.try_emplace(event->job, jobs.size());
+      if (inserted) {
+        jobs.emplace_back(event->job, event->tenant);
+      } else if (jobs[it->second].second == kNone) {
+        jobs[it->second].second = event->tenant;
+      }
+    }
+    ReferenceEmit emit;
+    emit.event = event;
+    emit.ts = event->start * 1e6;
+    const double dur = std::max(0.0, event->end - event->start) * 1e6;
+    const auto job_tid = static_cast<std::int64_t>(event->job);
+    switch (event->kind) {
+      case EventKind::kTransfer:
+      case EventKind::kCompute:
+        emit.dur = dur;
+        emit.pid = 1;
+        emit.tid = static_cast<std::int64_t>(2 * event->worker) +
+                   (event->kind == EventKind::kCompute ? 1 : 0);
+        emits.push_back(emit);
+        break;
+      case EventKind::kJob: {
+        emit.phase = 'B';
+        emit.pid = 2;
+        emit.tid = job_tid;
+        emits.push_back(emit);
+        ReferenceEmit end = emit;
+        end.phase = 'E';
+        end.ts = event->end * 1e6;
+        emits.push_back(end);
+        break;
+      }
+      case EventKind::kInstallment:
+      case EventKind::kRestart:
+        emit.dur = dur;
+        emit.pid = 2;
+        emit.tid = job_tid;
+        emits.push_back(emit);
+        break;
+      case EventKind::kArrival:
+      case EventKind::kAdmit:
+      case EventKind::kDegrade:
+      case EventKind::kReject:
+      case EventKind::kPreempt:
+      case EventKind::kDeadlineMiss:
+        emit.phase = 'i';
+        emit.pid = 2;
+        emit.tid = job_tid;
+        emits.push_back(emit);
+        break;
+      case EventKind::kRerate:
+      case EventKind::kDispatch:
+      case EventKind::kCheckpoint:
+      case EventKind::kCompact:
+      case EventKind::kReplay:
+      case EventKind::kAlert:
+        emit.phase = 'i';
+        emits.push_back(emit);
+        break;
+    }
+  }
+  if (options.critical_path != nullptr) {
+    for (const obs::JobBlame& blame : options.critical_path->jobs()) {
+      const std::vector<obs::PathSegment>& path = blame.path;
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        ReferenceEmit slice;
+        slice.ts = path[i].start * 1e6;
+        slice.dur = std::max(0.0, path[i].end - path[i].start) * 1e6;
+        slice.pid = 4;
+        slice.tid = static_cast<std::int64_t>(blame.job);
+        slice.name = obs::to_string(path[i].kind);
+        slice.arg_worker = path[i].worker;
+        slice.arg_via = path[i].via_job;
+        emits.push_back(slice);
+        if (path.size() < 2) continue;
+        ReferenceEmit flow = slice;
+        flow.phase = i == 0 ? 's' : (i + 1 == path.size() ? 'f' : 't');
+        flow.dur = 0.0;
+        flow.name = "critical path";
+        flow.flow_id = static_cast<std::int64_t>(blame.job);
+        emits.push_back(flow);
+      }
+    }
+  }
+  std::stable_sort(emits.begin(), emits.end(),
+                   [](const ReferenceEmit& a, const ReferenceEmit& b) {
+                     return a.ts < b.ts;
+                   });
+
+  util::JsonWriter json(out);
+  json.begin_object();
+  json.key("displayTimeUnit").value("ms");
+  json.key("traceEvents").begin_array();
+  reference_metadata(json, 1, 0, "process_name", options.label + " workers");
+  reference_metadata(json, 2, 0, "process_name", options.label + " jobs");
+  reference_metadata(json, 3, 0, "process_name", options.label + " scheduler");
+  for (std::size_t w = 0; w < workers; ++w) {
+    std::string worker = "w";
+    worker += std::to_string(w);
+    reference_metadata(json, 1, static_cast<std::int64_t>(2 * w),
+                       "thread_name", worker + " link");
+    reference_metadata(json, 1, static_cast<std::int64_t>(2 * w + 1),
+                       "thread_name", worker + " cpu");
+  }
+  for (const auto& [job, tenant] : jobs) {
+    std::string name = "job " + std::to_string(job);
+    if (tenant != kNone) name += " (tenant " + std::to_string(tenant) + ")";
+    reference_metadata(json, 2, static_cast<std::int64_t>(job), "thread_name",
+                       name);
+  }
+  reference_metadata(json, 3, 0, "thread_name", "master");
+  if (options.critical_path != nullptr) {
+    reference_metadata(json, 4, 0, "process_name",
+                       options.label + " critical path");
+    for (const obs::JobBlame& blame : options.critical_path->jobs()) {
+      reference_metadata(json, 4, static_cast<std::int64_t>(blame.job),
+                         "thread_name",
+                         "job " + std::to_string(blame.job) + " path");
+    }
+  }
+  for (const ReferenceEmit& emit : emits) {
+    json.begin_object();
+    json.key("name").value(emit.name != nullptr
+                               ? emit.name
+                               : obs::to_string(emit.event->kind));
+    json.key("cat").value("nldl");
+    json.key("ph").value(std::string_view(&emit.phase, 1));
+    json.key("ts").value(emit.ts);
+    if (emit.phase == 'X') json.key("dur").value(emit.dur);
+    if (emit.phase == 'i') json.key("s").value("t");
+    if (emit.flow_id >= 0) {
+      json.key("id").value(emit.flow_id);
+      if (emit.phase == 'f') json.key("bp").value("e");
+    }
+    json.key("pid").value(emit.pid);
+    json.key("tid").value(emit.tid);
+    json.key("args").begin_object();
+    if (emit.event != nullptr) {
+      const obs::TraceEvent& event = *emit.event;
+      if (event.job != kNone) json.key("job").value(event.job);
+      if (event.tenant != kNone) json.key("tenant").value(event.tenant);
+      if (event.worker != kNone) json.key("worker").value(event.worker);
+      if (event.size != 0.0) json.key("size").value(event.size);
+      if (event.alpha != 0.0) json.key("alpha").value(event.alpha);
+      if (event.value != 0.0) json.key("value").value(event.value);
+    } else {
+      if (emit.arg_worker != kNone) json.key("worker").value(emit.arg_worker);
+      if (emit.arg_via != kNone) json.key("via_job").value(emit.arg_via);
+    }
+    json.end_object();
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
+  out << '\n';
+}
+
+/// write_chrome_trace's document for `events`, or the reference's.
+std::string chrome_text(const std::vector<obs::TraceEvent>& events,
+                        const obs::ChromeTraceOptions& options,
+                        bool reference = false) {
+  std::ostringstream out;
+  if (reference) {
+    reference_chrome_trace(out, events, options);
+  } else {
+    obs::write_chrome_trace(out, events, options);
+  }
+  return out.str();
+}
+
+/// Empty when the exporter writes the reference's bytes; otherwise where
+/// the two documents part, with a little context from each.
+std::string reference_mismatch(const std::vector<obs::TraceEvent>& events,
+                               const obs::ChromeTraceOptions& options) {
+  const std::string got = chrome_text(events, options);
+  const std::string want = chrome_text(events, options, true);
+  if (got == want) return {};
+  const auto [at, unused] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  const auto offset = static_cast<std::size_t>(at - got.begin());
+  const std::size_t from = offset < 80 ? 0 : offset - 80;
+  return "sizes " + std::to_string(got.size()) + " vs " +
+         std::to_string(want.size()) + ", first difference at byte " +
+         std::to_string(offset) + "\n--- exporter:\n" +
+         got.substr(from, 160) + "\n--- reference:\n" + want.substr(from, 160);
+}
+
+/// burst_jobs() with every deadline at a fifth of its slack: under degrade
+/// admission and SRPT at k = 1 the stream degrades and preempts.
+std::vector<online::Job> tight_burst_jobs() {
+  std::vector<online::Job> jobs = burst_jobs();
+  for (online::Job& job : jobs) {
+    job.deadline = job.arrival + 0.2 * (job.deadline - job.arrival);
+  }
+  return jobs;
+}
+
+/// The traces the differential tests export: a qos k = 1 stream that
+/// degrades and preempts, a qos k = 2 stream, and an online shared-master
+/// stream.
+std::vector<std::vector<obs::TraceEvent>> server_traces() {
+  const platform::Platform plat = test_platform();
+  std::vector<std::vector<obs::TraceEvent>> traces;
+
+  obs::TraceRecorder serial;
+  qos::ServerOptions serial_options =
+      qos_options(sim::CommModelKind::kOnePort, 1);
+  serial_options.admission.mode = qos::AdmissionMode::kDegrade;
+  serial_options.trace = &serial;
+  qos::SrptPolicy srpt;
+  (void)qos::Server(plat, serial_options).run(tight_burst_jobs(), srpt);
+  traces.push_back(serial.events());
+
+  obs::TraceRecorder shared;
+  qos::ServerOptions shared_options =
+      qos_options(sim::CommModelKind::kBoundedMultiport, 2);
+  shared_options.trace = &shared;
+  (void)qos::Server(plat, shared_options).run(burst_jobs(), srpt);
+  traces.push_back(shared.events());
+
+  obs::TraceRecorder online_trace;
+  online::ServerOptions online_opts =
+      online_options(sim::CommModelKind::kBoundedMultiport,
+                     online::MasterMode::kSharedMaster);
+  online_opts.trace = &online_trace;
+  const online::FairShareScheduler fair(2);
+  (void)online::Server(plat, online_opts).run(burst_jobs(), fair);
+  traces.push_back(online_trace.events());
+  return traces;
+}
+
+TEST(ChromeExport, MatchesTheReferenceOnServerTraces) {
+  const std::vector<std::vector<obs::TraceEvent>> traces = server_traces();
+  const auto count = [&](obs::EventKind kind) {
+    return std::count_if(
+        traces[0].begin(), traces[0].end(),
+        [kind](const obs::TraceEvent& event) { return event.kind == kind; });
+  };
+  ASSERT_GT(count(obs::EventKind::kDegrade), 0) << "k = 1 must degrade";
+  ASSERT_GT(count(obs::EventKind::kPreempt), 0) << "k = 1 must preempt";
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const obs::CriticalPath path(traces[t]);
+    ASSERT_FALSE(path.jobs().empty());
+    for (const bool with_path : {false, true}) {
+      for (const std::size_t workers : {std::size_t{0}, std::size_t{6}}) {
+        SCOPED_TRACE("trace " + std::to_string(t) + ", critical path " +
+                     std::to_string(with_path) + ", workers " +
+                     std::to_string(workers));
+        obs::ChromeTraceOptions options;
+        options.workers = workers;
+        options.critical_path = with_path ? &path : nullptr;
+        EXPECT_EQ(reference_mismatch(traces[t], options), "");
+      }
+    }
+  }
+}
+
+TEST(ChromeExport, MatchesTheReferenceOnEdgeCases) {
+  // The pinned stream, with and without its critical path.
+  const std::vector<obs::TraceEvent> pinned = pinned_events();
+  const obs::CriticalPath path(pinned);
+  obs::ChromeTraceOptions options;
+  options.label = "pin";
+  EXPECT_EQ(reference_mismatch(pinned, options), "");
+  options.critical_path = &path;
+  EXPECT_EQ(reference_mismatch(pinned, options), "");
+
+  // A label that needs every kind of escape reaches the metadata names
+  // through JsonWriter's escaping.
+  options.label = std::string("q\"uote \\ back\nline \x01 ctl");
+  EXPECT_EQ(reference_mismatch(pinned, options), "");
+  const std::string escaped = chrome_text(pinned, options);
+  EXPECT_NE(escaped.find(R"(q\"uote \\ back\nline \u0001 ctl workers)"),
+            std::string::npos);
+
+  // Non-finite args print null, a -0.0 arg is left out like 0.0, and an
+  // event with nothing to say prints an empty args object. Equal
+  // timestamps keep their emission order.
+  std::vector<obs::TraceEvent> odd;
+  obs::TraceEvent compute =
+      make_event(obs::EventKind::kCompute, 1.0, 2.0, 0, 1, 0);
+  compute.size = std::numeric_limits<double>::quiet_NaN();
+  compute.alpha = -0.0;
+  compute.value = std::numeric_limits<double>::infinity();
+  odd.push_back(compute);
+  obs::TraceEvent bare;
+  bare.kind = obs::EventKind::kRerate;
+  bare.start = bare.end = 1.0;
+  odd.push_back(bare);
+  obs::TraceEvent negative =
+      make_event(obs::EventKind::kPreempt, 1.0, 1.0, 0, 1);
+  negative.value = -std::numeric_limits<double>::infinity();
+  odd.push_back(negative);
+  obs::ChromeTraceOptions plain;
+  EXPECT_EQ(reference_mismatch(odd, plain), "");
+  const std::string text = chrome_text(odd, plain);
+  EXPECT_NE(text.find("\"size\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"value\": null"), std::string::npos);
+  EXPECT_EQ(text.find("\"alpha\""), std::string::npos);
+  EXPECT_NE(text.find("\"args\": {}"), std::string::npos);
+
+  // No events at all: only the metadata rows.
+  EXPECT_EQ(reference_mismatch({}, plain), "");
+}
+
+// Under a comma-decimal C locale (de_DE) the exporter still prints '.'
+// and the reference's bytes. Minimal hosts ship no such locale; the
+// comma_locale ctest fixture compiles one and runs this test through
+// LOCPATH, and without one the test skips.
+TEST(ChromeExport, MatchesTheReferenceUnderACommaLocale) {
+  const std::vector<std::vector<obs::TraceEvent>> traces = server_traces();
+  const obs::CriticalPath path(traces[0]);
+  obs::ChromeTraceOptions options;
+  options.critical_path = &path;
+  const std::string in_c_locale = chrome_text(traces[0], options);
+
+  const char* previous = std::setlocale(LC_ALL, nullptr);  // nldl-lint: allow(locale): the comma-locale regression test saves the locale it switches away from
+  const std::string saved = previous != nullptr ? previous : "C";
+  if (std::setlocale(LC_ALL, "de_DE.UTF-8") == nullptr) {  // nldl-lint: allow(locale): the comma-locale regression test forces a comma-decimal locale
+    GTEST_SKIP() << "no de_DE.UTF-8 locale on this host";
+  }
+  char decimal[8];
+  std::snprintf(decimal, sizeof(decimal), "%.1f", 0.5);
+  const std::string mismatch = reference_mismatch(traces[0], options);
+  const std::string in_comma_locale = chrome_text(traces[0], options);
+  std::setlocale(LC_ALL, saved.c_str());  // nldl-lint: allow(locale): the comma-locale regression test restores the locale it found
+  EXPECT_STREQ(decimal, "0,5") << "the locale must print a comma";
+  EXPECT_EQ(mismatch, "");
+  EXPECT_EQ(in_comma_locale, in_c_locale);
 }
 
 // --- attribution -------------------------------------------------------------

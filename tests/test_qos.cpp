@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -35,6 +36,7 @@
 #include "sim/comm_model.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nldl::qos {
 namespace {
@@ -278,6 +280,67 @@ TEST(InstallmentSolver, EverySolveMatchesAFreshEngineWhateverCameBefore) {
       }
     }
   }
+}
+
+TEST(InstallmentSolver, BoundedMemoAnswersLikeAFreshSolverAcrossClears) {
+  // One long-lived solver sees more than twice as many distinct keys as
+  // its memo holds, so the memo clears at least twice. Between new keys
+  // come repeats of recent keys (hits while the memo holds them), repeats
+  // of old keys (misses again once a clear dropped them), and loads and
+  // alphas one ulp from the key just asked. Every answer must carry the
+  // bits of a fresh solver's, whose memo is empty.
+  const auto plat = platform::Platform::two_class(8, 1.0, 4.0);
+  ServiceModel service = make_service(3, 0.3);
+  service.comm = sim::CommModelKind::kBoundedMultiport;
+  service.capacity = 2.0;
+  const auto model = make_model(service);
+  InstallmentSolver solver(plat, *model, service);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  std::vector<std::pair<double, double>> asked;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> distinct;
+  const auto check = [&](double load, double alpha) {
+    const InstallmentSolver::Installment got = solver.solve(load, alpha);
+    InstallmentSolver fresh(plat, *model, service);
+    const InstallmentSolver::Installment want = fresh.solve(load, alpha);
+    EXPECT_EQ(bits(got.duration), bits(want.duration))
+        << "load " << load << " alpha " << alpha;
+    EXPECT_EQ(bits(got.busy), bits(want.busy))
+        << "load " << load << " alpha " << alpha;
+    asked.emplace_back(load, alpha);
+    distinct.emplace(bits(load), bits(alpha));
+    return got;
+  };
+
+  util::Rng rng(20261018);
+  const double alphas[] = {1.0, 1.5, 2.0, 3.0};
+  std::size_t ulp_moves = 0;
+  const std::size_t two_clears = 2 * InstallmentSolver::kMemoEntries + 1;
+  for (std::size_t i = 0; distinct.size() < two_clears; ++i) {
+    const double load = rng.uniform(1.0, 200.0);
+    const double alpha = alphas[rng.uniform_int(0, 3)];
+    const InstallmentSolver::Installment base = check(load, alpha);
+    if (i % 3 == 0) {
+      const InstallmentSolver::Installment up =
+          check(std::nextafter(load, kInf), alpha);
+      if (bits(up.duration) != bits(base.duration)) ++ulp_moves;
+    }
+    if (i % 5 == 0) (void)check(load, std::nextafter(alpha, kInf));
+    if (i % 2 == 0) {
+      const std::size_t back =
+          static_cast<std::size_t>(rng.uniform_int(1, 16));
+      const auto [l, a] = asked[asked.size() - std::min(back, asked.size())];
+      (void)check(l, a);
+    }
+    if (i % 7 == 0) {
+      const auto [l, a] = asked[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(asked.size()) - 1))];
+      (void)check(l, a);
+    }
+  }
+  // The ulp neighbours test the keying only where their answers differ:
+  // a table that confused two keys would hand one the other's bits.
+  EXPECT_GT(ulp_moves, 0u);
 }
 
 // --- Admission --------------------------------------------------------------

@@ -1,6 +1,12 @@
 // Tests for obs::BurnRateMonitor (multi-window SLO burn-rate alerting):
 // base-window addressing and clamping, rising-edge alert semantics,
-// determinism, and the kAlert / registry side channels of finalize().
+// determinism, the kAlert / registry side channels of finalize(), and
+// finalize()'s prefix sums against window-by-window sums.
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -15,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "obs/validate.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nldl {
 namespace {
@@ -237,6 +244,129 @@ TEST(BurnRate, FinalizeEmitsAlertsAndAccountsRegistry) {
       obs::validate_chrome_trace_text(out.str());
   EXPECT_TRUE(result) << result.error;
   EXPECT_NE(out.str().find("\"alert\""), std::string::npos);
+}
+
+/// Test-local reference: finalize()'s window-by-window evaluation as it
+/// was before prefix sums, every trailing window summed from scratch,
+/// over the same base-window addressing as observe().
+struct ReferenceBurn {
+  std::vector<obs::BurnRateMonitor::Alert> alerts;
+  double peak_burn = 0.0;
+};
+
+ReferenceBurn reference_burn(
+    const obs::SloPolicy& policy, double horizon,
+    const std::vector<std::pair<double, bool>>& observations) {
+  const std::size_t windows = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(horizon / policy.window)));
+  std::vector<std::uint64_t> totals(windows, 0);
+  std::vector<std::uint64_t> misses(windows, 0);
+  for (const auto& [t, missed] : observations) {
+    const double raw = std::floor(t / policy.window);
+    const std::size_t w = raw >= static_cast<double>(windows - 1)
+                              ? windows - 1
+                              : static_cast<std::size_t>(raw);
+    ++totals[w];
+    if (missed) ++misses[w];
+  }
+  const double budget = 1.0 - policy.objective;
+  const auto burn_at = [&](std::size_t i, std::size_t span) {
+    const std::size_t first = i + 1 >= span ? i + 1 - span : 0;
+    std::uint64_t jobs = 0;
+    std::uint64_t bad = 0;
+    for (std::size_t w = first; w <= i; ++w) {
+      jobs += totals[w];
+      bad += misses[w];
+    }
+    if (jobs == 0) return 0.0;
+    return (static_cast<double>(bad) / static_cast<double>(jobs)) / budget;
+  };
+  ReferenceBurn out;
+  for (std::size_t r = 0; r < policy.rules.size(); ++r) {
+    const obs::BurnWindow& rule = policy.rules[r];
+    const auto fast =
+        static_cast<std::size_t>(std::round(rule.fast / policy.window));
+    const auto slow =
+        static_cast<std::size_t>(std::round(rule.slow / policy.window));
+    bool firing = false;
+    for (std::size_t i = 0; i < windows; ++i) {
+      const double fast_burn = burn_at(i, fast);
+      const double slow_burn = burn_at(i, slow);
+      out.peak_burn = std::max(out.peak_burn, fast_burn);
+      const bool breach =
+          fast_burn >= rule.threshold && slow_burn >= rule.threshold;
+      if (breach && !firing) {
+        obs::BurnRateMonitor::Alert alert;
+        alert.rule = r;
+        alert.time = static_cast<double>(i + 1) * policy.window;
+        alert.fast_burn = fast_burn;
+        alert.slow_burn = slow_burn;
+        out.alerts.push_back(alert);
+      }
+      firing = breach;
+    }
+  }
+  std::sort(out.alerts.begin(), out.alerts.end(),
+            [](const auto& a, const auto& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.rule < b.rule;
+            });
+  return out;
+}
+
+TEST(BurnRate, PrefixSumsMatchTheWindowByWindowSums) {
+  // Generated bursty streams over rule shapes that stress the trailing
+  // windows: fast == slow, a rule spanning every base window, and a
+  // horizon shorter than the rule. Every alert and the peak burn must
+  // carry the reference's bits.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  util::Rng rng(20261018);
+  std::size_t fired = 0;
+  for (int stream = 0; stream < 60; ++stream) {
+    obs::SloPolicy policy;
+    policy.objective = stream % 3 == 0 ? 0.9 : (stream % 3 == 1 ? 0.95 : 0.99);
+    policy.window = stream % 2 == 0 ? 1.0 : 0.25;
+    const auto windows = static_cast<std::size_t>(rng.uniform_int(1, 600));
+    // A third of the streams stop well short of their longest rule.
+    const std::size_t covered =
+        stream % 3 == 2 ? std::max<std::size_t>(1, windows / 8) : windows;
+    const double horizon = static_cast<double>(covered) * policy.window;
+    const auto multiple = [&](std::size_t k) {
+      return static_cast<double>(k) * policy.window;
+    };
+    const auto fast = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    policy.rules = {
+        {multiple(fast), multiple(fast), rng.uniform(1.0, 6.0)},
+        {multiple(fast), multiple(windows), rng.uniform(1.0, 4.0)},
+        {multiple(1), multiple(fast * 6), rng.uniform(1.0, 8.0)}};
+
+    std::vector<std::pair<double, bool>> observations;
+    const auto jobs = static_cast<std::size_t>(rng.uniform_int(0, 3000));
+    double miss_rate = 0.0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      if (j % 97 == 0) miss_rate = rng.uniform() < 0.3 ? 0.6 : 0.01;
+      // Some finishes land past the horizon and fold into its last window.
+      const double t = rng.uniform(0.0, 1.1 * horizon + policy.window);
+      observations.emplace_back(t, rng.uniform() < miss_rate);
+    }
+
+    obs::BurnRateMonitor monitor(policy, horizon);
+    for (const auto& [t, missed] : observations) monitor.observe(t, missed);
+    monitor.finalize();
+    const ReferenceBurn want = reference_burn(policy, horizon, observations);
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    EXPECT_EQ(bits(monitor.peak_burn()), bits(want.peak_burn));
+    ASSERT_EQ(monitor.alerts().size(), want.alerts.size());
+    for (std::size_t a = 0; a < want.alerts.size(); ++a) {
+      const obs::BurnRateMonitor::Alert& got = monitor.alerts()[a];
+      EXPECT_EQ(got.rule, want.alerts[a].rule);
+      EXPECT_EQ(bits(got.time), bits(want.alerts[a].time));
+      EXPECT_EQ(bits(got.fast_burn), bits(want.alerts[a].fast_burn));
+      EXPECT_EQ(bits(got.slow_burn), bits(want.alerts[a].slow_burn));
+    }
+    fired += want.alerts.size();
+  }
+  EXPECT_GT(fired, 0u) << "the streams must trip some rule";
 }
 
 TEST(BurnRate, EmptyRunIsSilent) {
