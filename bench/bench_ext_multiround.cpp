@@ -31,9 +31,9 @@ struct Case {
 std::vector<Case> build_cases(std::uint64_t seed) {
   util::Rng rng(seed);
   return {
-      {"4 equal, comm-light", platform::Platform::homogeneous(4, 0.1, 1.0)},
-      {"4 equal, balanced", platform::Platform::homogeneous(4, 1.0, 1.0)},
-      {"4 equal, comm-heavy", platform::Platform::homogeneous(4, 3.0, 1.0)},
+      {"4 equal, comm-light", platform::Platform::homogeneous(4, 0.1)},
+      {"4 equal, balanced", platform::Platform::homogeneous(4, 1.0)},
+      {"4 equal, comm-heavy", platform::Platform::homogeneous(4, 3.0)},
       {"uniform p=8",
        platform::make_platform(platform::SpeedModel::kUniform, 8, rng)},
   };
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
           out.best = util::Sweep(std::move(grid), options).map<BestRow>(
               [&](const util::SweepPoint& point, util::Rng&) {
                 const Case& c = cases[point.index_of("case")];
-                const auto best = dlt::best_multi_round(c.plat, load, 16);
+                const auto best = dlt::best_multi_round(c.plat, load);
                 return BestRow{best.rounds, best.simulated_makespan};
               });
         }

@@ -38,7 +38,7 @@ std::vector<std::pair<std::string, platform::Platform>> build_platforms(
     std::uint64_t seed) {
   util::Rng rng(seed);
   return {
-      {"4 equal (c=0.2)", platform::Platform::homogeneous(4, 0.2, 1.0)},
+      {"4 equal (c=0.2)", platform::Platform::homogeneous(4, 0.2)},
       {"uniform p=6",
        platform::make_platform(platform::SpeedModel::kUniform, 6, rng)},
       {"2-class k=8 (p=4)", platform::Platform::two_class(4, 1.0, 8.0, 0.2)},

@@ -101,7 +101,7 @@ Sec2Results compute_all(std::size_t threads, double total_load,
         util::Sweep(std::move(grid), options).map<MakespanRow>(
             [total_load](const util::SweepPoint& point, util::Rng&) {
               const auto p = static_cast<std::size_t>(point.value("p"));
-              const auto plat = platform::Platform::homogeneous(p, 1.0, 1.0);
+              const auto plat = platform::Platform::homogeneous(p, 1.0);
               const auto alloc = dlt::nonlinear_parallel_single_round(
                   plat, total_load, 2.0);
               return MakespanRow{p, alloc.makespan, alloc.work_done,

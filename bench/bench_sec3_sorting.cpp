@@ -68,7 +68,7 @@ std::vector<std::pair<std::string, platform::Platform>> pipeline_platforms(
   util::Rng rng(seed);
   std::vector<std::pair<std::string, platform::Platform>> platforms;
   platforms.emplace_back("16 equal",
-                         platform::Platform::homogeneous(16, 0.01, 1.0));
+                         platform::Platform::homogeneous(16, 0.01));
   platforms.emplace_back(
       "uniform p=16",
       platform::make_platform(platform::SpeedModel::kUniform, 16, rng));

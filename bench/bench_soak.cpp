@@ -389,9 +389,8 @@ int main(int argc, char** argv) {
                                   recorder, registry) &&
         trace_identical;
     // Downsampled gantt: a soak-scale stream renders at terminal width
-    // instead of a column per chunk (sim::ascii_gantt max_cols).
-    std::fputs(sim::ascii_gantt(recorder.events(), p, 4096, 96).c_str(),
-               stdout);
+    // instead of a column per chunk.
+    std::fputs(sim::ascii_gantt(recorder.events(), p, 96).c_str(), stdout);
   }
 
   const int harness_code = harness.finish([&](util::JsonWriter& json) {

@@ -18,10 +18,10 @@ namespace {
 void tour_multi_round() {
   std::printf("--- 1. Multi-round distribution (Section 1.2's 'multiple "
               "rounds') ---\n");
-  const auto plat = platform::Platform::homogeneous(4, 0.5, 1.0);
+  const auto plat = platform::Platform::homogeneous(4, 0.5);
   const double single =
       dlt::uniform_multi_round(plat, 100.0, 1).simulated_makespan;
-  const auto best = dlt::best_multi_round(plat, 100.0, 16);
+  const auto best = dlt::best_multi_round(plat, 100.0);
   std::printf("one-port star, 4 workers, c/w = 0.5: single round %.2f -> "
               "best plan (R = %zu) %.2f (-%.1f%%)\n\n",
               single, best.rounds, best.simulated_makespan,
@@ -31,7 +31,7 @@ void tour_multi_round() {
 void tour_return_messages() {
   std::printf("--- 2. Return messages (refs [28-30], set aside by the "
               "paper) ---\n");
-  const auto plat = platform::Platform::homogeneous(4, 0.2, 1.0);
+  const auto plat = platform::Platform::homogeneous(4, 0.2);
   std::vector<std::size_t> order(plat.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   for (const double delta : {0.25, 1.0}) {

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
               "N^%.1f ===\n\n", alpha);
 
   // Show the actual schedule on a small platform first.
-  const auto plat = platform::Platform::homogeneous(p, 1.0, 1.0);
+  const auto plat = platform::Platform::homogeneous(p, 1.0);
   const auto alloc = dlt::nonlinear_parallel_single_round(plat, n, alpha);
   const sim::Engine engine(plat, sim::EngineOptions{alpha});
   const auto result =
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
               "round:\n\n", alpha);
   util::Table table({"p", "remaining fraction", "1 - 1/p^(a-1)"});
   for (const std::size_t workers : {2UL, 4UL, 16UL, 64UL, 256UL, 1024UL}) {
-    const auto plat_w = platform::Platform::homogeneous(workers, 1.0, 1.0);
+    const auto plat_w = platform::Platform::homogeneous(workers, 1.0);
     const auto alloc_w =
         dlt::nonlinear_parallel_single_round(plat_w, n, alpha);
     table.row()

@@ -1,6 +1,8 @@
 #include "core/experiments.hpp"
 
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "dlt/analysis.hpp"
 #include "sim/engine.hpp"
@@ -10,6 +12,15 @@
 namespace nldl::core {
 
 namespace {
+
+/// The paper's Section 4.3 processor counts.
+constexpr std::array<std::size_t, 6> kProcessorCounts = {10, 20, 40,
+                                                         60, 80, 100};
+
+/// The capacity sweep's platform and workload: 64 homogeneous workers
+/// with c = w = 1, alpha = 2.
+constexpr std::size_t kSweepWorkers = 64;
+constexpr double kSweepAlpha = 2.0;
 
 /// Everything one trial contributes to its Fig4Row. Trials are evaluated
 /// in any order (possibly concurrently) but reduced strictly in trial
@@ -26,19 +37,15 @@ struct TrialOutcome {
 
 TrialOutcome evaluate_trial(const Fig4Config& config, std::size_t p,
                             util::Rng rng) {
-  const platform::Platform plat =
-      platform::make_platform(config.model, p, rng, config.model_params);
+  const platform::Platform plat = platform::make_platform(config.model, p, rng);
   const std::vector<double> speeds = plat.speeds();
 
   const auto het = evaluate_strategy(Strategy::kHeterogeneousBlocks, speeds,
-                                     config.domain_n,
-                                     config.strategy_options);
+                                     1.0, config.strategy_options);
   const auto hom = evaluate_strategy(Strategy::kHomogeneousBlocks, speeds,
-                                     config.domain_n,
-                                     config.strategy_options);
+                                     1.0, config.strategy_options);
   const auto hom_k = evaluate_strategy(Strategy::kHomogeneousBlocksRefined,
-                                       speeds, config.domain_n,
-                                       config.strategy_options);
+                                       speeds, 1.0, config.strategy_options);
 
   TrialOutcome outcome;
   outcome.het = het.ratio_to_lower_bound;
@@ -54,16 +61,14 @@ TrialOutcome evaluate_trial(const Fig4Config& config, std::size_t p,
 
 std::vector<Fig4Row> run_fig4(const Fig4Config& config) {
   NLDL_REQUIRE(config.trials >= 1, "at least one trial required");
-  NLDL_REQUIRE(!config.processor_counts.empty(),
-               "at least one processor count required");
 
   // The sweep grid: p (outer) × trial (inner), the exact flat order the
   // original serial loop used. util::Sweep pre-splits one RNG sub-stream
   // per point in that order and dispatches onto a thread pool, so the
   // sampled platforms are independent of the thread count.
   std::vector<double> ps;
-  ps.reserve(config.processor_counts.size());
-  for (const std::size_t p : config.processor_counts) {
+  ps.reserve(kProcessorCounts.size());
+  for (const std::size_t p : kProcessorCounts) {
     ps.push_back(static_cast<double>(p));
   }
   util::Grid grid;
@@ -82,10 +87,10 @@ std::vector<Fig4Row> run_fig4(const Fig4Config& config) {
 
   // Deterministic reduction: push every trial in flat (p-major) order.
   std::vector<Fig4Row> rows;
-  rows.reserve(config.processor_counts.size());
-  for (std::size_t pi = 0; pi < config.processor_counts.size(); ++pi) {
+  rows.reserve(kProcessorCounts.size());
+  for (std::size_t pi = 0; pi < kProcessorCounts.size(); ++pi) {
     Fig4Row row;
-    row.p = config.processor_counts[pi];
+    row.p = kProcessorCounts[pi];
     for (std::size_t trial = 0; trial < config.trials; ++trial) {
       const TrialOutcome& outcome = outcomes[pi * config.trials + trial];
       row.het.push(outcome.het);
@@ -129,24 +134,21 @@ util::Table fig4_table(const std::vector<Fig4Row>& rows) {
 
 std::vector<CapacitySweepRow> capacity_sweep(
     const CapacitySweepConfig& config) {
-  NLDL_REQUIRE(config.p >= 1, "at least one worker required");
-  NLDL_REQUIRE(config.alpha >= 1.0, "alpha must be >= 1");
   NLDL_REQUIRE(config.total_load >= 0.0, "total_load must be >= 0");
-  NLDL_REQUIRE(!config.capacities.empty(),
-               "at least one capacity required");
 
   const platform::Platform plat =
-      platform::Platform::homogeneous(config.p, config.c, config.w);
-  const sim::Engine engine(plat, sim::EngineOptions{config.alpha});
+      platform::Platform::homogeneous(kSweepWorkers);
+  const sim::Engine engine(plat, sim::EngineOptions{kSweepAlpha});
   const std::vector<double> amounts(
-      config.p, config.total_load / static_cast<double>(config.p));
+      kSweepWorkers, config.total_load / static_cast<double>(kSweepWorkers));
   const double covered =
-      1.0 - dlt::remaining_fraction_homogeneous(config.p, config.alpha);
+      1.0 - dlt::remaining_fraction_homogeneous(kSweepWorkers, kSweepAlpha);
 
   // One grid point per master capacity; the engine replay is pure, so the
   // points can run on any number of threads (bit-identical results).
   util::Grid grid;
-  grid.axis("capacity", config.capacities);
+  grid.axis("capacity", {1.0, 4.0, 16.0, 64.0,
+                         std::numeric_limits<double>::infinity()});
   util::SweepOptions options;
   options.threads = config.threads;
   const util::Sweep sweep(std::move(grid), options);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "core/strategies.hpp"
@@ -24,21 +23,21 @@
 
 namespace nldl::core {
 
+/// One panel of the study at the paper's processor counts p = 10, 20, 40,
+/// 60, 80, 100. Platforms are drawn by platform::make_platform at the
+/// paper's speed-model parameters, and strategies are evaluated on a 1 × 1
+/// domain: the ratios are N-invariant, so N would only scale absolute
+/// volumes.
 struct Fig4Config {
   platform::SpeedModel model = platform::SpeedModel::kHomogeneous;
-  /// The paper sweeps p = 10, 20, 40, 60, 80, 100.
-  std::vector<std::size_t> processor_counts = {10, 20, 40, 60, 80, 100};
   /// The paper averages 100 random trials per point.
   std::size_t trials = 100;
   std::uint64_t seed = util::Rng::kDefaultSeed;
-  /// Ratios are N-invariant; N only matters for absolute volumes.
-  double domain_n = 1.0;
   /// Worker threads for the trial sweep: 1 = run serially on the calling
   /// thread, 0 = one per hardware thread. The result is the same bit for
   /// bit whatever the value.
   std::size_t threads = 1;
   StrategyOptions strategy_options{};
-  platform::SpeedModelParams model_params{};
 };
 
 struct Fig4Row {
@@ -58,24 +57,20 @@ struct Fig4Row {
   std::size_t hom_idle_trials = 0;
 };
 
-/// Run the sweep. Deterministic given the seed (each trial draws its own
-/// sub-stream, so rows are independent of sweep order and thread count).
+/// Run the sweep: one row per p, in increasing p. Deterministic given the
+/// seed (each trial draws its own sub-stream, so rows are independent of
+/// sweep order and thread count).
 [[nodiscard]] std::vector<Fig4Row> run_fig4(const Fig4Config& config);
 
 /// Paper-style table: one row per p, mean and stddev per strategy.
 [[nodiscard]] util::Table fig4_table(const std::vector<Fig4Row>& rows);
 
 /// Section 2 model-independence sweep: one optimal equal-split DLT round
-/// of a nonlinear workload on a homogeneous platform, replayed under
-/// bounded-multiport masters of growing capacity (+inf = parallel links).
+/// of an alpha = 2 workload on 64 homogeneous workers (c = w = 1),
+/// replayed under bounded-multiport masters of capacity 1, 4, 16, 64 and
+/// +inf (= parallel links), one row each.
 struct CapacitySweepConfig {
-  std::size_t p = 64;
-  double alpha = 2.0;
   double total_load = 10000.0;
-  double c = 1.0;  ///< uniform communication cost
-  double w = 1.0;  ///< uniform computation cost
-  std::vector<double> capacities = {1.0, 4.0, 16.0, 64.0,
-                                    std::numeric_limits<double>::infinity()};
   /// Worker threads for the capacity sweep (1 = serial, 0 = hardware);
   /// results are bit-identical whatever the value.
   std::size_t threads = 1;

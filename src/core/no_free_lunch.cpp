@@ -23,12 +23,12 @@ NflPoint remaining_fraction_on(const platform::Platform& platform,
 }
 
 std::vector<NflPoint> remaining_fraction_sweep(
-    const std::vector<std::size_t>& processor_counts, double alpha,
+    const std::vector<std::size_t>& worker_counts, double alpha,
     double total_load) {
-  NLDL_REQUIRE(!processor_counts.empty(), "need at least one p value");
+  NLDL_REQUIRE(!worker_counts.empty(), "need at least one p value");
   std::vector<NflPoint> points;
-  points.reserve(processor_counts.size());
-  for (const std::size_t p : processor_counts) {
+  points.reserve(worker_counts.size());
+  for (const std::size_t p : worker_counts) {
     points.push_back(remaining_fraction_on(
         platform::Platform::homogeneous(p), alpha, total_load));
   }

@@ -24,7 +24,7 @@ struct NflPoint {
 /// Remaining-work fraction on homogeneous platforms (c = w = 1) for each
 /// processor count, comparing the closed form with both solved models.
 [[nodiscard]] std::vector<NflPoint> remaining_fraction_sweep(
-    const std::vector<std::size_t>& processor_counts, double alpha,
+    const std::vector<std::size_t>& worker_counts, double alpha,
     double total_load);
 
 /// Same on an arbitrary (possibly heterogeneous) platform; closed_form is

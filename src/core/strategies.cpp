@@ -44,7 +44,7 @@ StrategyEvaluation evaluate_strategy(Strategy strategy,
     }
     case Strategy::kHomogeneousBlocksRefined: {
       const auto blocks = partition::refine_until_balanced(
-          speeds, n, options.imbalance_target, options.max_k);
+          speeds, n, options.imbalance_target);
       eval.comm_volume = blocks.comm_volume;
       eval.load_imbalance = blocks.imbalance;
       eval.idle_workers = blocks.idle_workers;

@@ -31,8 +31,6 @@ enum class Strategy {
 struct StrategyOptions {
   /// Target for Comm_hom/k refinement (the paper stops at e <= 1 %).
   double imbalance_target = 0.01;
-  /// Refinement safety limit.
-  int max_k = 512;
 };
 
 struct StrategyEvaluation {

@@ -58,10 +58,9 @@ MultiRoundPlan geometric_multi_round(const platform::Platform& platform,
 }
 
 MultiRoundPlan best_multi_round(const platform::Platform& platform,
-                                double total_load, std::size_t max_rounds) {
-  NLDL_REQUIRE(max_rounds >= 1, "at least one round required");
+                                double total_load) {
   MultiRoundPlan best = uniform_multi_round(platform, total_load, 1);
-  for (std::size_t rounds = 2; rounds <= max_rounds; ++rounds) {
+  for (std::size_t rounds = 2; rounds <= 16; ++rounds) {
     for (const double ratio : {1.0, 1.5, 2.0, 3.0}) {
       MultiRoundPlan candidate =
           ratio == 1.0  // nldl-lint: allow(double-eq): ratio is an exact literal from the candidate list

@@ -39,10 +39,9 @@ struct MultiRoundPlan {
     const platform::Platform& platform, double total_load,
     std::size_t rounds, double ratio);
 
-/// Try round counts 1..max_rounds (uniform and a small grid of geometric
-/// ratios) and return the plan with the smallest simulated makespan.
+/// Try round counts 1..16 (uniform and a small grid of geometric ratios)
+/// and return the plan with the smallest simulated makespan.
 [[nodiscard]] MultiRoundPlan best_multi_round(
-    const platform::Platform& platform, double total_load,
-    std::size_t max_rounds = 16);
+    const platform::Platform& platform, double total_load);
 
 }  // namespace nldl::dlt

@@ -144,7 +144,6 @@ util::RootResult solve_makespan(F&& f, DF&& df, double total_load,
   util::RootOptions opts;
   opts.x_tol = 1e-10 * t_hi;
   opts.f_tol = 1e-10 * total_load;
-  opts.max_iterations = 200;
   return util::newton_safeguarded(f, df, 0.0, t_hi, -total_load, f_hi, opts);
 }
 
@@ -237,18 +236,9 @@ NonlinearAllocation nonlinear_parallel_single_round(
 }
 
 NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const std::vector<std::size_t>& send_order) {
+    const platform::Platform& platform, double total_load, double alpha) {
   require_solver_inputs(total_load, alpha);
   const std::size_t p = platform.size();
-  NLDL_REQUIRE(send_order.size() == p,
-               "send order must cover every worker exactly once");
-  std::vector<bool> seen(p, false);
-  for (const std::size_t worker : send_order) {
-    NLDL_REQUIRE(worker < p, "send order index out of range");
-    NLDL_REQUIRE(!seen[worker], "send order repeats a worker");
-    seen[worker] = true;
-  }
 
   NonlinearAllocation alloc;
   alloc.amounts.assign(p, 0.0);
@@ -265,7 +255,7 @@ NonlinearAllocation nonlinear_one_port_single_round(
   auto f = [&](double T) {
     double clock = 0.0;  // master port becomes free
     double sum = 0.0;
-    for (const std::size_t worker : send_order) {
+    for (std::size_t worker = 0; worker < p; ++worker) {
       const double budget = T - clock;
       const double n = chunk_for_budget(workers[worker].c, workers[worker].w,
                                         alpha, budget);
@@ -281,7 +271,7 @@ NonlinearAllocation nonlinear_one_port_single_round(
   auto df = [&](double /*T*/) {
     double clock_rate = 0.0;
     double slope = 0.0;
-    for (const std::size_t worker : send_order) {
+    for (std::size_t worker = 0; worker < p; ++worker) {
       const double n = alloc.amounts[worker];
       if (n <= 0.0) continue;
       const double dn = (1.0 - clock_rate) /
@@ -294,9 +284,8 @@ NonlinearAllocation nonlinear_one_port_single_round(
   };
 
   // The first worker alone takes the whole load by c·N + w·N^alpha.
-  const std::size_t first = send_order[0];
-  const double t_hi = workers[first].c * total_load +
-                      workers[first].w * power(total_load, alpha);
+  const double t_hi =
+      workers[0].c * total_load + workers[0].w * power(total_load, alpha);
 
   const auto root = solve_makespan(f, df, total_load, t_hi);
   NLDL_ASSERT(root.converged, "one-port outer Newton did not converge");
@@ -314,13 +303,6 @@ NonlinearAllocation nonlinear_one_port_single_round(
   }
   finalize(alloc, total_load, alpha);
   return alloc;
-}
-
-NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha) {
-  std::vector<std::size_t> order(platform.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return nonlinear_one_port_single_round(platform, total_load, alpha, order);
 }
 
 double homogeneous_nonlinear_makespan(std::size_t p, double c, double w,

@@ -76,20 +76,17 @@ struct NonlinearAllocation {
 [[nodiscard]] NonlinearAllocation nonlinear_parallel_single_round(
     const platform::Platform& platform, double total_load, double alpha);
 
-/// Optimal single-round allocation under the one-port model for a given
-/// send order: worker fed at time τ_i = Σ_{j before i} c_j·n_j satisfies
+/// Optimal single-round allocation under the one-port model, feeding
+/// workers in platform order 0..p-1: worker fed at time
+/// τ_i = Σ_{j < i} c_j·n_j satisfies
 ///   τ_i + c_i·n_i + w_i·n_i^alpha = T.
 /// This is the setting of the nonlinear-DLT literature ([31–35]); workers
 /// that cannot receive anything before T contribute n_i = 0. Each budget
 /// depends on the feed clock, so every worker solves its own chunk. Newton
 /// on T uses dN/dT = Σ dn_i over the fed workers, where
 ///   dn_i = (1 − D_i)/(c_i + alpha·w_i·n_i^(alpha−1)),
-///   D_i = Σ_{j fed before i} c_j·dn_j (the feed clock's own rate).
-[[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
-    const platform::Platform& platform, double total_load, double alpha,
-    const std::vector<std::size_t>& send_order);
-
-/// Same, feeding workers in platform order 0..p-1.
+///   D_i = Σ_{j < i} c_j·dn_j (the feed clock's own rate).
+/// Another send order is the same solve on a reordered Platform.
 [[nodiscard]] NonlinearAllocation nonlinear_one_port_single_round(
     const platform::Platform& platform, double total_load, double alpha);
 

@@ -4,10 +4,9 @@
 
 namespace nldl::linalg {
 
-Matrix Matrix::random(std::size_t rows, std::size_t cols, util::Rng& rng,
-                      double lo, double hi) {
+Matrix Matrix::random(std::size_t rows, std::size_t cols, util::Rng& rng) {
   Matrix m(rows, cols);
-  for (double& value : m.data_) value = rng.uniform(lo, hi);
+  for (double& value : m.data_) value = rng.uniform(-1.0, 1.0);
   return m;
 }
 

@@ -14,12 +14,12 @@ class Matrix {
  public:
   Matrix() = default;
 
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  /// rows × cols zeros.
+  Matrix(std::size_t rows, std::size_t cols)
+      : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-  /// Matrix with i.i.d. uniform entries in [lo, hi).
-  static Matrix random(std::size_t rows, std::size_t cols, util::Rng& rng,
-                       double lo = -1.0, double hi = 1.0);
+  /// Matrix with i.i.d. uniform entries in [-1, 1).
+  static Matrix random(std::size_t rows, std::size_t cols, util::Rng& rng);
 
   /// Identity (square).
   static Matrix identity(std::size_t n);

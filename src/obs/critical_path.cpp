@@ -119,8 +119,10 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
   // ---- index the stream -------------------------------------------------
   // Jobs (kJob spans), arrivals, restart and installment spans per job,
   // and per-worker chunk lists. std::map keeps every pass ordered.
+  // Only a kJob span makes a job: a rejected job leaves a kArrival and a
+  // verdict but is never served, so it has no path to blame.
   std::map<std::size_t, JobBlame> jobs;
-  std::map<std::size_t, double> arrivals;        // kArrival (preferred)
+  std::map<std::size_t, const TraceEvent*> arrivals;  // kArrival (preferred)
   std::map<std::size_t, double> verdict_times;   // admit/degrade fallback
   std::map<std::size_t, std::vector<std::pair<double, double>>> restarts;
   std::map<std::size_t, std::vector<ChunkEvt>> installments;
@@ -140,12 +142,9 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
         blame.finish = event.end;
         break;
       }
-      case EventKind::kArrival: {
-        arrivals[event.job] = event.start;
-        jobs[event.job].queue_depth = event.value;
-        jobs[event.job].job = event.job;
+      case EventKind::kArrival:
+        arrivals[event.job] = &event;
         break;
-      }
       case EventKind::kAdmit:
       case EventKind::kDegrade:
         verdict_times.emplace(event.job, event.start);
@@ -194,10 +193,10 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
 
   // ---- walk every served job's causal chain backwards --------------------
   for (auto& [id, blame] : jobs) {
-    if (blame.finish < blame.dispatch) continue;  // no kJob span recorded
     const auto arrival_it = arrivals.find(id);
     if (arrival_it != arrivals.end()) {
-      blame.arrival = arrival_it->second;
+      blame.arrival = arrival_it->second->start;
+      blame.queue_depth = arrival_it->second->value;
     } else {
       const auto verdict_it = verdict_times.find(id);
       blame.arrival = verdict_it != verdict_times.end() ? verdict_it->second
@@ -407,10 +406,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
   }
 
   jobs_.reserve(jobs.size());
-  for (auto& [id, blame] : jobs) {
-    if (blame.finish < blame.dispatch) continue;
-    jobs_.push_back(std::move(blame));
-  }
+  for (auto& [id, blame] : jobs) jobs_.push_back(std::move(blame));
 }
 
 const JobBlame* CriticalPath::find(std::size_t job) const {

@@ -425,13 +425,12 @@ void write_chrome_trace(std::ostream& out,
 }
 
 Attribution attribute_time(const std::vector<TraceEvent>& events,
-                           std::size_t workers, double horizon) {
+                           std::size_t workers) {
   Attribution result;
   result.workers = workers != 0 ? workers : infer_workers(events);
-  if (horizon <= 0.0) {
-    for (const TraceEvent& event : events) {
-      horizon = std::max(horizon, event.end);
-    }
+  double horizon = 0.0;
+  for (const TraceEvent& event : events) {
+    horizon = std::max(horizon, event.end);
   }
   result.horizon = horizon;
   if (result.workers == 0 || horizon <= 0.0) return result;

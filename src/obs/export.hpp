@@ -90,15 +90,14 @@ struct Attribution {
 /// (overlap is charged to compute — that lane is doing useful work),
 /// idle = the remainder. The global restart estimate (sum of kRestart
 /// span durations, capped by total compute) is then carved out of the
-/// compute bucket, keeping the partition exact. horizon 0 means "max
-/// event end time".
+/// compute bucket, keeping the partition exact. The horizon is the latest
+/// event end time; `workers` 0 infers the worker count from the events.
 [[nodiscard]] Attribution attribute_time(const std::vector<TraceEvent>& events,
-                                         std::size_t workers = 0,
-                                         double horizon = 0.0);
+                                         std::size_t workers);
 
 /// Render the attribution as a small ASCII table; `label` names the
 /// policy/scenario in the header line.
 [[nodiscard]] std::string render_attribution(const Attribution& attribution,
-                                             const std::string& label = "");
+                                             const std::string& label);
 
 }  // namespace nldl::obs

@@ -159,12 +159,10 @@ DemandDrivenBlocks homogeneous_blocks_demand_driven(
 }
 
 DemandDrivenBlocks refine_until_balanced(const std::vector<double>& speeds,
-                                         double n, double target_e,
-                                         int max_k) {
+                                         double n, double target_e) {
   NLDL_REQUIRE(target_e > 0.0, "imbalance target must be positive");
-  NLDL_REQUIRE(max_k >= 1, "max_k must be >= 1");
   DemandDrivenBlocks last;
-  for (int k = 1; k <= max_k; ++k) {
+  for (int k = 1; k <= kMaxRefinementK; ++k) {
     last = homogeneous_blocks_demand_driven(speeds, n, k);
     // A partition that starves a worker is never "balanced", however small
     // e over the busy workers is — keep refining, as the old +inf

@@ -58,12 +58,14 @@ struct DemandDrivenBlocks {
 [[nodiscard]] DemandDrivenBlocks homogeneous_blocks_demand_driven(
     const std::vector<double>& speeds, double n, int k);
 
+/// The largest k refine_until_balanced tries.
+inline constexpr int kMaxRefinementK = 512;
+
 /// The paper's refinement loop: smallest k with every worker busy and
-/// imbalance <= target_e (default 1 %). Gives up (returning the last k
-/// tried) after max_k.
+/// imbalance <= target_e (the paper's is 1 %). Gives up (returning the
+/// last k tried) after kMaxRefinementK.
 [[nodiscard]] DemandDrivenBlocks refine_until_balanced(
-    const std::vector<double>& speeds, double n, double target_e = 0.01,
-    int max_k = 512);
+    const std::vector<double>& speeds, double n, double target_e);
 
 /// Closed-form demand-driven block counts: hand out `num_blocks` identical
 /// blocks where worker i takes time tau_i per block; returns how many each

@@ -12,9 +12,9 @@ Platform::Platform(std::vector<Processor> workers)
   for (const auto& worker : workers_) worker.validate();
 }
 
-Platform Platform::homogeneous(std::size_t p, double c, double w) {
+Platform Platform::homogeneous(std::size_t p, double c) {
   NLDL_REQUIRE(p >= 1, "platform requires at least one worker");
-  return Platform(std::vector<Processor>(p, Processor{c, w}));
+  return Platform(std::vector<Processor>(p, Processor{c, 1.0}));
 }
 
 Platform Platform::from_speeds(const std::vector<double>& speeds, double c) {

@@ -20,8 +20,9 @@ class Platform {
   /// every processor is validated.
   explicit Platform(std::vector<Processor> workers);
 
-  /// Convenience: homogeneous platform of `p` identical workers.
-  static Platform homogeneous(std::size_t p, double c = 1.0, double w = 1.0);
+  /// Convenience: homogeneous platform of `p` identical workers of speed
+  /// 1 (w = 1) and communication cost c.
+  static Platform homogeneous(std::size_t p, double c = 1.0);
 
   /// Convenience: platform from explicit speeds s_i (w_i = 1/s_i), uniform
   /// communication cost c.

@@ -18,31 +18,28 @@ std::string to_string(SpeedModel model) {
   NLDL_UNREACHABLE("unknown SpeedModel");
 }
 
-Platform make_platform(SpeedModel model, std::size_t p, util::Rng& rng,
-                       const SpeedModelParams& params) {
+Platform make_platform(SpeedModel model, std::size_t p, util::Rng& rng) {
   NLDL_REQUIRE(p >= 1, "platform requires at least one worker");
   std::vector<double> speeds;
   speeds.reserve(p);
   switch (model) {
     case SpeedModel::kHomogeneous:
-      speeds.assign(p, params.homogeneous_speed);
+      speeds.assign(p, 1.0);
       break;
     case SpeedModel::kUniform:
       for (std::size_t i = 0; i < p; ++i) {
-        speeds.push_back(rng.uniform(params.uniform_lo, params.uniform_hi));
+        speeds.push_back(rng.uniform(1.0, 100.0));
       }
       break;
     case SpeedModel::kLogNormal:
       for (std::size_t i = 0; i < p; ++i) {
-        speeds.push_back(
-            rng.lognormal(params.lognormal_mu, params.lognormal_sigma));
+        speeds.push_back(rng.lognormal(0.0, 1.0));
       }
       break;
     case SpeedModel::kTwoClass:
-      return Platform::two_class(p, 1.0, params.two_class_k,
-                                 params.comm_cost);
+      return Platform::two_class(p, 1.0, 10.0);
   }
-  return Platform::from_speeds(speeds, params.comm_cost);
+  return Platform::from_speeds(speeds);
 }
 
 }  // namespace nldl::platform

@@ -1,8 +1,9 @@
 // The three platform generators of the paper's Section 4.3 experiments:
-//   (i)   homogeneous speeds,
+//   (i)   homogeneous speeds (all 1),
 //   (ii)  speeds uniform on [1, 100],
 //   (iii) speeds log-normal with mu = 0, sigma = 1,
-// plus the two-class (1, k) platform of Section 4.1.3.
+// plus the two-class (1, k) platform of Section 4.1.3 at the study's
+// k = 10. Every generated worker has communication cost c = 1.
 #pragma once
 
 #include <cstdint>
@@ -17,25 +18,14 @@ enum class SpeedModel {
   kHomogeneous,  ///< all speeds equal (Figure 4a)
   kUniform,      ///< U[1, 100] (Figure 4b)
   kLogNormal,    ///< exp(N(0,1)) (Figure 4c)
-  kTwoClass,     ///< p/2 at speed 1, p/2 at speed k (Section 4.1.3)
+  kTwoClass,     ///< p/2 at speed 1, p/2 at speed 10 (Section 4.1.3)
 };
 
 /// Human-readable name, matching the paper's captions.
 [[nodiscard]] std::string to_string(SpeedModel model);
 
-struct SpeedModelParams {
-  double homogeneous_speed = 1.0;
-  double uniform_lo = 1.0;   ///< paper: U[1, 100]
-  double uniform_hi = 100.0;
-  double lognormal_mu = 0.0;   ///< paper: mu = 0
-  double lognormal_sigma = 1.0;  ///< paper: sigma = 1
-  double two_class_k = 10.0;
-  double comm_cost = 1.0;  ///< uniform c_i for generated platforms
-};
-
 /// Draw a platform of p workers under the given speed model.
 [[nodiscard]] Platform make_platform(SpeedModel model, std::size_t p,
-                                     util::Rng& rng,
-                                     const SpeedModelParams& params = {});
+                                     util::Rng& rng);
 
 }  // namespace nldl::platform

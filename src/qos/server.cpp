@@ -136,7 +136,11 @@ void Server::serve(const std::vector<online::Job>& jobs, Policy& policy,
 
   // Subset installment allocations, memoized per (subset, load, alpha):
   // a job's clean installment repeats every round, so each distinct
-  // inflated/clean load solves once per subset it lands on.
+  // inflated/clean load solves once per subset it lands on while it stays
+  // in the map. Like the solver's memo, the map holds at most
+  // InstallmentSolver::kMemoEntries schedules: an insert past that clears
+  // it first. A clear never drops a schedule in use, because
+  // period.dispatch copies each returned schedule before the next lookup.
   std::map<std::tuple<std::size_t, double, double>,
            std::vector<sim::ChunkAssignment>>
       allocation_cache;
@@ -148,6 +152,9 @@ void Server::serve(const std::vector<online::Job>& jobs, Policy& policy,
     if (it != allocation_cache.end()) return it->second;
     const auto allocation = dlt::nonlinear_single_round_for(
         options_.service.comm, subsets[s], load, alpha);
+    if (allocation_cache.size() == InstallmentSolver::kMemoEntries) {
+      allocation_cache.clear();
+    }
     return allocation_cache.emplace(key, allocation.to_schedule())
         .first->second;
   };

@@ -115,9 +115,7 @@ std::string render(const std::vector<obs::TraceEvent>& events,
 }  // namespace
 
 std::string ascii_gantt(const std::vector<obs::TraceEvent>& events,
-                        std::size_t workers, std::size_t width,
-                        std::size_t max_cols) {
-  if (max_cols != 0) width = std::min(width, std::max<std::size_t>(max_cols, 8));
+                        std::size_t workers, std::size_t width) {
   std::size_t n = workers;
   double horizon = 0.0;
   for (const obs::TraceEvent& event : events) {

@@ -26,14 +26,11 @@ namespace nldl::sim {
 /// '-' while receiving only, '=' while receiving and computing, '.'
 /// idle. When the stream holds dispatch instants (shared-master runs), a
 /// release-marker header row puts a 'v' at every dispatch barrier.
-/// `workers` = 0 infers the worker count from the events. `max_cols`
-/// caps the effective width (0 = uncapped): soak-scale traces ask for a
-/// readable terminal width instead of a column per event — painting
-/// already aggregates per column, so downsampling is just a narrower
-/// grid.
+/// `workers` = 0 infers the worker count from the events. Painting
+/// aggregates per column, so a soak-scale stream renders at any width.
 [[nodiscard]] std::string ascii_gantt(
     const std::vector<obs::TraceEvent>& events, std::size_t workers = 0,
-    std::size_t width = 72, std::size_t max_cols = 0);
+    std::size_t width = 72);
 
 /// Render a per-worker timeline of one simulation result: '-' while
 /// receiving, '#' while computing, '=' while doing both (pipelined

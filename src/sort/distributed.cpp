@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/engine.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/assert.hpp"
 
@@ -28,11 +29,8 @@ DistributedSortPlan plan_distributed_sort(
   }
 
   // Master preprocessing.
-  const double s =
-      config.oversampling != 0
-          ? static_cast<double>(config.oversampling)
-          : static_cast<double>(default_oversampling(
-                static_cast<std::size_t>(n)));
+  const auto s =
+      static_cast<double>(default_oversampling(static_cast<std::size_t>(n)));
   const double sample = s * static_cast<double>(p);
   plan.step1_time =
       config.master_w * sample * std::log2(std::max(2.0, sample));
@@ -40,12 +38,10 @@ DistributedSortPlan plan_distributed_sort(
       config.master_w * n * std::log2(std::max(2.0, double(p)));
 
   // Scatter + local sorts. Workers start sorting when their bucket lands;
-  // arrival times come from the engine under the configured comm model.
+  // arrival times come from the engine over parallel links.
   const sim::Engine engine(platform);
-  const auto model = sim::make_comm_model(config.comm_model,
-                                          config.master_capacity);
   const sim::SimResult scatter =
-      engine.run_single_round(plan.bucket_sizes, *model);
+      engine.run_single_round(plan.bucket_sizes, sim::ParallelLinksModel{});
   double makespan = 0.0;
   double scatter_end = 0.0;
   for (const sim::ChunkSpan& span : scatter.spans) {

@@ -6,30 +6,24 @@
 //   Step 1 (master): sort the s·p sample               — w₀·s·p·log₂(s·p)
 //   Step 2 (master): bucketize N keys (binary search)  — w₀·N·log₂(p)
 //   Scatter: send bucket i to worker i                 — c_i·bucket_i
-//            (parallel links: transfers overlap; one-port: serialized)
+//            (parallel links: transfers overlap)
 //   Step 3 (worker): local sort                        — w_i·b_i·log₂(b_i)
+//
+// The sample uses the paper's oversampling ratio s = log²N.
 //
 // The makespan is compared against the ideal fully-divisible time
 // (Σ-speed-weighted N·log₂N), quantifying the "almost" in almost
 // divisible.
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "platform/platform.hpp"
-#include "sim/engine.hpp"
 
 namespace nldl::sort {
 
 struct DistributedSortConfig {
   double master_w = 1.0;    ///< master's time per unit of comparison work
-  std::size_t oversampling = 0;  ///< 0 = paper's log²N
-  /// Communication model for the scatter phase (simulated by sim::Engine).
-  sim::CommModelKind comm_model = sim::CommModelKind::kParallelLinks;
-  /// Master aggregate bandwidth, used when comm_model is kBoundedMultiport.
-  double master_capacity = std::numeric_limits<double>::infinity();
   /// Use speed-proportional buckets (Section 3.2) instead of equal shares.
   bool heterogeneous_buckets = true;
 };

@@ -27,10 +27,9 @@
 
 namespace nldl::sort {
 
+/// The sample uses the paper's oversampling ratio s = ⌈log₂²N⌉.
 struct SampleSortConfig {
   std::size_t num_buckets = 1;  ///< p (one bucket per worker)
-  /// Oversampling ratio s; 0 selects the paper's s = ⌈log₂²N⌉.
-  std::size_t oversampling = 0;
   std::uint64_t seed = util::Rng::kDefaultSeed;
   /// Optional pool for parallel Step-3 local sorts (nullptr = serial).
   util::ThreadPool* pool = nullptr;
@@ -218,8 +217,7 @@ std::vector<T> sample_sort(std::vector<T> data, const SampleSortConfig& config,
                            SampleSortStats* stats) {
   NLDL_REQUIRE(config.num_buckets >= 1, "num_buckets must be >= 1");
   const std::size_t p = config.num_buckets;
-  std::size_t s = config.oversampling != 0 ? config.oversampling
-                                           : default_oversampling(data.size());
+  std::size_t s = default_oversampling(data.size());
   // The sample must contain rank (p-1)·s, and we cannot use more keys than
   // we have.
   std::size_t sample_size = s * p;
@@ -240,8 +238,7 @@ std::vector<T> sample_sort_heterogeneous(std::vector<T> data,
                                          SampleSortStats* stats) {
   NLDL_REQUIRE(!speeds.empty(), "speeds must not be empty");
   const std::size_t p = speeds.size();
-  std::size_t s = config.oversampling != 0 ? config.oversampling
-                                           : default_oversampling(data.size());
+  const std::size_t s = default_oversampling(data.size());
   std::size_t sample_size = s * p;
   if (sample_size > data.size() && p >= 2) {
     sample_size = std::max<std::size_t>(data.size(), p);

@@ -24,7 +24,6 @@ struct RootResult {
 struct RootOptions {
   double x_tol = 1e-12;   ///< absolute tolerance on the bracket width
   double f_tol = 1e-13;   ///< absolute tolerance on |f(x)|
-  int max_iterations = 200;
 };
 
 /// Newton's method safeguarded by a bisection bracket: whenever the Newton
@@ -42,7 +41,8 @@ struct RootOptions {
 /// therefore read state that f(x) left behind (the nonlinear solvers read
 /// the chunks f just filled) instead of recomputing it. Likewise a converged
 /// result's x, unless it is an endpoint returned because flo or fhi is 0,
-/// is the x of the last f call, so that state describes the root.
+/// is the x of the last f call, so that state describes the root. After
+/// 200 steps it gives up and returns the current x unconverged.
 template <typename F, typename DF>
 RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
                               double flo, double fhi, RootOptions opts = {}) {
@@ -52,8 +52,9 @@ RootResult newton_safeguarded(F&& f, DF&& df, double lo, double hi,
   NLDL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
                "newton_safeguarded requires a sign change over [lo, hi]");
   double x = 0.5 * (lo + hi);
+  constexpr int kMaxIterations = 200;
   RootResult result;
-  for (result.iterations = 0; result.iterations < opts.max_iterations;
+  for (result.iterations = 0; result.iterations < kMaxIterations;
        ++result.iterations) {
     const double fx = f(x);
     if (std::abs(fx) <= opts.f_tol || (hi - lo) <= opts.x_tol) {

@@ -114,17 +114,18 @@ TEST(RefineUntilBalanced, ReachesTarget) {
 
 TEST(RefineUntilBalanced, HomogeneousNeedsNoRefinement) {
   const std::vector<double> speeds(10, 5.0);
-  const auto result = refine_until_balanced(speeds, 100.0);
+  const auto result = refine_until_balanced(speeds, 100.0, 0.01);
   EXPECT_EQ(result.k, 1);
   EXPECT_NEAR(result.imbalance, 0.0, 1e-12);
 }
 
 TEST(RefineUntilBalanced, GivesUpAtMaxK) {
-  // An irrational speed ratio cannot balance to 1e-9 with a handful of
-  // blocks, so the loop must stop at max_k.
+  // An irrational speed ratio cannot balance to 1e-9 even with 512² blocks
+  // (the imbalance is near one block in 10^5), so the loop must stop at
+  // kMaxRefinementK.
   const std::vector<double> speeds{1.0, 3.14159265358979};
-  const auto result = refine_until_balanced(speeds, 100.0, 1e-9, 2);
-  EXPECT_EQ(result.k, 2);
+  const auto result = refine_until_balanced(speeds, 100.0, 1e-9);
+  EXPECT_EQ(result.k, kMaxRefinementK);
   EXPECT_GT(result.imbalance, 1e-9);
 }
 

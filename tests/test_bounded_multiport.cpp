@@ -43,7 +43,7 @@ TEST(BoundedMultiport, InfiniteCapacityIsParallelLinks) {
 TEST(BoundedMultiport, TinyCapacitySharesFairly) {
   // Two equal transfers, master capacity 1, private caps 10 each:
   // both run at 0.5 and finish together at amount/0.5.
-  const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.1);
   const SimResult result = run_bounded(plat, {5.0, 5.0}, 1.0);
   EXPECT_NEAR(result.spans[0].comm_end, 10.0, 1e-9);
   EXPECT_NEAR(result.spans[1].comm_end, 10.0, 1e-9);
@@ -53,7 +53,7 @@ TEST(BoundedMultiport, UnequalAmountsReleaseCapacity) {
   // Transfers of 2 and 6 units, capacity 2, private caps 10:
   // phase 1: both at rate 1 until t=2 (first done);
   // phase 2: second alone at min(10, 2) = 2, remaining 4 units -> t=4.
-  const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.1);
   const SimResult result = run_bounded(plat, {2.0, 6.0}, 2.0);
   EXPECT_NEAR(result.spans[0].comm_end, 2.0, 1e-9);
   EXPECT_NEAR(result.spans[1].comm_end, 4.0, 1e-9);
@@ -70,7 +70,7 @@ TEST(BoundedMultiport, PrivateCapBindsBeforeShare) {
 }
 
 TEST(BoundedMultiport, ComputeFollowsComm) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
+  const Platform plat = Platform({{1.0, 2.0}});
   const SimResult result = run_bounded(plat, {3.0}, kInf, 2.0);
   EXPECT_NEAR(result.spans[0].comm_end, 3.0, 1e-9);
   EXPECT_NEAR(result.spans[0].compute_end, 3.0 + 2.0 * 9.0, 1e-9);
@@ -105,7 +105,7 @@ TEST(BoundedMultiport, MakespanMonotoneInCapacity) {
 
 TEST(BoundedMultiport, AggregateThroughputRespectsCapacity) {
   // Total data / comm time <= capacity when capacity binds.
-  const Platform plat = Platform::homogeneous(4, 0.01, 1.0);
+  const Platform plat = Platform::homogeneous(4, 0.01);
   const double capacity = 2.0;
   const SimResult result =
       run_bounded(plat, {10.0, 10.0, 10.0, 10.0}, capacity);

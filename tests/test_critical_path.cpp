@@ -201,6 +201,45 @@ TEST(Blame, QueueDepthMatchesArrivalInstants) {
   EXPECT_EQ(arrivals, burst_jobs().size());
 }
 
+TEST(Blame, RejectedJobsAreNotBlamed) {
+  // Jobs 1, 3 and 5 are due 1e-3 after they arrive, which no service
+  // meets, so kReject admission turns them away: their streams carry a
+  // kArrival and a kReject but no kJob span. Only the admitted jobs may be
+  // blamed; a rejected one would read dispatch = finish = 0.
+  std::vector<online::Job> jobs = burst_jobs();
+  for (const std::size_t id : {1, 3, 5}) {
+    jobs[id].deadline = jobs[id].arrival + 1e-3;
+  }
+  const platform::Platform plat = test_platform();
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("concurrency " + std::to_string(concurrency));
+    obs::TraceRecorder recorder;
+    qos::ServerOptions options;
+    options.admission.mode = qos::AdmissionMode::kReject;
+    options.service.plan.rounds = 3;
+    options.concurrency = concurrency;
+    options.trace = &recorder;
+    const qos::Server server(plat, options);
+    qos::SrptPolicy srpt;
+    std::vector<std::size_t> admitted;
+    for (const qos::JobRecord& record : server.run(jobs, srpt)) {
+      if (record.admitted) admitted.push_back(record.job.id);
+    }
+    ASSERT_EQ(admitted, (std::vector<std::size_t>{0, 2, 4}));
+
+    const obs::CriticalPath analysis(recorder.events());
+    std::vector<std::size_t> blamed;
+    for (const obs::JobBlame& job : analysis.jobs()) {
+      blamed.push_back(job.job);
+      EXPECT_GE(job.wait, 0.0) << "job " << job.job;
+      EXPECT_GE(job.latency, 0.0) << "job " << job.job;
+    }
+    EXPECT_EQ(blamed, admitted);
+    EXPECT_EQ(analysis.totals().jobs, admitted.size());
+    expect_exact(recorder.events());
+  }
+}
+
 TEST(Blame, DominantTieBreaksTowardEarlierBucket) {
   obs::JobBlame blame;
   blame.wait = 1.0;

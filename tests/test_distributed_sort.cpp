@@ -40,24 +40,13 @@ TEST(DistributedSort, HomogeneousBucketsEqualShares) {
 
 TEST(DistributedSort, OverheadRatioShrinksWithN) {
   // The Section 3 claim, as a schedule: makespan / ideal -> 1.
-  const auto plat = Platform::homogeneous(16, 0.01, 1.0);
+  const auto plat = Platform::homogeneous(16, 0.01);
   const double small =
       plan_distributed_sort(plat, 1e5).overhead_ratio;
   const double large =
       plan_distributed_sort(plat, 1e9).overhead_ratio;
   EXPECT_LT(large, small);
   EXPECT_GT(small, 1.0);
-}
-
-TEST(DistributedSort, OnePortScatterIsSlower) {
-  const auto plat = Platform::homogeneous(8, 1.0, 1.0);
-  DistributedSortConfig parallel;
-  DistributedSortConfig one_port;
-  one_port.comm_model = sim::CommModelKind::kOnePort;
-  const auto fast = plan_distributed_sort(plat, 1e6, parallel);
-  const auto slow = plan_distributed_sort(plat, 1e6, one_port);
-  EXPECT_GT(slow.scatter_time, fast.scatter_time);
-  EXPECT_GE(slow.makespan, fast.makespan);
 }
 
 TEST(DistributedSort, HeterogeneousBeatsHomogeneousOnSkewedPlatform) {

@@ -32,7 +32,7 @@ TEST(Engine, SingleChunkTimelineParallelLinks) {
 }
 
 TEST(Engine, OnePortSerializesInScheduleOrder) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 5.0}, {1, 5.0}}, CommModelKind::kOnePort);
@@ -42,7 +42,7 @@ TEST(Engine, OnePortSerializesInScheduleOrder) {
 }
 
 TEST(Engine, MultiRoundPipelinesReceiveAndCompute) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
+  const Platform plat = Platform({{1.0, 2.0}});
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 2.0}, {0, 2.0}}, CommModelKind::kParallelLinks);
@@ -54,7 +54,7 @@ TEST(Engine, MultiRoundPipelinesReceiveAndCompute) {
 }
 
 TEST(Engine, NonlinearComputeCost) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
+  const Platform plat = Platform({{1.0, 2.0}});
   const Engine engine(plat, EngineOptions{2.0});
   const SimResult result =
       engine.run({{0, 3.0}}, CommModelKind::kParallelLinks);
@@ -64,7 +64,7 @@ TEST(Engine, NonlinearComputeCost) {
 TEST(Engine, BoundedMultiportSharesCapacityFairly) {
   // Two equal transfers, master capacity 1, private caps 10 each: both run
   // at 0.5 and finish together.
-  const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.1);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 5.0}, {1, 5.0}}, BoundedMultiportModel(1.0));
@@ -75,7 +75,7 @@ TEST(Engine, BoundedMultiportSharesCapacityFairly) {
 TEST(Engine, BoundedMultiportMultiRoundSerializesPerLink) {
   // Two chunks to one worker under an uncapped master: the second transfer
   // must wait for the first (link FIFO), exactly like parallel links.
-  const Platform plat = Platform::homogeneous(1, 2.0, 1.0);
+  const Platform plat = Platform::homogeneous(1, 2.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 1.0}, {0, 1.0}}, BoundedMultiportModel(kInf));
@@ -87,7 +87,7 @@ TEST(Engine, BoundedMultiportMultiRoundSerializesPerLink) {
 TEST(Engine, BoundedMultiportCapacityReleasedToSurvivors) {
   // Transfers of 2 and 6 units, capacity 2, private caps 10: both at rate
   // 1 until t=2, then the survivor takes min(10, 2) = 2.
-  const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.1);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 2.0}, {1, 6.0}}, BoundedMultiportModel(2.0));
@@ -123,7 +123,7 @@ TEST(Engine, ZeroSizeChunksCompleteInstantly) {
 TEST(Engine, ZeroSizeChunkBetweenTransfersKeepsLinkOrder) {
   // Worker 0 receives 2 units, then a zero chunk, then 2 more: the zero
   // chunk completes the instant the first transfer ends.
-  const Platform plat = Platform::homogeneous(1, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(1, 1.0);
   const Engine engine(plat);
   const SimResult result = engine.run({{0, 2.0}, {0, 0.0}, {0, 2.0}},
                                       CommModelKind::kParallelLinks);
@@ -137,7 +137,7 @@ TEST(Engine, NearTyingTransfersKeepExactFinishTimes) {
   // Transfers within the fluid snapping tolerance of each other must NOT
   // be snapped together under the discrete models: each keeps its exact
   // closed-form completion instant.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const double close = 1.0 + 2e-13;
   const SimResult result =
@@ -163,7 +163,7 @@ TEST(Engine, SingleRoundScheduleValidatesTheOrder) {
 TEST(Engine, ZeroSizeChunkWaitsForThePortUnderOnePort) {
   // The retired simulator serialized zero-size chunks at the port like
   // any other send; the engine must too.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 5.0}, {1, 0.0}}, CommModelKind::kOnePort);
@@ -222,7 +222,7 @@ TEST(Engine, BoundedMultiportNearTieSnapsToOneEvent) {
   // Fair sharing leaves an O(eps) residue on the "slightly larger" one;
   // the engine's snap tolerance must complete both at the same event
   // instead of scheduling a ~1e-17-long follow-up slice.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const BoundedMultiportModel model(1.0);  // each transfer runs at 1/2
   const SimResult result =
@@ -237,7 +237,7 @@ TEST(Engine, OnePortZeroSizeChunkHoldsItsScheduleSlot) {
   // A zero-size chunk still travels through the one-port master in
   // schedule order: it is served (instantly) before later chunks, and it
   // waits its turn behind earlier ones.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
 
   // Zero chunk first: served at t=0 for free, then the big chunks.
@@ -290,7 +290,7 @@ SimResult run_with_hook(const Engine& engine,
 }
 
 TEST(Engine, CompletionHookReportsEveryChunkOnce) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   // Multi-round schedule: completion (event) order differs from schedule
   // order — worker 1's first chunk finishes before worker 0's second.
@@ -352,7 +352,7 @@ TEST(Engine, EmptyHookIsIgnored) {
 TEST(Engine, ReleaseTimeDelaysLinkEntry) {
   // One worker, c = 1, w = 1: a chunk released at t = 5 starts its
   // transfer exactly then, even though the link was free from t = 0.
-  const Platform plat = Platform::homogeneous(1, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(1, 1.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 2.0, 5.0}}, CommModelKind::kParallelLinks);
@@ -365,7 +365,7 @@ TEST(Engine, ReleasedChunkWaitsForTheLinkFifo) {
   // The second chunk is released at t = 1 but the link is busy until
   // t = 4: FIFO order holds and the transfer starts at the link-free
   // instant, not the release.
-  const Platform plat = Platform::homogeneous(1, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(1, 1.0);
   const Engine engine(plat);
   const SimResult result = engine.run({{0, 4.0}, {0, 2.0, 1.0}},
                                       CommModelKind::kParallelLinks);
@@ -401,7 +401,7 @@ TEST(Engine, ReleaseIntoASharedMasterRecomputesWaterFilling) {
   // 1 until t = 2, when B (2 units) is released and the master splits
   // 0.5/0.5. B finishes at t = 6; A's remaining 2 units then run at rate
   // 1 again, ending at t = 8.
-  const Platform plat = Platform::homogeneous(2, 0.1, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.1);
   const Engine engine(plat);
   const SimResult result = engine.run({{0, 6.0}, {1, 2.0, 2.0}},
                                       BoundedMultiportModel(1.0));
@@ -414,7 +414,7 @@ TEST(Engine, QuietGapBetweenReleasesAdvancesTime) {
   // Everything is released late: the engine must jump from an empty
   // in-flight set to the first release, serve it, go quiet again, and
   // jump to the second.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const SimResult result = engine.run({{0, 1.0, 10.0}, {1, 1.0, 20.0}},
                                       CommModelKind::kParallelLinks);
@@ -424,7 +424,7 @@ TEST(Engine, QuietGapBetweenReleasesAdvancesTime) {
 }
 
 TEST(Engine, ZeroSizeChunkHonorsItsRelease) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(1, 1.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 0.0, 3.0}}, CommModelKind::kParallelLinks);
@@ -436,7 +436,7 @@ TEST(Engine, ZeroSizeChunkHonorsItsRelease) {
 TEST(Engine, PerChunkAlphaOverridesTheEngineDefault) {
   // Engine alpha 1, chunk alpha 2: the chunk pays the quadratic cost; a
   // sibling chunk with alpha 0 uses the engine default.
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const SimResult result =
       engine.run({{0, 3.0, 0.0, 2.0}, {1, 3.0}},

@@ -174,7 +174,7 @@ TEST(EngineRun, CheckpointCopyResumesBitIdentically) {
 }
 
 TEST(EngineRun, CompletionHookSeesEveryChunkOnce) {
-  const Platform plat = Platform::homogeneous(3, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(3, 1.0);
   const Engine engine(plat);
   const ParallelLinksModel model;
   util::Rng rng(7);
@@ -196,7 +196,7 @@ TEST(EngineRun, CompletionHookSeesEveryChunkOnce) {
 }
 
 TEST(EngineRun, AdvancePastBarrierIsNoOpAndClockAdvances) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const ParallelLinksModel model;
   EngineRun run(engine, model);
@@ -213,7 +213,7 @@ TEST(EngineRun, AdvancePastBarrierIsNoOpAndClockAdvances) {
 }
 
 TEST(EngineRun, EventsCountMonotoneAndResetKeepsTally) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const ParallelLinksModel model;
   EngineRun run(engine, model);
@@ -298,7 +298,7 @@ TEST(EngineRun, CompactMidRunIsBitIdentical) {
 }
 
 TEST(EngineRun, ValidatesAppendedChunks) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);
   const ParallelLinksModel model;
   EngineRun run(engine, model);

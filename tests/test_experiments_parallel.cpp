@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
@@ -15,7 +16,6 @@ namespace {
 Fig4Config small_config(std::size_t threads) {
   Fig4Config config;
   config.model = platform::SpeedModel::kLogNormal;
-  config.processor_counts = {10, 20, 40};
   config.trials = 8;
   config.seed = 424242;
   config.threads = threads;
@@ -58,20 +58,17 @@ TEST(Fig4Parallel, HardwareThreadCountAlsoIdentical) {
 
 TEST(Fig4Parallel, MoreThreadsThanTrialsIsFine) {
   Fig4Config config = small_config(64);
-  config.processor_counts = {10};
-  config.trials = 3;
+  config.trials = 3;  // 6 processor counts × 3 trials = 18 points
   const auto rows = run_fig4(config);
-  ASSERT_EQ(rows.size(), 1U);
-  EXPECT_EQ(rows[0].het.count(), 3U);
+  ASSERT_EQ(rows.size(), 6U);
+  for (const auto& row : rows) EXPECT_EQ(row.het.count(), 3U);
 }
 
 TEST(CapacitySweep, MakespanDropsCoveredFractionDoesNot) {
   CapacitySweepConfig config;
-  config.p = 16;
-  config.alpha = 2.0;
   config.total_load = 1000.0;
   const auto rows = capacity_sweep(config);
-  ASSERT_EQ(rows.size(), config.capacities.size());
+  ASSERT_EQ(rows.size(), 5U);
   double previous = std::numeric_limits<double>::infinity();
   for (const auto& row : rows) {
     EXPECT_LE(row.makespan, previous + 1e-9);
@@ -83,21 +80,19 @@ TEST(CapacitySweep, MakespanDropsCoveredFractionDoesNot) {
 }
 
 TEST(CapacitySweep, InfiniteCapacityMatchesParallelLinksEngine) {
+  // The last row is the uncapped master: 64 workers (c = w = 1), alpha 2.
   CapacitySweepConfig config;
-  config.p = 8;
   config.total_load = 800.0;
-  config.capacities = {std::numeric_limits<double>::infinity()};
   const auto rows = capacity_sweep(config);
-  ASSERT_EQ(rows.size(), 1U);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.back().capacity, std::numeric_limits<double>::infinity());
 
-  const auto plat = platform::Platform::homogeneous(config.p, config.c,
-                                                    config.w);
-  const sim::Engine engine(plat, sim::EngineOptions{config.alpha});
-  const std::vector<double> amounts(
-      config.p, config.total_load / static_cast<double>(config.p));
+  const auto plat = platform::Platform::homogeneous(64);
+  const sim::Engine engine(plat, sim::EngineOptions{2.0});
+  const std::vector<double> amounts(64, config.total_load / 64.0);
   const auto direct = engine.run_single_round(
       amounts, sim::ParallelLinksModel{});
-  EXPECT_EQ(rows[0].makespan, direct.makespan);
+  EXPECT_EQ(rows.back().makespan, direct.makespan);
 }
 
 TEST(Fig4Parallel, ImbalanceSamplesAreAccountedFor) {
@@ -118,7 +113,6 @@ TEST(Fig4Parallel, ImbalanceSamplesAreAccountedFor) {
 
 TEST(CapacitySweep, BitIdenticalAcrossThreadCounts) {
   CapacitySweepConfig config;
-  config.p = 16;
   config.total_load = 1000.0;
   config.threads = 1;
   const auto serial = capacity_sweep(config);
@@ -137,11 +131,8 @@ TEST(CapacitySweep, BitIdenticalAcrossThreadCounts) {
 
 TEST(CapacitySweep, RejectsBadConfig) {
   CapacitySweepConfig config;
-  config.capacities = {};
+  config.total_load = -1.0;
   EXPECT_THROW((void)capacity_sweep(config), util::PreconditionError);
-  CapacitySweepConfig bad_alpha;
-  bad_alpha.alpha = 0.5;
-  EXPECT_THROW((void)capacity_sweep(bad_alpha), util::PreconditionError);
 }
 
 }  // namespace

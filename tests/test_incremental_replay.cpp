@@ -104,7 +104,7 @@ TEST(IncrementalReplay, SettledOwnersKeepTotalsFrozen) {
   // Once simulated time passes an owner's finish, later dispatches must
   // not move it — and under incremental replay the settled totals are
   // accumulated exactly once, so any double-count would show here.
-  const Platform plat = Platform::homogeneous(4, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(4, 1.0);
   const sim::Engine engine(plat, {});
   const sim::ParallelLinksModel model;
   std::vector<std::size_t> worker_map{0, 1, 2, 3};
@@ -222,7 +222,7 @@ TEST(IncrementalReplay, OnlineServerMetricsIdentity) {
 }
 
 TEST(IncrementalReplay, QosServerMetricsIdentity) {
-  const Platform plat = Platform::homogeneous(6, 0.5, 1.0);
+  const Platform plat = Platform::homogeneous(6, 0.5);
   const auto jobs = poisson_stream(0.05, 600.0, 7);
   ASSERT_GT(jobs.size(), 10U);
 
@@ -270,7 +270,7 @@ TEST(IncrementalReplay, LongPeriodCompactsAndStaysIdentical) {
   // history and renumbers its chunks over and over under every model;
   // every estimate must still match the O(n²) reference, which never
   // compacts.
-  const Platform plat = Platform::homogeneous(4, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(4, 1.0);
   const sim::Engine engine(plat, {});
   std::vector<std::size_t> worker_map{0, 1, 2, 3};
 
@@ -302,7 +302,7 @@ TEST(IncrementalReplay, LongPeriodCompactsAndStaysIdentical) {
 }
 
 TEST(IncrementalReplay, DispatchBeforePeriodAnchorThrows) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const sim::Engine engine(plat, {});
   const sim::ParallelLinksModel model;
   std::vector<std::size_t> worker_map{0, 1};

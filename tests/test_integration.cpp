@@ -12,7 +12,7 @@ namespace {
 // almost everything undone, while the linear workload is fully covered —
 // verified through the simulator, not just formulas.
 TEST(Integration, NoFreeLunchEndToEnd) {
-  const auto plat = platform::Platform::homogeneous(64, 1.0, 1.0);
+  const auto plat = platform::Platform::homogeneous(64, 1.0);
   const double n = 6400.0;
 
   const auto linear = dlt::linear_parallel_single_round(plat, n);

@@ -17,7 +17,7 @@ namespace {
 using platform::Platform;
 
 TEST(LinearParallel, HomogeneousSplitsEvenly) {
-  const Platform plat = Platform::homogeneous(4, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(4, 1.0);
   const Allocation alloc = linear_parallel_single_round(plat, 100.0);
   for (const double n : alloc.amounts) {
     EXPECT_DOUBLE_EQ(n, 25.0);
@@ -157,9 +157,8 @@ class LinearOptimalityProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(LinearOptimalityProperty, PerturbationNeverImproves) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
-  platform::SpeedModelParams params;
-  const platform::Platform plat = platform::make_platform(
-      platform::SpeedModel::kUniform, 6, rng, params);
+  const platform::Platform plat =
+      platform::make_platform(platform::SpeedModel::kUniform, 6, rng);
   const Allocation alloc = linear_parallel_single_round(plat, 100.0);
 
   auto makespan_of = [&](const std::vector<double>& amounts) {

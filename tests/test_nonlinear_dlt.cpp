@@ -31,7 +31,7 @@ TEST(NonlinearParallel, HomogeneousMatchesClosedForm) {
   const std::size_t p = 8;
   const double alpha = 2.0;
   const double n = 100.0;
-  const Platform plat = Platform::homogeneous(p, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(p, 1.0);
   const auto alloc = nonlinear_parallel_single_round(plat, n, alpha);
   for (const double amount : alloc.amounts) {
     EXPECT_NEAR(amount, n / static_cast<double>(p), 1e-6);
@@ -44,7 +44,7 @@ TEST(NonlinearParallel, RemainingFractionMatchesTheorem) {
   // (W − W_partial)/W = 1 − 1/p^(α−1) on homogeneous platforms.
   for (const std::size_t p : {2UL, 4UL, 16UL, 64UL}) {
     for (const double alpha : {1.5, 2.0, 3.0}) {
-      const Platform plat = Platform::homogeneous(p, 1.0, 1.0);
+      const Platform plat = Platform::homogeneous(p, 1.0);
       const auto alloc = nonlinear_parallel_single_round(plat, 1000.0, alpha);
       EXPECT_NEAR(alloc.remaining_fraction,
                   remaining_fraction_homogeneous(p, alpha), 1e-6)
@@ -114,9 +114,6 @@ TEST(NonlinearParallel, RejectsBadArguments) {
                  util::PreconditionError);
     EXPECT_THROW((void)nonlinear_one_port_single_round(plat, load, 2.0),
                  util::PreconditionError);
-    EXPECT_THROW((void)nonlinear_one_port_single_round(
-                     plat, load, 2.0, std::vector<std::size_t>{1, 0}),
-                 util::PreconditionError);
   }
   for (const double alpha : {inf, nan}) {
     EXPECT_THROW((void)nonlinear_parallel_single_round(plat, 1.0, alpha),
@@ -152,7 +149,7 @@ TEST(NonlinearOnePort, MoreWorkersNeverHurtMakespan) {
   const double alpha = 2.0;
   double previous = std::numeric_limits<double>::infinity();
   for (const std::size_t p : {1UL, 2UL, 4UL, 8UL, 16UL}) {
-    const Platform plat = Platform::homogeneous(p, 1.0, 1.0);
+    const Platform plat = Platform::homogeneous(p, 1.0);
     const auto alloc = nonlinear_one_port_single_round(plat, 50.0, alpha);
     EXPECT_LE(alloc.makespan, previous + 1e-6);
     previous = alloc.makespan;
@@ -178,7 +175,7 @@ TEST(NoFreeLunch, RemainingFractionTendsToOne) {
   const double alpha = 2.0;
   double last_parallel = 0.0;
   for (const std::size_t p : {2UL, 8UL, 32UL, 128UL}) {
-    const Platform plat = Platform::homogeneous(p, 1.0, 1.0);
+    const Platform plat = Platform::homogeneous(p, 1.0);
     const auto parallel =
         nonlinear_parallel_single_round(plat, 10000.0, alpha);
     EXPECT_GT(parallel.remaining_fraction, last_parallel);
@@ -272,8 +269,7 @@ util::RootResult newton(F&& f, DF&& df, double lo, double hi,
                "reference Newton requires a sign change over [lo, hi]");
   double x = 0.5 * (lo + hi);
   util::RootResult result;
-  for (result.iterations = 0; result.iterations < opts.max_iterations;
-       ++result.iterations) {
+  for (result.iterations = 0; result.iterations < 200; ++result.iterations) {
     const double fx = f(x);
     if (std::abs(fx) <= opts.f_tol || (hi - lo) <= opts.x_tol) {
       result.x = x;
@@ -351,7 +347,6 @@ util::RootOptions outer_options(double t_hi, double total_load) {
   util::RootOptions opts;
   opts.x_tol = 1e-10 * t_hi;
   opts.f_tol = 1e-10 * total_load;
-  opts.max_iterations = 200;
   return opts;
 }
 
@@ -408,15 +403,14 @@ NonlinearAllocation parallel(const Platform& plat, double total_load,
 }
 
 NonlinearAllocation one_port(const Platform& plat, double total_load,
-                             double alpha,
-                             const std::vector<std::size_t>& send_order) {
+                             double alpha) {
   const std::size_t p = plat.size();
   NonlinearAllocation alloc;
   alloc.amounts.assign(p, 0.0);
   auto fill_for = [&](double T, std::vector<double>& amounts) {
     double clock = 0.0;
     double sum = 0.0;
-    for (const std::size_t worker : send_order) {
+    for (std::size_t worker = 0; worker < p; ++worker) {
       const double n = chunk_for_budget(plat.c(worker), plat.w(worker), alpha,
                                         T - clock);
       amounts[worker] = n;
@@ -433,7 +427,7 @@ NonlinearAllocation one_port(const Platform& plat, double total_load,
     fill_for(T, amounts);
     double clock_rate = 0.0;
     double sum = 0.0;
-    for (const std::size_t worker : send_order) {
+    for (std::size_t worker = 0; worker < p; ++worker) {
       if (amounts[worker] <= 0.0) continue;
       const double dn =
           (1.0 - clock_rate) /
@@ -443,9 +437,8 @@ NonlinearAllocation one_port(const Platform& plat, double total_load,
     }
     return sum;
   };
-  const std::size_t first = send_order[0];
-  const double t_hi = plat.c(first) * total_load +
-                      plat.w(first) * pow_alpha(total_load, alpha);
+  const double t_hi =
+      plat.c(0) * total_load + plat.w(0) * pow_alpha(total_load, alpha);
   std::vector<double> scratch(p, 0.0);
   const auto f = [&](double T) { return fill_for(T, scratch) - total_load; };
   const auto root =
@@ -508,8 +501,10 @@ void expect_same_outcome(std::size_t p, double load, Fast fast, Slow slow) {
 /// Seeded platforms covering every shape the fast paths branch on.
 std::vector<std::pair<std::string, Platform>> oracle_platforms() {
   std::vector<std::pair<std::string, Platform>> platforms;
-  platforms.emplace_back("single", Platform::homogeneous(1, 0.3, 2.0));
-  platforms.emplace_back("homogeneous", Platform::homogeneous(7, 0.5, 1.5));
+  platforms.emplace_back("single", Platform({{0.3, 2.0}}));
+  platforms.emplace_back(
+      "homogeneous",
+      Platform(std::vector<platform::Processor>(7, {0.5, 1.5})));
   platforms.emplace_back("two_class", Platform::two_class(8, 1.0, 4.0));
   platforms.emplace_back("two_class_16",
                          Platform::two_class(16, 0.7, 3.0, 0.2));
@@ -553,17 +548,17 @@ std::vector<std::size_t> forward_order(std::size_t p) {
   return order;
 }
 
-std::vector<std::size_t> reversed_order(std::size_t p) {
-  std::vector<std::size_t> order(p);
-  for (std::size_t i = 0; i < p; ++i) order[i] = p - 1 - i;
-  return order;
+/// The platform with its workers in reverse order: the one-port solver
+/// feeds workers in platform order, so this is the reversed send order.
+Platform reversed(const Platform& plat) {
+  return Platform(std::vector<platform::Processor>(plat.workers().rbegin(),
+                                                   plat.workers().rend()));
 }
 
 TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
   const std::vector<double> loads = oracle_loads();
   for (const auto& [name, plat] : oracle_platforms()) {
-    const std::vector<std::size_t> forward = forward_order(plat.size());
-    const std::vector<std::size_t> reversed = reversed_order(plat.size());
+    const Platform backward = reversed(plat);
     for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
       for (const double load : loads) {
         SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
@@ -572,41 +567,38 @@ TEST(NonlinearFastPaths, MatchReferenceSolverBitForBit) {
             plat.size(), load,
             [&] { return nonlinear_parallel_single_round(plat, load, alpha); },
             [&] { return reference::parallel(plat, load, alpha); });
-        expect_same_outcome(
-            plat.size(), load,
-            [&] { return nonlinear_one_port_single_round(plat, load, alpha); },
-            [&] { return reference::one_port(plat, load, alpha, forward); });
-        expect_same_outcome(
-            plat.size(), load,
-            [&] {
-              return nonlinear_one_port_single_round(plat, load, alpha,
-                                                     reversed);
-            },
-            [&] { return reference::one_port(plat, load, alpha, reversed); });
+        for (const Platform* fed : {&plat, &backward}) {
+          expect_same_outcome(
+              plat.size(), load,
+              [&] {
+                return nonlinear_one_port_single_round(*fed, load, alpha);
+              },
+              [&] { return reference::one_port(*fed, load, alpha); });
+        }
       }
     }
   }
 }
 
 /// Every solve the Newton tests check, on oracle_platforms() × alpha ∈
-/// {1, 1.5, 2, 3} × oracle_loads(): parallel links, then one-port in
-/// forward and in reversed send order. `check` gets the platform, the send
-/// order (empty for parallel links) and the allocation.
+/// {1, 1.5, 2, 3} × oracle_loads(): parallel links, then one-port on the
+/// platform and on its reversal. `check` gets the platform, the send order
+/// (empty for parallel links) and the allocation.
 template <typename Check>
 void for_each_oracle_solve(Check check) {
   const std::vector<double> loads = oracle_loads();
   for (const auto& [name, plat] : oracle_platforms()) {
     const std::vector<std::size_t> forward = forward_order(plat.size());
-    const std::vector<std::size_t> reversed = reversed_order(plat.size());
+    const Platform backward = reversed(plat);
     for (const double alpha : {1.0, 1.5, 2.0, 3.0}) {
       for (const double load : loads) {
         SCOPED_TRACE(name + " alpha=" + std::to_string(alpha) +
                      " load=" + std::to_string(load));
         check(plat, std::vector<std::size_t>{},
               nonlinear_parallel_single_round(plat, load, alpha));
-        for (const std::vector<std::size_t>* order : {&forward, &reversed}) {
-          check(plat, *order,
-                nonlinear_one_port_single_round(plat, load, alpha, *order));
+        for (const Platform* fed : {&plat, &backward}) {
+          check(*fed, forward,
+                nonlinear_one_port_single_round(*fed, load, alpha));
         }
       }
     }
@@ -701,18 +693,21 @@ TEST(NonlinearClosedForms, QuadraticRootIsAccurate) {
 TEST(NonlinearClosedForms, FallBackToNewtonWhereTheClosedFormOverflows) {
   // alpha = 2: worker 0 (c = 1e155 or 1e200, w = 1e155) holds n with
   // w·n² ≈ T ≈ 1e300, n = 3.1622776601683791e72 as before the closed forms.
-  // One-port feeds worker 1 first: its bracket is the first worker's time
-  // for the whole load, which overflows for worker 0.
+  // One-port feeds the (1, 1) worker first, placed at index 0 there: its
+  // bracket is the first worker's time for the whole load, which overflows
+  // for the other worker.
   const double want = 3.1622776601683791e72;
   for (const double c : {1e155, 1e200}) {
     SCOPED_TRACE("c=" + std::to_string(c));
-    const Platform plat({{c, 1e155}, {1.0, 1.0}});
-    for (const NonlinearAllocation& alloc :
-         {nonlinear_parallel_single_round(plat, 1e150, 2.0),
-          nonlinear_one_port_single_round(plat, 1e150, 2.0,
-                                          std::vector<std::size_t>{1, 0})}) {
-      EXPECT_NEAR(alloc.amounts[0], want, 1e-9 * want);
-      EXPECT_NEAR(alloc.amounts[0] + alloc.amounts[1], 1e150, 1e-12 * 1e150);
+    const NonlinearAllocation links = nonlinear_parallel_single_round(
+        Platform({{c, 1e155}, {1.0, 1.0}}), 1e150, 2.0);
+    const NonlinearAllocation port = nonlinear_one_port_single_round(
+        Platform({{1.0, 1.0}, {c, 1e155}}), 1e150, 2.0);
+    EXPECT_NEAR(links.amounts[0], want, 1e-9 * want);
+    EXPECT_NEAR(port.amounts[1], want, 1e-9 * want);
+    for (const NonlinearAllocation* alloc : {&links, &port}) {
+      EXPECT_NEAR(alloc->amounts[0] + alloc->amounts[1], 1e150,
+                  1e-12 * 1e150);
     }
   }
   // alpha = 1: worker 0 (c = w = 1e308) holds T/(c + w) ≈ 1e-208.

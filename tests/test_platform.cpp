@@ -36,12 +36,12 @@ TEST(Platform, RejectsEmpty) {
 }
 
 TEST(Platform, HomogeneousBuilder) {
-  const Platform plat = Platform::homogeneous(4, 2.0, 0.5);
+  const Platform plat = Platform::homogeneous(4, 2.0);
   EXPECT_EQ(plat.size(), 4U);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(plat.c(i), 2.0);
-    EXPECT_DOUBLE_EQ(plat.w(i), 0.5);
-    EXPECT_DOUBLE_EQ(plat.speed(i), 2.0);
+    EXPECT_DOUBLE_EQ(plat.w(i), 1.0);
+    EXPECT_DOUBLE_EQ(plat.speed(i), 1.0);
   }
   EXPECT_DOUBLE_EQ(plat.heterogeneity(), 1.0);
 }

@@ -159,15 +159,13 @@ TEST(CrossChecks, SampleSortShiftInvariance) {
 TEST(CrossChecks, ExperimentRunnerMatchesDirectEvaluation) {
   core::Fig4Config config;
   config.model = platform::SpeedModel::kUniform;
-  config.processor_counts = {10};
   config.trials = 1;
   config.seed = 4242;
   const auto rows = core::run_fig4(config);
 
   util::Rng master(config.seed);
   util::Rng trial_rng = master.split();
-  const auto plat = platform::make_platform(
-      config.model, 10, trial_rng, config.model_params);
+  const auto plat = platform::make_platform(config.model, 10, trial_rng);
   const auto het = core::evaluate_strategy(
       core::Strategy::kHeterogeneousBlocks, plat.speeds(), 1.0);
   EXPECT_DOUBLE_EQ(rows[0].het.mean(), het.ratio_to_lower_bound);

@@ -64,7 +64,7 @@ TEST(SimulateOnePortWithReturn, HandComputedTimeline) {
   // Sends: [0,1] to w0, [1,2] to w1. Computes: w0 [1,2], w1 [2,3].
   // Returns cannot start before all sends end (t = 2).
   // FIFO (w0 then w1): w0 returns [2,3]; w1 ready at 3, returns [3,4].
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const double makespan = simulate_one_port_with_return(
       plat, {1.0, 1.0}, 1.0, identity_order(2), identity_order(2));
   EXPECT_DOUBLE_EQ(makespan, 4.0);

@@ -25,6 +25,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "online/arrivals.hpp"
@@ -32,6 +33,7 @@
 #include "online/scheduler.hpp"
 #include "online/server.hpp"
 #include "platform/platform.hpp"
+#include "qos/plan.hpp"
 #include "qos/policy.hpp"
 #include "qos/server.hpp"
 #include "sim/engine.hpp"
@@ -298,7 +300,7 @@ TEST(SharedMasterQos, ConcurrentInstallmentsOverlapDifferentJobs) {
   // Two jobs arriving together, two subsets: both dispatch at t = 0 and
   // overlap in service — the serial server could never start the second
   // before the first's installment ended.
-  const Platform plat = Platform::homogeneous(4, 0.5, 1.0);
+  const Platform plat = Platform::homogeneous(4, 0.5);
   const auto jobs = qos_stream({{0, 0.0, 40.0, 1.0}, {1, 0.0, 40.0, 1.0}});
   const qos::Server server(plat, qos_options(2, 2, 0.0));
   qos::FcfsPolicy fcfs;
@@ -357,7 +359,7 @@ TEST(SharedMasterQos, SharedCapacityDelaysConcurrentInstallments) {
   // The same concurrent stream under a binding master cap finishes no
   // earlier than under an uncapped master, and strictly later for at
   // least one job: the subsets genuinely share the bandwidth.
-  const Platform plat = Platform::homogeneous(4, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(4, 1.0);
   const auto jobs = qos_stream({{0, 0.0, 50.0, 1.0}, {1, 0.0, 50.0, 1.0}});
   qos::FcfsPolicy fcfs;
   const qos::Server capped(plat, qos_options(2, 2, 0.0, 0.8));
@@ -379,7 +381,7 @@ TEST(SharedMasterQos, GapResumePaysTheRestartSurcharge) {
   // Three jobs, two subsets, SRPT with a restart fraction: the long job
   // loses its subset to a shorter newcomer, resumes after a gap, and the
   // surcharge lands on its record.
-  const Platform plat = Platform::homogeneous(2, 0.2, 1.0);
+  const Platform plat = Platform::homogeneous(2, 0.2);
   const auto jobs = qos_stream({{0, 0.0, 60.0, 1.0},
                                 {1, 0.0, 60.0, 1.0},
                                 {2, 1.0, 6.0, 1.0}});
@@ -406,7 +408,7 @@ TEST(SharedMasterQos, GapResumePaysTheRestartSurcharge) {
 }
 
 TEST(SharedMasterQos, ConcurrencyClampsToThePlatform) {
-  const Platform plat = Platform::homogeneous(3, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(3, 1.0);
   const auto jobs = qos_stream({{0, 0.0, 30.0, 1.0},
                                 {1, 0.0, 20.0, 1.0},
                                 {2, 0.0, 10.0, 1.0},
@@ -432,8 +434,11 @@ TEST(SharedMasterQos, RejectsZeroConcurrency) {
 /// bench_contention's traffic class `index` (alpha = index + 1) at its
 /// committed configuration: 120 jobs targeted at load factor 0.7 against
 /// the class's exclusive-service capacity, default seed + index —
-/// regenerated exactly as the bench does.
-std::vector<Job> contention_stream(const Platform& plat, std::size_t index) {
+/// regenerated exactly as the bench does. A larger `expected_jobs`
+/// continues the same stream; its loads are continuous, so pairwise
+/// distinct.
+std::vector<Job> contention_stream(const Platform& plat, std::size_t index,
+                                   double expected_jobs = 120.0) {
   online::JobMix mix;
   mix.load_lo = 50.0;
   mix.load_hi = 150.0;
@@ -441,7 +446,8 @@ std::vector<Job> contention_stream(const Platform& plat, std::size_t index) {
   mix.alpha_weights = {1.0};
   const double rate = 0.7 / online::mean_predicted_makespan(mix, plat);
   util::Rng rng(util::Rng::kDefaultSeed + index);
-  return online::PoissonArrivals(rate, mix).generate(120.0 / rate, rng);
+  return online::PoissonArrivals(rate, mix).generate(expected_jobs / rate,
+                                                     rng);
 }
 
 TEST(SharedMasterDifferential, FairShareMatchesAtomicFcfsQosBitForBit) {
@@ -452,13 +458,28 @@ TEST(SharedMasterDifferential, FairShareMatchesAtomicFcfsQosBitForBit) {
   // allocate it by the same nonlinear solve, and replay it through one
   // sim::SharedMasterPeriod per busy period. Every job's dispatch, finish
   // and compute time must agree bit for bit on both contention streams.
+  // The third stream has more than 2 × InstallmentSolver::kMemoEntries
+  // distinct loads, so the qos server's subset schedule map clears at
+  // least twice on the way.
   const Platform plat = Platform::two_class(8, 1.0, 4.0);
   constexpr std::size_t kSlots = 4;
   constexpr double kCapacity = 2.0;
-  for (const std::size_t index : {std::size_t{0}, std::size_t{1}}) {
-    SCOPED_TRACE("alpha = " + std::to_string(index + 1));
-    const std::vector<Job> jobs = contention_stream(plat, index);
+  constexpr std::size_t kClearing = 2 * qos::InstallmentSolver::kMemoEntries;
+  for (const auto& [index, expected_jobs] :
+       {std::pair<std::size_t, double>{0, 120.0}, {1, 120.0}, {1, 8600.0}}) {
+    SCOPED_TRACE("alpha = " + std::to_string(index + 1) + ", ~" +
+                 std::to_string(expected_jobs) + " jobs");
+    const std::vector<Job> jobs =
+        contention_stream(plat, index, expected_jobs);
     ASSERT_GE(jobs.size(), 100u);
+    if (expected_jobs > 120.0) {
+      std::vector<double> loads;
+      for (const Job& job : jobs) loads.push_back(job.load);
+      std::sort(loads.begin(), loads.end());
+      const auto distinct = static_cast<std::size_t>(
+          std::unique(loads.begin(), loads.end()) - loads.begin());
+      ASSERT_GT(distinct, kClearing);
+    }
 
     online::ServerOptions online_options;
     online_options.comm = sim::CommModelKind::kBoundedMultiport;
@@ -486,6 +507,59 @@ TEST(SharedMasterDifferential, FairShareMatchesAtomicFcfsQosBitForBit) {
     }
     // The streams must exercise real contention, not single-job periods.
     EXPECT_TRUE(overlapped);
+  }
+}
+
+TEST(SharedMasterDifferential, FcfsMatchesAtomicFcfsQosAtConcurrencyOne) {
+  // online FCFS (the base Scheduler: one job at a time on the whole
+  // platform) and the qos server at concurrency 1 with FCFS, atomic
+  // service (rounds = 1), free restarts (rho = 0) and admit-all serve the
+  // same jobs in the same order through the same allocation, so every
+  // dispatch and finish agrees bit for bit under each comm model.
+  // compute_time agrees only to rounding: the qos solver sums w·X^alpha
+  // per worker in worker order, while online sums compute_end −
+  // compute_start over the chunks in completion order (at most 6.9e-16
+  // relative on this stream).
+  const Platform plat = Platform::two_class(8, 1.0, 4.0);
+  online::JobMix mix;
+  mix.alphas = {1.0, 2.0};
+  mix.alpha_weights = {0.5, 0.5};
+  for (const sim::CommModelKind comm :
+       {sim::CommModelKind::kParallelLinks, sim::CommModelKind::kOnePort,
+        sim::CommModelKind::kBoundedMultiport}) {
+    SCOPED_TRACE(sim::to_string(comm));
+    const double capacity =
+        comm == sim::CommModelKind::kBoundedMultiport ? 2.0 : kInf;
+    const double rate = 0.9 / online::mean_predicted_makespan(mix, plat, comm);
+    util::Rng rng(util::Rng::kDefaultSeed);
+    const std::vector<Job> jobs =
+        online::PoissonArrivals(rate, mix).generate(2000.0 / rate, rng);
+    ASSERT_GE(jobs.size(), 1000u);
+
+    online::ServerOptions online_options;
+    online_options.comm = comm;
+    online_options.capacity = capacity;
+    const online::Scheduler fcfs;
+    const auto served = online::Server(plat, online_options).run(jobs, fcfs);
+
+    qos::ServerOptions qos_opts = qos_options(1, 1, 0.0, capacity);
+    qos_opts.service.comm = comm;
+    qos::FcfsPolicy policy;
+    const auto records = qos::Server(plat, qos_opts).run(jobs, policy);
+
+    ASSERT_EQ(served.size(), records.size());
+    bool queued = false;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(records[i].admitted) << "job " << i;
+      EXPECT_EQ(served[i].dispatch, records[i].dispatch) << "job " << i;
+      EXPECT_EQ(served[i].finish, records[i].finish) << "job " << i;
+      EXPECT_NEAR(served[i].compute_time, records[i].compute_time,
+                  1e-14 * served[i].compute_time)
+          << "job " << i;
+      if (served[i].dispatch > jobs[i].arrival) queued = true;
+    }
+    // At load 0.9 jobs must queue, or FCFS order is never tested.
+    EXPECT_TRUE(queued);
   }
 }
 

@@ -36,7 +36,7 @@ TEST(Simulate, SingleChunkTimeline) {
 }
 
 TEST(Simulate, ParallelLinksOverlapAcrossWorkers) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const SimResult result = simulate(plat, {{0, 5.0}, {1, 5.0}});
   // Both communications start at t = 0 under parallel links.
   EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
@@ -45,7 +45,7 @@ TEST(Simulate, ParallelLinksOverlapAcrossWorkers) {
 }
 
 TEST(Simulate, OnePortSerializesComms) {
-  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const Platform plat = Platform::homogeneous(2, 1.0);
   const SimResult result =
       simulate(plat, {{0, 5.0}, {1, 5.0}}, CommModelKind::kOnePort);
   EXPECT_DOUBLE_EQ(result.spans[0].comm_start, 0.0);
@@ -54,7 +54,7 @@ TEST(Simulate, OnePortSerializesComms) {
 }
 
 TEST(Simulate, NonlinearComputeCost) {
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
+  const Platform plat = Platform({{1.0, 2.0}});
   const SimResult result =
       simulate(plat, {{0, 3.0}}, CommModelKind::kParallelLinks, 2.0);
   // comm 3, compute 2 · 3² = 18.
@@ -64,7 +64,7 @@ TEST(Simulate, NonlinearComputeCost) {
 TEST(Simulate, MultiRoundPipelinesCommAndCompute) {
   // One worker, two chunks: the second chunk's comm overlaps the first
   // chunk's compute.
-  const Platform plat = Platform::homogeneous(1, 1.0, 2.0);
+  const Platform plat = Platform({{1.0, 2.0}});
   const SimResult result = simulate(plat, {{0, 2.0}, {0, 2.0}});
   const ChunkSpan& second = result.spans[1];
   EXPECT_DOUBLE_EQ(second.comm_start, 2.0);  // link free after first comm

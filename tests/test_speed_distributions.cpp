@@ -63,13 +63,10 @@ TEST(MakePlatform, LogNormalIsHeavyTailed) {
   EXPECT_GT(plat.heterogeneity(), 10.0);
 }
 
-TEST(MakePlatform, TwoClassUsesParamK) {
+TEST(MakePlatform, TwoClassUsesTheStudysK) {
   util::Rng rng(6);
-  SpeedModelParams params;
-  params.two_class_k = 16.0;
-  const Platform plat =
-      make_platform(SpeedModel::kTwoClass, 8, rng, params);
-  EXPECT_DOUBLE_EQ(plat.heterogeneity(), 16.0);
+  const Platform plat = make_platform(SpeedModel::kTwoClass, 8, rng);
+  EXPECT_DOUBLE_EQ(plat.heterogeneity(), 10.0);
 }
 
 TEST(MakePlatform, DeterministicGivenSeed) {
@@ -82,14 +79,15 @@ TEST(MakePlatform, DeterministicGivenSeed) {
   }
 }
 
-TEST(MakePlatform, CommCostParameter) {
+TEST(MakePlatform, UnitCommCost) {
   util::Rng rng(7);
-  SpeedModelParams params;
-  params.comm_cost = 4.0;
-  const Platform plat =
-      make_platform(SpeedModel::kUniform, 5, rng, params);
-  for (std::size_t i = 0; i < plat.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plat.c(i), 4.0);
+  for (const SpeedModel model :
+       {SpeedModel::kHomogeneous, SpeedModel::kUniform, SpeedModel::kLogNormal,
+        SpeedModel::kTwoClass}) {
+    const Platform plat = make_platform(model, 6, rng);
+    for (std::size_t i = 0; i < plat.size(); ++i) {
+      EXPECT_EQ(plat.c(i), 1.0);
+    }
   }
 }
 
