@@ -1,7 +1,7 @@
 #include "mapreduce/engine.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <future>
 
 #include "util/assert.hpp"
 
@@ -38,25 +38,17 @@ JobResult run_job(const JobConfig& config, const MapFn& map_fn,
   JobResult result;
   result.counters.map_tasks = config.num_splits;
 
-  // ---- Map phase: one task per split, partitioned output per reducer.
-  const std::size_t reducers = config.num_reducers;
-  std::vector<std::vector<KV>> partitions(reducers);
-  std::mutex merge_mutex;
-  std::size_t map_records = 0;
-  std::size_t combined_records = 0;
-
+  // ---- Map phase: one task per split, each into its own buffer. The
+  // buffers are partitioned in split order once every task has finished,
+  // so a pooled job shuffles the serial job's exact record sequence and
+  // each key's values reach reduce_fn in the same order.
+  std::vector<std::vector<KV>> map_outputs(config.num_splits);
+  std::vector<std::size_t> emitted(config.num_splits, 0);
   auto run_map_task = [&](std::size_t split) {
-    std::vector<KV> out;
+    std::vector<KV>& out = map_outputs[split];
     map_fn(split, out);
-    const std::size_t emitted = out.size();
+    emitted[split] = out.size();
     if (config.use_combiner) combine(out);
-    const std::size_t kept = out.size();
-    std::lock_guard lock(merge_mutex);
-    map_records += emitted;
-    combined_records += kept;
-    for (const KV& record : out) {
-      partitions[record.key % reducers].push_back(record);
-    }
   };
 
   if (config.pool != nullptr) {
@@ -71,6 +63,19 @@ JobResult run_job(const JobConfig& config, const MapFn& map_fn,
     for (std::size_t split = 0; split < config.num_splits; ++split) {
       run_map_task(split);
     }
+  }
+
+  const std::size_t reducers = config.num_reducers;
+  std::vector<std::vector<KV>> partitions(reducers);
+  std::size_t map_records = 0;
+  std::size_t combined_records = 0;
+  for (std::size_t split = 0; split < config.num_splits; ++split) {
+    map_records += emitted[split];
+    combined_records += map_outputs[split].size();
+    for (const KV& record : map_outputs[split]) {
+      partitions[record.key % reducers].push_back(record);
+    }
+    std::vector<KV>().swap(map_outputs[split]);
   }
   result.counters.map_output_records = map_records;
   result.counters.combine_output_records = combined_records;

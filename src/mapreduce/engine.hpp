@@ -56,7 +56,9 @@ struct JobConfig {
   /// Sum map-side records with equal keys before shuffling (valid whenever
   /// the reducer is a sum — true for both jobs in this library).
   bool use_combiner = false;
-  util::ThreadPool* pool = nullptr;  ///< nullptr = run serially
+  /// Runs the map and reduce tasks; nullptr = run serially. A pooled job
+  /// returns the serial job's output bit for bit.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Run a complete map→shuffle→reduce job.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -20,9 +22,6 @@ ValidationResult fail(std::size_t index, const std::string& what) {
   return result;
 }
 
-/// The args events_from_chrome_trace decodes into std::size_t indices.
-constexpr const char* kIndexArgs[] = {"job", "worker", "tenant"};
-
 /// An index arg is a JSON number; only a whole number in [0, 2^53), where
 /// a double holds every integer exactly, converts to std::size_t. NaN and
 /// infinities fail the range test.
@@ -37,203 +36,397 @@ std::string bad_index(const char* key) {
          "\" is not a whole number in [0, 2^53)";
 }
 
-}  // namespace
+using Token = util::JsonReader::Token;
 
-ValidationResult validate_chrome_trace(const util::JsonValue& document) {
+/// The first occurrence of one numeric member. A later duplicate is
+/// ignored, as a first-match lookup in a document tree ignores it.
+struct FirstNumber {
+  bool seen = false;
+  bool numeric = false;  ///< the first occurrence is a number
+  double value = 0.0;
+
+  [[nodiscard]] double or_zero() const noexcept {
+    return numeric ? value : 0.0;
+  }
+};
+
+/// What the checks read of one traceEvents entry: the first occurrence
+/// of each member they name, keys and strings compared unescaped.
+struct EventFields {
+  bool name_seen = false;
+  bool name_string = false;
+  std::string name;
+  bool phase_seen = false;
+  bool phase_one_char = false;  ///< "ph" is a one-character string
+  char phase = 0;
+  bool args_seen = false;
+  FirstNumber pid, tid, ts, dur;
+  // Members of the first "args", when it is an object.
+  FirstNumber job, worker, tenant, size, alpha, value;
+};
+
+/// A (pid, tid) track's open B/E depth, in first-seen order.
+struct Track {
+  double pid = 0.0;
+  double tid = 0.0;
+  std::size_t open = 0;
+};
+
+std::size_t index_arg(const FirstNumber& field, const char* key) {
+  if (!field.numeric) return kNoIndex;
+  NLDL_REQUIRE(is_index(field.value), "trace event " + bad_index(key));
+  return static_cast<std::size_t>(field.value);
+}
+
+ValidationResult parse_failure(const util::PreconditionError& error) {
   ValidationResult result;
-  if (!document.is_object()) {
-    result.ok = false;
-    result.error = "document root is not an object";
-    return result;
-  }
-  const util::JsonValue* events = document.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    result.ok = false;
-    result.error = "missing \"traceEvents\" array";
-    return result;
-  }
-
-  // Open B/E nesting depth per (pid, tid) track, insertion-ordered.
-  std::vector<std::pair<std::pair<double, double>, std::size_t>> depth;
-  const auto track_depth = [&depth](double pid,
-                                    double tid) -> std::size_t& {
-    for (auto& [key, open] : depth) {
-      if (key.first == pid && key.second == tid) return open;  // nldl-lint: allow(double-eq): pid/tid are integral JSON ids parsed as double
-    }
-    depth.push_back({{pid, tid}, 0});
-    return depth.back().second;
-  };
-
-  double last_ts = 0.0;
-  bool saw_timed = false;
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const util::JsonValue& event = events->array[i];
-    if (!event.is_object()) return fail(i, "not an object");
-
-    const util::JsonValue* name = event.find("name");
-    if (name == nullptr || !name->is_string()) {
-      return fail(i, "missing string \"name\"");
-    }
-    const util::JsonValue* ph = event.find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->string.size() != 1) {
-      return fail(i, "missing one-character \"ph\"");
-    }
-    const char phase = ph->string[0];
-    if (phase != 'M' && phase != 'X' && phase != 'B' && phase != 'E' &&
-        phase != 'i' && phase != 'C' && phase != 's' && phase != 't' &&
-        phase != 'f') {
-      return fail(i, std::string("unsupported phase '") + phase + "'");
-    }
-    const util::JsonValue* pid = event.find("pid");
-    const util::JsonValue* tid = event.find("tid");
-    if (pid == nullptr || !pid->is_number()) {
-      return fail(i, "missing numeric \"pid\"");
-    }
-    if (tid == nullptr || !tid->is_number()) {
-      return fail(i, "missing numeric \"tid\"");
-    }
-    const util::JsonValue* args = event.find("args");
-    if (args != nullptr && args->is_object()) {
-      for (const char* key : kIndexArgs) {
-        const util::JsonValue* index = args->find(key);
-        if (index != nullptr && index->is_number() &&
-            !is_index(index->number)) {
-          return fail(i, bad_index(key));
-        }
-      }
-    }
-    ++result.events;
-    if (phase == 'M') continue;  // metadata carries no timeline position
-
-    const util::JsonValue* ts = event.find("ts");
-    if (ts == nullptr || !ts->is_number()) {
-      return fail(i, "missing numeric \"ts\"");
-    }
-    if (saw_timed && ts->number < last_ts) {
-      return fail(i, "timestamp " + util::json_number(ts->number) +
-                         " decreases below " + util::json_number(last_ts));
-    }
-    last_ts = ts->number;
-    saw_timed = true;
-
-    if (phase == 'X') {
-      const util::JsonValue* dur = event.find("dur");
-      if (dur == nullptr || !dur->is_number() || dur->number < 0.0) {
-        return fail(i, "\"X\" event without non-negative \"dur\"");
-      }
-    } else if (phase == 'B') {
-      ++track_depth(pid->number, tid->number);
-    } else if (phase == 'E') {
-      std::size_t& open = track_depth(pid->number, tid->number);
-      if (open == 0) return fail(i, "\"E\" without matching \"B\" on track");
-      --open;
-    }
-  }
-  for (const auto& [key, open] : depth) {
-    if (open != 0) {
-      result.ok = false;
-      result.error = "track pid=" + util::json_number(key.first) +
-                     " tid=" + util::json_number(key.second) + " has " +
-                     std::to_string(open) + " unclosed \"B\" event(s)";
-      return result;
-    }
-  }
+  result.ok = false;
+  result.error = error.what();
   return result;
 }
 
-ValidationResult validate_chrome_trace_text(std::string_view text) {
-  try {
-    return validate_chrome_trace(util::parse_json(text));
-  } catch (const util::PreconditionError& error) {
-    ValidationResult result;
-    result.ok = false;
-    result.error = error.what();
-    return result;
-  }
-}
+/// One pass over an exported Chrome trace that validates it, decodes it,
+/// or both. A parse error propagates out of run(); the first schema
+/// failure and the first decode failure are recorded and the pass reads
+/// on, so that a later parse error still wins over both.
+class TracePass {
+ public:
+  TracePass(std::string_view text, bool validate, bool decode) noexcept
+      : reader_(text), validate_(validate), decode_(decode) {}
 
-std::vector<TraceEvent> events_from_chrome_trace(
-    const util::JsonValue& document) {
-  NLDL_REQUIRE(document.is_object(), "trace document root is not an object");
-  const util::JsonValue* entries = document.find("traceEvents");
-  NLDL_REQUIRE(entries != nullptr && entries->is_array(),
-               "trace document has no \"traceEvents\" array");
-
-  constexpr double kSecondsPerMicro = 1e-6;
-  constexpr double kPathPid = 4.0;
-  const auto number_or = [](const util::JsonValue* node, double fallback) {
-    return node != nullptr && node->is_number() ? node->number : fallback;
-  };
-  const auto index_arg = [](const util::JsonValue& args, const char* key) {
-    const util::JsonValue* node = args.find(key);
-    if (node == nullptr || !node->is_number()) return kNoIndex;
-    NLDL_REQUIRE(is_index(node->number), "trace event " + bad_index(key));
-    return static_cast<std::size_t>(node->number);
-  };
-
-  std::vector<TraceEvent> out;
-  // Open kJob B events per jobs-track tid, in first-open order.
-  std::vector<std::pair<double, TraceEvent>> open_jobs;
-  for (const util::JsonValue& entry : entries->array) {
-    NLDL_REQUIRE(entry.is_object(), "trace event is not an object");
-    const util::JsonValue* ph = entry.find("ph");
-    NLDL_REQUIRE(ph != nullptr && ph->is_string() && ph->string.size() == 1,
-                 "trace event without a one-character \"ph\"");
-    const char phase = ph->string[0];
-    if (phase == 'M' || phase == 's' || phase == 't' || phase == 'f') {
-      continue;
+  void run() {
+    const Token root = reader_.next();
+    bool found = false;        // a "traceEvents" member, the first one...
+    bool read_events = false;  // ...an array, read
+    if (root == Token::kBeginObject) {
+      while (reader_.next() != Token::kEndObject) {
+        const bool first = !found && reader_.string() == "traceEvents";
+        const Token token = reader_.next();
+        found = found || first;
+        if (first && token == Token::kBeginArray) {
+          read_event_array();
+          read_events = true;
+        } else {
+          reader_.skip(token);
+        }
+      }
+    } else {
+      reader_.skip(root);
     }
-    if (number_or(entry.find("pid"), 0.0) == kPathPid) continue;  // nldl-lint: allow(double-eq): pid is an integral JSON id parsed as double
+    if (validating()) {
+      if (root != Token::kBeginObject) {
+        document_failure("document root is not an object");
+      } else if (!read_events) {
+        document_failure("missing \"traceEvents\" array");
+      }
+    }
+    decode([&] {
+      NLDL_REQUIRE(root == Token::kBeginObject,
+                   "trace document root is not an object");
+      NLDL_REQUIRE(read_events,
+                   "trace document has no \"traceEvents\" array");
+    });
+    (void)reader_.next();  // kEnd, or the trailing-characters error
+  }
 
-    const util::JsonValue* name = entry.find("name");
-    NLDL_REQUIRE(name != nullptr && name->is_string(),
-                 "trace event without a string \"name\"");
+  ValidationResult validation;     ///< the verdict, when validating
+  std::exception_ptr decode_error;  ///< the first decode failure
+  std::vector<TraceEvent> events;  ///< the decoded stream, when decoding
+
+ private:
+  [[nodiscard]] bool validating() const noexcept {
+    return validate_ && validation.ok;
+  }
+  /// A failed validation discards the decode, so decoding stops with it.
+  [[nodiscard]] bool decoding() const noexcept {
+    return decode_ && decode_error == nullptr && validation.ok;
+  }
+
+  void document_failure(const char* what) {
+    validation = ValidationResult{};
+    validation.ok = false;
+    validation.error = what;
+  }
+
+  /// Run one decode step, recording the first PreconditionError it
+  /// throws. Parse errors never pass through here: a step reads no text.
+  template <class Step>
+  void decode(const Step& step) {
+    if (!decoding()) return;
+    try {
+      step();
+    } catch (const util::PreconditionError&) {
+      decode_error = std::current_exception();
+    }
+  }
+
+  void read_event_array() {
+    std::size_t index = 0;
+    for (Token entry = reader_.next(); entry != Token::kEndArray;
+         entry = reader_.next(), ++index) {
+      const bool object = entry == Token::kBeginObject;
+      if (validating() && !object) validation = fail(index, "not an object");
+      decode([object] {
+        NLDL_REQUIRE(object, "trace event is not an object");
+      });
+      if (object && (validating() || decoding())) {
+        read_fields();
+        if (validating()) validate_event(index);
+        decode([this] { decode_event(); });
+      } else {
+        reader_.skip(entry);
+      }
+    }
+    if (validating()) {
+      for (const Track& track : tracks_) {
+        if (track.open != 0) {
+          validation.ok = false;
+          validation.error = "track pid=" + util::json_number(track.pid) +
+                             " tid=" + util::json_number(track.tid) +
+                             " has " + std::to_string(track.open) +
+                             " unclosed \"B\" event(s)";
+          break;
+        }
+      }
+    }
+    decode([this] {
+      NLDL_REQUIRE(open_jobs_.empty(), "unclosed \"B\" event in trace");
+    });
+  }
+
+  /// Read the first occurrence of `field` from the value starting at
+  /// `token`, then skip the value.
+  void read_number(FirstNumber* field, Token token) {
+    if (field != nullptr && !field->seen) {
+      field->seen = true;
+      field->numeric = token == Token::kNumber;
+      if (field->numeric) field->value = reader_.number();
+    }
+    reader_.skip(token);
+  }
+
+  /// Fill fields_ from one event object, its kBeginObject just read.
+  void read_fields() {
+    fields_ = EventFields{};
+    EventFields& e = fields_;
+    while (reader_.next() != Token::kEndObject) {
+      const std::string_view key = reader_.string();
+      if (key == "name" && !e.name_seen) {
+        e.name_seen = true;
+        const Token token = reader_.next();
+        e.name_string = token == Token::kString;
+        if (e.name_string) e.name = reader_.string();
+        reader_.skip(token);
+      } else if (key == "ph" && !e.phase_seen) {
+        e.phase_seen = true;
+        const Token token = reader_.next();
+        e.phase_one_char =
+            token == Token::kString && reader_.string().size() == 1;
+        if (e.phase_one_char) e.phase = reader_.string()[0];
+        reader_.skip(token);
+      } else if (key == "args" && !e.args_seen) {
+        e.args_seen = true;
+        const Token token = reader_.next();
+        if (token == Token::kBeginObject) {
+          read_args();
+        } else {
+          reader_.skip(token);
+        }
+      } else {
+        FirstNumber* field = key == "pid"   ? &e.pid
+                             : key == "tid" ? &e.tid
+                             : key == "ts"  ? &e.ts
+                             : key == "dur" ? &e.dur
+                                            : nullptr;
+        read_number(field, reader_.next());
+      }
+    }
+  }
+
+  void read_args() {
+    EventFields& e = fields_;
+    while (reader_.next() != Token::kEndObject) {
+      const std::string_view key = reader_.string();
+      FirstNumber* field = key == "job"      ? &e.job
+                           : key == "worker" ? &e.worker
+                           : key == "tenant" ? &e.tenant
+                           : key == "size"   ? &e.size
+                           : key == "alpha"  ? &e.alpha
+                           : key == "value"  ? &e.value
+                                             : nullptr;
+      read_number(field, reader_.next());
+    }
+  }
+
+  std::size_t& track_depth(double pid, double tid) {
+    const auto [at, inserted] =
+        track_index_.try_emplace({pid, tid}, tracks_.size());
+    if (inserted) tracks_.push_back({pid, tid, 0});
+    return tracks_[at->second].open;
+  }
+
+  void validate_event(std::size_t i) {
+    const EventFields& e = fields_;
+    if (!e.name_string) {
+      validation = fail(i, "missing string \"name\"");
+      return;
+    }
+    if (!e.phase_one_char) {
+      validation = fail(i, "missing one-character \"ph\"");
+      return;
+    }
+    const char phase = e.phase;
+    if (phase != 'M' && phase != 'X' && phase != 'B' && phase != 'E' &&
+        phase != 'i' && phase != 'C' && phase != 's' && phase != 't' &&
+        phase != 'f') {
+      validation = fail(i, std::string("unsupported phase '") + phase + "'");
+      return;
+    }
+    if (!e.pid.numeric) {
+      validation = fail(i, "missing numeric \"pid\"");
+      return;
+    }
+    if (!e.tid.numeric) {
+      validation = fail(i, "missing numeric \"tid\"");
+      return;
+    }
+    const std::pair<const char*, const FirstNumber*> indices[] = {
+        {"job", &e.job}, {"worker", &e.worker}, {"tenant", &e.tenant}};
+    for (const auto& [key, field] : indices) {
+      if (field->numeric && !is_index(field->value)) {
+        validation = fail(i, bad_index(key));
+        return;
+      }
+    }
+    ++validation.events;
+    if (phase == 'M') return;  // metadata carries no timeline position
+
+    if (!e.ts.numeric) {
+      validation = fail(i, "missing numeric \"ts\"");
+      return;
+    }
+    if (saw_timed_ && e.ts.value < last_ts_) {
+      validation = fail(i, "timestamp " + util::json_number(e.ts.value) +
+                               " decreases below " +
+                               util::json_number(last_ts_));
+      return;
+    }
+    last_ts_ = e.ts.value;
+    saw_timed_ = true;
+
+    if (phase == 'X') {
+      if (!e.dur.numeric || e.dur.value < 0.0) {
+        validation = fail(i, "\"X\" event without non-negative \"dur\"");
+      }
+    } else if (phase == 'B') {
+      ++track_depth(e.pid.value, e.tid.value);
+    } else if (phase == 'E') {
+      std::size_t& open = track_depth(e.pid.value, e.tid.value);
+      if (open == 0) {
+        validation = fail(i, "\"E\" without matching \"B\" on track");
+        return;
+      }
+      --open;
+    }
+  }
+
+  void decode_event() {
+    constexpr double kSecondsPerMicro = 1e-6;
+    constexpr double kPathPid = 4.0;
+    const EventFields& e = fields_;
+    NLDL_REQUIRE(e.phase_one_char,
+                 "trace event without a one-character \"ph\"");
+    const char phase = e.phase;
+    if (phase == 'M' || phase == 's' || phase == 't' || phase == 'f') {
+      return;
+    }
+    if (e.pid.or_zero() == kPathPid) return;  // nldl-lint: allow(double-eq): pid is an integral JSON id parsed as double
+
+    NLDL_REQUIRE(e.name_string, "trace event without a string \"name\"");
     EventKind kind = EventKind::kTransfer;
-    NLDL_REQUIRE(event_kind_from_string(name->string, kind),
-                 "trace event with unknown name '" + name->string + "'");
+    NLDL_REQUIRE(event_kind_from_string(e.name, kind),
+                 "trace event with unknown name '" + e.name + "'");
 
     TraceEvent event;
     event.kind = kind;
-    event.start = number_or(entry.find("ts"), 0.0) * kSecondsPerMicro;
+    event.start = e.ts.or_zero() * kSecondsPerMicro;
     event.end = event.start;
     if (phase == 'X') {
-      event.end =
-          event.start + number_or(entry.find("dur"), 0.0) * kSecondsPerMicro;
+      event.end = event.start + e.dur.or_zero() * kSecondsPerMicro;
     }
-    const util::JsonValue* args = entry.find("args");
-    if (args != nullptr && args->is_object()) {
-      event.worker = index_arg(*args, "worker");
-      event.job = index_arg(*args, "job");
-      event.tenant = index_arg(*args, "tenant");
-      event.size = number_or(args->find("size"), 0.0);
-      event.alpha = number_or(args->find("alpha"), 0.0);
-      event.value = number_or(args->find("value"), 0.0);
-    }
+    // Members of an absent or non-object "args" are never seen, so these
+    // keep the TraceEvent defaults.
+    event.worker = index_arg(e.worker, "worker");
+    event.job = index_arg(e.job, "job");
+    event.tenant = index_arg(e.tenant, "tenant");
+    event.size = e.size.or_zero();
+    event.alpha = e.alpha.or_zero();
+    event.value = e.value.or_zero();
 
     if (phase == 'B') {
       NLDL_REQUIRE(kind == EventKind::kJob, "non-job \"B\" event");
-      open_jobs.emplace_back(number_or(entry.find("tid"), 0.0), event);
+      open_jobs_.emplace_back(e.tid.or_zero(), event);
     } else if (phase == 'E') {
-      const double tid = number_or(entry.find("tid"), 0.0);
+      const double tid = e.tid.or_zero();
       bool matched = false;
-      for (std::size_t i = open_jobs.size(); i-- > 0;) {
-        if (open_jobs[i].first == tid) {  // nldl-lint: allow(double-eq): tid is an integral JSON id parsed as double
-          TraceEvent job = open_jobs[i].second;
+      for (std::size_t i = open_jobs_.size(); i-- > 0;) {
+        if (open_jobs_[i].first == tid) {  // nldl-lint: allow(double-eq): tid is an integral JSON id parsed as double
+          TraceEvent job = open_jobs_[i].second;
           job.end = event.start;
-          out.push_back(job);
-          open_jobs.erase(open_jobs.begin() +
-                          static_cast<std::ptrdiff_t>(i));
+          events.push_back(job);
+          open_jobs_.erase(open_jobs_.begin() +
+                           static_cast<std::ptrdiff_t>(i));
           matched = true;
           break;
         }
       }
       NLDL_REQUIRE(matched, "\"E\" event without a matching \"B\"");
     } else {
-      out.push_back(event);
+      events.push_back(event);
     }
   }
-  NLDL_REQUIRE(open_jobs.empty(), "unclosed \"B\" event in trace");
-  return out;
+
+  util::JsonReader reader_;
+  bool validate_;
+  bool decode_;
+  EventFields fields_;
+  // Validation state.
+  double last_ts_ = 0.0;
+  bool saw_timed_ = false;
+  std::map<std::pair<double, double>, std::size_t> track_index_;
+  std::vector<Track> tracks_;
+  // Decode state: open kJob B events per jobs-track tid, in open order.
+  std::vector<std::pair<double, TraceEvent>> open_jobs_;
+};
+
+}  // namespace
+
+ValidationResult validate_chrome_trace_text(std::string_view text) {
+  TracePass pass(text, /*validate=*/true, /*decode=*/false);
+  try {
+    pass.run();
+  } catch (const util::PreconditionError& error) {
+    return parse_failure(error);
+  }
+  return pass.validation;
+}
+
+std::vector<TraceEvent> events_from_chrome_trace(
+    std::string_view text, ValidationResult* validation) {
+  TracePass pass(text, /*validate=*/validation != nullptr, /*decode=*/true);
+  try {
+    pass.run();
+  } catch (const util::PreconditionError& error) {
+    if (validation == nullptr) throw;
+    *validation = parse_failure(error);
+    return {};
+  }
+  if (validation != nullptr) {
+    *validation = pass.validation;
+    if (!*validation) return {};
+  }
+  if (pass.decode_error != nullptr) std::rethrow_exception(pass.decode_error);
+  return std::move(pass.events);
 }
 
 ValidationResult validate_metrics_json(const util::JsonValue& document) {

@@ -2,8 +2,9 @@
 //
 // Two checkers, shared by tests/test_obs.cpp, the tools/trace_check CLI,
 // and CI: a Chrome trace-event schema validator (every event well-formed,
-// timestamps monotone across the stream, begin/end balanced per track)
-// and a deterministic-payload comparison for the split bench JSON
+// timestamps monotone across the stream, begin/end balanced per track),
+// which reads the trace in one streaming pass beside its decoder, and a
+// deterministic-payload comparison for the split bench JSON
 // (bench::Harness writes {"deterministic": ..., "measured": ...}; only
 // the former must reproduce bitwise across machines and runs). The
 // comparison also takes a relative tolerance, to report how far a
@@ -28,17 +29,27 @@ struct ValidationResult {
   explicit operator bool() const noexcept { return ok; }
 };
 
-/// Validate a parsed Chrome trace-event document (JSON Object Format):
+/// Validate an exported Chrome trace-event document (JSON Object Format):
 /// a "traceEvents" array whose entries carry name/ph/pid/tid, a numeric
 /// ts (metadata "M" events excepted), ph one of M/X/B/E/i/C/s/t/f, a
 /// non-negative dur on "X" events, non-decreasing ts over non-metadata
 /// events, balanced B/E nesting per (pid, tid) track, and numeric "job",
 /// "worker" and "tenant" args that are whole numbers in [0, 2^53).
-[[nodiscard]] ValidationResult validate_chrome_trace(
-    const util::JsonValue& document);
-
-/// Convenience: parse `text` then validate. Parse errors come back as a
-/// failed result rather than an exception.
+///
+/// One streaming pass over `text` (util::JsonReader), with no document
+/// tree. The verdict is the one a parse-then-check would give:
+///   * a JSON parse error anywhere wins over a schema failure earlier in
+///     the text, and comes back as a failed result, not an exception;
+///   * otherwise the first failing event, in array order, names the
+///     error; an unclosed track is reported once every event has passed;
+///   * of a duplicated key, the first occurrence counts (the first
+///     "traceEvents", the first "pid" of an event, the first "job" of its
+///     first "args");
+///   * keys and strings are compared unescaped ("p\u0069d" is "pid").
+/// `events` counts the entries checked when the document validates or
+/// fails on an unclosed track, and is 0 after any other failure.
+/// Memory held besides the text: the current event's fields, the last
+/// ts, and one open-B/E depth per (pid, tid) track.
 [[nodiscard]] ValidationResult validate_chrome_trace_text(
     std::string_view text);
 
@@ -84,12 +95,22 @@ struct PayloadComparison {
 /// the original by an ulp — CriticalPath takes a match tolerance for
 /// exactly this). Metadata, flow arrows, and the pid-4 critical-path
 /// overlay are skipped; kJob events are rebuilt from their B/E pairs.
-/// Throws util::PreconditionError on events the exporter cannot have
-/// written (unknown name, unbalanced B/E, a numeric "job", "worker" or
-/// "tenant" arg that is not a whole number in [0, 2^53); the message names
-/// the arg).
+/// Throws util::PreconditionError on malformed JSON and on events the
+/// exporter cannot have written (unknown name, unbalanced B/E, a numeric
+/// "job", "worker" or "tenant" arg that is not a whole number in
+/// [0, 2^53); the message names the arg).
+///
+/// One streaming pass over `text`, under the precedence rules of
+/// validate_chrome_trace_text: a parse error anywhere wins over a decode
+/// failure earlier in the text, and the first occurrence of a duplicated
+/// key counts. When `validation` is non-null the same pass also
+/// validates, and *validation receives validate_chrome_trace_text's
+/// exact verdict; on a failed verdict the result is empty and nothing
+/// is thrown, so a decode failure surfaces only for a valid document.
+/// Memory held besides the text: the current event's fields, the open
+/// job "B" events, the decoded events (and the validation state).
 [[nodiscard]] std::vector<TraceEvent> events_from_chrome_trace(
-    const util::JsonValue& document);
+    std::string_view text, ValidationResult* validation = nullptr);
 
 /// Validate a `MetricsRegistry::write_json` dump: one flat object whose
 /// members are numbers (counters/gauges) or quantile objects with a

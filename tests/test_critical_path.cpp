@@ -20,7 +20,6 @@
 #include "platform/platform.hpp"
 #include "qos/policy.hpp"
 #include "qos/server.hpp"
-#include "util/json_parse.hpp"
 
 namespace nldl {
 namespace {
@@ -324,9 +323,8 @@ TEST(BlameExport, ChromeRoundtripClosesUnderTolerance) {
     // Reconstruct the event stream from the exported document. The
     // microsecond encoding perturbs endpoints, so the causal matching
     // needs the relative tolerance — the exactness invariants still hold.
-    const util::JsonValue root = util::parse_json(out.str());
     const std::vector<obs::TraceEvent> decoded =
-        obs::events_from_chrome_trace(root);
+        obs::events_from_chrome_trace(out.str());
     expect_exact(decoded, 1e-9);
 
     const obs::CriticalPath roundtrip(decoded, 1e-9);

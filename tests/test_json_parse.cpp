@@ -1,8 +1,11 @@
 // Tests for util/json_parse.hpp — the read side of the JSON stack. The
-// parser backs trace validation and bench-payload diffing, so the pins
-// here are about strictness (malformed input throws), order
-// preservation, and exact structural equality.
+// pull reader backs trace validation and decoding, the tree built over
+// it bench-payload diffing, so the pins here are about strictness
+// (malformed input throws), token order, order preservation, and exact
+// structural equality. tests/test_trace_import.cpp checks both against
+// the recursive-descent parser they replaced.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +82,63 @@ TEST(JsonParse, NestingDepthIsBounded) {
   for (int i = 0; i < 64; ++i) ok += '[';
   for (int i = 0; i < 64; ++i) ok += ']';
   EXPECT_TRUE(parse_json(ok).is_array());
+}
+
+TEST(JsonReader, YieldsTokensInDocumentOrder) {
+  using Token = util::JsonReader::Token;
+  util::JsonReader reader(R"( {"a": [1.5, "x", true, false, null], "b": {}} )");
+  const std::vector<Token> expected = {
+      Token::kBeginObject, Token::kKey,       Token::kBeginArray,
+      Token::kNumber,      Token::kString,    Token::kTrue,
+      Token::kFalse,       Token::kNull,      Token::kEndArray,
+      Token::kKey,         Token::kBeginObject, Token::kEndObject,
+      Token::kEndObject,   Token::kEnd};
+  for (const Token token : expected) {
+    EXPECT_EQ(reader.next(), token);
+    if (token == Token::kNumber) {
+      EXPECT_EQ(reader.number(), 1.5);
+    }
+    if (token == Token::kKey || token == Token::kString) {
+      EXPECT_EQ(reader.string().size(), 1u);
+    }
+  }
+  EXPECT_EQ(reader.next(), Token::kEnd);  // and again
+}
+
+TEST(JsonReader, StringsViewTheTextUnlessEscaped) {
+  using Token = util::JsonReader::Token;
+  const std::string text = R"(["plain", "tab\tand \u00e9"])";
+  util::JsonReader reader(text);
+  ASSERT_EQ(reader.next(), Token::kBeginArray);
+  ASSERT_EQ(reader.next(), Token::kString);
+  EXPECT_EQ(reader.string(), "plain");
+  EXPECT_EQ(reader.string().data(), text.data() + 2);  // no copy
+  ASSERT_EQ(reader.next(), Token::kString);
+  EXPECT_EQ(reader.string(), "tab\tand \xc3\xa9");
+  EXPECT_FALSE(reader.string().data() >= text.data() &&
+               reader.string().data() < text.data() + text.size());
+}
+
+TEST(JsonReader, SkipChecksTheSyntaxOfWhatItSkips) {
+  using Token = util::JsonReader::Token;
+  util::JsonReader reader(R"({"skip": [1, {"a": [true]}], "keep": 2})");
+  ASSERT_EQ(reader.next(), Token::kBeginObject);
+  ASSERT_EQ(reader.next(), Token::kKey);
+  reader.skip(reader.next());
+  ASSERT_EQ(reader.next(), Token::kKey);
+  EXPECT_EQ(reader.string(), "keep");
+  ASSERT_EQ(reader.next(), Token::kNumber);
+  EXPECT_EQ(reader.number(), 2.0);
+
+  util::JsonReader bad(R"([[1, 01]])");
+  ASSERT_EQ(bad.next(), Token::kBeginArray);
+  try {
+    bad.skip(bad.next());
+    ADD_FAILURE() << "skipped a malformed number";
+  } catch (const util::PreconditionError& error) {
+    EXPECT_STREQ(error.what(),
+                 "json parse error at byte 7: number with leading zero");
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Unit tests for the mini MapReduce engine.
 #include "mapreduce/engine.hpp"
 
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
@@ -90,7 +95,49 @@ TEST(Engine, ParallelMatchesSerial) {
   ASSERT_EQ(actual.output.size(), expected.output.size());
   for (std::size_t i = 0; i < actual.output.size(); ++i) {
     EXPECT_EQ(actual.output[i].key, expected.output[i].key);
-    EXPECT_NEAR(actual.output[i].value, expected.output[i].value, 1e-9);
+    EXPECT_EQ(actual.output[i].value, expected.output[i].value);  // bitwise
+  }
+}
+
+TEST(Engine, PooledJobIsBitwiseSerialWhenSumsDependOnOrder) {
+  // Every key sums 1e16, 1 and -1e16 + 3 in an order set by the split
+  // index, and a float sum of these depends on the order (1e16 + 1
+  // rounds back to 1e16).
+  constexpr double kValues[] = {1e16, 1.0, -1e16 + 3.0};
+  const auto map_fn = [&kValues](std::size_t split, std::vector<KV>& out) {
+    for (std::uint64_t key = 0; key < 6; ++key) {
+      out.push_back(KV{key, kValues[(split + key) % 3]});
+    }
+  };
+  JobConfig serial;
+  serial.num_splits = 48;
+  serial.num_reducers = 3;
+  const auto expected = run_job(serial, map_fn, sum_reducer);
+
+  // In the pooled runs split 0 finishes only after split 1, so a shuffle
+  // in task-completion order would put split 1's records first; the
+  // other splits finish in whatever order the threads give.
+  std::atomic<bool> split1_done{false};
+  const auto pooled_map_fn = [&](std::size_t split, std::vector<KV>& out) {
+    if (split == 0) split1_done.wait(false);
+    map_fn(split, out);
+    if (split == 1) {
+      split1_done = true;
+      split1_done.notify_one();
+    }
+  };
+  util::ThreadPool pool(4);
+  JobConfig pooled = serial;
+  pooled.pool = &pool;
+  for (int run = 0; run < 50; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    split1_done = false;
+    const auto actual = run_job(pooled, pooled_map_fn, sum_reducer);
+    ASSERT_EQ(actual.output.size(), expected.output.size());
+    for (std::size_t i = 0; i < actual.output.size(); ++i) {
+      EXPECT_EQ(actual.output[i].key, expected.output[i].key);
+      EXPECT_EQ(actual.output[i].value, expected.output[i].value);
+    }
   }
 }
 

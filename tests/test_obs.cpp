@@ -30,6 +30,7 @@
 #include "qos/policy.hpp"
 #include "qos/server.hpp"
 #include "sim/trace.hpp"
+#include "trace_tree_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
@@ -1686,13 +1687,28 @@ TEST(ChromeExport, ArrivalAndAlertInstantsRouteToTheirTracks) {
 
   // Server arrivals survive the export→parse round trip.
   const std::vector<obs::TraceEvent> decoded =
-      obs::events_from_chrome_trace(util::parse_json(text));
+      obs::events_from_chrome_trace(text);
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].kind, obs::EventKind::kArrival);
   EXPECT_EQ(decoded[0].job, 3u);
   EXPECT_EQ(decoded[0].value, 2.0);
   EXPECT_EQ(decoded[1].kind, obs::EventKind::kAlert);
   EXPECT_EQ(decoded[1].value, 15.0);
+}
+
+TEST(ChromeImport, StreamMatchesTheTreeOnPinnedAndServerTraces) {
+  // The one-pass readers against the document-tree oracle on the pinned
+  // bytes and on the three server traces, each exported with its
+  // critical path.
+  oracle::expect_matches_tree(kPinnedChromeTrace);
+  for (const std::vector<obs::TraceEvent>& events : server_traces()) {
+    const obs::CriticalPath path(events);
+    obs::ChromeTraceOptions options;
+    options.critical_path = &path;
+    const std::string text = chrome_text(events, options);
+    ASSERT_TRUE(obs::validate_chrome_trace_text(text));
+    oracle::expect_matches_tree(text);
+  }
 }
 
 TEST(ChromeImport, RejectsIndicesThatAreNotWholeNumbers) {
@@ -1714,7 +1730,7 @@ TEST(ChromeImport, RejectsIndicesThatAreNotWholeNumbers) {
       EXPECT_FALSE(result) << text;
       EXPECT_NE(result.error.find(quoted), std::string::npos) << result.error;
       try {
-        (void)obs::events_from_chrome_trace(util::parse_json(text));
+        (void)obs::events_from_chrome_trace(text);
         ADD_FAILURE() << "decoded " << text;
       } catch (const util::PreconditionError& error) {
         EXPECT_NE(std::string(error.what()).find(quoted), std::string::npos)
@@ -1727,7 +1743,7 @@ TEST(ChromeImport, RejectsIndicesThatAreNotWholeNumbers) {
           obs::validate_chrome_trace_text(text);
       EXPECT_TRUE(result) << result.error;
       const std::vector<obs::TraceEvent> events =
-          obs::events_from_chrome_trace(util::parse_json(text));
+          obs::events_from_chrome_trace(text);
       ASSERT_EQ(events.size(), 1u);
       const std::size_t index = key == "job"      ? events[0].job
                                 : key == "worker" ? events[0].worker

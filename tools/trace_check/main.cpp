@@ -6,14 +6,14 @@
 //       nesting per track). Exit 0 iff every file validates.
 //
 //   nldl_trace_check --summary <trace.json> [--top N] [--slo OBJ]
-//       Validate, then triage: event counts by kind, the worker-time
-//       attribution table, the top-N critical-path blame table
-//       (reconstructed from the exported events with the microsecond
-//       tolerance), and a burn-rate block over the trace's deadline-miss
-//       instants at objective OBJ (default 0.95). Exit 0 iff the file
-//       validates and every job's blame closes on its latency; a
-//       malformed N, or an OBJ outside (0, 1), prints the usage and
-//       exits 2.
+//       Validate and decode in one pass, then triage: event counts by
+//       kind, the worker-time attribution table, the top-N critical-path
+//       blame table (reconstructed from the exported events with the
+//       microsecond tolerance), and a burn-rate block over the trace's
+//       deadline-miss instants at objective OBJ (default 0.95). Exit 0
+//       iff the file validates and every job's blame closes on its
+//       latency; a malformed N, or an OBJ outside (0, 1), prints the
+//       usage and exits 2.
 //
 //   nldl_trace_check --metrics <metrics.json> [more.json ...]
 //       Validate MetricsRegistry JSON dumps (numbers or well-formed
@@ -30,10 +30,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/critical_path.hpp"
@@ -45,13 +47,21 @@
 
 namespace {
 
+/// Read a whole file into `out`, reserved once from the file's length,
+/// so a large trace is held in one copy; a stream without a length (a
+/// pipe) grows as it is read.
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  out.clear();
+  if (!error) out.reserve(static_cast<std::size_t>(size));
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    out.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return !in.bad();
 }
 
 int validate_traces(const std::vector<std::string>& paths) {
@@ -126,16 +136,16 @@ int summarize_trace(const std::string& path, std::size_t top_k,
     std::fprintf(stderr, "%s: cannot read\n", path.c_str());
     return 1;
   }
-  const nldl::obs::ValidationResult valid =
-      nldl::obs::validate_chrome_trace_text(text);
+  // Validate and decode in one pass; the text is not needed after it.
+  nldl::obs::ValidationResult valid;
+  const std::vector<nldl::obs::TraceEvent> events =
+      nldl::obs::events_from_chrome_trace(text, &valid);
+  std::string().swap(text);
   if (!valid) {
     std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(),
                  valid.error.c_str());
     return 1;
   }
-  const nldl::util::JsonValue root = nldl::util::parse_json(text);
-  const std::vector<nldl::obs::TraceEvent> events =
-      nldl::obs::events_from_chrome_trace(root);
   std::printf("%s: OK (%zu chrome events, %zu trace events)\n\n",
               path.c_str(), valid.events, events.size());
 
