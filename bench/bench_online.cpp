@@ -9,9 +9,9 @@
 //                 shortest-predicted-makespan first (SPMF),
 //   comm model    parallel-links, one-port, bounded-multiport,
 //
-// and reports per-job latency/slowdown percentiles (streaming P²
-// estimators), throughput, and utilization. Every point draws its job
-// stream from its own pre-split RNG sub-stream, so the whole bench is a
+// and reports per-job latency/slowdown percentiles (exact, over every
+// job of the point), throughput, and utilization. Every point draws its
+// job stream from its own pre-split RNG sub-stream, so the whole bench is a
 // util::Sweep under bench::Harness: serial and parallel passes must agree
 // bit for bit, and the metrics land in BENCH_online.json.
 //

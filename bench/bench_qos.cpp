@@ -102,11 +102,11 @@ void write_point(util::JsonWriter& json, const PointResult& point) {
   json.key("miss_rate").value(m.miss_rate);
   json.key("slo_violation_rate").value(m.slo_violation_rate);
   json.key("goodput").value(m.goodput);
-  json.key("utilization").value(m.utilization);
+  json.key("utilization").value(m.service.utilization);
   json.key("preemptions_per_job").value(m.preemptions_per_job);
   json.key("restart_share").value(m.restart_share);
   json.key("jain_fairness").value(m.jain_fairness);
-  json.key("horizon").value(m.horizon);
+  json.key("horizon").value(m.service.horizon);
   json.key("mean_latency").value(m.service.mean_latency);
   json.key("p50_latency").value(m.service.p50_latency);
   json.key("p95_latency").value(m.service.p95_latency);

@@ -38,19 +38,6 @@ double& MetricsRegistry::gauge(std::string_view name) {
   return slot(name, Type::kGauge).gauge;
 }
 
-util::P2Quantile& MetricsRegistry::quantile(std::string_view name, double q) {
-  const bool existed = contains(name);
-  Entry& entry = slot(name, Type::kQuantile);
-  if (!existed) {
-    entry.quantile = util::P2Quantile(q);
-  } else {
-    NLDL_REQUIRE(entry.quantile.probability() == q,
-                 "metric '" + std::string(name) +
-                     "' already registered at a different probability");
-  }
-  return entry.quantile;
-}
-
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
   const Entry* entry = find(name);
   NLDL_REQUIRE(entry != nullptr && entry->type == Type::kCounter,
@@ -79,15 +66,6 @@ void MetricsRegistry::write_json(util::JsonWriter& json) const {
         break;
       case Type::kGauge:
         json.value(entry.gauge);
-        break;
-      case Type::kQuantile:
-        json.begin_object();
-        json.key("q").value(entry.quantile.probability());
-        json.key("count").value(entry.quantile.count());
-        if (!entry.quantile.empty()) {
-          json.key("value").value(entry.quantile.value());
-        }
-        json.end_object();
         break;
     }
   }

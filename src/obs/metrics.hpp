@@ -1,10 +1,9 @@
 // Ordered named metrics registry — the aggregate side of observability.
 //
 // Where obs/trace.hpp records *when* things happened, the registry
-// accumulates *how much*: named counters (monotone integer tallies),
-// gauges (last-write doubles), and util::P2Quantile streaming quantile
-// estimators. The servers take an optional registry and account their
-// replay machinery (replay.engine_events, replay.replays,
+// accumulates *how much*: named counters (monotone integer tallies) and
+// gauges (last-write doubles). The servers take an optional registry and
+// account their replay machinery (replay.engine_events, replay.replays,
 // replay.busy_periods) and qos outcomes (qos.admitted, qos.preemptions,
 // qos.restart_time_s, ...) into it.
 //
@@ -14,13 +13,12 @@
 // embedded in bench JSON reproduce bitwise.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/stats.hpp"
 
 namespace nldl::util {
 class JsonWriter;
@@ -28,7 +26,7 @@ class JsonWriter;
 
 namespace nldl::obs {
 
-/// Insertion-ordered registry of counters, gauges, and quantiles.
+/// Insertion-ordered registry of counters and gauges.
 /// Accessors create the entry on first use; repeated lookups return the
 /// same slot. Names are free-form; the convention is dotted lowercase
 /// ("replay.engine_events"). Not thread-safe — one registry per
@@ -41,10 +39,6 @@ class MetricsRegistry {
   /// Last-write-wins double (also usable as a += accumulator).
   [[nodiscard]] double& gauge(std::string_view name);
 
-  /// Streaming quantile estimator at probability q; the probability is
-  /// fixed on first use (a second call with a different q throws).
-  [[nodiscard]] util::P2Quantile& quantile(std::string_view name, double q);
-
   /// Read-only lookups; throw util::PreconditionError when the entry is
   /// missing or has a different type.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
@@ -54,23 +48,21 @@ class MetricsRegistry {
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Emit one JSON object, entries in first-touch order. Counters emit
-  /// as integers, gauges as numbers, quantiles as
-  /// {"q":, "count":, "value":} (value omitted while empty).
+  /// Emit one flat JSON object, entries in first-touch order. Counters
+  /// emit as integers, gauges as numbers.
   void write_json(util::JsonWriter& json) const;
 
   /// Entry names in first-touch order (tests / table rendering).
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  enum class Type : std::uint8_t { kCounter, kGauge, kQuantile };
+  enum class Type : std::uint8_t { kCounter, kGauge };
 
   struct Entry {
     std::string name;
     Type type = Type::kCounter;
     std::uint64_t count = 0;
     double gauge = 0.0;
-    util::P2Quantile quantile{0.5};
   };
 
   Entry& slot(std::string_view name, Type type);

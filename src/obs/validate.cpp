@@ -81,7 +81,7 @@ std::size_t index_arg(const FirstNumber& field, const char* key) {
 ValidationResult parse_failure(const util::PreconditionError& error) {
   ValidationResult result;
   result.ok = false;
-  result.error = error.what();
+  result.error = util::message_of(error);
   return result;
 }
 
@@ -437,32 +437,10 @@ ValidationResult validate_metrics_json(const util::JsonValue& document) {
     return result;
   }
   for (const auto& [key, value] : document.object) {
-    const auto bad = [&result, &key](const std::string& what) {
+    if (!value.is_number()) {
       result.ok = false;
-      result.error = "metric '" + key + "': " + what;
+      result.error = "metric '" + key + "': not a number";
       return result;
-    };
-    if (value.is_number()) {
-      ++result.events;
-      continue;
-    }
-    if (!value.is_object()) return bad("neither a number nor a quantile");
-    const util::JsonValue* q = value.find("q");
-    if (q == nullptr || !q->is_number() || !(q->number > 0.0) ||
-        !(q->number < 1.0)) {
-      return bad("quantile without a \"q\" in (0, 1)");
-    }
-    const util::JsonValue* count = value.find("count");
-    if (count == nullptr || !count->is_number() || count->number < 0.0) {
-      return bad("quantile without a non-negative \"count\"");
-    }
-    const util::JsonValue* estimate = value.find("value");
-    if (count->number > 0.0) {
-      if (estimate == nullptr || !estimate->is_number()) {
-        return bad("non-empty quantile without a numeric \"value\"");
-      }
-    } else if (estimate != nullptr) {
-      return bad("empty quantile carries a \"value\"");
     }
     ++result.events;
   }

@@ -113,9 +113,8 @@ struct PayloadComparison {
     std::string_view text, ValidationResult* validation = nullptr);
 
 /// Validate a `MetricsRegistry::write_json` dump: one flat object whose
-/// members are numbers (counters/gauges) or quantile objects with a
-/// numeric "q" in (0,1), a non-negative "count", and — iff count > 0 —
-/// a numeric "value". `events` reports the entry count.
+/// members are all numbers (counters and gauges). `events` reports the
+/// entry count.
 [[nodiscard]] ValidationResult validate_metrics_json(
     const util::JsonValue& document);
 

@@ -4,84 +4,83 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace nldl::online {
 
-MetricsAccumulator::MetricsAccumulator(std::size_t platform_size)
-    : platform_size_(platform_size) {
-  NLDL_REQUIRE(platform_size >= 1,
-               "metrics require at least one worker");
+namespace {
+
+/// p50, p95 and p99 of `samples`, which it sorts.
+void percentiles(std::vector<double>& samples, double& p50, double& p95,
+                 double& p99) {
+  std::sort(samples.begin(), samples.end());
+  p50 = util::quantile_sorted(samples, 0.50);
+  p95 = util::quantile_sorted(samples, 0.95);
+  p99 = util::quantile_sorted(samples, 0.99);
 }
 
-void MetricsAccumulator::push(const JobStats& stats) {
-  // Reject malformed records up front: one non-finite or negative-span
-  // sample would otherwise poison every mean (and P2Quantile would throw
-  // halfway through, leaving the accumulator inconsistent).
-  NLDL_REQUIRE(std::isfinite(stats.finish) &&
-                   std::isfinite(stats.dispatch) &&
-                   std::isfinite(stats.compute_time),
-               "job record with non-finite times");
-  NLDL_REQUIRE(stats.dispatch >= stats.job.arrival &&
-                   stats.finish >= stats.dispatch,
-               "job record violates arrival <= dispatch <= finish");
-  NLDL_REQUIRE(stats.compute_time >= 0.0,
-               "job record with negative compute time");
-  ++jobs_;
-  horizon_ = std::max(horizon_, stats.finish);
-  busy_ += stats.compute_time;
-  wait_.push(stats.wait());
-  latency_.push(stats.latency());
-  latency_p50_.push(stats.latency());
-  latency_p95_.push(stats.latency());
-  latency_p99_.push(stats.latency());
-  // Slowdown rule (see the header): a zero/epsilon isolated baseline
-  // divides to a non-finite ratio — exclude the sample (and count it)
-  // instead of poisoning the mean and the P² quantile state.
-  const double slowdown = stats.slowdown();
-  if (std::isfinite(slowdown)) {
-    slowdown_.push(slowdown);
-    slowdown_p50_.push(slowdown);
-    slowdown_p95_.push(slowdown);
-    slowdown_p99_.push(slowdown);
-  } else {
-    ++degenerate_slowdowns_;
-  }
-}
-
-ServiceMetrics MetricsAccumulator::finish() const {
-  ServiceMetrics metrics;
-  metrics.jobs = jobs_;
-  if (jobs_ == 0) return metrics;
-  metrics.degenerate_slowdowns = degenerate_slowdowns_;
-  metrics.horizon = horizon_;
-  metrics.throughput =
-      horizon_ > 0.0 ? static_cast<double>(jobs_) / horizon_ : 0.0;
-  metrics.utilization =
-      horizon_ > 0.0
-          ? busy_ / (static_cast<double>(platform_size_) * horizon_)
-          : 0.0;
-  metrics.mean_wait = wait_.mean();
-  metrics.max_wait = wait_.max();
-  metrics.mean_latency = latency_.mean();
-  metrics.p50_latency = latency_p50_.value();
-  metrics.p95_latency = latency_p95_.value();
-  metrics.p99_latency = latency_p99_.value();
-  // Every slowdown sample may have been excluded as degenerate; report
-  // zeros (like an empty run) instead of querying empty estimators.
-  if (slowdown_.count() > 0) {
-    metrics.mean_slowdown = slowdown_.mean();
-    metrics.p50_slowdown = slowdown_p50_.value();
-    metrics.p95_slowdown = slowdown_p95_.value();
-    metrics.p99_slowdown = slowdown_p99_.value();
-  }
-  return metrics;
-}
+}  // namespace
 
 ServiceMetrics summarize(const std::vector<JobStats>& stats,
                          std::size_t platform_size) {
-  MetricsAccumulator acc(platform_size);
-  for (const JobStats& record : stats) acc.push(record);
-  return acc.finish();
+  NLDL_REQUIRE(platform_size >= 1, "metrics require at least one worker");
+  ServiceMetrics metrics;
+  metrics.jobs = stats.size();
+  if (stats.empty()) return metrics;
+  double busy = 0.0;
+  util::RunningStats wait;
+  util::RunningStats latency;
+  util::RunningStats slowdown;
+  std::vector<double> latencies;
+  std::vector<double> slowdowns;
+  latencies.reserve(stats.size());
+  slowdowns.reserve(stats.size());
+  for (const JobStats& record : stats) {
+    // A finite latency also bounds the arrival and the wait, so no
+    // non-finite sample reaches a mean or a sort.
+    NLDL_REQUIRE(std::isfinite(record.finish) &&
+                     std::isfinite(record.dispatch) &&
+                     std::isfinite(record.compute_time) &&
+                     std::isfinite(record.latency()),
+                 "job record with non-finite times");
+    NLDL_REQUIRE(record.dispatch >= record.job.arrival &&
+                     record.finish >= record.dispatch,
+                 "job record violates arrival <= dispatch <= finish");
+    NLDL_REQUIRE(record.compute_time >= 0.0,
+                 "job record with negative compute time");
+    metrics.horizon = std::max(metrics.horizon, record.finish);
+    busy += record.compute_time;
+    wait.push(record.wait());
+    latency.push(record.latency());
+    latencies.push_back(record.latency());
+    // Slowdown rule (see the header): a zero/epsilon isolated baseline
+    // divides to a non-finite ratio — exclude the sample and count it.
+    const double ratio = record.slowdown();
+    if (std::isfinite(ratio)) {
+      slowdown.push(ratio);
+      slowdowns.push_back(ratio);
+    } else {
+      ++metrics.degenerate_slowdowns;
+    }
+  }
+  if (metrics.horizon > 0.0) {
+    metrics.throughput = static_cast<double>(metrics.jobs) / metrics.horizon;
+    metrics.utilization =
+        busy / (static_cast<double>(platform_size) * metrics.horizon);
+  }
+  metrics.mean_wait = wait.mean();
+  metrics.max_wait = wait.max();
+  metrics.mean_latency = latency.mean();
+  percentiles(latencies, metrics.p50_latency, metrics.p95_latency,
+              metrics.p99_latency);
+  // Every slowdown sample may have been excluded as degenerate; the
+  // slowdown fields then stay zero, as in an empty run.
+  if (!slowdowns.empty()) {
+    metrics.mean_slowdown = slowdown.mean();
+    percentiles(slowdowns, metrics.p50_slowdown, metrics.p95_slowdown,
+                metrics.p99_slowdown);
+  }
+  return metrics;
 }
 
 void write_service_metrics(util::JsonWriter& json,

@@ -1,11 +1,9 @@
 // Service metrics of an online run: latency/slowdown percentiles,
 // throughput, utilization.
 //
-// The accumulator is streaming: means via util::RunningStats, percentiles
-// via the P² estimator (util::P2Quantile) — O(1) memory, so a run of
-// millions of simulated jobs never stores per-job samples. Push order is
-// part of the result (P² is order-sensitive); pushing in job-id order, as
-// summarize() does, keeps metrics bit-identical across runs.
+// summarize() holds every record, so its percentiles are exact: the
+// sorted samples read with util::quantile_sorted, whatever the record
+// order. The means (util::RunningStats) accumulate in record order.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +11,6 @@
 
 #include "online/job.hpp"
 #include "util/json.hpp"
-#include "util/stats.hpp"
 
 namespace nldl::online {
 
@@ -23,10 +20,10 @@ struct ServiceMetrics {
   double throughput = 0.0;   ///< jobs / horizon
   double utilization = 0.0;  ///< Σ compute busy time / (p · horizon)
   /// Jobs whose slowdown sample was excluded as degenerate (see
-  /// MetricsAccumulator): a zero/epsilon isolated-service baseline makes
+  /// summarize): a zero/epsilon isolated-service baseline makes
   /// latency / baseline overflow to inf (or NaN), which would poison the
-  /// slowdown mean and the P² quantile state. Such jobs still count
-  /// toward every other metric.
+  /// slowdown mean and percentiles. Such jobs still count toward every
+  /// other metric.
   std::size_t degenerate_slowdowns = 0;
   double mean_wait = 0.0;
   double max_wait = 0.0;
@@ -40,54 +37,24 @@ struct ServiceMetrics {
   double p99_slowdown = 0.0;
 };
 
-/// Streaming accumulator over completed jobs.
+/// Summarize completed jobs; `platform_size` = worker count p of the
+/// serving platform (>= 1), for the utilization denominator.
 ///
-/// Edge cases are total, never NaN: zero jobs finish() to an all-zero
+/// Edge cases are total, never NaN: zero jobs give an all-zero
 /// ServiceMetrics, a single job's percentiles are exactly that sample,
 /// and a zero-length horizon (every finish at t = 0) reports zero
-/// throughput/utilization instead of dividing by zero. push() rejects
-/// non-finite or out-of-order records up front rather than poisoning the
-/// running means.
+/// throughput/utilization instead of dividing by zero. A record with a
+/// non-finite time or latency, arrival > dispatch, dispatch > finish or
+/// a negative compute time throws util::PreconditionError.
 ///
 /// Slowdown rule: a job's slowdown sample enters the statistics only
 /// when it is finite. A zero- or epsilon-service job (isolated baseline
 /// ~0, e.g. a denormal makespan from a degenerate platform) divides to
-/// inf — one such sample would drag the mean to inf forever and throw
-/// inside the P² estimator mid-push, leaving the accumulator
-/// inconsistent. Degenerate samples are instead counted in
+/// inf, and one such sample would drag the mean and the upper
+/// percentiles to inf. Degenerate samples are instead counted in
 /// ServiceMetrics::degenerate_slowdowns and the job contributes to every
-/// other metric, so p50/p95/p99 slowdowns stay finite whatever the
-/// stream contains.
-class MetricsAccumulator {
- public:
-  /// `platform_size` = worker count p of the serving platform, for the
-  /// utilization denominator.
-  explicit MetricsAccumulator(std::size_t platform_size);
-
-  void push(const JobStats& stats);
-
-  [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
-  [[nodiscard]] ServiceMetrics finish() const;
-
- private:
-  std::size_t platform_size_;
-  std::size_t jobs_ = 0;
-  std::size_t degenerate_slowdowns_ = 0;
-  double horizon_ = 0.0;
-  double busy_ = 0.0;
-  util::RunningStats wait_;
-  util::RunningStats latency_;
-  util::RunningStats slowdown_;
-  util::P2Quantile latency_p50_{0.50};
-  util::P2Quantile latency_p95_{0.95};
-  util::P2Quantile latency_p99_{0.99};
-  util::P2Quantile slowdown_p50_{0.50};
-  util::P2Quantile slowdown_p95_{0.95};
-  util::P2Quantile slowdown_p99_{0.99};
-};
-
-/// Accumulate `stats` in order and finish. (The vector the Server returns
-/// is in job-id order, so this is deterministic.)
+/// other metric; when every sample is degenerate the slowdown fields
+/// read zero, as in an empty run.
 [[nodiscard]] ServiceMetrics summarize(const std::vector<JobStats>& stats,
                                        std::size_t platform_size);
 

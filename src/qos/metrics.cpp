@@ -10,9 +10,8 @@ namespace nldl::qos {
 QosMetrics summarize(const std::vector<JobRecord>& records,
                      std::size_t platform_size,
                      const std::vector<double>& weights) {
-  NLDL_REQUIRE(platform_size >= 1, "metrics require at least one worker");
   QosMetrics metrics;
-  online::MetricsAccumulator latency(platform_size);
+  std::vector<online::JobStats> admitted;
   util::HitRate admitted_slo;  // hit = admitted deadline job met its SLO
   std::size_t tenants = weights.size();
   for (const JobRecord& record : records) {
@@ -23,7 +22,6 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
                                      0.0);
 
   double service_time = 0.0;
-  double compute_time = 0.0;
   for (const JobRecord& record : records) {
     ++metrics.offered;
     metrics.offered_load += record.job.load;
@@ -36,11 +34,9 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
     if (record.degraded) ++metrics.degraded;
     metrics.served_load += record.served_load;
     metrics.tenant_served_load[record.job.tenant] += record.served_load;
-    metrics.horizon = std::max(metrics.horizon, record.finish);
     metrics.preemptions += record.preemptions;
     metrics.restart_time += record.restart_time;
     service_time += record.service_time;
-    compute_time += record.compute_time;
     if (record.job.has_deadline()) {
       ++metrics.admitted_with_deadline;
       admitted_slo.push(record.met_deadline());
@@ -59,8 +55,9 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
     // (there is no isolated whole-platform replay in qos runs), so the
     // slowdown percentiles read as latency normalized by service time.
     stats.isolated_makespan = record.predicted_service;
-    latency.push(stats);
+    admitted.push_back(stats);
   }
+  metrics.service = online::summarize(admitted, platform_size);
 
   metrics.deadline_misses = admitted_slo.misses();
   metrics.miss_rate = admitted_slo.miss_rate();
@@ -72,8 +69,8 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
           : static_cast<double>(metrics.deadline_misses +
                                 rejected_with_deadline) /
                 static_cast<double>(metrics.offered_with_deadline);
-  metrics.goodput =
-      metrics.horizon > 0.0 ? metrics.on_time_load / metrics.horizon : 0.0;
+  const double horizon = metrics.service.horizon;
+  metrics.goodput = horizon > 0.0 ? metrics.on_time_load / horizon : 0.0;
   metrics.preemptions_per_job =
       metrics.admitted == 0
           ? 0.0
@@ -81,11 +78,6 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
                 static_cast<double>(metrics.admitted);
   metrics.restart_share =
       service_time > 0.0 ? metrics.restart_time / service_time : 0.0;
-  metrics.utilization =
-      metrics.horizon > 0.0
-          ? compute_time /
-                (static_cast<double>(platform_size) * metrics.horizon)
-          : 0.0;
 
   // Fairness over per-tenant weighted goodput: tenant t's allocation is
   // on-time load / weight, so equal normalized shares (the WFQ ideal)
@@ -98,8 +90,6 @@ QosMetrics summarize(const std::vector<JobRecord>& records,
     normalized[t] = metrics.tenant_on_time_load[t] / weight;
   }
   metrics.jain_fairness = util::jain_index(normalized);
-
-  metrics.service = latency.finish();
   return metrics;
 }
 

@@ -1,7 +1,8 @@
 // QoS metrics of a multi-tenant run: SLO outcomes (deadline misses,
 // goodput), preemption/restart overhead, and Jain's fairness index — the
 // deadline-and-fairness counterpart of online::ServiceMetrics, which it
-// embeds for the latency/wait percentiles of the admitted jobs.
+// embeds for the horizon, utilization and latency/wait percentiles of the
+// admitted jobs.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +33,8 @@ struct QosMetrics {
   double offered_load = 0.0;
   double served_load = 0.0;   ///< dispatched load (degradation shrinks it)
   double on_time_load = 0.0;  ///< served load of jobs that met their SLO
-  /// on_time_load / horizon: useful work per unit time — the headline
-  /// "are we serving the SLOs" number.
+  /// on_time_load / service.horizon: useful work per unit time — the
+  /// headline "are we serving the SLOs" number.
   double goodput = 0.0;
   // --- preemption overhead ---
   std::size_t preemptions = 0;
@@ -43,9 +44,6 @@ struct QosMetrics {
   /// time burned re-dispatching preempted state — the measurable price
   /// of preemption.
   double restart_share = 0.0;
-  // --- platform ---
-  double horizon = 0.0;      ///< last finish (0 when nothing served)
-  double utilization = 0.0;  ///< Σ compute busy / (p · horizon)
   // --- fairness ---
   /// Jain index over per-tenant weighted GOODPUT (on-time load / weight).
   /// Total served load is policy-independent in a drain-to-completion
@@ -55,16 +53,18 @@ struct QosMetrics {
   double jain_fairness = 1.0;
   std::vector<double> tenant_served_load;   ///< per tenant, in tenant order
   std::vector<double> tenant_on_time_load;  ///< per tenant, in tenant order
-  // --- latency (admitted jobs only) ---
-  /// Wait/latency percentiles over the admitted jobs; the slowdown
-  /// fields are normalized by each job's PREDICTED uninterrupted
-  /// service (qos runs record no isolated whole-platform baseline).
+  // --- platform and latency (admitted jobs only) ---
+  /// online::summarize over the admitted jobs: horizon (last finish, 0
+  /// when nothing was served), utilization, waits and latency
+  /// percentiles. The slowdown fields are normalized by each job's
+  /// PREDICTED uninterrupted service (qos runs record no isolated
+  /// whole-platform baseline).
   online::ServiceMetrics service;
 };
 
 /// Aggregate `records` (in id order, as Server::run returns them).
-/// `platform_size` feeds the utilization denominator; `weights[t]` is
-/// tenant t's fair share (tenants beyond the vector get weight 1).
+/// `platform_size` (>= 1) feeds the utilization denominator; `weights[t]`
+/// is tenant t's fair share (tenants beyond the vector get weight 1).
 [[nodiscard]] QosMetrics summarize(const std::vector<JobRecord>& records,
                                    std::size_t platform_size,
                                    const std::vector<double>& weights = {});

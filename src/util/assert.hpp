@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace nldl::util {
 
@@ -15,6 +16,19 @@ class PreconditionError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
+
+/// What a PreconditionError tells a user: the text after NLDL_REQUIRE's
+/// " — ", without the source file, line and condition before it (they
+/// move with every edit and every checkout), or the whole message when it
+/// has none (a JSON parse error).
+[[nodiscard]] inline std::string message_of(const PreconditionError& error) {
+  const std::string_view what = error.what();
+  constexpr std::string_view kDash = " — ";
+  const auto at = what.find(kDash);
+  return std::string(at == std::string_view::npos
+                         ? what
+                         : what.substr(at + kDash.size()));
+}
 
 /// Thrown when an internal invariant fails (a library bug, not a user error).
 class InvariantError : public std::logic_error {

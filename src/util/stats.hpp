@@ -104,37 +104,4 @@ class HitRate {
   std::size_t hits_ = 0;
 };
 
-/// Streaming quantile estimator (the P² algorithm of Jain & Chlamtac,
-/// CACM 1985): tracks one quantile of a sample in O(1) memory by
-/// maintaining five markers whose heights are nudged toward their ideal
-/// positions with piecewise-parabolic interpolation.
-///
-/// Used by the online subsystem for latency/slowdown p50/p95/p99 over
-/// arbitrarily long job streams without storing every sample. For five or
-/// fewer observations the estimate is the *exact* linear-interpolation
-/// quantile of the sample seen so far, so `quantile()` (the batch oracle
-/// the tests compare against) matches bit for bit on tiny samples.
-class P2Quantile {
- public:
-  /// q must lie in [0, 1].
-  explicit P2Quantile(double q);
-
-  void push(double x);
-
-  /// Current estimate; requires at least one sample.
-  [[nodiscard]] double value() const;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double probability() const noexcept { return q_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double heights_[5] = {};    ///< marker heights (sorted)
-  double positions_[5] = {};  ///< actual marker positions (1-based ranks)
-  double desired_[5] = {};    ///< desired marker positions
-  double increments_[5] = {}; ///< per-sample growth of desired positions
-};
-
 }  // namespace nldl::util

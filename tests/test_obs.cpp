@@ -1347,14 +1347,14 @@ TEST(MetricsRegistry, FirstTouchOrderAndTypes) {
   obs::MetricsRegistry registry;
   registry.counter("b.count") += 2;
   registry.gauge("a.gauge") = 1.5;
-  registry.quantile("c.q95", 0.95).push(10.0);
+  registry.counter("c.count") += 1;
   registry.counter("b.count") += 3;
 
   EXPECT_EQ(registry.names(),
-            (std::vector<std::string>{"b.count", "a.gauge", "c.q95"}));
+            (std::vector<std::string>{"b.count", "a.gauge", "c.count"}));
   EXPECT_EQ(registry.counter_value("b.count"), 5u);
   EXPECT_EQ(registry.gauge_value("a.gauge"), 1.5);
-  EXPECT_TRUE(registry.contains("c.q95"));
+  EXPECT_TRUE(registry.contains("c.count"));
   EXPECT_FALSE(registry.contains("missing"));
   EXPECT_THROW((void)registry.counter_value("missing"),
                util::PreconditionError);
@@ -1362,9 +1362,8 @@ TEST(MetricsRegistry, FirstTouchOrderAndTypes) {
                util::PreconditionError);
   EXPECT_THROW((void)registry.gauge_value("b.count"),
                util::PreconditionError);
-  // The probability is fixed on first use.
-  EXPECT_THROW((void)registry.quantile("c.q95", 0.5),
-               util::PreconditionError);
+  // The type is fixed on first use.
+  EXPECT_THROW((void)registry.gauge("b.count"), util::PreconditionError);
 }
 
 TEST(MetricsRegistry, WriteJsonIsOrdered) {
@@ -1433,7 +1432,7 @@ TEST(MetricsValidation, AcceptsRegistryDumpsRejectsMalformed) {
   obs::MetricsRegistry registry;
   registry.counter("events") += 3;
   registry.gauge("seconds") = 1.5;
-  registry.quantile("lat.p95", 0.95).push(2.0);
+  registry.gauge("lat.p95") = 2.0;
   std::ostringstream out;
   {
     util::JsonWriter json(out);
@@ -1447,20 +1446,16 @@ TEST(MetricsValidation, AcceptsRegistryDumpsRejectsMalformed) {
 
   // Root must be an object.
   EXPECT_FALSE(obs::validate_metrics_json(util::parse_json("[]")));
-  // Non-numeric scalar entries are rejected.
+  // Every member must be a number: strings, arrays and objects (a
+  // {"q", "count"} quantile object among them) are rejected.
   EXPECT_FALSE(obs::validate_metrics_json(
       util::parse_json(R"({"name": "oops"})")));
-  // Quantile objects need q in (0, 1)...
-  EXPECT_FALSE(obs::validate_metrics_json(
-      util::parse_json(R"({"lat": {"q": 1.5, "count": 1, "value": 2}})")));
-  // ...a value exactly when count > 0...
-  EXPECT_FALSE(obs::validate_metrics_json(
-      util::parse_json(R"({"lat": {"q": 0.95, "count": 1}})")));
-  EXPECT_FALSE(obs::validate_metrics_json(
-      util::parse_json(R"({"lat": {"q": 0.95, "count": 0, "value": 2}})")));
-  // ...and an empty estimator without a value is fine.
-  EXPECT_TRUE(obs::validate_metrics_json(
-      util::parse_json(R"({"lat": {"q": 0.95, "count": 0}})")));
+  EXPECT_FALSE(obs::validate_metrics_json(util::parse_json(R"({"v": [1]})")));
+  const obs::ValidationResult quantile = obs::validate_metrics_json(
+      util::parse_json(R"({"n": 1, "lat": {"q": 0.95, "count": 0}})"));
+  EXPECT_FALSE(quantile);
+  EXPECT_EQ(quantile.error, "metric 'lat': not a number");
+  EXPECT_TRUE(obs::validate_metrics_json(util::parse_json("{}")));
 }
 
 // --- deterministic-payload diff ---------------------------------------------

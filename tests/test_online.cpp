@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace nldl::online {
@@ -546,27 +549,36 @@ TEST(Metrics, ZeroHorizonSingleJobHasNoDivisionByZero) {
 }
 
 TEST(Metrics, RejectsMalformedRecords) {
-  MetricsAccumulator acc(2);
-  JobStats bad;
-  bad.job = {0, 5.0, 1.0, 1.0};
+  JobStats sane;
+  sane.job = {0, 0.0, 1.0, 1.0};
+  sane.dispatch = 1.0;
+  sane.finish = 2.0;
+  JobStats bad = sane;
+  bad.job.id = 1;
+  bad.job.arrival = 5.0;
   bad.dispatch = 1.0;  // dispatch before arrival
   bad.finish = 6.0;
-  EXPECT_THROW(acc.push(bad), util::PreconditionError);
+  EXPECT_THROW((void)summarize({sane, bad}, 2), util::PreconditionError);
   bad.dispatch = 6.0;
   bad.finish = 5.0;  // finish before dispatch
-  EXPECT_THROW(acc.push(bad), util::PreconditionError);
+  EXPECT_THROW((void)summarize({sane, bad}, 2), util::PreconditionError);
   bad.finish = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(acc.push(bad), util::PreconditionError);
-  EXPECT_EQ(acc.jobs(), 0u);  // nothing was half-accumulated
+  EXPECT_THROW((void)summarize({sane, bad}, 2), util::PreconditionError);
+  // An infinitely early arrival gives an infinite latency sample.
+  bad = sane;
+  bad.job.arrival = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)summarize({sane, bad}, 2), util::PreconditionError);
+  bad = sane;
+  bad.compute_time = -1.0;
+  EXPECT_THROW((void)summarize({sane, bad}, 2), util::PreconditionError);
+  EXPECT_THROW((void)summarize({sane}, 0), util::PreconditionError);
+  EXPECT_THROW((void)summarize({}, 0), util::PreconditionError);
 }
 
 TEST(Metrics, DegenerateSlowdownSamplesAreExcludedNotPoisonous) {
   // An epsilon isolated baseline overflows latency / baseline to +inf;
   // the documented rule excludes the sample (counting it) so every
-  // slowdown statistic stays finite and the P² state never sees a
-  // non-finite push (which would throw mid-push and leave the
-  // accumulator inconsistent).
-  MetricsAccumulator acc(4);
+  // slowdown statistic stays finite.
   JobStats sane;
   sane.job = {0, 0.0, 10.0, 1.0};
   sane.dispatch = 1.0;
@@ -577,10 +589,7 @@ TEST(Metrics, DegenerateSlowdownSamplesAreExcludedNotPoisonous) {
   degenerate.job.id = 1;
   degenerate.isolated_makespan = 5e-324;  // denormal: latency / it = inf
   ASSERT_TRUE(std::isinf(degenerate.slowdown()));
-  acc.push(sane);
-  acc.push(degenerate);
-  acc.push(sane);
-  const ServiceMetrics metrics = acc.finish();
+  const ServiceMetrics metrics = summarize({sane, degenerate, sane}, 4);
   EXPECT_EQ(metrics.jobs, 3u);
   EXPECT_EQ(metrics.degenerate_slowdowns, 1u);
   for (const util::JsonValue& value : published(metrics)) {
@@ -595,20 +604,147 @@ TEST(Metrics, DegenerateSlowdownSamplesAreExcludedNotPoisonous) {
   EXPECT_DOUBLE_EQ(metrics.p99_slowdown, 2.5);
 }
 
-TEST(Metrics, AllDegenerateSlowdownsReportZeroNotEmptyEstimators) {
-  MetricsAccumulator acc(2);
+TEST(Metrics, AllDegenerateSlowdownsReportZero) {
   JobStats degenerate;
   degenerate.job = {0, 0.0, 1.0, 1.0};
   degenerate.dispatch = 0.0;
   degenerate.finish = 4.0;
   degenerate.isolated_makespan = 5e-324;
-  acc.push(degenerate);
-  const ServiceMetrics metrics = acc.finish();
+  const ServiceMetrics metrics = summarize({degenerate}, 2);
   EXPECT_EQ(metrics.degenerate_slowdowns, 1u);
   EXPECT_DOUBLE_EQ(metrics.mean_slowdown, 0.0);
+  EXPECT_DOUBLE_EQ(metrics.p50_slowdown, 0.0);
   EXPECT_DOUBLE_EQ(metrics.p99_slowdown, 0.0);
+  EXPECT_DOUBLE_EQ(metrics.p99_latency, 4.0);
   for (const util::JsonValue& value : published(metrics)) {
     EXPECT_TRUE(value.is_number());
+  }
+}
+
+/// `n` seeded records with ties, zero waits, jobs without a baseline
+/// (slowdown 1) and degenerate baselines (slowdown +inf) mixed in.
+std::vector<JobStats> generated_records(std::size_t n, util::Rng& rng) {
+  std::vector<JobStats> records(n);
+  double arrival = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    JobStats& record = records[i];
+    arrival += rng.exponential(1.0);
+    record.job = {i, arrival, rng.uniform(1.0, 100.0), 1.0};
+    const double draw = rng.uniform();
+    record.dispatch = draw < 0.3 ? arrival : arrival + rng.lognormal(0.0, 1.5);
+    // Every seventh service time repeats, so latencies tie.
+    record.finish = record.dispatch +
+                    (i % 7 == 0 ? 2.0 : rng.lognormal(0.5, 1.0));
+    record.compute_time = rng.uniform(0.0, 4.0);
+    record.isolated_makespan = draw < 0.1    ? 5e-324
+                               : draw < 0.15 ? 0.0
+                                             : rng.lognormal(0.0, 0.5);
+  }
+  return records;
+}
+
+/// The six percentiles summarize() publishes, in a fixed order.
+std::array<double, 6> percentiles_of(const ServiceMetrics& m) {
+  return {m.p50_latency,  m.p95_latency,  m.p99_latency,
+          m.p50_slowdown, m.p95_slowdown, m.p99_slowdown};
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Record counts from 1 to 2,000: every size up to 12, then seeded ones.
+std::vector<std::size_t> generated_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 12; ++n) sizes.push_back(n);
+  util::Rng rng(2013);
+  for (int i = 0; i < 28; ++i) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniform_int(13, 2000)));
+  }
+  sizes.push_back(2000);
+  return sizes;
+}
+
+TEST(Metrics, PercentilesAreTheExactQuantilesOfTheSamples) {
+  util::Rng rng(27);
+  for (const std::size_t n : generated_sizes()) {
+    const std::vector<JobStats> records = generated_records(n, rng);
+    std::vector<double> latencies;
+    std::vector<double> slowdowns;
+    for (const JobStats& record : records) {
+      latencies.push_back(record.latency());
+      if (std::isfinite(record.slowdown())) {
+        slowdowns.push_back(record.slowdown());
+      }
+    }
+    const ServiceMetrics metrics = summarize(records, 3);
+    EXPECT_EQ(metrics.degenerate_slowdowns, n - slowdowns.size());
+    constexpr std::array<double, 3> kOrders{0.50, 0.95, 0.99};
+    std::array<double, 6> expected{};
+    for (std::size_t k = 0; k < 3; ++k) {
+      expected[k] = util::quantile(latencies, kOrders[k]);
+      expected[k + 3] =
+          slowdowns.empty() ? 0.0 : util::quantile(slowdowns, kOrders[k]);
+    }
+    const std::array<double, 6> actual = percentiles_of(metrics);
+    for (std::size_t k = 0; k < 6; ++k) {
+      EXPECT_TRUE(same_bits(actual[k], expected[k]))
+          << "n = " << n << ", percentile " << k << ": " << actual[k]
+          << " vs " << expected[k];
+    }
+  }
+}
+
+TEST(Metrics, PercentilesIgnoreRecordOrder) {
+  util::Rng rng(1985);
+  for (const std::size_t n : generated_sizes()) {
+    std::vector<JobStats> records = generated_records(n, rng);
+    const std::array<double, 6> in_order =
+        percentiles_of(summarize(records, 3));
+    for (int round = 0; round < 3; ++round) {
+      rng.shuffle(records);
+      const std::array<double, 6> shuffled =
+          percentiles_of(summarize(records, 3));
+      for (std::size_t k = 0; k < 6; ++k) {
+        EXPECT_TRUE(same_bits(shuffled[k], in_order[k]))
+            << "n = " << n << ", percentile " << k << ": " << shuffled[k]
+            << " vs " << in_order[k];
+      }
+    }
+  }
+}
+
+TEST(Metrics, PercentilesAreStableUnderTinyPerturbations) {
+  // Scaling each record's times by 1 ± 1e-13 scales its latency and
+  // slowdown samples by as much (up to rounding); an exact quantile is an
+  // interpolation of order statistics, so it moves by no more than the
+  // largest sample times that, within 1e-12 of the largest sample.
+  util::Rng rng(16);
+  for (const std::size_t n : generated_sizes()) {
+    const std::vector<JobStats> records = generated_records(n, rng);
+    std::vector<JobStats> perturbed = records;
+    for (JobStats& record : perturbed) {
+      const double scale = rng.uniform() < 0.5 ? 1.0 - 1e-13 : 1.0 + 1e-13;
+      record.job.arrival *= scale;
+      record.dispatch *= scale;
+      record.finish *= scale;
+    }
+    double max_latency = 0.0;
+    double max_slowdown = 0.0;
+    for (const JobStats& record : records) {
+      max_latency = std::max(max_latency, record.latency());
+      if (std::isfinite(record.slowdown())) {
+        max_slowdown = std::max(max_slowdown, record.slowdown());
+      }
+    }
+    const std::array<double, 6> before = percentiles_of(summarize(records, 3));
+    const std::array<double, 6> after =
+        percentiles_of(summarize(perturbed, 3));
+    for (std::size_t k = 0; k < 6; ++k) {
+      const double largest = k < 3 ? max_latency : max_slowdown;
+      EXPECT_LE(std::abs(after[k] - before[k]), 1e-12 * largest)
+          << "n = " << n << ", percentile " << k;
+    }
   }
 }
 

@@ -1146,13 +1146,13 @@ TEST(Metrics, SummarizeMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(metrics.offered_load, 31.0);
   EXPECT_DOUBLE_EQ(metrics.served_load, 19.0);
   EXPECT_DOUBLE_EQ(metrics.on_time_load, 14.0);
-  EXPECT_DOUBLE_EQ(metrics.horizon, 30.0);
+  EXPECT_DOUBLE_EQ(metrics.service.horizon, 30.0);
   EXPECT_DOUBLE_EQ(metrics.goodput, 14.0 / 30.0);
   EXPECT_EQ(metrics.preemptions, 2u);
   EXPECT_DOUBLE_EQ(metrics.preemptions_per_job, 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(metrics.restart_time, 3.0);
   EXPECT_DOUBLE_EQ(metrics.restart_share, 3.0 / 20.0);
-  EXPECT_DOUBLE_EQ(metrics.utilization, 11.0 / (2.0 * 30.0));
+  EXPECT_DOUBLE_EQ(metrics.service.utilization, 11.0 / (2.0 * 30.0));
   // Tenant loads: served {10, 9}, on-time {10, 4}; weighted on-time
   // {5, 4} -> Jain 81/82.
   EXPECT_DOUBLE_EQ(metrics.tenant_served_load[0], 10.0);
@@ -1164,24 +1164,29 @@ TEST(Metrics, SummarizeMatchesHandComputation) {
   EXPECT_EQ(metrics.service.jobs, 3u);  // rejected jobs carry no latency
 }
 
+/// Every floating-point field of a latency summary.
+std::vector<double> service_fields(const online::ServiceMetrics& l) {
+  return {l.horizon,       l.throughput,   l.utilization,
+          l.mean_wait,     l.max_wait,     l.mean_latency,
+          l.p50_latency,   l.p95_latency,  l.p99_latency,
+          l.mean_slowdown, l.p50_slowdown, l.p95_slowdown,
+          l.p99_slowdown};
+}
+
 /// Every floating-point field of `m`, its latency summary included: the
 /// fields a division by zero would leave non-finite.
 std::vector<double> float_fields(const QosMetrics& m) {
   std::vector<double> fields{m.miss_rate, m.slo_violation_rate,
                              m.offered_load, m.served_load, m.on_time_load,
                              m.goodput, m.preemptions_per_job,
-                             m.restart_time, m.restart_share, m.horizon,
-                             m.utilization, m.jain_fairness};
+                             m.restart_time, m.restart_share,
+                             m.jain_fairness};
   fields.insert(fields.end(), m.tenant_served_load.begin(),
                 m.tenant_served_load.end());
   fields.insert(fields.end(), m.tenant_on_time_load.begin(),
                 m.tenant_on_time_load.end());
-  const online::ServiceMetrics& l = m.service;
-  fields.insert(fields.end(),
-                {l.horizon, l.throughput, l.utilization, l.mean_wait,
-                 l.max_wait, l.mean_latency, l.p50_latency, l.p95_latency,
-                 l.p99_latency, l.mean_slowdown, l.p50_slowdown,
-                 l.p95_slowdown, l.p99_slowdown});
+  const std::vector<double> service = service_fields(m.service);
+  fields.insert(fields.end(), service.begin(), service.end());
   return fields;
 }
 
@@ -1201,9 +1206,65 @@ TEST(Metrics, EmptyAndAllRejectedRunsAreFiniteZeros) {
   const QosMetrics all_rejected = summarize({rejected}, 4);
   EXPECT_EQ(all_rejected.rejected, 1u);
   EXPECT_DOUBLE_EQ(all_rejected.slo_violation_rate, 1.0);
-  EXPECT_DOUBLE_EQ(all_rejected.utilization, 0.0);
+  EXPECT_DOUBLE_EQ(all_rejected.service.utilization, 0.0);
   for (const double value : float_fields(all_rejected)) {
     EXPECT_TRUE(std::isfinite(value));
+  }
+}
+
+TEST(Metrics, ServiceIsTheOnlineSummaryOfTheAdmittedJobs) {
+  // A served stream that rejects some jobs and degrades others: the
+  // embedded service summary must carry online::summarize's bits over
+  // the admitted records, each with its predicted service as the
+  // slowdown baseline, and goodput must divide by its horizon.
+  const auto plat = platform::Platform::two_class(6, 1.0, 3.0);
+  const ServiceModel service = make_service(3, 0.3);
+  std::vector<TenantSpec> tenants = reference_tenants();
+  const double mean_service = mean_predicted_service(tenants, plat, service);
+  for (TenantSpec& tenant : tenants) {
+    tenant.rate *= 1.1 / mean_service;
+    tenant.slo_slack_factor *= 0.35;
+  }
+  util::Rng rng(20130520);
+  const auto jobs = generate_tenant_traffic(tenants, plat, service,
+                                            200.0 * mean_service, rng);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const AdmissionMode mode :
+       {AdmissionMode::kReject, AdmissionMode::kDegrade}) {
+    ServerOptions options{service, {}};
+    options.admission.mode = mode;
+    SrptPolicy srpt;
+    const auto records = Server(plat, options).run(jobs, srpt);
+    std::vector<online::JobStats> admitted;
+    for (const JobRecord& record : records) {
+      if (!record.admitted) continue;
+      online::JobStats stats;
+      stats.job = record.job;
+      stats.dispatch = record.dispatch;
+      stats.finish = record.finish;
+      stats.compute_time = record.compute_time;
+      stats.isolated_makespan = record.predicted_service;
+      admitted.push_back(stats);
+    }
+    ASSERT_GT(admitted.size(), 10u);
+    const QosMetrics metrics =
+        summarize(records, plat.size(), tenant_weights(tenants));
+    // The stream must reach what each mode does to a job.
+    EXPECT_GT(mode == AdmissionMode::kReject ? metrics.rejected
+                                             : metrics.degraded,
+              0u);
+    const online::ServiceMetrics want =
+        online::summarize(admitted, plat.size());
+    EXPECT_EQ(metrics.service.jobs, want.jobs);
+    EXPECT_EQ(metrics.service.degenerate_slowdowns,
+              want.degenerate_slowdowns);
+    const std::vector<double> got_fields = service_fields(metrics.service);
+    const std::vector<double> want_fields = service_fields(want);
+    for (std::size_t i = 0; i < got_fields.size(); ++i) {
+      EXPECT_EQ(bits(got_fields[i]), bits(want_fields[i])) << "field " << i;
+    }
+    EXPECT_EQ(bits(metrics.goodput),
+              bits(metrics.on_time_load / want.horizon));
   }
 }
 

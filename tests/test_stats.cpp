@@ -3,13 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace nldl::util {
 namespace {
@@ -118,67 +115,6 @@ TEST(ImbalanceOverBusy, SharedDefinition) {
   EXPECT_DOUBLE_EQ(imbalance_over_busy({5.0, 5.0, 5.0}), 0.0);
   EXPECT_EQ(count_idle({0.0, 4.0, 0.0}), 2U);
   EXPECT_EQ(count_idle({1.0}), 0U);
-}
-
-TEST(P2Quantile, ExactForUpToFiveSamples) {
-  // Below the five-marker warm-up the estimator must equal the batch
-  // quantile() oracle bit for bit, in any insertion order.
-  const std::vector<double> sample{7.0, 1.0, 4.0, 9.0, 2.0};
-  for (std::size_t n = 1; n <= sample.size(); ++n) {
-    const std::vector<double> prefix(sample.begin(),
-                                     sample.begin() + static_cast<long>(n));
-    for (const double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
-      P2Quantile estimator(q);
-      for (const double x : prefix) estimator.push(x);
-      EXPECT_EQ(estimator.count(), n);
-      EXPECT_DOUBLE_EQ(estimator.value(), quantile(prefix, q));
-    }
-  }
-}
-
-TEST(P2Quantile, TracksTheBatchOracleOnLargeSamples) {
-  Rng rng(123);
-  std::vector<double> uniform;
-  std::vector<double> skewed;
-  for (int i = 0; i < 20000; ++i) {
-    uniform.push_back(rng.uniform(0.0, 100.0));
-    skewed.push_back(rng.lognormal(0.0, 1.0));
-  }
-  for (const auto* sample : {&uniform, &skewed}) {
-    for (const double q : {0.5, 0.95, 0.99}) {
-      P2Quantile estimator(q);
-      for (const double x : *sample) estimator.push(x);
-      const double exact = quantile(*sample, q);
-      // P² is an approximation; a few percent of the exact value is the
-      // accuracy class the original paper reports.
-      EXPECT_NEAR(estimator.value(), exact, 0.05 * std::abs(exact) + 1e-9)
-          << "q = " << q;
-    }
-  }
-}
-
-TEST(P2Quantile, IsDeterministic) {
-  Rng rng_a(7);
-  Rng rng_b(7);
-  P2Quantile a(0.95);
-  P2Quantile b(0.95);
-  for (int i = 0; i < 1000; ++i) {
-    a.push(rng_a.lognormal(0.0, 1.0));
-    b.push(rng_b.lognormal(0.0, 1.0));
-  }
-  EXPECT_EQ(a.value(), b.value());
-}
-
-TEST(P2Quantile, RejectsBadInput) {
-  EXPECT_THROW(P2Quantile(1.5), PreconditionError);
-  EXPECT_THROW(P2Quantile(-0.1), PreconditionError);
-  P2Quantile estimator(0.5);
-  EXPECT_THROW((void)estimator.value(), PreconditionError);
-  EXPECT_THROW(estimator.push(std::nan("")), PreconditionError);
-  // Infinities would poison the markers (inf - inf) and NaN the estimate.
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(estimator.push(inf), PreconditionError);
-  EXPECT_THROW(estimator.push(-inf), PreconditionError);
 }
 
 }  // namespace

@@ -442,7 +442,7 @@ inline obs::ValidationResult validate_chrome_trace_text(
   } catch (const util::PreconditionError& error) {
     obs::ValidationResult result;
     result.ok = false;
-    result.error = error.what();
+    result.error = util::message_of(error);
     return result;
   }
 }
@@ -531,15 +531,6 @@ inline std::vector<obs::TraceEvent> events_from_chrome_trace(
   return out;
 }
 
-/// A PreconditionError's text after NLDL_REQUIRE's " — ": the file and
-/// line before it differ between the library and this copy. A message
-/// without one (a JSON parse error) is returned whole.
-inline std::string message_of(const std::string& what) {
-  const std::string dash = " \xE2\x80\x94 ";
-  const std::size_t at = what.find(dash);
-  return at == std::string::npos ? what : what.substr(at + dash.size());
-}
-
 inline bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -590,7 +581,7 @@ Decoded decode_with(const Decode& decode) {
   try {
     out.events = decode();
   } catch (const util::PreconditionError& error) {
-    out.error = message_of(error.what());
+    out.error = util::message_of(error);
   }
   return out;
 }
@@ -610,7 +601,7 @@ inline void expect_matches_tree(const std::string& text) {
   try {
     tree = parse(text);
   } catch (const util::PreconditionError& error) {
-    parse_error = message_of(error.what());
+    parse_error = util::message_of(error);
   }
   try {
     const util::JsonValue streamed = util::parse_json(text);
@@ -618,7 +609,7 @@ inline void expect_matches_tree(const std::string& text) {
     EXPECT_TRUE(same_tree(streamed, *tree));
   } catch (const util::PreconditionError& error) {
     EXPECT_FALSE(tree.has_value()) << error.what();
-    EXPECT_EQ(message_of(error.what()), parse_error);
+    EXPECT_EQ(util::message_of(error), parse_error);
   }
 
   // Validation: the same ok flag, event count and error text.
@@ -626,7 +617,7 @@ inline void expect_matches_tree(const std::string& text) {
   const obs::ValidationResult actual = obs::validate_chrome_trace_text(text);
   EXPECT_EQ(actual.ok, expected.ok) << actual.error;
   EXPECT_EQ(actual.events, expected.events);
-  EXPECT_EQ(message_of(actual.error), message_of(expected.error));
+  EXPECT_EQ(actual.error, expected.error);
 
   // Decoding: the same events bit for bit, or the same error.
   const Decoded decoded = decode_with([&] {

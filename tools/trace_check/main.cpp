@@ -16,8 +16,8 @@
 //       usage and exits 2.
 //
 //   nldl_trace_check --metrics <metrics.json> [more.json ...]
-//       Validate MetricsRegistry JSON dumps (numbers or well-formed
-//       quantile objects). Exit 0 iff every file validates.
+//       Validate MetricsRegistry JSON dumps (one flat object, numbers
+//       only). Exit 0 iff every file validates.
 //
 //   nldl_trace_check --bench-diff [--rel-tol=R] <a.json> <b.json>
 //       Compare the "deterministic" payloads of two bench JSON
@@ -98,7 +98,7 @@ bool read_json(const std::string& path, nldl::util::JsonValue& out) {
     return true;
   } catch (const nldl::util::PreconditionError& error) {
     std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(),
-                 error.what());
+                 nldl::util::message_of(error).c_str());
     return false;
   }
 }
@@ -320,7 +320,8 @@ int main(int argc, char** argv) {
     try {
       return summarize_trace(path, top_k, slo_objective);
     } catch (const nldl::util::PreconditionError& error) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), error.what());
+      std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                   nldl::util::message_of(error).c_str());
       return 1;
     }
   }
