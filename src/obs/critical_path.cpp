@@ -26,14 +26,16 @@ struct ChunkEvt {
 };
 
 struct WorkerLists {
+  std::size_t worker = kNoIndex;  // the index the spans carry
   std::vector<ChunkEvt> transfers;
   std::vector<ChunkEvt> computes;
 };
 
-/// A node of the backward causal walk.
+/// A node of the backward causal walk: chunk `index` of the transfer or
+/// compute list at position `slot` among the span-carrying workers.
 struct Node {
   bool is_transfer = false;
-  std::size_t worker = 0;
+  std::size_t slot = 0;
   std::size_t index = 0;
 };
 
@@ -126,12 +128,10 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
   std::map<std::size_t, double> verdict_times;   // admit/degrade fallback
   std::map<std::size_t, std::vector<std::pair<double, double>>> restarts;
   std::map<std::size_t, std::vector<ChunkEvt>> installments;
-  std::size_t workers = 0;
-  for (const TraceEvent& event : events) {
-    if (event.worker != kNoIndex) workers = std::max(workers, event.worker + 1);
-  }
-  std::vector<WorkerLists> lists(workers);
-
+  // Chunk lists only for the workers that carry spans, in ascending
+  // worker index: a worker without spans gates nothing, so leaving it out
+  // changes no search, and any index below 2^53 costs one list.
+  std::map<std::size_t, WorkerLists> by_worker;
   for (const TraceEvent& event : events) {
     switch (event.kind) {
       case EventKind::kJob: {
@@ -158,13 +158,13 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
         break;
       case EventKind::kTransfer:
         if (event.worker != kNoIndex) {
-          lists[event.worker].transfers.push_back(
+          by_worker[event.worker].transfers.push_back(
               {event.start, event.end, event.job});
         }
         break;
       case EventKind::kCompute:
         if (event.worker != kNoIndex) {
-          lists[event.worker].computes.push_back(
+          by_worker[event.worker].computes.push_back(
               {event.start, event.end, event.job});
         }
         break;
@@ -172,6 +172,13 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
         break;
     }
   }
+  std::vector<WorkerLists> lists;
+  lists.reserve(by_worker.size());
+  for (auto& [worker, chunks] : by_worker) {
+    chunks.worker = worker;
+    lists.push_back(std::move(chunks));
+  }
+  const std::size_t slots = lists.size();
   for (auto& [job, spans] : restarts) merge_intervals(spans);
   for (auto& [job, spans] : installments) {
     std::sort(spans.begin(), spans.end(),
@@ -179,9 +186,9 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
                 return a.start < b.start;
               });
   }
-  // Per-job compute refs (worker, index), for gating-span selection.
+  // Per-job compute refs (slot, index), for gating-span selection.
   std::map<std::size_t, std::vector<Node>> job_computes;
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 0; w < slots; ++w) {
     for (std::size_t i = 0; i < lists[w].computes.size(); ++i) {
       job_computes[lists[w].computes[i].job].push_back({false, w, i});
     }
@@ -225,7 +232,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
       double best_start = -kInf;
       if (refs_it != job_computes.end()) {
         for (const Node& ref : refs_it->second) {
-          const ChunkEvt& evt = lists[ref.worker].computes[ref.index];
+          const ChunkEvt& evt = lists[ref.slot].computes[ref.index];
           if (std::fabs(evt.end - finish) <= tol_at(finish) &&
               evt.start > best_start) {
             best_start = evt.start;
@@ -243,19 +250,19 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
       // decreases each iteration; the step cap is defensive only.
       std::size_t steps = 0;
       std::size_t max_steps = 64;
-      for (std::size_t w = 0; w < workers; ++w) {
+      for (std::size_t w = 0; w < slots; ++w) {
         max_steps += 2 * (lists[w].transfers.size() + lists[w].computes.size());
       }
       while (t > dispatch && steps++ < max_steps) {
         const std::vector<ChunkEvt>& own = node.is_transfer
-                                               ? lists[node.worker].transfers
-                                               : lists[node.worker].computes;
+                                               ? lists[node.slot].transfers
+                                               : lists[node.slot].computes;
         const ChunkEvt& evt = own[node.index];
         const BlameKind kind =
             evt.job == id
                 ? (node.is_transfer ? BlameKind::kComm : BlameKind::kCompute)
                 : BlameKind::kStall;
-        push_segment(kind, evt.start, t, node.worker, evt.job);
+        push_segment(kind, evt.start, t, lists[node.slot].worker, evt.job);
         t = std::max(evt.start, dispatch);
         if (evt.start <= dispatch) break;
 
@@ -264,7 +271,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
           // compute_start = max(comm_end, cpu_free): gated by this
           // chunk's own transfer, else by the worker's previous compute.
           const std::vector<ChunkEvt>& transfers =
-              lists[node.worker].transfers;
+              lists[node.slot].transfers;
           if (node.index < transfers.size() &&
               std::fabs(transfers[node.index].end - t) <= tol &&
               transfers[node.index].start < t) {
@@ -272,7 +279,7 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
             continue;
           }
           const std::size_t prev = last_ending_at(
-              lists[node.worker].computes, node.index, t, tol);
+              lists[node.slot].computes, node.index, t, tol);
           if (prev != kNoIndex) {
             node.index = prev;
             continue;
@@ -282,18 +289,18 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
           // or, under one-port / a bounded-multiport concurrency cap,
           // when another worker's transfer frees the master port/slot.
           const std::size_t prev = last_ending_at(
-              lists[node.worker].transfers, node.index, t, tol);
+              lists[node.slot].transfers, node.index, t, tol);
           if (prev != kNoIndex) {
             node.index = prev;
             continue;
           }
           bool found = false;
-          for (std::size_t w = 0; w < workers && !found; ++w) {
-            if (w == node.worker) continue;
+          for (std::size_t w = 0; w < slots && !found; ++w) {
+            if (w == node.slot) continue;
             const std::size_t other = last_ending_at(
                 lists[w].transfers, lists[w].transfers.size(), t, tol);
             if (other != kNoIndex) {
-              node.worker = w;
+              node.slot = w;
               node.index = other;
               found = true;
             }

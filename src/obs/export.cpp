@@ -70,57 +70,67 @@ class NumberText {
   char text_[util::kJsonNumberChars] = {};
 };
 
-/// The Chrome document in util::JsonWriter's exact layout (two-space
-/// indentation, `"key": value`, `{}` for an empty object, a newline after
-/// the root), printed from fixed text fragments into a buffer that goes
-/// to the stream once per 64 KiB. Kind and bucket names are plain
-/// lower-case words that need no escaping; names built from outside
-/// strings (the label, job names) go through util::json_quote.
+template <typename Integer>
+void append_integer(std::string& out, Integer value) {
+  char text[24];
+  const auto result = std::to_chars(text, text + sizeof(text), value);
+  NLDL_ASSERT(result.ec == std::errc{}, "integer does not fit its buffer");
+  out.append(text, result.ptr);
+}
+
+/// The Chrome document with no whitespace outside strings and one record
+/// per line: `{"displayTimeUnit":"ms","traceEvents":[`, then each
+/// metadata or event record as one `{...}` line ending in `,` (the last
+/// without), then `]}` and a newline. It is printed from fixed text
+/// fragments into a buffer that goes to the stream once per 64 KiB. Kind
+/// and bucket names are plain lower-case words that need no escaping;
+/// track names, which carry the label, are quoted in place through
+/// util::append_json_quoted.
 class ChromeDocument {
  public:
   explicit ChromeDocument(std::ostream& out) : out_(out) {
     buffer_.reserve(2 * kFlushBytes);
-    put("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
+    put(R"({"displayTimeUnit":"ms","traceEvents":[)");
   }
 
   void metadata(std::int64_t pid, std::int64_t tid, std::string_view meta,
-                const std::string& name) {
+                std::string_view name) {
     begin_record();
-    put("\n      \"name\": \"");
+    put(R"("name":")");
     put(meta);
-    put("\",\n      \"ph\": \"M\",\n      \"pid\": ");
-    put_integer(pid);
-    put(",\n      \"tid\": ");
-    put_integer(tid);
-    put(",\n      \"args\": {\n        \"name\": ");
-    put(util::json_quote(name));
-    put("\n      }");
+    put(R"(","ph":"M","pid":)");
+    append_integer(buffer_, pid);
+    put(R"(,"tid":)");
+    append_integer(buffer_, tid);
+    put(R"(,"args":{"name":)");
+    util::append_json_quoted(buffer_, name);
+    put("}");
     end_record();
   }
 
   void record(const Emit& emit) {
     begin_record();
-    put("\n      \"name\": \"");
+    put(R"("name":")");
     put(emit.name);
-    put("\",\n      \"cat\": \"nldl\",\n      \"ph\": \"");
+    put(R"(","cat":"nldl","ph":")");
     buffer_ += emit.phase;
-    put("\",\n      \"ts\": ");
+    put(R"(","ts":)");
     put(ts_(emit.ts));
     if (emit.phase == 'X') {
-      put(",\n      \"dur\": ");
+      put(R"(,"dur":)");
       put(dur_(emit.dur));
     }
-    if (emit.phase == 'i') put(",\n      \"s\": \"t\"");
+    if (emit.phase == 'i') put(R"(,"s":"t")");
     if (emit.flow_id >= 0) {
-      put(",\n      \"id\": ");
-      put_integer(emit.flow_id);
-      if (emit.phase == 'f') put(",\n      \"bp\": \"e\"");
+      put(R"(,"id":)");
+      append_integer(buffer_, emit.flow_id);
+      if (emit.phase == 'f') put(R"(,"bp":"e")");
     }
-    put(",\n      \"pid\": ");
-    put_integer(emit.pid);
-    put(",\n      \"tid\": ");
-    put_integer(emit.tid);
-    put(",\n      \"args\": {");
+    put(R"(,"pid":)");
+    append_integer(buffer_, emit.pid);
+    put(R"(,"tid":)");
+    append_integer(buffer_, emit.tid);
+    put(R"(,"args":{)");
     args_ = 0;
     if (emit.event != nullptr) {
       const TraceEvent& event = *emit.event;
@@ -134,36 +144,29 @@ class ChromeDocument {
       if (emit.arg_worker != kNoIndex) arg_integer("worker", emit.arg_worker);
       if (emit.arg_via != kNoIndex) arg_integer("via_job", emit.arg_via);
     }
-    put(args_ == 0 ? "}" : "\n      }");
+    put("}");
     end_record();
   }
 
-  /// Close the array and the root, add the blank line, write the rest.
+  /// End the last record's line, close the array and the root, write the
+  /// rest.
   void finish() {
-    put("\n  ]\n}\n\n");
+    put("\n]}\n");
     flush();
   }
 
  private:
   void put(std::string_view text) { buffer_.append(text); }
 
-  template <typename Integer>
-  void put_integer(Integer value) {
-    char text[24];
-    const auto result = std::to_chars(text, text + sizeof(text), value);
-    NLDL_ASSERT(result.ec == std::errc{}, "integer does not fit its buffer");
-    buffer_.append(text, result.ptr);
-  }
-
   void arg_key(std::string_view key) {
-    put(args_ == 0 ? "\n        \"" : ",\n        \"");
+    put(args_ == 0 ? "\"" : ",\"");
     put(key);
-    put("\": ");
+    put("\":");
     ++args_;
   }
   void arg_integer(std::string_view key, std::size_t value) {
     arg_key(key);
-    put_integer(value);
+    append_integer(buffer_, value);
   }
   void arg_number(std::string_view key, std::string_view text) {
     arg_key(key);
@@ -171,11 +174,11 @@ class ChromeDocument {
   }
 
   void begin_record() {
-    put(first_ ? "\n    {" : ",\n    {");
+    put(first_ ? "\n{" : ",\n{");
     first_ = false;
   }
   void end_record() {
-    put("\n    }");
+    put("}");
     if (buffer_.size() >= kFlushBytes) flush();
   }
   void flush() {
@@ -390,34 +393,48 @@ void write_chrome_trace(std::ostream& out,
                    });
 
   ChromeDocument document(out);
-  // Track metadata first: process and thread names.
-  document.metadata(kWorkersPid, 0, "process_name",
-                    options.label + " workers");
-  document.metadata(kJobsPid, 0, "process_name", options.label + " jobs");
-  document.metadata(kSchedulerPid, 0, "process_name",
-                    options.label + " scheduler");
+  // Track metadata first: process and thread names, each built in one
+  // reused buffer.
+  std::string name;
+  const auto process_name = [&](std::int64_t pid, std::string_view what) {
+    name.assign(options.label).append(what);
+    document.metadata(pid, 0, "process_name", name);
+  };
+  process_name(kWorkersPid, " workers");
+  process_name(kJobsPid, " jobs");
+  process_name(kSchedulerPid, " scheduler");
   for (std::size_t w = 0; w < workers; ++w) {
-    std::string worker_name = "w";
-    worker_name += std::to_string(w);
+    name.assign("w");
+    append_integer(name, w);
+    const std::size_t stem = name.size();
+    name.append(" link");
     document.metadata(kWorkersPid, static_cast<std::int64_t>(2 * w),
-                      "thread_name", worker_name + " link");
+                      "thread_name", name);
+    name.resize(stem);
+    name.append(" cpu");
     document.metadata(kWorkersPid, static_cast<std::int64_t>(2 * w + 1),
-                      "thread_name", worker_name + " cpu");
+                      "thread_name", name);
   }
   for (const auto& [job, tenant] : jobs) {
-    std::string name = "job " + std::to_string(job);
-    if (tenant != kNoIndex) name += " (tenant " + std::to_string(tenant) + ")";
+    name.assign("job ");
+    append_integer(name, job);
+    if (tenant != kNoIndex) {
+      name.append(" (tenant ");
+      append_integer(name, tenant);
+      name += ')';
+    }
     document.metadata(kJobsPid, static_cast<std::int64_t>(job),
                       "thread_name", name);
   }
   document.metadata(kSchedulerPid, 0, "thread_name", "master");
   if (options.critical_path != nullptr) {
-    document.metadata(kPathPid, 0, "process_name",
-                      options.label + " critical path");
+    process_name(kPathPid, " critical path");
     for (const JobBlame& blame : options.critical_path->jobs()) {
+      name.assign("job ");
+      append_integer(name, blame.job);
+      name.append(" path");
       document.metadata(kPathPid, static_cast<std::int64_t>(blame.job),
-                        "thread_name",
-                        "job " + std::to_string(blame.job) + " path");
+                        "thread_name", name);
     }
   }
   for (const auto& [ts, line] : order) document.record(emits[line]);
@@ -435,8 +452,15 @@ Attribution attribute_time(const std::vector<TraceEvent>& events,
   result.horizon = horizon;
   if (result.workers == 0 || horizon <= 0.0) return result;
 
-  std::vector<std::vector<std::pair<double, double>>> comm(result.workers);
-  std::vector<std::vector<std::pair<double, double>>> compute(result.workers);
+  // Span intervals per worker, only for the workers that carry spans, in
+  // ascending index order: a worker without spans adds exact zeros to
+  // both sums, so leaving it out keeps their bits, and any index below
+  // 2^53 costs one entry.
+  struct WorkerSpans {
+    std::vector<std::pair<double, double>> comm;
+    std::vector<std::pair<double, double>> compute;
+  };
+  std::map<std::size_t, WorkerSpans> spans;
   double restart_estimate = 0.0;
   for (const TraceEvent& event : events) {
     if (event.kind == EventKind::kRestart) {
@@ -445,22 +469,22 @@ Attribution attribute_time(const std::vector<TraceEvent>& events,
     }
     if (event.worker == kNoIndex || event.worker >= result.workers) continue;
     if (event.kind == EventKind::kTransfer) {
-      comm[event.worker].emplace_back(event.start, event.end);
+      spans[event.worker].comm.emplace_back(event.start, event.end);
       ++result.span_events;
     } else if (event.kind == EventKind::kCompute) {
-      compute[event.worker].emplace_back(event.start, event.end);
+      spans[event.worker].compute.emplace_back(event.start, event.end);
       ++result.span_events;
     }
   }
 
   double comm_total = 0.0;
   double compute_total = 0.0;
-  for (std::size_t w = 0; w < result.workers; ++w) {
-    const double comm_len = union_length(comm[w]);
-    const double compute_len = union_length(compute[w]);
+  for (auto& [worker, lanes] : spans) {
+    const double comm_len = union_length(lanes.comm);
+    const double compute_len = union_length(lanes.compute);
     // Receive time overlapped by compute is charged to compute: the
     // worker is doing useful work while its link drains.
-    comm_total += comm_len - intersection_length(comm[w], compute[w]);
+    comm_total += comm_len - intersection_length(lanes.comm, lanes.compute);
     compute_total += compute_len;
   }
   result.comm = comm_total;

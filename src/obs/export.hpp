@@ -49,16 +49,25 @@ struct ChromeTraceOptions {
 /// the order jobs first appear, found through an ordered index from job
 /// id (O(log jobs) per event).
 ///
-/// The bytes are util::JsonWriter's: its two-space layout, its shortest
-/// round-trip numbers (util::format_json_number, so non-finite values
-/// print null whatever the C locale), its escaping for the label and job
-/// names, and a blank line after the root. They are printed from fixed
-/// text fragments, each numeric field re-formatted only when its value's
-/// bits change, into a buffer written to `out` once per 64 KiB. Where
-/// they are pinned (tests/test_obs.cpp): ChromeExport.PinnedTraceBytes
-/// holds one document verbatim, and the MatchesTheReference* tests
-/// require the bytes of a test-local exporter built on JsonWriter calls,
-/// over server traces, escapes, non-finite args and a comma locale.
+/// Layout: no whitespace outside strings and one trace event per line.
+/// The first line is `{"displayTimeUnit":"ms","traceEvents":[`; each
+/// metadata or event record follows as one `{...}` line, ending in `,`
+/// except the last; the last line is `]}`, followed by one newline.
+/// Numbers are util::format_json_number's shortest round-trip text (so
+/// non-finite values print null whatever the C locale), and the label and
+/// track names are escaped as util::json_quote escapes them. The bytes
+/// are printed from fixed text fragments, each numeric field re-formatted
+/// only when its value's bits change, into a buffer written to `out` once
+/// per 64 KiB.
+///
+/// Where this is pinned: in tests/test_obs.cpp, ChromeExport.
+/// PinnedTraceBytes holds one document verbatim; the MatchesTheReference*
+/// tests require the bytes of a test-local exporter built on
+/// util::JsonWriter calls, with its whitespace moved to this layout, over
+/// server traces, escapes, non-finite args and a comma locale; and
+/// ChromeExport.OneRecordPerLine parses every record line on its own.
+/// The trace_one_event_per_line ctest entry counts the lines of a file
+/// written by bench_soak.
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
                         const ChromeTraceOptions& options = {});

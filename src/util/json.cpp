@@ -26,7 +26,9 @@ void append_integer(std::string& out, Integer value) {
   out.append(buffer, result.ptr);
 }
 
-void append_quoted(std::string& out, std::string_view text) {
+}  // namespace
+
+void append_json_quoted(std::string& out, std::string_view text) {
   out += '"';
   // Runs with nothing to escape go in with one append each.
   std::size_t run = 0;
@@ -54,8 +56,6 @@ void append_quoted(std::string& out, std::string_view text) {
   out += '"';
 }
 
-}  // namespace
-
 char* format_json_number(double value, char* out) {
   if (!std::isfinite(value)) {
     constexpr std::string_view kNull = "null";
@@ -81,7 +81,7 @@ std::string json_number(double value) {
 
 std::string json_quote(std::string_view value) {
   std::string out;
-  append_quoted(out, value);
+  append_json_quoted(out, value);
   return out;
 }
 
@@ -151,7 +151,7 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   if (frame.has_items) buffer_ += ',';
   frame.has_items = true;
   indent();
-  append_quoted(buffer_, name);
+  append_json_quoted(buffer_, name);
   buffer_ += ": ";
   pending_key_ = true;
   return *this;
@@ -212,7 +212,7 @@ JsonWriter& JsonWriter::value(bool boolean) {
 
 JsonWriter& JsonWriter::value(std::string_view text) {
   prepare_value();
-  append_quoted(buffer_, text);
+  append_json_quoted(buffer_, text);
   finish_value();
   return *this;
 }

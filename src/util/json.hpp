@@ -34,6 +34,10 @@ char* format_json_number(double value, char* out);
 /// JsonWriter applies to keys and string values.
 [[nodiscard]] std::string json_quote(std::string_view value);
 
+/// json_quote without the allocation: appends the same literal for `text`
+/// to `out`. json_quote, JsonWriter and the Chrome export quote through it.
+void append_json_quoted(std::string& out, std::string_view text);
+
 /// Streaming writer with explicit scopes:
 ///
 ///   JsonWriter json(out);

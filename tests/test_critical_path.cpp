@@ -1,9 +1,13 @@
 // Tests for obs::CriticalPath: the five-way blame decomposition sums
 // BIT-EXACTLY to each job's observed latency and the path segments tile
 // [dispatch, finish] exactly — pinned across all three comm models, both
-// servers, and both master modes; plus contention stall attribution,
-// queue-depth plumbing from kArrival, the pid-4 flow export, and the
-// Chrome-trace roundtrip under the microsecond tolerance.
+// servers, and both master modes, and under any numbering of the workers;
+// plus contention stall attribution, queue-depth plumbing from kArrival,
+// the pid-4 flow export, and the Chrome-trace roundtrip under the
+// microsecond tolerance.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -141,6 +145,84 @@ TEST(BlameExactness, DeterministicAcrossRebuilds) {
     EXPECT_EQ(a.jobs()[i].restart, b.jobs()[i].restart);
     EXPECT_EQ(a.jobs()[i].stall, b.jobs()[i].stall);
     EXPECT_EQ(a.jobs()[i].path.size(), b.jobs()[i].path.size());
+  }
+}
+
+TEST(BlameExactness, SparseWorkerIndicesMatchDenseOnes) {
+  // CriticalPath and attribute_time keep state only for the workers that
+  // carry spans, visited in ascending index order. Spreading the same
+  // workers' indices toward 2^53, order kept, must move no blame, segment
+  // time or attribution sum by a bit; only the reported indices follow.
+  constexpr std::size_t kStride = std::size_t{1} << 50;
+  const auto spread = [](std::size_t worker) {
+    return worker == obs::kNoIndex ? worker : worker * kStride + worker;
+  };
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  std::vector<std::vector<obs::TraceEvent>> streams;
+  for (const sim::CommModelKind comm : kCommKinds) {
+    for (const online::MasterMode master :
+         {online::MasterMode::kPrivatePort,
+          online::MasterMode::kSharedMaster}) {
+      streams.push_back(traced_online(comm, master));
+    }
+    streams.push_back(traced_qos(comm, 2));
+  }
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    const std::vector<obs::TraceEvent>& dense = streams[s];
+    std::vector<obs::TraceEvent> sparse = dense;
+    std::size_t workers = 0;
+    for (obs::TraceEvent& event : sparse) {
+      if (event.worker != obs::kNoIndex) {
+        workers = std::max(workers, event.worker + 1);
+      }
+      event.worker = spread(event.worker);
+    }
+    ASSERT_GT(workers, 1u);
+
+    const obs::CriticalPath a(dense);
+    const obs::CriticalPath b(sparse);
+    ASSERT_EQ(a.jobs().size(), b.jobs().size());
+    for (std::size_t j = 0; j < a.jobs().size(); ++j) {
+      const obs::JobBlame& x = a.jobs()[j];
+      const obs::JobBlame& y = b.jobs()[j];
+      SCOPED_TRACE("job " + std::to_string(x.job));
+      EXPECT_EQ(x.job, y.job);
+      EXPECT_EQ(bits(x.wait), bits(y.wait));
+      EXPECT_EQ(bits(x.comm), bits(y.comm));
+      EXPECT_EQ(bits(x.compute), bits(y.compute));
+      EXPECT_EQ(bits(x.restart), bits(y.restart));
+      EXPECT_EQ(bits(x.stall), bits(y.stall));
+      EXPECT_EQ(bits(x.latency), bits(y.latency));
+      ASSERT_EQ(x.path.size(), y.path.size());
+      for (std::size_t i = 0; i < x.path.size(); ++i) {
+        EXPECT_EQ(x.path[i].kind, y.path[i].kind);
+        EXPECT_EQ(bits(x.path[i].start), bits(y.path[i].start));
+        EXPECT_EQ(bits(x.path[i].end), bits(y.path[i].end));
+        EXPECT_EQ(spread(x.path[i].worker), y.path[i].worker);
+        EXPECT_EQ(x.path[i].via_job, y.path[i].via_job);
+      }
+    }
+    const obs::CriticalPath::Totals ta = a.totals();
+    const obs::CriticalPath::Totals tb = b.totals();
+    EXPECT_EQ(bits(ta.comm), bits(tb.comm));
+    EXPECT_EQ(bits(ta.compute), bits(tb.compute));
+    EXPECT_EQ(bits(ta.stall), bits(tb.stall));
+
+    // The worker count is the largest index + 1 on both sides, so only
+    // the idle remainder of workers × horizon may differ.
+    const obs::Attribution da = obs::attribute_time(dense, 0);
+    const obs::Attribution sa = obs::attribute_time(sparse, 0);
+    EXPECT_EQ(da.workers, workers);
+    EXPECT_EQ(sa.workers, spread(workers - 1) + 1);
+    EXPECT_EQ(da.span_events, sa.span_events);
+    EXPECT_GT(da.span_events, 0u);
+    EXPECT_EQ(bits(da.horizon), bits(sa.horizon));
+    EXPECT_EQ(bits(da.comm), bits(sa.comm));
+    EXPECT_EQ(bits(da.compute), bits(sa.compute));
+    EXPECT_EQ(bits(da.restart), bits(sa.restart));
   }
 }
 
@@ -293,9 +375,9 @@ TEST(BlameExport, FlowTrackValidatesAndCarriesPathSlices) {
   const obs::ValidationResult result = obs::validate_chrome_trace_text(text);
   EXPECT_TRUE(result) << result.error;
   EXPECT_NE(text.find("\"critical path\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\": \"s\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\": \"f\""), std::string::npos);
-  EXPECT_NE(text.find("\"bp\": \"e\""), std::string::npos);
+  EXPECT_NE(text.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(text.find("\"ph\":\"f\""), std::string::npos);
+  EXPECT_NE(text.find("\"bp\":\"e\""), std::string::npos);
 }
 
 TEST(BlameExport, ChromeRoundtripClosesUnderTolerance) {

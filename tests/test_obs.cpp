@@ -1,11 +1,14 @@
 // Tests for src/obs/: the tracing contract (attaching a sink never
 // changes results, recording is deterministic), the metrics registry's
 // ordering/type/merge rules, Chrome trace-event export validating
-// against the schema checker and matching a JsonWriter-built reference
-// byte for byte, the time-attribution partition, and the event-stream
-// ASCII gantt.
+// against the schema checker, matching a JsonWriter-built reference byte
+// for byte once its whitespace is moved to one record per line, and
+// decoding back to generated streams, the time-attribution partition,
+// and the event-stream ASCII gantt.
 #include <algorithm>
+#include <bit>
 #include <clocale>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 
 namespace nldl {
 namespace {
@@ -367,8 +372,8 @@ TEST(ChromeExport, SharedMasterQosTraceValidates) {
       obs::validate_chrome_trace_text(out.str());
   EXPECT_TRUE(result) << result.error;
   EXPECT_GT(result.events, recorder.size());  // metadata rows on top
-  EXPECT_NE(out.str().find("\"displayTimeUnit\": \"ms\""),
-            std::string::npos);
+  EXPECT_EQ(out.str().substr(0, out.str().find('\n')),
+            R"({"displayTimeUnit":"ms","traceEvents":[)");
 }
 
 TEST(ChromeExport, ValidatorRejectsBrokenDocuments) {
@@ -451,420 +456,44 @@ std::vector<obs::TraceEvent> pinned_events() {
   return events;
 }
 
-// The exact bytes write_chrome_trace produces for pinned_events(), the
-// blank line after the root included.
-constexpr const char* kPinnedChromeTrace = R"json({
-  "displayTimeUnit": "ms",
-  "traceEvents": [
-    {
-      "name": "process_name",
-      "ph": "M",
-      "pid": 1,
-      "tid": 0,
-      "args": {
-        "name": "pin workers"
-      }
-    },
-    {
-      "name": "process_name",
-      "ph": "M",
-      "pid": 2,
-      "tid": 0,
-      "args": {
-        "name": "pin jobs"
-      }
-    },
-    {
-      "name": "process_name",
-      "ph": "M",
-      "pid": 3,
-      "tid": 0,
-      "args": {
-        "name": "pin scheduler"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 1,
-      "tid": 0,
-      "args": {
-        "name": "w0 link"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 1,
-      "tid": 1,
-      "args": {
-        "name": "w0 cpu"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 2,
-      "tid": 0,
-      "args": {
-        "name": "job 0 (tenant 1)"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 2,
-      "tid": 1,
-      "args": {
-        "name": "job 1 (tenant 2)"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 3,
-      "tid": 0,
-      "args": {
-        "name": "master"
-      }
-    },
-    {
-      "name": "process_name",
-      "ph": "M",
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "name": "pin critical path"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "name": "job 0 path"
-      }
-    },
-    {
-      "name": "thread_name",
-      "ph": "M",
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "name": "job 1 path"
-      }
-    },
-    {
-      "name": "arrival",
-      "cat": "nldl",
-      "ph": "i",
-      "ts": 0,
-      "s": "t",
-      "pid": 2,
-      "tid": 0,
-      "args": {
-        "job": 0,
-        "tenant": 1
-      }
-    },
-    {
-      "name": "arrival",
-      "cat": "nldl",
-      "ph": "i",
-      "ts": 250000,
-      "s": "t",
-      "pid": 2,
-      "tid": 1,
-      "args": {
-        "job": 1
-      }
-    },
-    {
-      "name": "dispatch",
-      "cat": "nldl",
-      "ph": "i",
-      "ts": 5e+05,
-      "s": "t",
-      "pid": 3,
-      "tid": 0,
-      "args": {
-        "job": 0,
-        "tenant": 1,
-        "value": 1
-      }
-    },
-    {
-      "name": "rerate",
-      "cat": "nldl",
-      "ph": "i",
-      "ts": 5e+05,
-      "s": "t",
-      "pid": 3,
-      "tid": 0,
-      "args": {
-        "value": 1
-      }
-    },
-    {
-      "name": "transfer",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 5e+05,
-      "dur": 1e+06,
-      "pid": 1,
-      "tid": 0,
-      "args": {
-        "job": 0,
-        "tenant": 1,
-        "worker": 0,
-        "size": 2
-      }
-    },
-    {
-      "name": "job",
-      "cat": "nldl",
-      "ph": "B",
-      "ts": 5e+05,
-      "pid": 2,
-      "tid": 0,
-      "args": {
-        "job": 0,
-        "tenant": 1
-      }
-    },
-    {
-      "name": "comm",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 5e+05,
-      "dur": 1e+06,
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "critical path",
-      "cat": "nldl",
-      "ph": "s",
-      "ts": 5e+05,
-      "id": 0,
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "job",
-      "cat": "nldl",
-      "ph": "B",
-      "ts": 1e+06,
-      "pid": 2,
-      "tid": 1,
-      "args": {
-        "job": 1,
-        "tenant": 2
-      }
-    },
-    {
-      "name": "stall",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 1e+06,
-      "dur": 5e+05,
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "critical path",
-      "cat": "nldl",
-      "ph": "s",
-      "ts": 1e+06,
-      "id": 1,
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "compute",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 1500000,
-      "dur": 1500000,
-      "pid": 1,
-      "tid": 1,
-      "args": {
-        "job": 0,
-        "tenant": 1,
-        "worker": 0,
-        "size": 2,
-        "alpha": 2
-      }
-    },
-    {
-      "name": "transfer",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 1500000,
-      "dur": 5e+05,
-      "pid": 1,
-      "tid": 0,
-      "args": {
-        "job": 1,
-        "tenant": 2,
-        "worker": 0,
-        "size": 0.5
-      }
-    },
-    {
-      "name": "compute",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 1500000,
-      "dur": 1500000,
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "critical path",
-      "cat": "nldl",
-      "ph": "f",
-      "ts": 1500000,
-      "id": 0,
-      "bp": "e",
-      "pid": 4,
-      "tid": 0,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "stall",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 1500000,
-      "dur": 1500000,
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "critical path",
-      "cat": "nldl",
-      "ph": "t",
-      "ts": 1500000,
-      "id": 1,
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 0
-      }
-    },
-    {
-      "name": "job",
-      "cat": "nldl",
-      "ph": "E",
-      "ts": 3e+06,
-      "pid": 2,
-      "tid": 0,
-      "args": {
-        "job": 0,
-        "tenant": 1
-      }
-    },
-    {
-      "name": "compute",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 3e+06,
-      "dur": 5e+05,
-      "pid": 1,
-      "tid": 1,
-      "args": {
-        "job": 1,
-        "tenant": 2,
-        "worker": 0,
-        "size": 0.5,
-        "alpha": 1.5
-      }
-    },
-    {
-      "name": "compute",
-      "cat": "nldl",
-      "ph": "X",
-      "ts": 3e+06,
-      "dur": 5e+05,
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 1
-      }
-    },
-    {
-      "name": "critical path",
-      "cat": "nldl",
-      "ph": "f",
-      "ts": 3e+06,
-      "id": 1,
-      "bp": "e",
-      "pid": 4,
-      "tid": 1,
-      "args": {
-        "worker": 0,
-        "via_job": 1
-      }
-    },
-    {
-      "name": "job",
-      "cat": "nldl",
-      "ph": "E",
-      "ts": 3500000,
-      "pid": 2,
-      "tid": 1,
-      "args": {
-        "job": 1,
-        "tenant": 2
-      }
-    },
-    {
-      "name": "deadline_miss",
-      "cat": "nldl",
-      "ph": "i",
-      "ts": 3500000,
-      "s": "t",
-      "pid": 2,
-      "tid": 1,
-      "args": {
-        "job": 1,
-        "tenant": 2,
-        "value": 0.125
-      }
-    }
-  ]
-}
-
+// The exact bytes write_chrome_trace produces for pinned_events(): one
+// record per line, and one newline after the closing "]}".
+constexpr const char* kPinnedChromeTrace = R"json({"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"pin workers"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"pin jobs"}},
+{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"pin scheduler"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"w0 link"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"w0 cpu"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":0,"args":{"name":"job 0 (tenant 1)"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"job 1 (tenant 2)"}},
+{"name":"thread_name","ph":"M","pid":3,"tid":0,"args":{"name":"master"}},
+{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"pin critical path"}},
+{"name":"thread_name","ph":"M","pid":4,"tid":0,"args":{"name":"job 0 path"}},
+{"name":"thread_name","ph":"M","pid":4,"tid":1,"args":{"name":"job 1 path"}},
+{"name":"arrival","cat":"nldl","ph":"i","ts":0,"s":"t","pid":2,"tid":0,"args":{"job":0,"tenant":1}},
+{"name":"arrival","cat":"nldl","ph":"i","ts":250000,"s":"t","pid":2,"tid":1,"args":{"job":1}},
+{"name":"dispatch","cat":"nldl","ph":"i","ts":5e+05,"s":"t","pid":3,"tid":0,"args":{"job":0,"tenant":1,"value":1}},
+{"name":"rerate","cat":"nldl","ph":"i","ts":5e+05,"s":"t","pid":3,"tid":0,"args":{"value":1}},
+{"name":"transfer","cat":"nldl","ph":"X","ts":5e+05,"dur":1e+06,"pid":1,"tid":0,"args":{"job":0,"tenant":1,"worker":0,"size":2}},
+{"name":"job","cat":"nldl","ph":"B","ts":5e+05,"pid":2,"tid":0,"args":{"job":0,"tenant":1}},
+{"name":"comm","cat":"nldl","ph":"X","ts":5e+05,"dur":1e+06,"pid":4,"tid":0,"args":{"worker":0,"via_job":0}},
+{"name":"critical path","cat":"nldl","ph":"s","ts":5e+05,"id":0,"pid":4,"tid":0,"args":{"worker":0,"via_job":0}},
+{"name":"job","cat":"nldl","ph":"B","ts":1e+06,"pid":2,"tid":1,"args":{"job":1,"tenant":2}},
+{"name":"stall","cat":"nldl","ph":"X","ts":1e+06,"dur":5e+05,"pid":4,"tid":1,"args":{"worker":0,"via_job":0}},
+{"name":"critical path","cat":"nldl","ph":"s","ts":1e+06,"id":1,"pid":4,"tid":1,"args":{"worker":0,"via_job":0}},
+{"name":"compute","cat":"nldl","ph":"X","ts":1500000,"dur":1500000,"pid":1,"tid":1,"args":{"job":0,"tenant":1,"worker":0,"size":2,"alpha":2}},
+{"name":"transfer","cat":"nldl","ph":"X","ts":1500000,"dur":5e+05,"pid":1,"tid":0,"args":{"job":1,"tenant":2,"worker":0,"size":0.5}},
+{"name":"compute","cat":"nldl","ph":"X","ts":1500000,"dur":1500000,"pid":4,"tid":0,"args":{"worker":0,"via_job":0}},
+{"name":"critical path","cat":"nldl","ph":"f","ts":1500000,"id":0,"bp":"e","pid":4,"tid":0,"args":{"worker":0,"via_job":0}},
+{"name":"stall","cat":"nldl","ph":"X","ts":1500000,"dur":1500000,"pid":4,"tid":1,"args":{"worker":0,"via_job":0}},
+{"name":"critical path","cat":"nldl","ph":"t","ts":1500000,"id":1,"pid":4,"tid":1,"args":{"worker":0,"via_job":0}},
+{"name":"job","cat":"nldl","ph":"E","ts":3e+06,"pid":2,"tid":0,"args":{"job":0,"tenant":1}},
+{"name":"compute","cat":"nldl","ph":"X","ts":3e+06,"dur":5e+05,"pid":1,"tid":1,"args":{"job":1,"tenant":2,"worker":0,"size":0.5,"alpha":1.5}},
+{"name":"compute","cat":"nldl","ph":"X","ts":3e+06,"dur":5e+05,"pid":4,"tid":1,"args":{"worker":0,"via_job":1}},
+{"name":"critical path","cat":"nldl","ph":"f","ts":3e+06,"id":1,"bp":"e","pid":4,"tid":1,"args":{"worker":0,"via_job":1}},
+{"name":"job","cat":"nldl","ph":"E","ts":3500000,"pid":2,"tid":1,"args":{"job":1,"tenant":2}},
+{"name":"deadline_miss","cat":"nldl","ph":"i","ts":3500000,"s":"t","pid":2,"tid":1,"args":{"job":1,"tenant":2,"value":0.125}}
+]}
 )json";
 
 TEST(ChromeExport, PinnedTraceBytes) {
@@ -886,7 +515,7 @@ TEST(ChromeExport, PinnedTraceBytes) {
 // Test-local reference: the exporter as it was written before it printed
 // from fixed text fragments, one util::JsonWriter call per token and a
 // stable sort of whole lines. write_chrome_trace must reproduce its bytes
-// on every input.
+// on every input, once one_event_per_line has moved their whitespace.
 struct ReferenceEmit {
   double ts = 0.0;
   char phase = 'X';
@@ -1093,16 +722,53 @@ void reference_chrome_trace(std::ostream& out,
   out << '\n';
 }
 
-/// write_chrome_trace's document for `events`, or the reference's.
+/// A JsonWriter document in the exporter's layout: every whitespace
+/// character outside string literals dropped, then a line break after the
+/// traceEvents array's `[`, after each `,` between two of its records and
+/// after its last record, and one newline at the end. Records, keys,
+/// numbers and escapes pass through untouched.
+std::string one_event_per_line(std::string_view pretty) {
+  std::string out;
+  bool in_string = false;
+  bool escaped = false;
+  int depth = 0;  // 1 inside the root, 2 inside traceEvents, 3 in a record
+  std::size_t records = 0;
+  for (const char ch : pretty) {
+    if (in_string) {
+      out += ch;
+      if (escaped) {
+        escaped = false;
+      } else if (ch == '\\') {
+        escaped = true;
+      } else if (ch == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (ch == ' ' || ch == '\n' || ch == '\t' || ch == '\r') continue;
+    if (ch == '"') in_string = true;
+    if (ch == ']' && depth == 2 && records > 0) out += '\n';
+    if (ch == '{' && depth == 2) ++records;
+    if (ch == '{' || ch == '[') ++depth;
+    if (ch == '}' || ch == ']') --depth;
+    out += ch;
+    if ((ch == '[' || ch == ',') && depth == 2) out += '\n';
+  }
+  out += '\n';
+  return out;
+}
+
+/// write_chrome_trace's document for `events`, or the reference's in the
+/// exporter's layout.
 std::string chrome_text(const std::vector<obs::TraceEvent>& events,
                         const obs::ChromeTraceOptions& options,
                         bool reference = false) {
   std::ostringstream out;
   if (reference) {
     reference_chrome_trace(out, events, options);
-  } else {
-    obs::write_chrome_trace(out, events, options);
+    return one_event_per_line(out.str());
   }
+  obs::write_chrome_trace(out, events, options);
   return out.str();
 }
 
@@ -1232,10 +898,10 @@ TEST(ChromeExport, MatchesTheReferenceOnEdgeCases) {
   obs::ChromeTraceOptions plain;
   EXPECT_EQ(reference_mismatch(odd, plain), "");
   const std::string text = chrome_text(odd, plain);
-  EXPECT_NE(text.find("\"size\": null"), std::string::npos);
-  EXPECT_NE(text.find("\"value\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"size\":null"), std::string::npos);
+  EXPECT_NE(text.find("\"value\":null"), std::string::npos);
   EXPECT_EQ(text.find("\"alpha\""), std::string::npos);
-  EXPECT_NE(text.find("\"args\": {}"), std::string::npos);
+  EXPECT_NE(text.find("\"args\":{}"), std::string::npos);
 
   // No events at all: only the metadata rows.
   EXPECT_EQ(reference_mismatch({}, plain), "");
@@ -1265,6 +931,45 @@ TEST(ChromeExport, MatchesTheReferenceUnderACommaLocale) {
   EXPECT_STREQ(decimal, "0,5") << "the locale must print a comma";
   EXPECT_EQ(mismatch, "");
   EXPECT_EQ(in_comma_locale, in_c_locale);
+}
+
+TEST(ChromeExport, OneRecordPerLine) {
+  // The header line, one line per record (each a JSON object on its own
+  // once its trailing comma is dropped; the last has none), and "]}".
+  for (const std::vector<obs::TraceEvent>& events : server_traces()) {
+    const obs::CriticalPath path(events);
+    for (const bool with_path : {false, true}) {
+      SCOPED_TRACE("critical path " + std::to_string(with_path));
+      obs::ChromeTraceOptions options;
+      options.critical_path = with_path ? &path : nullptr;
+      const std::string text = chrome_text(events, options);
+      const obs::ValidationResult result =
+          obs::validate_chrome_trace_text(text);
+      ASSERT_TRUE(result) << result.error;
+      ASSERT_EQ(text.back(), '\n');
+      std::vector<std::string_view> lines;
+      const std::string_view view(text);
+      for (std::size_t at = 0; at < view.size();) {
+        const std::size_t end = view.find('\n', at);
+        lines.push_back(view.substr(at, end - at));
+        at = end + 1;
+      }
+      ASSERT_EQ(lines.size(), result.events + 2);
+      EXPECT_EQ(lines.front(), R"({"displayTimeUnit":"ms","traceEvents":[)");
+      EXPECT_EQ(lines.back(), "]}");
+      for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
+        std::string_view line = lines[i];
+        const bool last = i + 2 == lines.size();
+        ASSERT_FALSE(line.empty()) << "line " << i;
+        EXPECT_EQ(line.back() == ',', !last) << "line " << i << ": " << line;
+        if (!last) line.remove_suffix(1);
+        util::JsonValue record;
+        ASSERT_NO_THROW(record = util::parse_json(line))
+            << "line " << i << ": " << line;
+        EXPECT_TRUE(record.is_object()) << "line " << i << ": " << line;
+      }
+    }
+  }
 }
 
 // --- attribution -------------------------------------------------------------
@@ -1677,8 +1382,8 @@ TEST(ChromeExport, ArrivalAndAlertInstantsRouteToTheirTracks) {
   // kArrival is a job-track instant (pid 2), kAlert a scheduler-track
   // instant (pid 3).
   EXPECT_LT(text.find("\"arrival\""), text.find("\"alert\""));
-  EXPECT_NE(text.find("\"pid\": 2"), std::string::npos);
-  EXPECT_NE(text.find("\"pid\": 3"), std::string::npos);
+  EXPECT_NE(text.find("\"pid\":2"), std::string::npos);
+  EXPECT_NE(text.find("\"pid\":3"), std::string::npos);
 
   // Server arrivals survive the export→parse round trip.
   const std::vector<obs::TraceEvent> decoded =
@@ -1703,6 +1408,204 @@ TEST(ChromeImport, StreamMatchesTheTreeOnPinnedAndServerTraces) {
     const std::string text = chrome_text(events, options);
     ASSERT_TRUE(obs::validate_chrome_trace_text(text));
     oracle::expect_matches_tree(text);
+  }
+}
+
+/// A seeded event stream for the export round trip. It holds every
+/// EventKind, with starts drawn from a small grid (so they tie) in random
+/// order (so they decrease), kNoIndex and indices up to 2^53 − 1, and
+/// args of ±0, NaN, ±inf, subnormals, ±1e300 and ordinary values. Each
+/// kJob span has a job id of its own, because the decoder pairs B and E
+/// per track, last open first, and that job's arrival and verdict
+/// instants come no later than its dispatch, as a server records them;
+/// most served jobs finish on a compute span of their own. With
+/// `large_workers`, worker indices reach 2^53 − 1 as well.
+std::vector<obs::TraceEvent> generated_events(std::uint64_t seed,
+                                              bool large_workers) {
+  constexpr std::size_t kTop = (std::size_t{1} << 53) - 1;
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(obs::EventKind::kAlert) + 1;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> times{0.0, 4.9e-324, 0.25, 1.0 / 3.0, 1.5,
+                                  2.0, 7.125,    1e3};
+  const std::vector<double> args{
+      0.0,      -0.0,    std::numeric_limits<double>::quiet_NaN(),
+      kInf,     -kInf,   std::numeric_limits<double>::denorm_min(),
+      -2.2250738585072009e-308, 1e300, -1e300, 0.5, 3.0};
+  const std::vector<std::size_t> indices{obs::kNoIndex, 0, 1, 7, kTop,
+                                         (std::size_t{1} << 40) + 3};
+  const std::vector<std::size_t> workers =
+      large_workers ? std::vector<std::size_t>{0, 3, kTop, std::size_t{1} << 45}
+                    : std::vector<std::size_t>{0, 1, 2, 3};
+
+  util::Rng rng(seed);
+  const auto pick = [&rng](const auto& values) {
+    return values[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
+  };
+  const auto draw_time = [&] {
+    return rng.uniform() < 0.6 ? pick(times) : rng.uniform(0.0, 50.0);
+  };
+  const std::size_t count =
+      kKinds + static_cast<std::size_t>(rng.uniform_int(0, 40));
+  std::vector<obs::TraceEvent> events;
+  std::size_t served = 0;  // kJob spans so far
+  for (std::size_t i = 0; i < count; ++i) {
+    obs::TraceEvent event;
+    event.kind = static_cast<obs::EventKind>(
+        i < kKinds ? i : static_cast<std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(kKinds) - 1)));
+    event.start = draw_time();
+    event.end = event.start;
+    event.job = pick(indices);
+    event.tenant = pick(indices);
+    event.worker = rng.uniform() < 0.5 ? obs::kNoIndex : pick(workers);
+    switch (event.kind) {
+      case obs::EventKind::kTransfer:
+      case obs::EventKind::kCompute:
+        event.worker = pick(workers);
+        [[fallthrough]];
+      case obs::EventKind::kInstallment:
+      case obs::EventKind::kRestart: {
+        // Zero-length spans, and now and then an end before the start,
+        // which the export clips to a zero dur.
+        const double u = rng.uniform();
+        event.end = event.start + (u < 0.1   ? -1.0
+                                   : u < 0.3 ? 0.0
+                                             : rng.uniform(0.0, 10.0));
+        break;
+      }
+      case obs::EventKind::kJob:
+        // Ids 0, 2^53 − 1, 1, 2^53 − 2, ...: distinct, small and large.
+        event.job = served % 2 == 0 ? served / 2 : kTop - served / 2;
+        ++served;
+        event.end = event.start + rng.uniform(0.0, 20.0);
+        break;
+      default:
+        break;
+    }
+    event.size = pick(args);
+    event.alpha = pick(args);
+    event.value = pick(args);
+    events.push_back(event);
+  }
+  // A served job's arrival and verdict come no later than its dispatch,
+  // and most served jobs end with a transfer and a compute of their own on
+  // one worker, so the critical path runs through worker spans.
+  std::map<std::size_t, double> dispatch;
+  for (std::size_t i = 0, jobs = events.size(); i < jobs; ++i) {
+    const obs::TraceEvent job = events[i];
+    if (job.kind != obs::EventKind::kJob) continue;
+    dispatch[job.job] = job.start;
+    if (rng.uniform() < 0.3) continue;
+    obs::TraceEvent chunk = job;
+    chunk.worker = pick(workers);
+    chunk.kind = obs::EventKind::kTransfer;
+    chunk.end = job.start + 0.5 * (job.end - job.start);
+    events.push_back(chunk);
+    chunk.kind = obs::EventKind::kCompute;
+    chunk.start = chunk.end;
+    chunk.end = job.end;
+    events.push_back(chunk);
+  }
+  for (obs::TraceEvent& event : events) {
+    const bool verdict = event.kind == obs::EventKind::kArrival ||
+                         event.kind == obs::EventKind::kAdmit ||
+                         event.kind == obs::EventKind::kDegrade;
+    const auto it = dispatch.find(event.job);
+    if (verdict && it != dispatch.end()) {
+      event.start = event.end = std::min(event.start, it->second);
+    }
+  }
+  return events;
+}
+
+/// What the decoder must return for one exported event: the same kind and
+/// indices; times through the exporter's microseconds and back (ts/1e6,
+/// an X end as start + dur/1e6, a B/E pair's end from its E); a finite,
+/// nonzero arg bit for bit, and +0 for an arg the export leaves out (±0)
+/// or prints as null (NaN, ±inf).
+obs::TraceEvent expected_decode(const obs::TraceEvent& event) {
+  constexpr double kMicros = 1e6;
+  constexpr double kSeconds = 1e-6;
+  const auto arg = [](double value) {
+    return std::isfinite(value) && value != 0.0 ? value : 0.0;
+  };
+  obs::TraceEvent out = event;
+  out.start = (event.start * kMicros) * kSeconds;
+  switch (event.kind) {
+    case obs::EventKind::kTransfer:
+    case obs::EventKind::kCompute:
+    case obs::EventKind::kInstallment:
+    case obs::EventKind::kRestart:
+      out.end = out.start +
+                (std::max(0.0, event.end - event.start) * kMicros) * kSeconds;
+      break;
+    case obs::EventKind::kJob:
+      out.end = (event.end * kMicros) * kSeconds;
+      break;
+    default:
+      out.end = out.start;
+      break;
+  }
+  out.size = arg(event.size);
+  out.alpha = arg(event.alpha);
+  out.value = arg(event.value);
+  return out;
+}
+
+/// An event as a tuple of integers (doubles by their bits), so a stream
+/// sorts into one canonical order and compares bit for bit.
+using EventBits =
+    std::tuple<int, std::uint64_t, std::uint64_t, std::size_t, std::size_t,
+               std::size_t, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+std::vector<EventBits> sorted_bits(const std::vector<obs::TraceEvent>& events) {
+  std::vector<EventBits> out;
+  for (const obs::TraceEvent& e : events) {
+    out.emplace_back(static_cast<int>(e.kind),
+                     std::bit_cast<std::uint64_t>(e.start),
+                     std::bit_cast<std::uint64_t>(e.end), e.job, e.worker,
+                     e.tenant, std::bit_cast<std::uint64_t>(e.size),
+                     std::bit_cast<std::uint64_t>(e.alpha),
+                     std::bit_cast<std::uint64_t>(e.value));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ChromeImport, GeneratedExportsRoundTrip) {
+  // Seeded streams, exported with and without their critical-path
+  // overlay: each document validates, the one-pass readers agree with the
+  // tree oracle, and it decodes back to its stream (in any order: the
+  // decoder returns a job span at its "E").
+  constexpr std::uint64_t kSeeds = 48;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const bool large_workers = seed % 2 == 0;
+    const std::vector<obs::TraceEvent> events =
+        generated_events(seed, large_workers);
+    std::vector<obs::TraceEvent> expected;
+    for (const obs::TraceEvent& event : events) {
+      expected.push_back(expected_decode(event));
+    }
+    const obs::CriticalPath path(events);
+    for (const bool with_path : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", critical path " +
+                   std::to_string(with_path));
+      obs::ChromeTraceOptions options;
+      // Inferring the worker count from an index near 2^53 would name
+      // that many tracks; the export is told the count instead.
+      options.workers = large_workers ? 4 : 0;
+      options.critical_path = with_path ? &path : nullptr;
+      const std::string text = chrome_text(events, options);
+      const obs::ValidationResult result =
+          obs::validate_chrome_trace_text(text);
+      ASSERT_TRUE(result) << result.error;
+      oracle::expect_matches_tree(text);
+      const std::vector<obs::TraceEvent> decoded =
+          obs::events_from_chrome_trace(text);
+      EXPECT_EQ(sorted_bits(decoded), sorted_bits(expected));
+    }
   }
 }
 
