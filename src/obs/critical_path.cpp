@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -63,6 +65,30 @@ std::size_t last_ending_at(const std::vector<ChunkEvt>& list,
   return kNoIndex;
 }
 
+/// One entry of a per-job index table. A table is sorted by job id,
+/// stably, so one job's entries keep their emission order, and is
+/// searched by binary search.
+template <typename T>
+struct Keyed {
+  std::size_t job = kNoIndex;
+  T value{};
+};
+
+template <typename T>
+void sort_by_job(std::vector<Keyed<T>>& table) {
+  std::ranges::stable_sort(table, std::less<>{}, &Keyed<T>::job);
+}
+
+/// The entries of `job` in a table sorted by sort_by_job, in emission
+/// order.
+template <typename T>
+std::span<const Keyed<T>> entries_of(const std::vector<Keyed<T>>& table,
+                                     std::size_t job) {
+  const auto range =
+      std::ranges::equal_range(table, job, std::less<>{}, &Keyed<T>::job);
+  return {range.begin(), range.end()};
+}
+
 /// Merge (possibly overlapping) intervals in place, ascending.
 void merge_intervals(std::vector<std::pair<double, double>>& intervals) {
   if (intervals.empty()) return;
@@ -119,42 +145,44 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
                "match tolerance must be finite and >= 0");
 
   // ---- index the stream -------------------------------------------------
-  // Jobs (kJob spans), arrivals, restart and installment spans per job,
-  // and per-worker chunk lists. std::map keeps every pass ordered.
-  // Only a kJob span makes a job: a rejected job leaves a kArrival and a
-  // verdict but is never served, so it has no path to blame.
-  std::map<std::size_t, JobBlame> jobs;
-  std::map<std::size_t, const TraceEvent*> arrivals;  // kArrival (preferred)
-  std::map<std::size_t, double> verdict_times;   // admit/degrade fallback
-  std::map<std::size_t, std::vector<std::pair<double, double>>> restarts;
-  std::map<std::size_t, std::vector<ChunkEvt>> installments;
+  // Jobs (kJob spans), arrivals, verdicts, restart and installment spans
+  // per job go into flat tables sorted by job id (stably: a job's entries
+  // keep emission order) and searched by binary search. Only a kJob span
+  // makes a job: a rejected job leaves a kArrival and a verdict but is
+  // never served, so it has no path to blame.
+  std::vector<JobBlame>& jobs = jobs_;
+  std::vector<Keyed<const TraceEvent*>> arrivals;  // kArrival (preferred)
+  std::vector<Keyed<double>> verdict_times;        // admit/degrade fallback
+  std::vector<Keyed<std::pair<double, double>>> restarts;
+  std::vector<ChunkEvt> installments;  // keyed by their own job field
   // Chunk lists only for the workers that carry spans, in ascending
   // worker index: a worker without spans gates nothing, so leaving it out
-  // changes no search, and any index below 2^53 costs one list.
+  // changes no search, and any index below 2^53 costs one list. (Keyed by
+  // worker, this map holds one node per worker, not per job.)
   std::map<std::size_t, WorkerLists> by_worker;
   for (const TraceEvent& event : events) {
     switch (event.kind) {
       case EventKind::kJob: {
-        JobBlame& blame = jobs[event.job];
+        JobBlame blame;
         blame.job = event.job;
         blame.tenant = event.tenant;
         blame.dispatch = event.start;
         blame.finish = event.end;
+        jobs.push_back(std::move(blame));
         break;
       }
       case EventKind::kArrival:
-        arrivals[event.job] = &event;
+        arrivals.push_back({event.job, &event});
         break;
       case EventKind::kAdmit:
       case EventKind::kDegrade:
-        verdict_times.emplace(event.job, event.start);
+        verdict_times.push_back({event.job, event.start});
         break;
       case EventKind::kRestart:
-        restarts[event.job].emplace_back(event.start, event.end);
+        restarts.push_back({event.job, {event.start, event.end}});
         break;
       case EventKind::kInstallment:
-        installments[event.job].push_back(
-            {event.start, event.end, event.job});
+        installments.push_back({event.start, event.end, event.job});
         break;
       case EventKind::kTransfer:
         if (event.worker != kNoIndex) {
@@ -172,6 +200,35 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
         break;
     }
   }
+  // A job's last kJob span describes it (later spans overwrite earlier
+  // ones), its last kArrival gives its arrival and its first verdict the
+  // fallback.
+  std::ranges::stable_sort(jobs, std::less<>{}, &JobBlame::job);
+  {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (i + 1 < jobs.size() && jobs[i + 1].job == jobs[i].job) continue;
+      if (kept != i) jobs[kept] = std::move(jobs[i]);
+      ++kept;
+    }
+    jobs.resize(kept);
+  }
+  sort_by_job(arrivals);
+  sort_by_job(verdict_times);
+  sort_by_job(restarts);
+  std::ranges::stable_sort(installments, std::less<>{}, &ChunkEvt::job);
+  // Each job's installments by start, sorted as the job's own list in
+  // emission order would sort.
+  for (auto first = installments.begin(); first != installments.end();) {
+    const auto last = std::find_if(first, installments.end(),
+                                   [job = first->job](const ChunkEvt& evt) {
+                                     return evt.job != job;
+                                   });
+    std::sort(first, last, [](const ChunkEvt& a, const ChunkEvt& b) {
+      return a.start < b.start;
+    });
+    first = last;
+  }
   std::vector<WorkerLists> lists;
   lists.reserve(by_worker.size());
   for (auto& [worker, chunks] : by_worker) {
@@ -179,35 +236,30 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     lists.push_back(std::move(chunks));
   }
   const std::size_t slots = lists.size();
-  for (auto& [job, spans] : restarts) merge_intervals(spans);
-  for (auto& [job, spans] : installments) {
-    std::sort(spans.begin(), spans.end(),
-              [](const ChunkEvt& a, const ChunkEvt& b) {
-                return a.start < b.start;
-              });
-  }
   // Per-job compute refs (slot, index), for gating-span selection.
-  std::map<std::size_t, std::vector<Node>> job_computes;
+  std::vector<Keyed<Node>> job_computes;
   for (std::size_t w = 0; w < slots; ++w) {
     for (std::size_t i = 0; i < lists[w].computes.size(); ++i) {
-      job_computes[lists[w].computes[i].job].push_back({false, w, i});
+      job_computes.push_back({lists[w].computes[i].job, {false, w, i}});
     }
   }
+  sort_by_job(job_computes);
+  std::vector<std::pair<double, double>> rework;  // one job's restarts
 
   const auto tol_at = [match_tolerance](double t) {
     return match_tolerance * std::max(1.0, std::fabs(t));
   };
 
   // ---- walk every served job's causal chain backwards --------------------
-  for (auto& [id, blame] : jobs) {
-    const auto arrival_it = arrivals.find(id);
-    if (arrival_it != arrivals.end()) {
-      blame.arrival = arrival_it->second->start;
-      blame.queue_depth = arrival_it->second->value;
+  for (JobBlame& blame : jobs) {
+    const std::size_t id = blame.job;
+    if (const auto arrival = entries_of(arrivals, id); !arrival.empty()) {
+      blame.arrival = arrival.back().value->start;
+      blame.queue_depth = arrival.back().value->value;
     } else {
-      const auto verdict_it = verdict_times.find(id);
-      blame.arrival = verdict_it != verdict_times.end() ? verdict_it->second
-                                                        : blame.dispatch;
+      const auto verdict = entries_of(verdict_times, id);
+      blame.arrival =
+          !verdict.empty() ? verdict.front().value : blame.dispatch;
     }
 
     const double dispatch = blame.dispatch;
@@ -228,17 +280,15 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     Node node;
     bool have_node = false;
     {
-      const auto refs_it = job_computes.find(id);
       double best_start = -kInf;
-      if (refs_it != job_computes.end()) {
-        for (const Node& ref : refs_it->second) {
-          const ChunkEvt& evt = lists[ref.slot].computes[ref.index];
-          if (std::fabs(evt.end - finish) <= tol_at(finish) &&
-              evt.start > best_start) {
-            best_start = evt.start;
-            node = ref;
-            have_node = true;
-          }
+      for (const Keyed<Node>& entry : entries_of(job_computes, id)) {
+        const Node& ref = entry.value;
+        const ChunkEvt& evt = lists[ref.slot].computes[ref.index];
+        if (std::fabs(evt.end - finish) <= tol_at(finish) &&
+            evt.start > best_start) {
+          best_start = evt.start;
+          node = ref;
+          have_node = true;
         }
       }
     }
@@ -312,13 +362,13 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
         break;
       }
       push_segment(BlameKind::kStall, dispatch, t, kNoIndex, kNoIndex);
-    } else if (const auto inst_it = installments.find(id);
-               inst_it != installments.end() && !inst_it->second.empty()) {
+    } else if (const auto spans = std::ranges::equal_range(
+                   installments, id, std::less<>{}, &ChunkEvt::job);
+               !spans.empty()) {
       // Serial-qos granularity: the path is the job's own installment
       // spans; the gaps between them are time the processor served other
       // jobs. comm is folded into the solver-timed installments, so the
       // comm bucket is honestly zero here.
-      const std::vector<ChunkEvt>& spans = inst_it->second;
       for (std::size_t i = spans.size(); i-- > 0;) {
         if (spans[i].start >= t) continue;
         push_segment(BlameKind::kCompute, spans[i].start, std::min(t, spans[i].end),
@@ -339,10 +389,10 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     // Re-bill the job's own compute path time that overlaps its restart
     // spans: split the segments at the restart boundaries (exact interval
     // arithmetic — no subtraction), so re-work is a bucket of its own.
-    const auto restart_it = restarts.find(id);
-    if (restart_it != restarts.end()) {
-      const std::vector<std::pair<double, double>>& rework =
-          restart_it->second;
+    if (const auto entries = entries_of(restarts, id); !entries.empty()) {
+      rework.clear();
+      for (const auto& entry : entries) rework.push_back(entry.value);
+      merge_intervals(rework);
       std::vector<PathSegment> split;
       split.reserve(blame.path.size());
       for (const PathSegment& segment : blame.path) {
@@ -411,9 +461,6 @@ CriticalPath::CriticalPath(const std::vector<TraceEvent>& events,
     NLDL_ASSERT(blame.total() == blame.latency,
                 "blame components failed to close on the observed latency");
   }
-
-  jobs_.reserve(jobs.size());
-  for (auto& [id, blame] : jobs) jobs_.push_back(std::move(blame));
 }
 
 const JobBlame* CriticalPath::find(std::size_t job) const {

@@ -1,11 +1,15 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -26,21 +30,58 @@ constexpr std::int64_t kPathPid = 4;
 /// Buffered bytes that trigger a write() before the document completes.
 constexpr std::size_t kFlushBytes = std::size_t{64} * 1024;
 
-// One line of the traceEvents array, pre-routed to its track. `event`
-// is null for synthesized critical-path slices and flow arrows, which
-// carry their own args fields instead.
+// One line of the traceEvents array: its sort key, its phase, and where
+// the rest of it comes from. That is an event (`event`), or, with `event`
+// null, segment `segment` of `blame`'s critical path, printed as a slice
+// (phase X) or a flow arrow (s/t/f). Track, name and duration are derived
+// when the line is written, which keeps an Emit at 32 bytes: the in-place
+// sort moves whole Emits.
 struct Emit {
   double ts = 0.0;  // microseconds
+  const TraceEvent* event = nullptr;
+  const JobBlame* blame = nullptr;
+  std::uint32_t segment = 0;
   char phase = 'X';
-  double dur = 0.0;  // X only
+};
+
+struct Track {
   std::int64_t pid = kSchedulerPid;
   std::int64_t tid = 0;
-  const TraceEvent* event = nullptr;
-  const char* name = nullptr;         // an event kind or blame bucket name
-  std::int64_t flow_id = -1;          // s/t/f flow binding id (the job)
-  std::size_t arg_worker = kNoIndex;  // synthesized-slice args
-  std::size_t arg_via = kNoIndex;
 };
+
+/// The track an event's record goes on: pid 1 with two lanes per worker
+/// for chunk spans, pid 2 with one lane per job, pid 3 for the scheduler.
+Track track_of(const TraceEvent& event) {
+  switch (event.kind) {
+    case EventKind::kTransfer:
+    case EventKind::kCompute:
+      return {kWorkersPid, static_cast<std::int64_t>(2 * event.worker) +
+                               (event.kind == EventKind::kCompute ? 1 : 0)};
+    case EventKind::kJob:
+    case EventKind::kInstallment:
+    case EventKind::kRestart:
+    case EventKind::kArrival:
+    case EventKind::kAdmit:
+    case EventKind::kDegrade:
+    case EventKind::kReject:
+    case EventKind::kPreempt:
+    case EventKind::kDeadlineMiss:
+      return {kJobsPid, static_cast<std::int64_t>(event.job)};
+    case EventKind::kRerate:
+    case EventKind::kDispatch:
+    case EventKind::kCheckpoint:
+    case EventKind::kCompact:
+    case EventKind::kReplay:
+    case EventKind::kAlert:
+      return {kSchedulerPid, 0};
+  }
+  NLDL_UNREACHABLE("unknown event kind");
+}
+
+/// Microseconds of a span, clipped at zero.
+double duration_us(double start, double end) {
+  return std::max(0.0, end - start) * kMicrosPerSecond;
+}
 
 std::size_t infer_workers(const std::vector<TraceEvent>& events) {
   std::size_t workers = 0;
@@ -50,24 +91,50 @@ std::size_t infer_workers(const std::vector<TraceEvent>& events) {
   return workers;
 }
 
-/// One numeric field's text, formatted again only when the value's bits
-/// change: consecutive records often share a timestamp.
+/// The workers whose transfer or compute spans the events carry, in
+/// ascending index, once each: the worker tracks a document holds.
+std::vector<std::size_t> span_workers(const std::vector<TraceEvent>& events) {
+  std::vector<std::size_t> workers;
+  for (const TraceEvent& event : events) {
+    const bool on_worker = event.kind == EventKind::kTransfer ||
+                           event.kind == EventKind::kCompute;
+    if (on_worker && event.worker != kNoIndex) {
+      workers.push_back(event.worker);
+    }
+  }
+  std::sort(workers.begin(), workers.end());
+  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  return workers;
+}
+
+/// One numeric field's text for its last kSlots distinct values, so a
+/// value seen again soon (a shared timestamp, a recurring duration or
+/// size) is copied instead of formatted again. A miss replaces the
+/// oldest slot.
 class NumberText {
  public:
   std::string_view operator()(double value) {
     const auto bits = std::bit_cast<std::uint64_t>(value);
-    if (size_ == 0 || bits != bits_) {
-      bits_ = bits;
-      size_ = static_cast<std::size_t>(
-          util::format_json_number(value, text_) - text_);
+    for (const Slot& slot : slots_) {
+      if (slot.size != 0 && slot.bits == bits) return {slot.text, slot.size};
     }
-    return {text_, size_};
+    Slot& slot = slots_[oldest_];
+    oldest_ = (oldest_ + 1) % kSlots;
+    slot.bits = bits;
+    slot.size = static_cast<std::size_t>(
+        util::format_json_number(value, slot.text) - slot.text);
+    return {slot.text, slot.size};
   }
 
  private:
-  std::uint64_t bits_ = 0;
-  std::size_t size_ = 0;
-  char text_[util::kJsonNumberChars] = {};
+  static constexpr std::size_t kSlots = 4;
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::size_t size = 0;  // 0: empty
+    char text[util::kJsonNumberChars] = {};
+  };
+  std::array<Slot, kSlots> slots_{};
+  std::size_t oldest_ = 0;
 };
 
 template <typename Integer>
@@ -78,118 +145,222 @@ void append_integer(std::string& out, Integer value) {
   out.append(text, result.ptr);
 }
 
+// The fixed fragments of an event record, in the order they are written.
+// Each is copied by a length known at compile time.
+constexpr std::string_view kFirstOpen = "\n{\"name\":\"";
+constexpr std::string_view kNextOpen = ",\n{\"name\":\"";
+constexpr std::string_view kPhase = R"(","cat":"nldl","ph":")";
+constexpr std::string_view kTs = R"(","ts":)";
+constexpr std::string_view kDur = R"(,"dur":)";
+constexpr std::string_view kInstantScope = R"(,"s":"t")";
+constexpr std::string_view kFlowId = R"(,"id":)";
+constexpr std::string_view kBindEnclosing = R"(,"bp":"e")";
+constexpr std::string_view kPid = R"(,"pid":)";
+constexpr std::string_view kTid = R"(,"tid":)";
+constexpr std::string_view kArgs = R"(,"args":{)";
+constexpr std::string_view kJobKey = R"("job":)";
+constexpr std::string_view kTenantKey = R"("tenant":)";
+constexpr std::string_view kWorkerKey = R"("worker":)";
+constexpr std::string_view kSizeKey = R"("size":)";
+constexpr std::string_view kAlphaKey = R"("alpha":)";
+constexpr std::string_view kValueKey = R"("value":)";
+constexpr std::string_view kViaJobKey = R"("via_job":)";
+constexpr std::string_view kRecordClose = "}}";
+
+/// Longest event kind or blame bucket name a record may carry (the
+/// longest, "deadline_miss" and "critical path", have 13 characters).
+constexpr std::size_t kMaxNameChars = 24;
+/// Longest integer field: -2^63 and 2^64 − 2 both print 20 characters.
+constexpr std::size_t kIntegerChars = 20;
+constexpr std::size_t kNumberChars = util::kJsonNumberChars;
+
+/// Room one event record can take: every fragment and every field at its
+/// longest, whether or not one record can carry them all together.
+constexpr std::size_t kMaxRecordChars =
+    kNextOpen.size() + kMaxNameChars + kPhase.size() + 1 + kTs.size() +
+    kNumberChars + kDur.size() + kNumberChars + kInstantScope.size() +
+    kFlowId.size() + kIntegerChars + kBindEnclosing.size() + kPid.size() +
+    kIntegerChars + kTid.size() + kIntegerChars + kArgs.size() +
+    (1 + kJobKey.size() + kIntegerChars) +
+    (1 + kTenantKey.size() + kIntegerChars) +
+    (1 + kWorkerKey.size() + kIntegerChars) +
+    (1 + kSizeKey.size() + kNumberChars) +
+    (1 + kAlphaKey.size() + kNumberChars) +
+    (1 + kValueKey.size() + kNumberChars) +
+    (1 + kViaJobKey.size() + kIntegerChars) + kRecordClose.size();
+
+/// The document's buffer: a record written at any fill below kFlushBytes
+/// fits.
+constexpr std::size_t kBufferChars = kFlushBytes + kMaxRecordChars;
+
+char* put(char* out, std::string_view text) noexcept {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+template <typename Integer>
+char* put_integer(char* out, Integer value) {
+  const auto result = std::to_chars(out, out + kIntegerChars, value);
+  NLDL_ASSERT(result.ec == std::errc{}, "integer does not fit its field");
+  return result.ptr;
+}
+
 /// The Chrome document with no whitespace outside strings and one record
 /// per line: `{"displayTimeUnit":"ms","traceEvents":[`, then each
 /// metadata or event record as one `{...}` line ending in `,` (the last
-/// without), then `]}` and a newline. It is printed from fixed text
-/// fragments into a buffer that goes to the stream once per 64 KiB. Kind
-/// and bucket names are plain lower-case words that need no escaping;
-/// track names, which carry the label, are quoted in place through
-/// util::append_json_quoted.
+/// without), then `]}` and a newline. Bytes gather in one fixed buffer
+/// that goes to the stream once per 64 KiB. An event record is written
+/// straight into it from the fragments above, util::format_json_number
+/// text (NumberText) and std::to_chars integers; the buffer always has
+/// room for kMaxRecordChars past the fill it flushes at, and each record
+/// checks that it stayed within that bound. Kind and bucket names are
+/// plain lower-case words that need no escaping. A metadata line, whose
+/// track name carries the label, is assembled in a string through
+/// util::append_json_quoted and then copied in.
 class ChromeDocument {
  public:
-  explicit ChromeDocument(std::ostream& out) : out_(out) {
-    buffer_.reserve(2 * kFlushBytes);
-    put(R"({"displayTimeUnit":"ms","traceEvents":[)");
+  explicit ChromeDocument(std::ostream& out)
+      : out_(out), buffer_(std::make_unique<char[]>(kBufferChars)) {
+    put_line(R"({"displayTimeUnit":"ms","traceEvents":[)");
   }
 
   void metadata(std::int64_t pid, std::int64_t tid, std::string_view meta,
                 std::string_view name) {
-    begin_record();
-    put(R"("name":")");
-    put(meta);
-    put(R"(","ph":"M","pid":)");
-    append_integer(buffer_, pid);
-    put(R"(,"tid":)");
-    append_integer(buffer_, tid);
-    put(R"(,"args":{"name":)");
-    util::append_json_quoted(buffer_, name);
-    put("}");
-    end_record();
+    line_.assign(first_ ? "\n{" : ",\n{");
+    first_ = false;
+    line_.append(R"("name":")");
+    line_.append(meta);
+    line_.append(R"(","ph":"M","pid":)");
+    append_integer(line_, pid);
+    line_.append(R"(,"tid":)");
+    append_integer(line_, tid);
+    line_.append(R"(,"args":{"name":)");
+    util::append_json_quoted(line_, name);
+    line_.append("}}");
+    put_line(line_);
   }
 
   void record(const Emit& emit) {
-    begin_record();
-    put(R"("name":")");
-    put(emit.name);
-    put(R"(","cat":"nldl","ph":")");
-    buffer_ += emit.phase;
-    put(R"(","ts":)");
-    put(ts_(emit.ts));
-    if (emit.phase == 'X') {
-      put(R"(,"dur":)");
-      put(dur_(emit.dur));
-    }
-    if (emit.phase == 'i') put(R"(,"s":"t")");
-    if (emit.flow_id >= 0) {
-      put(R"(,"id":)");
-      append_integer(buffer_, emit.flow_id);
-      if (emit.phase == 'f') put(R"(,"bp":"e")");
-    }
-    put(R"(,"pid":)");
-    append_integer(buffer_, emit.pid);
-    put(R"(,"tid":)");
-    append_integer(buffer_, emit.tid);
-    put(R"(,"args":{)");
-    args_ = 0;
+    char* const start = buffer_.get() + fill_;
+    char* p = nullptr;
+    bool first_arg = true;
+    const auto key = [&p, &first_arg](std::string_view text) {
+      if (!first_arg) *p++ = ',';
+      first_arg = false;
+      p = put(p, text);
+    };
     if (emit.event != nullptr) {
       const TraceEvent& event = *emit.event;
-      if (event.job != kNoIndex) arg_integer("job", event.job);
-      if (event.tenant != kNoIndex) arg_integer("tenant", event.tenant);
-      if (event.worker != kNoIndex) arg_integer("worker", event.worker);
-      if (event.size != 0.0) arg_number("size", size_(event.size));
-      if (event.alpha != 0.0) arg_number("alpha", alpha_(event.alpha));
-      if (event.value != 0.0) arg_number("value", value_(event.value));
+      p = head(start, to_string(event.kind), emit,
+               emit.phase == 'X' ? duration_us(event.start, event.end) : 0.0,
+               -1, track_of(event));
+      if (event.job != kNoIndex) {
+        key(kJobKey);
+        p = put_integer(p, event.job);
+      }
+      if (event.tenant != kNoIndex) {
+        key(kTenantKey);
+        p = put_integer(p, event.tenant);
+      }
+      if (event.worker != kNoIndex) {
+        key(kWorkerKey);
+        p = put_integer(p, event.worker);
+      }
+      if (event.size != 0.0) {
+        key(kSizeKey);
+        p = put(p, size_(event.size));
+      }
+      if (event.alpha != 0.0) {
+        key(kAlphaKey);
+        p = put(p, alpha_(event.alpha));
+      }
+      if (event.value != 0.0) {
+        key(kValueKey);
+        p = put(p, value_(event.value));
+      }
     } else {
-      if (emit.arg_worker != kNoIndex) arg_integer("worker", emit.arg_worker);
-      if (emit.arg_via != kNoIndex) arg_integer("via_job", emit.arg_via);
+      const PathSegment& segment = emit.blame->path[emit.segment];
+      const bool slice = emit.phase == 'X';
+      const auto job = static_cast<std::int64_t>(emit.blame->job);
+      p = head(start, slice ? to_string(segment.kind) : "critical path", emit,
+               slice ? duration_us(segment.start, segment.end) : 0.0,
+               slice ? -1 : job, {kPathPid, job});
+      if (segment.worker != kNoIndex) {
+        key(kWorkerKey);
+        p = put_integer(p, segment.worker);
+      }
+      if (segment.via_job != kNoIndex) {
+        key(kViaJobKey);
+        p = put_integer(p, segment.via_job);
+      }
     }
-    put("}");
-    end_record();
+    p = put(p, kRecordClose);
+    const auto written = static_cast<std::size_t>(p - start);
+    NLDL_ASSERT(written <= kMaxRecordChars, "record overran its bound");
+    fill_ += written;
+    if (fill_ >= kFlushBytes) flush();
   }
 
   /// End the last record's line, close the array and the root, write the
   /// rest.
   void finish() {
-    put("\n]}\n");
+    put_line("\n]}\n");
     flush();
   }
 
  private:
-  void put(std::string_view text) { buffer_.append(text); }
-
-  void arg_key(std::string_view key) {
-    put(args_ == 0 ? "\"" : ",\"");
-    put(key);
-    put("\":");
-    ++args_;
-  }
-  void arg_integer(std::string_view key, std::size_t value) {
-    arg_key(key);
-    append_integer(buffer_, value);
-  }
-  void arg_number(std::string_view key, std::string_view text) {
-    arg_key(key);
-    put(text);
+  /// Copy `text` in, or write it through when it is longer than the
+  /// buffer (a metadata line with a very long label).
+  void put_line(std::string_view text) {
+    if (text.size() > kBufferChars - fill_) flush();
+    if (text.size() > kBufferChars) {
+      out_.write(text.data(), static_cast<std::streamsize>(text.size()));
+      return;
+    }
+    (void)put(buffer_.get() + fill_, text);
+    fill_ += text.size();
+    if (fill_ >= kFlushBytes) flush();
   }
 
-  void begin_record() {
-    put(first_ ? "\n{" : ",\n{");
-    first_ = false;
-  }
-  void end_record() {
-    put("}");
-    if (buffer_.size() >= kFlushBytes) flush();
-  }
   void flush() {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
+    out_.write(buffer_.get(), static_cast<std::streamsize>(fill_));
+    fill_ = 0;
+  }
+
+  /// Write a record from its start up to the opening of its args object
+  /// at `out`; `dur` is printed for phase X only, `flow_id` when >= 0.
+  char* head(char* out, std::string_view name, const Emit& emit, double dur,
+             std::int64_t flow_id, Track track) {
+    NLDL_ASSERT(name.size() <= kMaxNameChars, "record name too long");
+    char* p = put(out, first_ ? kFirstOpen : kNextOpen);
+    first_ = false;
+    p = put(p, name);
+    p = put(p, kPhase);
+    *p++ = emit.phase;
+    p = put(p, kTs);
+    p = put(p, ts_(emit.ts));
+    if (emit.phase == 'X') {
+      p = put(p, kDur);
+      p = put(p, dur_(dur));
+    }
+    if (emit.phase == 'i') p = put(p, kInstantScope);
+    if (flow_id >= 0) {
+      p = put(p, kFlowId);
+      p = put_integer(p, flow_id);
+      if (emit.phase == 'f') p = put(p, kBindEnclosing);
+    }
+    p = put(p, kPid);
+    p = put_integer(p, track.pid);
+    p = put(p, kTid);
+    p = put_integer(p, track.tid);
+    return put(p, kArgs);
   }
 
   std::ostream& out_;
-  std::string buffer_;
+  std::unique_ptr<char[]> buffer_;
+  std::size_t fill_ = 0;  // bytes buffered, below kFlushBytes between calls
+  std::string line_;      // the metadata line being assembled
   bool first_ = true;
-  std::size_t args_ = 0;  // args written in the current record
   NumberText ts_;
   NumberText dur_;
   NumberText size_;
@@ -241,9 +412,6 @@ double intersection_length(const std::vector<std::pair<double, double>>& a,
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
                         const ChromeTraceOptions& options) {
-  const std::size_t workers =
-      options.workers != 0 ? options.workers : infer_workers(events);
-
   // Stable sort by start time so the timeline is monotone; emission
   // order breaks ties, keeping the output deterministic.
   std::vector<const TraceEvent*> ordered;
@@ -286,66 +454,22 @@ void write_chrome_trace(std::ostream& out,
     note_job(*event);
     Emit emit;
     emit.event = event;
-    emit.name = to_string(event->kind);
     emit.ts = event->start * kMicrosPerSecond;
-    switch (event->kind) {
-      case EventKind::kTransfer:
-      case EventKind::kCompute: {
-        NLDL_REQUIRE(event->worker != kNoIndex,
-                     "transfer/compute span without a worker");
-        emit.phase = 'X';
-        emit.dur = std::max(0.0, event->end - event->start) * kMicrosPerSecond;
-        emit.pid = kWorkersPid;
-        emit.tid = static_cast<std::int64_t>(2 * event->worker) +
-                   (event->kind == EventKind::kCompute ? 1 : 0);
-        emits.push_back(emit);
-        break;
-      }
-      case EventKind::kJob: {
-        emit.phase = 'B';
-        emit.pid = kJobsPid;
-        emit.tid = static_cast<std::int64_t>(event->job);
-        emits.push_back(emit);
-        Emit end = emit;
-        end.phase = 'E';
-        end.ts = event->end * kMicrosPerSecond;
-        emits.push_back(end);
-        break;
-      }
-      case EventKind::kInstallment:
-      case EventKind::kRestart: {
-        emit.phase = 'X';
-        emit.dur = std::max(0.0, event->end - event->start) * kMicrosPerSecond;
-        emit.pid = kJobsPid;
-        emit.tid = static_cast<std::int64_t>(event->job);
-        emits.push_back(emit);
-        break;
-      }
-      case EventKind::kArrival:
-      case EventKind::kAdmit:
-      case EventKind::kDegrade:
-      case EventKind::kReject:
-      case EventKind::kPreempt:
-      case EventKind::kDeadlineMiss: {
-        emit.phase = 'i';
-        emit.pid = kJobsPid;
-        emit.tid = static_cast<std::int64_t>(event->job);
-        emits.push_back(emit);
-        break;
-      }
-      case EventKind::kRerate:
-      case EventKind::kDispatch:
-      case EventKind::kCheckpoint:
-      case EventKind::kCompact:
-      case EventKind::kReplay:
-      case EventKind::kAlert: {
-        emit.phase = 'i';
-        emit.pid = kSchedulerPid;
-        emit.tid = 0;
-        emits.push_back(emit);
-        break;
-      }
+    if (event->kind == EventKind::kJob) {
+      emit.phase = 'B';
+      emits.push_back(emit);
+      emit.phase = 'E';
+      emit.ts = event->end * kMicrosPerSecond;
+      emits.push_back(emit);
+      continue;
     }
+    if (event->kind == EventKind::kTransfer ||
+        event->kind == EventKind::kCompute) {
+      NLDL_REQUIRE(event->worker != kNoIndex,
+                   "transfer/compute span without a worker");
+    }
+    emit.phase = is_span(event->kind) ? 'X' : 'i';
+    emits.push_back(emit);
   }
   // Critical-path overlay: one pid-4 thread per analyzed job, X slices
   // per path segment named by blame bucket, stitched by s/t/f flow
@@ -355,42 +479,27 @@ void write_chrome_trace(std::ostream& out,
   if (options.critical_path != nullptr) {
     for (const JobBlame& blame : options.critical_path->jobs()) {
       const std::vector<PathSegment>& path = blame.path;
+      NLDL_REQUIRE(path.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "critical path too long to export");
       for (std::size_t i = 0; i < path.size(); ++i) {
-        const PathSegment& segment = path[i];
         Emit slice;
-        slice.ts = segment.start * kMicrosPerSecond;
-        slice.phase = 'X';
-        slice.dur =
-            std::max(0.0, segment.end - segment.start) * kMicrosPerSecond;
-        slice.pid = kPathPid;
-        slice.tid = static_cast<std::int64_t>(blame.job);
-        slice.name = to_string(segment.kind);
-        slice.arg_worker = segment.worker;
-        slice.arg_via = segment.via_job;
+        slice.ts = path[i].start * kMicrosPerSecond;
+        slice.blame = &blame;
+        slice.segment = static_cast<std::uint32_t>(i);
         emits.push_back(slice);
         if (path.size() < 2) continue;
-        Emit flow = slice;
-        flow.phase = i == 0 ? 's' : (i + 1 == path.size() ? 'f' : 't');
-        flow.dur = 0.0;
-        flow.name = "critical path";
-        flow.flow_id = static_cast<std::int64_t>(blame.job);
-        emits.push_back(flow);
+        slice.phase = i == 0 ? 's' : (i + 1 == path.size() ? 'f' : 't');
+        emits.push_back(slice);
       }
     }
   }
 
   // The B/E expansion can put an E after a later-starting event's record;
-  // restore global timestamp order (stable: emission order breaks ties)
-  // by sorting (ts, line) keys instead of whole Emits.
-  std::vector<std::pair<double, std::size_t>> order;
-  order.reserve(emits.size());
-  for (std::size_t i = 0; i < emits.size(); ++i) {
-    order.emplace_back(emits[i].ts, i);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  // restore global timestamp order in place. The sort is stable, so
+  // emission order breaks ties: the lines come out in (ts, emission
+  // index) order.
+  std::stable_sort(emits.begin(), emits.end(),
+                   [](const Emit& a, const Emit& b) { return a.ts < b.ts; });
 
   ChromeDocument document(out);
   // Track metadata first: process and thread names, each built in one
@@ -403,7 +512,7 @@ void write_chrome_trace(std::ostream& out,
   process_name(kWorkersPid, " workers");
   process_name(kJobsPid, " jobs");
   process_name(kSchedulerPid, " scheduler");
-  for (std::size_t w = 0; w < workers; ++w) {
+  const auto worker_names = [&](std::size_t w) {
     name.assign("w");
     append_integer(name, w);
     const std::size_t stem = name.size();
@@ -414,6 +523,11 @@ void write_chrome_trace(std::ostream& out,
     name.append(" cpu");
     document.metadata(kWorkersPid, static_cast<std::int64_t>(2 * w + 1),
                       "thread_name", name);
+  };
+  if (options.workers != 0) {
+    for (std::size_t w = 0; w < options.workers; ++w) worker_names(w);
+  } else {
+    for (const std::size_t w : span_workers(events)) worker_names(w);
   }
   for (const auto& [job, tenant] : jobs) {
     name.assign("job ");
@@ -437,7 +551,7 @@ void write_chrome_trace(std::ostream& out,
                         "thread_name", name);
     }
   }
-  for (const auto& [ts, line] : order) document.record(emits[line]);
+  for (const Emit& emit : emits) document.record(emit);
   document.finish();
 }
 

@@ -31,7 +31,10 @@ namespace nldl::obs {
 class CriticalPath;
 
 struct ChromeTraceOptions {
-  /// Worker-track count; 0 infers max worker index + 1 from the events.
+  /// Worker tracks to name: workers 0 .. workers − 1. 0 names only the
+  /// workers whose transfer or compute spans the events carry, in
+  /// ascending index, so a sparse index (worker 3,000,000, or one near
+  /// 2^53) costs two metadata lines, not one pair per index below it.
   std::size_t workers = 0;
   /// Process-name prefix shown in the Perfetto track list.
   std::string label = "nldl";
@@ -47,7 +50,8 @@ struct ChromeTraceOptions {
 /// by start time (emission order breaks ties), so the output is
 /// deterministic for a deterministic recording. Job tracks are named in
 /// the order jobs first appear, found through an ordered index from job
-/// id (O(log jobs) per event).
+/// id (O(log jobs) per event). Worker tracks are named as
+/// ChromeTraceOptions::workers says.
 ///
 /// Layout: no whitespace outside strings and one trace event per line.
 /// The first line is `{"displayTimeUnit":"ms","traceEvents":[`; each
@@ -55,19 +59,31 @@ struct ChromeTraceOptions {
 /// except the last; the last line is `]}`, followed by one newline.
 /// Numbers are util::format_json_number's shortest round-trip text (so
 /// non-finite values print null whatever the C locale), and the label and
-/// track names are escaped as util::json_quote escapes them. The bytes
-/// are printed from fixed text fragments, each numeric field re-formatted
-/// only when its value's bits change, into a buffer written to `out` once
-/// per 64 KiB.
+/// track names are escaped as util::json_quote escapes them.
+///
+/// How the bytes are printed: into one fixed buffer written to `out` once
+/// per 64 KiB. An event record goes straight into that buffer as fixed
+/// text fragments of compile-time length, std::to_chars integers and
+/// number text, under a per-record length bound that the buffer always
+/// has room for and each record asserts. Each numeric field (ts, dur,
+/// size, alpha, value) keeps the text of its last four distinct values
+/// and formats only a value none of them holds (the formatter keeps its
+/// round-trip check). Metadata lines, whose names carry the label, are
+/// assembled through util::append_json_quoted and copied in. The records
+/// are sorted in place by (ts, emission index).
 ///
 /// Where this is pinned: in tests/test_obs.cpp, ChromeExport.
 /// PinnedTraceBytes holds one document verbatim; the MatchesTheReference*
 /// tests require the bytes of a test-local exporter built on
 /// util::JsonWriter calls, with its whitespace moved to this layout, over
 /// server traces, escapes, non-finite args and a comma locale; and
-/// ChromeExport.OneRecordPerLine parses every record line on its own.
-/// The trace_one_event_per_line ctest entry counts the lines of a file
-/// written by bench_soak.
+/// ChromeExport.OneRecordPerLine parses every record line on its own;
+/// ChromeImport.GeneratedExportsRoundTrip compares 48 seeded streams, and
+/// ChromeExport.MatchesTheReferenceAtTheRecordLengthBound the longest
+/// record, with the reference;
+/// ChromeExport.SparseWorkerIndicesNameOnlyTheirTracks exports spans on
+/// worker 3,000,000 and on one near 2^53. The trace_one_event_per_line
+/// ctest entry counts the lines of a file written by bench_soak.
 void write_chrome_trace(std::ostream& out,
                         const std::vector<TraceEvent>& events,
                         const ChromeTraceOptions& options = {});

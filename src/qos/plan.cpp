@@ -63,10 +63,7 @@ InstallmentSolver::Installment InstallmentSolver::solve(double load,
   // The chunks go in worker order, as allocation.to_schedule() lists them.
   const auto allocation =
       dlt::nonlinear_single_round_for(service_.comm, platform_, load, alpha);
-  run_.reset();
-  for (std::size_t w = 0; w < allocation.amounts.size(); ++w) {
-    (void)run_.append({w, allocation.amounts[w], 0.0, alpha});
-  }
+  run_.reset_single_round(allocation.amounts, alpha);
   run_.drain();
   Installment installment;
   installment.duration = run_.makespan();

@@ -80,11 +80,12 @@ struct ServiceModel {
 /// of the last few thousand keys keeps the admission → plan hits and the
 /// recurring sizes.
 ///
-/// Every memo miss replays on the solver's one sim::EngineRun: reset, one
-/// chunk per worker carrying the job's alpha, drain. The answer carries
-/// the bits of a fresh sim::Engine(platform, {alpha}).run(...), whatever
-/// the run replayed before (the engine raises each chunk to its own alpha
-/// in the same std::pow call), without building an engine, a run and a
+/// Every memo miss replays on the solver's one sim::EngineRun: one
+/// reset_single_round call loads a chunk per worker carrying the job's
+/// alpha, then drain. The answer carries the bits of a fresh
+/// sim::Engine(platform, {alpha}).run(...), whatever the run replayed
+/// before (the engine raises each chunk to its own alpha under one power
+/// rule, sim/engine.hpp), without building an engine, a run and a
 /// SimResult per miss. The run points at the solver's own engine, so the
 /// solver is neither copyable nor movable. Holds references to the
 /// platform and model, which must outlive it; not safe for concurrent

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/trace.hpp"
@@ -40,6 +41,10 @@ std::size_t SimResult::idle_workers() const noexcept {
 Engine::Engine(const platform::Platform& platform, EngineOptions options)
     : platform_(platform), options_(options) {
   NLDL_REQUIRE(options.alpha >= 1.0, "alpha must be >= 1");
+  costs_.reserve(platform.size());
+  for (const platform::Processor& proc : platform.workers()) {
+    costs_.push_back({proc.c, proc.w, proc.bandwidth()});
+  }
 }
 
 std::vector<ChunkAssignment> single_round_schedule(
@@ -162,14 +167,14 @@ bool EngineRun::pop_due_releases() {
 // uninterrupted trajectory. The cache guarantees the model sees exactly
 // the same call sequence whether or not the run was paused.
 void EngineRun::assign_rates() {
-  const platform::Platform& plat = engine_->platform();
+  const std::vector<Engine::WorkerCosts>& costs = engine_->costs_;
   views_.clear();
   for (const std::size_t idx : eligible_) {
     const std::size_t w = schedule_[idx].worker;
     TransferView view;
     view.chunk = idx;
     view.worker = w;
-    view.link_rate = plat.worker(w).bandwidth();
+    view.link_rate = costs[w].bandwidth;
     // Progress the view (not the anchor) to the clock, so models relying
     // on remaining see current data.
     view.remaining = std::max(
@@ -213,21 +218,37 @@ void EngineRun::assign_rates() {
   }
 }
 
+// size^alpha under the engine's power rule (engine.hpp): std::pow, its
+// last result reused while the argument bits repeat. The caller handles
+// alpha = 1, which leaves this slot alone.
+double EngineRun::power(double size, double alpha) {
+  const auto size_bits = std::bit_cast<std::uint64_t>(size);
+  const auto alpha_bits = std::bit_cast<std::uint64_t>(alpha);
+  if (size_bits != pow_size_bits_ || alpha_bits != pow_alpha_bits_) {
+    pow_size_bits_ = size_bits;
+    pow_alpha_bits_ = alpha_bits;
+    pow_value_ = std::pow(size, alpha);
+  }
+  return pow_value_;
+}
+
 // Record the chunk's span once its communication is over, queueing its
 // computation on the worker's CPU (receive/compute pipelining: compute of
 // chunk k overlaps the receive of chunk k+1).
 void EngineRun::finish_chunk(std::size_t idx, ChunkCompletionRef hook) {
   const ChunkAssignment& chunk = schedule_[idx];
-  const auto& proc = engine_->platform().worker(chunk.worker);
   const Transfer& transfer = transfers_[idx];
   ChunkSpan& span = spans_[idx];
   span.worker = chunk.worker;
   span.size = chunk.size;
   span.comm_start = transfer.started ? transfer.comm_start : now_;
   span.comm_end = now_;
+  const double alpha =
+      chunk.alpha > 0.0 ? chunk.alpha : engine_->options().alpha;
+  // std::pow(x, 1) == x for every x, so alpha = 1 skips the call.
   const double compute_duration =
-      proc.w * std::pow(chunk.size, chunk.alpha > 0.0 ? chunk.alpha
-                                                      : engine_->options().alpha);
+      engine_->costs_[chunk.worker].w *
+      (alpha == 1.0 ? chunk.size : power(chunk.size, alpha));  // nldl-lint: allow(double-eq): exact exponent 1, where pow returns its base
   span.compute_start = std::max(span.comm_end, cpu_free_[chunk.worker]);
   span.compute_end = span.compute_start + compute_duration;
   cpu_free_[chunk.worker] = span.compute_end;
@@ -271,7 +292,7 @@ std::size_t EngineRun::append(const ChunkAssignment& chunk) {
 }
 
 void EngineRun::advance_to(double barrier, ChunkCompletionRef hook) {
-  const platform::Platform& plat = engine_->platform();
+  const std::vector<Engine::WorkerCosts>& costs = engine_->costs_;
   while (true) {
     const double next_release = peek_release();
     if (eligible_.empty()) {
@@ -293,10 +314,10 @@ void EngineRun::advance_to(double barrier, ChunkCompletionRef hook) {
     for (const std::size_t idx : eligible_) {
       const Transfer& transfer = transfers_[idx];
       if (transfer.rate <= 0.0) continue;
-      const auto& proc = plat.worker(schedule_[idx].worker);
+      const Engine::WorkerCosts& cost = costs[schedule_[idx].worker];
       next = std::min(next, transfer.anchor_time +
                                 time_left(transfer.remaining, transfer.rate,
-                                          proc.bandwidth(), proc.c));
+                                          cost.bandwidth, cost.c));
     }
     NLDL_ASSERT(std::isfinite(next), "no finite next event");
     // Events strictly after the barrier belong to a later advance — stop
@@ -321,11 +342,11 @@ void EngineRun::advance_to(double barrier, ChunkCompletionRef hook) {
     for (const std::size_t idx : eligible_) {
       const Transfer& transfer = transfers_[idx];
       if (transfer.rate <= 0.0) continue;
-      const auto& proc = plat.worker(schedule_[idx].worker);
+      const Engine::WorkerCosts& cost = costs[schedule_[idx].worker];
       const double finish =
           transfer.anchor_time + time_left(transfer.remaining, transfer.rate,
-                                           proc.bandwidth(), proc.c);
-      const bool shared_rate = transfer.rate != proc.bandwidth();  // nldl-lint: allow(double-eq): rates copied verbatim; equality picks the shared-link form
+                                           cost.bandwidth, cost.c);
+      const bool shared_rate = transfer.rate != cost.bandwidth;  // nldl-lint: allow(double-eq): rates copied verbatim; equality picks the shared-link form
       const double left =
           transfer.remaining - transfer.rate * (now_ - transfer.anchor_time);
       if (finish <= now_ ||
@@ -368,6 +389,33 @@ void EngineRun::advance_to(double barrier, ChunkCompletionRef hook) {
 }
 
 void EngineRun::drain(ChunkCompletionRef hook) { advance_to(kInf, hook); }
+
+void EngineRun::reset_single_round(const std::vector<double>& amounts,
+                                   double alpha) {
+  const std::size_t p = engine_->costs_.size();
+  NLDL_REQUIRE(amounts.size() == p, "one amount per worker required");
+  NLDL_REQUIRE(alpha == 0.0 || alpha >= 1.0,
+               "per-chunk alpha must be 0 (engine default) or >= 1");
+  for (const double size : amounts) {
+    NLDL_REQUIRE(size >= 0.0, "chunk size must be >= 0");
+  }
+  reset();
+  // What append() leaves for a chunk released at clock 0 on an empty
+  // queue: the chunk heads its worker's queue, released at once (no heap
+  // entry), and joins the eligible set, which ascends with the workers.
+  schedule_.resize(p);
+  spans_.resize(p);
+  transfers_.resize(p);
+  fifo_next_.assign(p, kNoChunk);
+  eligible_.resize(p);
+  for (std::size_t w = 0; w < p; ++w) {
+    schedule_[w] = {w, amounts[w], 0.0, alpha};
+    transfers_[w].remaining = amounts[w];
+    q_head_[w] = w;
+    q_tail_[w] = w;
+    eligible_[w] = w;
+  }
+}
 
 void EngineRun::reset() {
   const std::size_t p = engine_->platform().size();
@@ -494,9 +542,10 @@ SimResult Engine::run(const std::vector<ChunkAssignment>& schedule,
 
 SimResult Engine::run_single_round(const std::vector<double>& amounts,
                                    const CommModel& model) const {
-  NLDL_REQUIRE(amounts.size() == platform_.size(),
-               "one amount per worker required");
-  return run(single_round_schedule(amounts), model);
+  EngineRun run(*this, model);
+  run.reset_single_round(amounts, 0.0);
+  run.drain();
+  return run.take_result();
 }
 
 }  // namespace nldl::sim

@@ -23,6 +23,25 @@
 //     w_i · X^alpha (alpha = 1 is classical linear DLT; alpha > 1 is the
 //     paper's nonlinear case).
 //
+// Hot path. Every replay reads the workers' costs from one table the
+// Engine builds at construction, {c, w, 1.0 / c}, the last entry computed
+// as platform::Processor::bandwidth() computes it, so no event pays a
+// bounds-checked Platform::worker() call or a division (checkpoint copies
+// of a run do not carry the table: it stays with the engine). The power
+// X^alpha follows one rule, and every bit of a span depends on it:
+//   - at alpha = 1 the power is X itself, which is std::pow(X, 1)'s
+//     result for every X (NonlinearFastPaths.LibmPowIdentitiesHold);
+//   - any other alpha calls std::pow, never X·X: glibc's pow(X, 2)
+//     differs from X·X in the last bit on ≈ 0.08% of inputs, and the
+//     payloads carry pow's bits;
+//   - a run keeps its last std::pow result and reuses it when the next
+//     chunk's (X, alpha) bits are equal, as identical workers' chunks of
+//     a single-round allocation are. The alpha = 1 path never touches
+//     that slot.
+// EngineRun.FastPathsMatchTheCostFormulaOnGeneratedSchedules
+// (tests/test_engine_run.cpp) holds every span to w_i·std::pow(X, alpha)
+// bit for bit.
+//
 // Under ParallelLinksModel and OnePortModel every transfer runs at its full
 // link rate for its entire lifetime, so transfer times are the closed-form
 // c_i · X. Under BoundedMultiportModel the rates follow max-min fair
@@ -236,6 +255,16 @@ class EngineRun {
   /// Returns the chunk's schedule index.
   std::size_t append(const ChunkAssignment& chunk);
 
+  /// reset(), then load the single-round schedule sending amounts[w] to
+  /// worker w at release 0 with per-chunk exponent `alpha`, in one call:
+  /// the run is left exactly as reset() plus one append({w, amounts[w],
+  /// 0, alpha}) per worker, in worker order, would leave it. The
+  /// preconditions are append's, plus one amount per worker; they are
+  /// checked before anything changes, so a call that throws leaves the
+  /// run as it was. This is the load of every memo miss of
+  /// qos::InstallmentSolver and of Engine::run_single_round.
+  void reset_single_round(const std::vector<double>& amounts, double alpha);
+
   /// Process every event with time <= `barrier`, invoking the hook as
   /// chunk timelines are finalized, then advance the clock to the barrier
   /// (when finite). Events strictly after the barrier are untouched — in
@@ -319,9 +348,16 @@ class EngineRun {
   bool pop_due_releases();
   void assign_rates();
   void finish_chunk(std::size_t idx, ChunkCompletionRef hook);
+  [[nodiscard]] double power(double size, double alpha);
 
   const Engine* engine_ = nullptr;
   const CommModel* model_ = nullptr;
+
+  /// The last std::pow(size, alpha) computed and its argument bits.
+  /// Alpha bits 0 (+0.0, never an effective exponent) mark it empty.
+  std::uint64_t pow_size_bits_ = 0;
+  std::uint64_t pow_alpha_bits_ = 0;
+  double pow_value_ = 0.0;
 
   double now_ = 0.0;
   std::uint64_t events_ = 0;
@@ -357,10 +393,12 @@ class EngineRun {
 };
 
 /// The single simulation entry point. Holds a reference to the platform
-/// (which must outlive the engine) and replays schedules under any
-/// communication model. The batch run() APIs are one-shot conveniences
-/// over EngineRun (append everything, drain, harvest); use EngineRun
-/// directly to checkpoint, resume, or append mid-run.
+/// (which must outlive the engine and not change while it lives: the
+/// engine copies its workers' costs at construction) and replays
+/// schedules under any communication model. The batch run() APIs are
+/// one-shot conveniences over EngineRun (append everything, drain,
+/// harvest); use EngineRun directly to checkpoint, resume, or append
+/// mid-run.
 class Engine {
  public:
   explicit Engine(const platform::Platform& platform,
@@ -397,8 +435,18 @@ class Engine {
                                            const CommModel& model) const;
 
  private:
+  friend class EngineRun;
+
+  /// One worker's costs as the event loop reads them.
+  struct WorkerCosts {
+    double c = 1.0;          ///< Processor::c
+    double w = 1.0;          ///< Processor::w
+    double bandwidth = 1.0;  ///< Processor::bandwidth(), i.e. 1.0 / c
+  };
+
   const platform::Platform& platform_;
   EngineOptions options_;
+  std::vector<WorkerCosts> costs_;  ///< one per worker, in index order
 };
 
 }  // namespace nldl::sim

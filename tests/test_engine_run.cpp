@@ -297,6 +297,236 @@ TEST(EngineRun, CompactMidRunIsBitIdentical) {
   }
 }
 
+// --- the hot path's power rule and the one-call single-round load -----------
+
+/// The comm models a generated schedule runs under: both discrete models,
+/// and bounded multiport with and without a concurrency cap.
+std::vector<std::unique_ptr<CommModel>> fast_path_models() {
+  std::vector<std::unique_ptr<CommModel>> models;
+  models.push_back(std::make_unique<ParallelLinksModel>());
+  models.push_back(std::make_unique<OnePortModel>());
+  models.push_back(std::make_unique<BoundedMultiportModel>(1.75));
+  models.push_back(std::make_unique<BoundedMultiportModel>(1.75, 2));
+  return models;
+}
+
+/// A seeded platform whose neighbouring workers are often identical, so
+/// equal chunks on them finish together.
+Platform generated_platform(util::Rng& rng) {
+  const auto p = static_cast<std::size_t>(rng.uniform_int(2, 8));
+  std::vector<platform::Processor> workers;
+  for (std::size_t i = 0; i < p; ++i) {
+    if (i > 0 && rng.uniform() < 0.5) {
+      workers.push_back(workers.back());
+      continue;
+    }
+    workers.push_back({rng.uniform(0.2, 3.0), rng.uniform(0.1, 4.0)});
+  }
+  return Platform(std::move(workers));
+}
+
+/// A seeded multiplexed schedule in release order: jobs of one to p
+/// chunks to neighbouring workers, each job one size (drawn from a few
+/// values, zero among them, so sizes repeat across jobs) and one
+/// per-chunk alpha from {0 (the engine default), 1, 1.5, 2, 3}, released
+/// together; some jobs share a release.
+std::vector<ChunkAssignment> multiplexed_schedule(util::Rng& rng,
+                                                  std::size_t p) {
+  const std::vector<double> sizes{0.0, 0.5, 1.25, 3.0, 7.5, 0.1};
+  const std::vector<double> alphas{0.0, 1.0, 1.5, 2.0, 3.0};
+  const auto pick = [&rng](const std::vector<double>& values) {
+    return values[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(values.size()) - 1))];
+  };
+  std::vector<ChunkAssignment> schedule;
+  double release = 0.0;
+  const auto jobs = rng.uniform_int(4, 14);
+  for (std::int64_t job = 0; job < jobs; ++job) {
+    if (rng.uniform() < 0.6) release += rng.uniform(0.0, 4.0);
+    const double size =
+        rng.uniform() < 0.8 ? pick(sizes) : rng.uniform(0.0, 5.0);
+    const double alpha = pick(alphas);
+    const auto first = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(p) - 1));
+    const auto width = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(p - first)));
+    for (std::size_t w = first; w < first + width; ++w) {
+      schedule.push_back({w, size, release, alpha});
+    }
+  }
+  return schedule;
+}
+
+TEST(EngineRun, FastPathsMatchTheCostFormulaOnGeneratedSchedules) {
+  // Every finalized span costs w_i · std::pow(size, alpha) exactly, under
+  // the engine default or the chunk's own alpha, whatever the chunks
+  // before it were: the worker-cost table, the alpha = 1 shortcut
+  // (std::pow(x, 1) == x) and the reuse of the last std::pow result
+  // change no bit. worker_compute_time is that cost summed in finish
+  // order.
+  std::size_t spans_checked = 0;
+  std::size_t alpha_one_then_repeat = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    const Platform plat = generated_platform(rng);
+    const std::vector<double> defaults{1.0, 1.5, 2.0, 2.5};
+    const Engine engine(
+        plat, {defaults[static_cast<std::size_t>(rng.uniform_int(0, 3))]});
+    const std::vector<ChunkAssignment> schedule =
+        multiplexed_schedule(rng, plat.size());
+    const auto models = fast_path_models();
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      const CommModel& model = *models[m];
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", model " +
+                   std::to_string(m));
+      std::vector<double> busy(plat.size(), 0.0);
+      double previous_alpha = 0.0;
+      double previous_size = -1.0;
+      const auto check = [&](std::size_t chunk, const ChunkSpan& span) {
+        const ChunkAssignment& assigned = schedule[chunk];
+        const double alpha =
+            assigned.alpha > 0.0 ? assigned.alpha : engine.options().alpha;
+        const double cost =
+            plat.worker(span.worker).w * std::pow(span.size, alpha);
+        EXPECT_EQ(span.compute_end, span.compute_start + cost)
+            << "chunk " << chunk << ", size " << span.size << ", alpha "
+            << alpha;
+        busy[span.worker] += cost;
+        if (previous_alpha == 1.0 && alpha != 1.0 &&
+            span.size == previous_size) {
+          ++alpha_one_then_repeat;
+        }
+        previous_alpha = alpha;
+        previous_size = span.size;
+        ++spans_checked;
+      };
+      // Multiplexed as SharedMasterPeriod feeds a run: advance to each
+      // release, then append the chunks released there.
+      EngineRun run(engine, model);
+      std::size_t i = 0;
+      while (i < schedule.size()) {
+        const double barrier = schedule[i].release;
+        run.advance_to(barrier, ChunkCompletionRef(check));
+        while (i < schedule.size() && schedule[i].release == barrier) {
+          (void)run.append(schedule[i]);
+          ++i;
+        }
+      }
+      run.drain(ChunkCompletionRef(check));
+      ASSERT_TRUE(run.drained());
+      for (std::size_t w = 0; w < plat.size(); ++w) {
+        EXPECT_EQ(run.worker_compute_time()[w], busy[w]) << "worker " << w;
+      }
+    }
+  }
+  EXPECT_GT(spans_checked, 3000U);
+  // The streams do reach a chunk at alpha = 1 followed by an equal-sized
+  // chunk at another alpha: a reuse slot that the alpha = 1 path
+  // disturbed would show there.
+  EXPECT_GT(alpha_one_then_repeat, 50U);
+}
+
+TEST(EngineRun, SingleRoundLoadEqualsResetPlusAppends) {
+  // reset_single_round(amounts, alpha) leaves the run exactly as reset()
+  // plus one append per worker would: after a previous run of another
+  // shape, under every comm model, both replay to the same bits and
+  // count the same events.
+  const Platform plat = Platform::two_class(6, 1.0, 3.0, 0.7);
+  const Engine engine(plat, {1.5});
+  const auto models = fast_path_models();
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const CommModel& model = *models[m];
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      util::Rng rng(seed);
+      std::vector<double> amounts(plat.size());
+      for (double& amount : amounts) {
+        amount = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 20.0);
+      }
+      const auto previous = random_schedule(rng, plat.size(), 12);
+      for (const double alpha : {0.0, 1.0, 2.0, 3.0}) {
+        SCOPED_TRACE("model " + std::to_string(m) + ", seed " +
+                     std::to_string(seed) + ", alpha " +
+                     std::to_string(alpha));
+        EngineRun loaded(engine, model);
+        EngineRun appended(engine, model);
+        for (EngineRun* run : {&loaded, &appended}) {
+          for (const ChunkAssignment& chunk : previous) {
+            (void)run->append(chunk);
+          }
+          run->advance_to(previous.back().release / 2.0);
+        }
+        const std::uint64_t loaded_before = loaded.events();
+        const std::uint64_t appended_before = appended.events();
+        loaded.reset_single_round(amounts, alpha);
+        appended.reset();
+        for (std::size_t w = 0; w < amounts.size(); ++w) {
+          (void)appended.append({w, amounts[w], 0.0, alpha});
+        }
+        EXPECT_EQ(loaded.chunks(), appended.chunks());
+        EXPECT_EQ(loaded.clock(), 0.0);
+        loaded.drain();
+        appended.drain();
+        EXPECT_EQ(loaded.events() - loaded_before,
+                  appended.events() - appended_before);
+        EXPECT_EQ(loaded.makespan(), appended.makespan());
+        ASSERT_EQ(loaded.worker_compute_time().size(),
+                  appended.worker_compute_time().size());
+        for (std::size_t w = 0; w < plat.size(); ++w) {
+          EXPECT_EQ(loaded.worker_compute_time()[w],
+                    appended.worker_compute_time()[w])
+              << "worker " << w;
+        }
+        expect_results_identical(loaded.take_result(),
+                                 appended.take_result());
+      }
+    }
+  }
+  // At the engine default it is Engine::run_single_round's replay.
+  const std::vector<double> amounts{3.0, 0.0, 1.5, 2.0, 0.25, 4.0};
+  const ParallelLinksModel links;
+  EngineRun run(engine, links);
+  run.reset_single_round(amounts, 0.0);
+  run.drain();
+  expect_results_identical(run.take_result(),
+                           engine.run(single_round_schedule(amounts), links));
+}
+
+TEST(EngineRun, SingleRoundLoadValidatesLikeAppend) {
+  // The same preconditions as append, plus one amount per worker, all
+  // checked before the run changes.
+  const Platform plat = Platform::homogeneous(3, 1.0);
+  const Engine engine(plat);
+  const ParallelLinksModel model;
+  EngineRun run(engine, model);
+  (void)run.append({1, 2.0});
+  const auto unchanged = [&run] {
+    EXPECT_EQ(run.chunks(), 1U);
+    EXPECT_EQ(run.schedule()[0].worker, 1U);
+  };
+  EXPECT_THROW(run.reset_single_round({1.0, 2.0}, 2.0),
+               util::PreconditionError);
+  unchanged();
+  EXPECT_THROW(run.reset_single_round({1.0, 2.0, 3.0, 4.0}, 2.0),
+               util::PreconditionError);
+  unchanged();
+  EXPECT_THROW(run.reset_single_round({1.0, -0.5, 3.0}, 2.0),
+               util::PreconditionError);
+  unchanged();
+  EXPECT_THROW(
+      run.reset_single_round(
+          {1.0, std::numeric_limits<double>::quiet_NaN(), 3.0}, 2.0),
+      util::PreconditionError);
+  unchanged();
+  for (const double alpha : {0.5, 0.999, std::numeric_limits<double>::min()}) {
+    EXPECT_THROW(run.reset_single_round({1.0, 2.0, 3.0}, alpha),
+                 util::PreconditionError)
+        << alpha;
+    unchanged();
+  }
+  EXPECT_NO_THROW(run.reset_single_round({1.0, 0.0, 3.0}, 1.0));
+  EXPECT_EQ(run.chunks(), 3U);
+}
+
 TEST(EngineRun, ValidatesAppendedChunks) {
   const Platform plat = Platform::homogeneous(2, 1.0);
   const Engine engine(plat);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -548,10 +549,15 @@ void reference_chrome_trace(std::ostream& out,
                             const obs::ChromeTraceOptions& options) {
   using obs::EventKind;
   constexpr std::size_t kNone = obs::kNoIndex;
-  std::size_t workers = options.workers;
-  if (workers == 0) {
+  // Worker tracks: 0 .. workers − 1 when the count is given, else the
+  // workers that carry transfer or compute spans, ascending.
+  std::set<std::size_t> workers;
+  for (std::size_t w = 0; w < options.workers; ++w) workers.insert(w);
+  if (options.workers == 0) {
     for (const obs::TraceEvent& event : events) {
-      if (event.worker != kNone) workers = std::max(workers, event.worker + 1);
+      const bool on_worker = event.kind == EventKind::kTransfer ||
+                             event.kind == EventKind::kCompute;
+      if (on_worker && event.worker != kNone) workers.insert(event.worker);
     }
   }
   std::vector<const obs::TraceEvent*> ordered;
@@ -661,7 +667,7 @@ void reference_chrome_trace(std::ostream& out,
   reference_metadata(json, 1, 0, "process_name", options.label + " workers");
   reference_metadata(json, 2, 0, "process_name", options.label + " jobs");
   reference_metadata(json, 3, 0, "process_name", options.label + " scheduler");
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (const std::size_t w : workers) {
     std::string worker = "w";
     worker += std::to_string(w);
     reference_metadata(json, 1, static_cast<std::int64_t>(2 * w),
@@ -1576,9 +1582,10 @@ std::vector<EventBits> sorted_bits(const std::vector<obs::TraceEvent>& events) {
 
 TEST(ChromeImport, GeneratedExportsRoundTrip) {
   // Seeded streams, exported with and without their critical-path
-  // overlay: each document validates, the one-pass readers agree with the
-  // tree oracle, and it decodes back to its stream (in any order: the
-  // decoder returns a job span at its "E").
+  // overlay: each document has the JsonWriter reference's bytes (with the
+  // worker count inferred and given), validates, the one-pass readers
+  // agree with the tree oracle, and it decodes back to its stream (in any
+  // order: the decoder returns a job span at its "E").
   constexpr std::uint64_t kSeeds = 48;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const bool large_workers = seed % 2 == 0;
@@ -1593,10 +1600,13 @@ TEST(ChromeImport, GeneratedExportsRoundTrip) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", critical path " +
                    std::to_string(with_path));
       obs::ChromeTraceOptions options;
-      // Inferring the worker count from an index near 2^53 would name
-      // that many tracks; the export is told the count instead.
-      options.workers = large_workers ? 4 : 0;
       options.critical_path = with_path ? &path : nullptr;
+      options.workers = 4;
+      EXPECT_EQ(reference_mismatch(events, options), "");
+      // Worker tracks are inferred, for indices near 2^53 too: only the
+      // workers that carry spans are named.
+      options.workers = 0;
+      EXPECT_EQ(reference_mismatch(events, options), "");
       const std::string text = chrome_text(events, options);
       const obs::ValidationResult result =
           obs::validate_chrome_trace_text(text);
@@ -1607,6 +1617,105 @@ TEST(ChromeImport, GeneratedExportsRoundTrip) {
       EXPECT_EQ(sorted_bits(decoded), sorted_bits(expected));
     }
   }
+}
+
+/// The first double from `from`, stepping by nextafter toward zero, for
+/// which `text_of` has `chars` characters (NaN after 1000 steps).
+template <typename TextOf>
+double first_with_length(double from, std::size_t chars, TextOf text_of) {
+  double value = from;
+  for (int step = 0; step < 1000; ++step) {
+    if (text_of(value).size() == chars) return value;
+    value = std::nextafter(value, 0.0);
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+TEST(ChromeExport, MatchesTheReferenceAtTheRecordLengthBound) {
+  // The longest record the writer prints: an X span with the longest
+  // name among span kinds, all six args, indices 2^53 − 1, and numbers
+  // whose shortest round-trip texts are the longest there are (24
+  // characters negative, 23 positive).
+  constexpr std::size_t kTop = (std::size_t{1} << 53) - 1;
+  constexpr double kLongest = -2.2250738585072014e-308;
+  ASSERT_EQ(util::json_number(kLongest).size(), 24U);
+  obs::TraceEvent event;
+  event.kind = obs::EventKind::kInstallment;
+  // ts = start · 1e6 and dur = (end − start) · 1e6, as the writer prints.
+  event.start = first_with_length(-1.2345678901234567e-290, 24,
+                                  [](double start) {
+                                    return util::json_number(start * 1e6);
+                                  });
+  event.end = first_with_length(
+      1.2345678901234567e-290, 23, [start = event.start](double end) {
+        return util::json_number(std::max(0.0, end - start) * 1e6);
+      });
+  event.job = kTop;
+  event.tenant = kTop;
+  event.worker = kTop;
+  event.size = kLongest;
+  event.alpha = kLongest;
+  event.value = kLongest;
+  ASSERT_EQ(util::json_number(event.start * 1e6).size(), 24U);
+  ASSERT_EQ(
+      util::json_number(std::max(0.0, event.end - event.start) * 1e6).size(),
+      23U);
+  obs::ChromeTraceOptions options;
+  EXPECT_EQ(reference_mismatch({event}, options), "");
+  const std::string text = chrome_text({event}, options);
+  EXPECT_NE(text.find(R"("size":-2.2250738585072014e-308,)"
+                      R"("alpha":-2.2250738585072014e-308,)"
+                      R"("value":-2.2250738585072014e-308}})"),
+            std::string::npos);
+  // Many of them in a row cross the writer's flush point mid-stream.
+  const std::vector<obs::TraceEvent> many(2000, event);
+  EXPECT_EQ(reference_mismatch(many, options), "");
+}
+
+TEST(ChromeExport, SparseWorkerIndicesNameOnlyTheirTracks) {
+  // Spans on one worker far from 0, with the count inferred: the document
+  // names that worker's two tracks and no other, stays under 1 KiB,
+  // validates and decodes back. (It named every index below the
+  // largest + 1: 515,667,501 bytes for worker 3,000,000, and no end for
+  // one near 2^53.)
+  for (const std::size_t worker :
+       {std::size_t{3000000}, (std::size_t{1} << 53) - 2}) {
+    SCOPED_TRACE("worker " + std::to_string(worker));
+    std::vector<obs::TraceEvent> events;
+    obs::TraceEvent transfer =
+        make_event(obs::EventKind::kTransfer, 0.5, 1.5, 0, 1, worker);
+    transfer.size = 2.0;
+    events.push_back(transfer);
+    obs::TraceEvent compute =
+        make_event(obs::EventKind::kCompute, 1.5, 3.0, 0, 1, worker);
+    compute.size = 2.0;
+    compute.alpha = 2.0;
+    events.push_back(compute);
+    const obs::ChromeTraceOptions options;
+    const std::string text = chrome_text(events, options);
+    EXPECT_LT(text.size(), 1024U);
+    const std::string name = "w" + std::to_string(worker);
+    EXPECT_NE(text.find("\"" + name + " link\""), std::string::npos);
+    EXPECT_NE(text.find("\"" + name + " cpu\""), std::string::npos);
+    EXPECT_EQ(text.find("\"w0 link\""), std::string::npos);
+    EXPECT_EQ(reference_mismatch(events, options), "");
+    const obs::ValidationResult result =
+        obs::validate_chrome_trace_text(text);
+    ASSERT_TRUE(result) << result.error;
+    std::vector<obs::TraceEvent> expected;
+    for (const obs::TraceEvent& event : events) {
+      expected.push_back(expected_decode(event));
+    }
+    EXPECT_EQ(sorted_bits(obs::events_from_chrome_trace(text)),
+              sorted_bits(expected));
+  }
+  // A given count keeps naming workers 0 .. count − 1.
+  obs::ChromeTraceOptions two;
+  two.workers = 2;
+  const std::string named = chrome_text(
+      {make_event(obs::EventKind::kCompute, 0.0, 1.0, 0, 1, 7)}, two);
+  EXPECT_NE(named.find(R"("w1 cpu")"), std::string::npos);
+  EXPECT_EQ(named.find(R"("w7 cpu")"), std::string::npos);
 }
 
 TEST(ChromeImport, RejectsIndicesThatAreNotWholeNumbers) {
