@@ -18,6 +18,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -403,6 +405,301 @@ TEST(Admission, DegradeShrinksTheLoadToTheSlack) {
   EXPECT_TRUE(whole.admitted);
   EXPECT_FALSE(whole.degraded);
   EXPECT_DOUBLE_EQ(whole.served_load, 80.0);
+}
+
+TEST(Admission, SearchDepthIsBetweenOneAndForty) {
+  // Deeper than 40 steps the leaves sit a few ULPs apart, where computed
+  // service is not monotone in load and a search could end on another
+  // crossing of the slack than bisection.
+  const auto plat = platform::Platform::homogeneous(4);
+  ModelSolver owned(plat, make_service(2, 0.0));
+  for (const int depth : {0, 41}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    EXPECT_THROW(AdmissionController(owned.solver,
+                                     {AdmissionMode::kDegrade, 0.25, depth}),
+                 util::PreconditionError);
+    const auto twice = [](double fraction) { return 2.0 * fraction; };
+    EXPECT_THROW((void)largest_feasible_fraction(twice, 1.5, 0.25, depth,
+                                                 0.5, 2.0),
+                 util::PreconditionError);
+  }
+  const AdmissionController deepest(owned.solver,
+                                    {AdmissionMode::kDegrade, 0.25, 40});
+  EXPECT_TRUE(deepest.decide(make_job(0, 0.0, 80.0, 1.0, 30.0)).degraded);
+}
+
+// --- The degrade search against bisection -----------------------------------
+
+/// Leaf k of a `depth`-step bisection over [floor, 1]: the halvings
+/// `mid = 0.5 * (lo + hi)` down k's bits, most significant first.
+double bisection_leaf(std::uint64_t k, double floor, int depth) {
+  double lo = floor;
+  double hi = 1.0;
+  for (int bit = depth - 1; bit >= 0; --bit) {
+    const double mid = 0.5 * (lo + hi);
+    if (((k >> bit) & 1U) != 0U) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// The fixed bisection the degrade search replaced, over a fraction.
+FeasibleFraction bisection_fraction(
+    const std::function<double(double)>& service_of, double slack,
+    double floor, int depth) {
+  double lo = floor;
+  double hi = 1.0;
+  for (int i = 0; i < depth; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (service_of(mid) <= slack) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return {lo, service_of(lo)};
+}
+
+/// AdmissionController::decide as it was with the fixed bisection: the
+/// oracle every decision of the search must equal bit for bit.
+AdmissionDecision bisection_decide(InstallmentSolver& solver,
+                                   const AdmissionOptions& options,
+                                   const online::Job& job) {
+  AdmissionDecision decision;
+  const auto service_of = [&](double load) {
+    return solver.predicted_service(load, job.alpha);
+  };
+  const double full = service_of(job.load);
+  if (!job.has_deadline() || options.mode == AdmissionMode::kAdmitAll ||
+      full <= job.slack()) {
+    decision.served_load = job.load;
+    decision.predicted_service = full;
+    return decision;
+  }
+  if (options.mode == AdmissionMode::kReject) {
+    decision.admitted = false;
+    return decision;
+  }
+  if (service_of(options.min_load_fraction * job.load) > job.slack()) {
+    decision.admitted = false;
+    return decision;
+  }
+  const FeasibleFraction fits = bisection_fraction(
+      [&](double fraction) { return service_of(fraction * job.load); },
+      job.slack(), options.min_load_fraction, options.bisection_iterations);
+  decision.degraded = true;
+  decision.served_load = fits.fraction * job.load;
+  decision.predicted_service = fits.service;
+  return decision;
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Checks one degrade decision of the library against the bisection oracle
+/// and tallies the solver calls of a degraded one: the full load and the
+/// floor, then decide's search rerun with a counting callable.
+struct DegradeCheck {
+  std::size_t decisions = 0;
+  std::size_t degraded = 0;
+  std::size_t calls_at_32 = 0;
+  std::size_t degraded_at_32 = 0;
+  std::size_t most_at_32 = 0;
+
+  void check(const platform::Platform& plat, const ServiceModel& service,
+             const AdmissionOptions& options, const online::Job& job) {
+    ModelSolver library(plat, service);
+    ModelSolver oracle(plat, service);
+    const AdmissionDecision got =
+        AdmissionController(library.solver, options).decide(job);
+    const AdmissionDecision want =
+        bisection_decide(oracle.solver, options, job);
+    ++decisions;
+    EXPECT_EQ(got.admitted, want.admitted);
+    EXPECT_EQ(got.degraded, want.degraded);
+    EXPECT_EQ(bits_of(got.served_load), bits_of(want.served_load));
+    EXPECT_EQ(bits_of(got.predicted_service),
+              bits_of(want.predicted_service));
+    if (!want.degraded) return;
+    ++degraded;
+
+    std::size_t calls = 2;  // the full load and the floor
+    const auto service_of = [&](double fraction) {
+      ++calls;
+      return oracle.solver.predicted_service(fraction * job.load, job.alpha);
+    };
+    const double floor = options.min_load_fraction;
+    const FeasibleFraction fits = largest_feasible_fraction(
+        service_of, job.slack(), floor, options.bisection_iterations,
+        oracle.solver.predicted_service(floor * job.load, job.alpha),
+        oracle.solver.predicted_service(job.load, job.alpha));
+    EXPECT_EQ(bits_of(fits.fraction * job.load), bits_of(got.served_load));
+    EXPECT_EQ(bits_of(fits.service), bits_of(got.predicted_service));
+    EXPECT_LE(calls,
+              static_cast<std::size_t>(options.bisection_iterations) + 6);
+    if (options.bisection_iterations == 32) {
+      calls_at_32 += calls;
+      ++degraded_at_32;
+      most_at_32 = std::max(most_at_32, calls);
+    }
+  }
+};
+
+TEST(Admission, DegradeSearchCarriesTheBisectionsBits) {
+  // Generated platforms, comm models, alphas, rounds, floors, depths and
+  // slacks: every decision must equal the bisection oracle's bit for bit,
+  // and a degraded one at depth 32 must take a handful of solver calls
+  // where bisection takes 35. Dropping the Illinois halving, or a budget
+  // of depth + 2, pushes the worst case here past 16.
+  constexpr double kFloors[] = {0.25, 0.1, 1.0 / 3.0, 0.9, 0.999, 1e-6};
+  constexpr int kDepths[] = {1, 2, 3, 7, 16, 31, 32, 40};
+  constexpr double kAlphas[] = {1.0, 1.5, 2.0, 3.0};
+  constexpr sim::CommModelKind kComms[] = {
+      sim::CommModelKind::kParallelLinks, sim::CommModelKind::kOnePort,
+      sim::CommModelKind::kBoundedMultiport};
+  const auto pick = [](util::Rng& rng, const auto& values) {
+    const auto count = static_cast<std::int64_t>(std::size(values));
+    return values[static_cast<std::size_t>(rng.uniform_int(0, count - 1))];
+  };
+  util::Rng rng(20261016);
+  DegradeCheck tally;
+  for (int setting = 0; setting < 150; ++setting) {
+    const double c = rng.uniform(0.2, 2.0);
+    const auto p = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    const platform::Platform plat = [&] {
+      switch (setting % 3) {
+        case 0:
+          return platform::Platform::homogeneous(2 * p - 1, c);
+        case 1:
+          return platform::Platform::two_class(2 * p, rng.uniform(0.5, 2.0),
+                                               rng.uniform(1.0, 8.0), c);
+        default: {
+          std::vector<double> speeds(2 * p);
+          for (double& speed : speeds) speed = rng.uniform(0.2, 5.0);
+          return platform::Platform::from_speeds(speeds, c);
+        }
+      }
+    }();
+    ServiceModel service =
+        make_service(static_cast<std::size_t>(rng.uniform_int(1, 4)), 0.0);
+    service.comm = pick(rng, kComms);
+    if (service.comm == sim::CommModelKind::kBoundedMultiport) {
+      service.capacity = rng.uniform(0.5, 4.0);
+    }
+    ModelSolver slack_solver(plat, service);
+    for (int j = 0; j < 12; ++j) {
+      const double alpha = pick(rng, kAlphas);
+      const double load = rng.uniform(1.0, 200.0);
+      const double full = slack_solver.solver.predicted_service(load, alpha);
+      const online::Job job = make_job(tally.decisions, 0.0, load, alpha,
+                                       rng.uniform(0.05, 1.05) * full);
+      const AdmissionOptions options{AdmissionMode::kDegrade,
+                                     pick(rng, kFloors), pick(rng, kDepths)};
+      SCOPED_TRACE("setting " + std::to_string(setting) + " job " +
+                   std::to_string(j));
+      tally.check(plat, service, options, job);
+    }
+  }
+  // The servebench shape: reference tenants at 0.35x their slack factors
+  // on two_class(8, 1, 4), bounded multiport at capacity 2, 3 rounds.
+  const auto plat = platform::Platform::two_class(8, 1.0, 4.0);
+  ServiceModel service = make_service(3, 0.3);
+  service.comm = sim::CommModelKind::kBoundedMultiport;
+  service.capacity = 2.0;
+  std::vector<TenantSpec> tenants = reference_tenants();
+  const double rate = 0.8 / mean_predicted_service(tenants, plat, service);
+  for (TenantSpec& tenant : tenants) {
+    tenant.rate *= rate;
+    tenant.slo_slack_factor *= 0.35;
+  }
+  util::Rng traffic_rng(20130520);
+  const auto jobs = generate_tenant_traffic(tenants, plat, service,
+                                            400.0 / rate, traffic_rng);
+  ASSERT_GT(jobs.size(), 300u);
+  const std::size_t degraded_before = tally.degraded;
+  for (const online::Job& job : jobs) {
+    SCOPED_TRACE("tenant job " + std::to_string(job.id));
+    tally.check(plat, service, AdmissionOptions{AdmissionMode::kDegrade}, job);
+  }
+  EXPECT_GT(tally.degraded - degraded_before, 50u);
+
+  EXPECT_GT(tally.degraded, tally.decisions / 4);
+  ASSERT_GT(tally.degraded_at_32, 100u);
+  EXPECT_LE(static_cast<double>(tally.calls_at_32) /
+                static_cast<double>(tally.degraded_at_32),
+            8.0);
+  EXPECT_LE(tally.most_at_32, 16u);
+}
+
+TEST(Admission, DegradeSearchFindsTheBisectionsLeafOnSyntheticService) {
+  // Steps, flat-then-steep, power laws, exponentials, an exact tie at a
+  // leaf and an infinite full load: the search must return bisection's
+  // leaf and service, within depth + 4 calls whatever the shape.
+  struct Case {
+    std::string name;
+    std::function<double(double)> service;
+    double slack = 1.0;
+  };
+  constexpr double kFloors[] = {0.25, 1e-6, 0.9, 0.999};
+  constexpr int kDepths[] = {1, 2, 3, 7, 16, 31, 32, 40};
+  util::Rng rng(20130520);
+  for (const double floor : kFloors) {
+    for (const int depth : kDepths) {
+      const auto last = (std::int64_t{1} << depth) - 1;
+      const auto leaf_at = [&](std::int64_t k) {
+        return bisection_leaf(static_cast<std::uint64_t>(k), floor, depth);
+      };
+      // A crossing strictly inside (floor, 1).
+      const double u = floor + (1.0 - floor) * rng.uniform(0.01, 0.99);
+      std::vector<Case> cases;
+      for (const std::int64_t step :
+           {std::int64_t{0}, last, rng.uniform_int(0, last),
+            rng.uniform_int(0, last)}) {
+        const double edge = leaf_at(step);
+        cases.push_back({"step after leaf " + std::to_string(step),
+                         [edge](double f) { return f <= edge ? 0.5 : 2.0; }});
+      }
+      cases.push_back({"flat then steep", [u](double f) {
+                         return 0.9 + 1e6 * std::max(0.0, f - u) / (1.0 - u);
+                       }});
+      for (const double power : {0.5, 1.0, 2.0, 3.0, 5.0, 8.0}) {
+        cases.push_back({"power " + std::to_string(power),
+                         [power](double f) { return std::pow(f, power); },
+                         std::pow(u, power)});
+      }
+      for (const double rate : {1.0, 10.0, 100.0}) {
+        cases.push_back({"exponential " + std::to_string(rate),
+                         [rate](double f) { return std::exp(rate * f); },
+                         std::exp(rate * u)});
+      }
+      const auto linear = [](double f) { return 3.7 * f; };
+      cases.push_back({"linear, slack at a leaf", linear,
+                       linear(leaf_at(rng.uniform_int(0, last)))});
+      cases.push_back({"infinite full load",
+                       [](double f) { return f < 1.0 ? 2.0 * f : kInf; },
+                       2.0 * u});
+
+      for (const Case& c : cases) {
+        SCOPED_TRACE(c.name + ", floor " + std::to_string(floor) +
+                     ", depth " + std::to_string(depth));
+        std::size_t calls = 0;
+        const auto counted = [&](double fraction) {
+          ++calls;
+          return c.service(fraction);
+        };
+        const FeasibleFraction got =
+            largest_feasible_fraction(counted, c.slack, floor, depth,
+                                      c.service(floor), c.service(1.0));
+        const FeasibleFraction want =
+            bisection_fraction(c.service, c.slack, floor, depth);
+        EXPECT_EQ(bits_of(got.fraction), bits_of(want.fraction));
+        EXPECT_EQ(bits_of(got.service), bits_of(want.service));
+        EXPECT_LE(calls, static_cast<std::size_t>(depth) + 4);
+      }
+    }
+  }
 }
 
 // --- Policies ---------------------------------------------------------------
