@@ -187,7 +187,7 @@ Sec42Results compute_all(std::size_t threads, std::uint64_t seed) {
                   block, counters.map_tasks,
                   mapreduce::matmul_replication_volume(double(n),
                                                        double(block)),
-                  counters.combine_output_records,
+                  counters.map_output_records,
                   result.max_abs_diff(reference)};
             });
   }

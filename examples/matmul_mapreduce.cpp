@@ -41,12 +41,11 @@ int main(int argc, char** argv) {
   mapreduce::JobConfig config;
   config.pool = &pool;
   config.num_reducers = 4;
-  config.use_combiner = true;
   mapreduce::Counters counters;
   const auto mr = mapreduce::matmul_mapreduce(a, b, block, config, &counters);
   std::printf("[MapReduce engine]   map tasks %zu, shuffled records %zu, "
               "max|err| %.2e\n",
-              counters.map_tasks, counters.combine_output_records,
+              counters.map_tasks, counters.map_output_records,
               mr.max_abs_diff(reference));
   const double replicated = mapreduce::matmul_replication_volume(
       double(n), double(block));

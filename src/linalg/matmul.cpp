@@ -58,6 +58,7 @@ DistributedMatmul matmul_outer_product(const Matrix& a, const Matrix& b,
   // each worker touches a disjoint C rectangle, workers run in parallel.
   auto compute_rect = [&](std::size_t worker) {
     const partition::IRect& rect = layout.rects[worker];
+    if (rect.area() == 0) return;
     for (std::size_t k0 = 0; k0 < n; k0 += panel) {
       const std::size_t k1 = std::min(k0 + panel, n);
       for (long long i = rect.y; i < rect.y + rect.height; ++i) {
@@ -73,20 +74,7 @@ DistributedMatmul matmul_outer_product(const Matrix& a, const Matrix& b,
     }
   };
 
-  if (pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(p);
-    for (std::size_t worker = 0; worker < p; ++worker) {
-      if (layout.rects[worker].area() == 0) continue;
-      futures.push_back(pool->submit([&, worker] { compute_rect(worker); }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t worker = 0; worker < p; ++worker) {
-      if (layout.rects[worker].area() == 0) continue;
-      compute_rect(worker);
-    }
-  }
+  util::parallel_for(pool, 0, p, 1, compute_rect);
 
   for (std::size_t worker = 0; worker < p; ++worker) {
     const partition::IRect& rect = layout.rects[worker];

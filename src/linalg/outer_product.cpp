@@ -58,16 +58,7 @@ DistributedOuterProduct outer_product_partitioned(
     }
   };
 
-  if (pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(p);
-    for (std::size_t worker = 0; worker < p; ++worker) {
-      futures.push_back(pool->submit([&, worker] { compute_rect(worker); }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t worker = 0; worker < p; ++worker) compute_rect(worker);
-  }
+  util::parallel_for(pool, 0, p, 1, compute_rect);
 
   for (std::size_t worker = 0; worker < p; ++worker) {
     const partition::IRect& rect = layout.rects[worker];
@@ -140,15 +131,9 @@ DistributedOuterProduct outer_product_blocked(const std::vector<double>& a,
     }
   };
 
-  if (pool != nullptr) {
-    // Parallelize over contiguous ranges of blocks.
-    const std::size_t grain = std::max<std::size_t>(owner.size() / (4 * pool->size()), 1);
-    util::parallel_for(*pool, 0, owner.size(), grain, compute_block);
-  } else {
-    for (std::size_t block = 0; block < owner.size(); ++block) {
-      compute_block(block);
-    }
-  }
+  // One task per row of blocks.
+  util::parallel_for(pool, 0, owner.size(),
+                     static_cast<std::size_t>(blocks_per_side), compute_block);
 
   for (std::size_t block = 0; block < owner.size(); ++block) {
     out.elements_per_worker[owner[block]] += 2 * block_dim;

@@ -1,33 +1,10 @@
 #include "mapreduce/engine.hpp"
 
 #include <algorithm>
-#include <future>
 
 #include "util/assert.hpp"
 
 namespace nldl::mapreduce {
-
-namespace {
-
-/// Sort by key and sum equal keys in place.
-void combine(std::vector<KV>& records) {
-  std::sort(records.begin(), records.end(),
-            [](const KV& a, const KV& b) { return a.key < b.key; });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < records.size();) {
-    KV merged = records[i];
-    std::size_t j = i + 1;
-    while (j < records.size() && records[j].key == merged.key) {
-      merged.value += records[j].value;
-      ++j;
-    }
-    records[out++] = merged;
-    i = j;
-  }
-  records.resize(out);
-}
-
-}  // namespace
 
 JobResult run_job(const JobConfig& config, const MapFn& map_fn,
                   const ReduceFn& reduce_fn) {
@@ -43,43 +20,23 @@ JobResult run_job(const JobConfig& config, const MapFn& map_fn,
   // so a pooled job shuffles the serial job's exact record sequence and
   // each key's values reach reduce_fn in the same order.
   std::vector<std::vector<KV>> map_outputs(config.num_splits);
-  std::vector<std::size_t> emitted(config.num_splits, 0);
-  auto run_map_task = [&](std::size_t split) {
-    std::vector<KV>& out = map_outputs[split];
-    map_fn(split, out);
-    emitted[split] = out.size();
-    if (config.use_combiner) combine(out);
-  };
-
-  if (config.pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(config.num_splits);
-    for (std::size_t split = 0; split < config.num_splits; ++split) {
-      futures.push_back(
-          config.pool->submit([&, split] { run_map_task(split); }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t split = 0; split < config.num_splits; ++split) {
-      run_map_task(split);
-    }
-  }
+  util::parallel_for(config.pool, 0, config.num_splits, 1,
+                     [&](std::size_t split) {
+                       map_fn(split, map_outputs[split]);
+                     });
 
   const std::size_t reducers = config.num_reducers;
   std::vector<std::vector<KV>> partitions(reducers);
   std::size_t map_records = 0;
-  std::size_t combined_records = 0;
-  for (std::size_t split = 0; split < config.num_splits; ++split) {
-    map_records += emitted[split];
-    combined_records += map_outputs[split].size();
-    for (const KV& record : map_outputs[split]) {
+  for (std::vector<KV>& out : map_outputs) {
+    map_records += out.size();
+    for (const KV& record : out) {
       partitions[record.key % reducers].push_back(record);
     }
-    std::vector<KV>().swap(map_outputs[split]);
+    std::vector<KV>().swap(out);
   }
   result.counters.map_output_records = map_records;
-  result.counters.combine_output_records = combined_records;
-  result.counters.shuffle_bytes = combined_records * sizeof(KV);
+  result.counters.shuffle_bytes = map_records * sizeof(KV);
 
   // ---- Reduce phase: group each partition by key and fold.
   std::vector<std::vector<KV>> reduced(reducers);
@@ -102,16 +59,7 @@ JobResult run_job(const JobConfig& config, const MapFn& map_fn,
     }
   };
 
-  if (config.pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(reducers);
-    for (std::size_t r = 0; r < reducers; ++r) {
-      futures.push_back(config.pool->submit([&, r] { run_reduce_task(r); }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t r = 0; r < reducers; ++r) run_reduce_task(r);
-  }
+  util::parallel_for(config.pool, 0, reducers, 1, run_reduce_task);
 
   for (auto& part : reduced) {
     result.counters.reduce_groups += part.size();

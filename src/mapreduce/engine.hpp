@@ -8,10 +8,9 @@
 // not a distributed filesystem.
 //
 // Keys are uint64 (jobs encode their structured keys, e.g. (i,j) block
-// coordinates, into 64 bits); values are doubles. An optional combiner
-// merges map-side records with equal keys before the shuffle — exactly the
-// optimization MapReduce uses to cut the replication overhead the paper's
-// introduction describes for matrix multiplication.
+// coordinates, into 64 bits); values are doubles. There is no map-side
+// combiner: the jobs accumulate inside the map task, so each emits a key
+// at most once per split.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +30,7 @@ struct KV {
 struct Counters {
   std::size_t map_tasks = 0;
   std::size_t map_output_records = 0;
-  std::size_t combine_output_records = 0;  ///< == map_output if no combiner
-  std::size_t shuffle_bytes = 0;           ///< records shuffled × sizeof(KV)
+  std::size_t shuffle_bytes = 0;  ///< map_output_records × sizeof(KV)
   std::size_t reduce_groups = 0;
   std::size_t reduce_output_records = 0;
 };
@@ -53,11 +51,9 @@ using ReduceFn =
 struct JobConfig {
   std::size_t num_splits = 0;
   std::size_t num_reducers = 1;
-  /// Sum map-side records with equal keys before shuffling (valid whenever
-  /// the reducer is a sum — true for both jobs in this library).
-  bool use_combiner = false;
-  /// Runs the map and reduce tasks; nullptr = run serially. A pooled job
-  /// returns the serial job's output bit for bit.
+  /// Runs the map and reduce tasks through util::parallel_for; nullptr =
+  /// in index order on the calling thread. A pooled job returns the
+  /// serial job's output bit for bit.
   util::ThreadPool* pool = nullptr;
 };
 

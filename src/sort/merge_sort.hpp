@@ -35,16 +35,7 @@ std::vector<T> parallel_merge_sort(std::vector<T> data, std::size_t ways,
     std::sort(data.begin() + static_cast<std::ptrdiff_t>(bounds[r]),
               data.begin() + static_cast<std::ptrdiff_t>(bounds[r + 1]));
   };
-  if (pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(ways);
-    for (std::size_t r = 0; r < ways; ++r) {
-      futures.push_back(pool->submit([&, r] { sort_run(r); }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t r = 0; r < ways; ++r) sort_run(r);
-  }
+  util::parallel_for(pool, 0, ways, 1, sort_run);
 
   // Iterative pairwise merge (log2(ways) passes).
   std::vector<T> buffer(n);

@@ -177,23 +177,10 @@ std::vector<T> sample_sort_impl(std::vector<T> data,
   const auto t2 = Clock::now();  // nldl-lint: allow(nondet-source): step wall-time instrumentation reported in SampleSortStats — never feeds the sort
 
   // Step 3: local sorts, one bucket per (virtual) worker.
-  if (config.pool != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_buckets);
-    for (std::size_t b = 0; b < num_buckets; ++b) {
-      futures.push_back(config.pool->submit([&scattered, &offsets, b] {
-        std::sort(scattered.begin() + static_cast<std::ptrdiff_t>(offsets[b]),
-                  scattered.begin() +
-                      static_cast<std::ptrdiff_t>(offsets[b + 1]));
-      }));
-    }
-    for (auto& future : futures) future.get();
-  } else {
-    for (std::size_t b = 0; b < num_buckets; ++b) {
-      std::sort(scattered.begin() + static_cast<std::ptrdiff_t>(offsets[b]),
-                scattered.begin() + static_cast<std::ptrdiff_t>(offsets[b + 1]));
-    }
-  }
+  util::parallel_for(config.pool, 0, num_buckets, 1, [&](std::size_t b) {
+    std::sort(scattered.begin() + static_cast<std::ptrdiff_t>(offsets[b]),
+              scattered.begin() + static_cast<std::ptrdiff_t>(offsets[b + 1]));
+  });
   const auto t3 = Clock::now();  // nldl-lint: allow(nondet-source): step wall-time instrumentation reported in SampleSortStats — never feeds the sort
 
   if (stats != nullptr) {

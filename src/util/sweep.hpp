@@ -143,7 +143,7 @@ class Sweep {
       for (std::size_t i = 0; i < total; ++i) run_one(i);
     } else {
       ThreadPool pool(threads);
-      parallel_for(pool, 0, total, 1, run_one);
+      parallel_for(&pool, 0, total, 1, run_one);
     }
     return results;
   }

@@ -35,16 +35,20 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
                   const std::function<void(std::size_t)>& fn) {
   NLDL_REQUIRE(begin <= end, "parallel_for requires begin <= end");
+  if (pool == nullptr) {
+    for (std::size_t i = begin; i < end; ++i) fn(i);
+    return;
+  }
   if (begin == end) return;
   grain = std::max<std::size_t>(grain, 1);
   std::vector<std::future<void>> futures;
   for (std::size_t chunk = begin; chunk < end; chunk += grain) {
     const std::size_t chunk_end = std::min(chunk + grain, end);
-    futures.push_back(pool.submit([chunk, chunk_end, &fn] {
+    futures.push_back(pool->submit([chunk, chunk_end, &fn] {
       for (std::size_t i = chunk; i < chunk_end; ++i) fn(i);
     }));
   }

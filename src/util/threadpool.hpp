@@ -2,9 +2,10 @@
 //
 // Used where the paper's algorithms are actually *executed* on one node
 // (sample sort local sorts, matmul kernels, the MapReduce engine) as opposed
-// to where platform time is *simulated* (src/sim). Follows the C++ Core
-// Guidelines concurrency rules: no detached threads, joins in the
-// destructor, futures for results.
+// to where platform time is *simulated* (src/sim). Library code hands it
+// indexed work only through parallel_for below, whose null pool means
+// inline. Follows the C++ Core Guidelines concurrency rules: no detached
+// threads, joins in the destructor, futures for results.
 #pragma once
 
 #include <condition_variable>
@@ -60,12 +61,15 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Run fn(i) for i in [begin, end) across the pool, blocking until all
-/// indices complete. Work is split into contiguous chunks of at least
-/// `grain` indices. Every chunk is waited on even when one throws — only
-/// then is the first exception (in chunk order) rethrown, so no queued
-/// task can outlive the caller's `fn` or chunk state.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+/// Run fn(i) for every i in [begin, end), returning when all have run: the
+/// one way library code runs indexed work, on a pool or inline. A null
+/// `pool` runs fn(begin), fn(begin + 1), ... on the calling thread, so a
+/// throw at index k leaves the indices after k unrun. Otherwise the range
+/// is split into contiguous chunks of `grain` indices (at least 1), one
+/// pool task each, and every chunk is waited on even when one throws —
+/// only then is the first exception (in chunk order) rethrown, so no
+/// queued task can outlive the caller's `fn` or the state it captures.
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
                   const std::function<void(std::size_t)>& fn);
 

@@ -2,8 +2,11 @@
 #include "mapreduce/engine.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,27 +55,6 @@ TEST(Engine, OutputSortedByKey) {
   for (std::size_t i = 1; i < result.output.size(); ++i) {
     EXPECT_LT(result.output[i - 1].key, result.output[i].key);
   }
-}
-
-TEST(Engine, CombinerShrinksShuffle) {
-  JobConfig plain;
-  plain.num_splits = 8;
-  plain.num_reducers = 2;
-  auto map_fn = [](std::size_t, std::vector<KV>& out) {
-    for (int i = 0; i < 100; ++i) out.push_back(KV{7, 1.0});
-  };
-  const auto without = run_job(plain, map_fn, sum_reducer);
-
-  JobConfig combined = plain;
-  combined.use_combiner = true;
-  const auto with = run_job(combined, map_fn, sum_reducer);
-
-  EXPECT_EQ(without.counters.shuffle_bytes, 800U * sizeof(KV));
-  EXPECT_EQ(with.counters.shuffle_bytes, 8U * sizeof(KV));
-  // Same final answer.
-  ASSERT_EQ(with.output.size(), 1U);
-  EXPECT_DOUBLE_EQ(with.output[0].value, 800.0);
-  EXPECT_DOUBLE_EQ(without.output[0].value, 800.0);
 }
 
 TEST(Engine, ParallelMatchesSerial) {
@@ -138,6 +120,41 @@ TEST(Engine, PooledJobIsBitwiseSerialWhenSumsDependOnOrder) {
       EXPECT_EQ(actual.output[i].key, expected.output[i].key);
       EXPECT_EQ(actual.output[i].value, expected.output[i].value);
     }
+  }
+}
+
+// Regression: the pooled map and reduce phases used to rethrow at the
+// first failed task while the tasks queued behind it still held
+// references into run_job's frame, which then ran against a dead frame
+// (ASan: stack-use-after-scope or heap-use-after-free). One worker runs
+// task 0 first, so every other task is still queued when it throws.
+TEST(Engine, ThrowingTaskWaitsForEveryTask) {
+  constexpr std::size_t kTasks = 64;
+  util::ThreadPool pool(1);
+  for (const bool in_reduce : {false, true}) {
+    SCOPED_TRACE(in_reduce ? "reduce_fn throws" : "map_fn throws");
+    std::atomic<std::size_t> ran{0};
+    const auto task = [&ran](std::size_t index) {
+      if (index == 0) throw std::runtime_error("task 0");
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ++ran;
+    };
+    JobConfig config;
+    config.num_splits = kTasks;
+    config.num_reducers = in_reduce ? kTasks : 1;
+    config.pool = &pool;
+    const MapFn map_fn = [&](std::size_t split, std::vector<KV>& out) {
+      if (!in_reduce) task(split);
+      out.push_back(KV{split, 1.0});  // key k lands on reducer k
+    };
+    const ReduceFn reduce_fn = [&](std::uint64_t key,
+                                   std::span<const double> values) {
+      if (in_reduce) task(static_cast<std::size_t>(key));
+      return sum_reducer(key, values);
+    };
+    EXPECT_THROW((void)run_job(config, map_fn, reduce_fn),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), kTasks - 1);
   }
 }
 

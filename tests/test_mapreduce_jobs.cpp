@@ -76,24 +76,6 @@ TEST(MatmulJob, MatchesNaiveReference) {
   EXPECT_EQ(counters.map_output_records, n * n * 4);
 }
 
-TEST(MatmulJob, CombinerReducesShuffleNotResult) {
-  util::Rng rng(4);
-  const std::size_t n = 12;
-  const auto a = linalg::Matrix::random(n, n, rng);
-  const auto b = linalg::Matrix::random(n, n, rng);
-  JobConfig plain;
-  Counters plain_counters;
-  const auto expected = matmul_mapreduce(a, b, 3, plain, &plain_counters);
-  JobConfig combined;
-  combined.use_combiner = true;
-  Counters combined_counters;
-  const auto actual = matmul_mapreduce(a, b, 3, combined, &combined_counters);
-  EXPECT_TRUE(actual.approx_equal(expected, 1e-10));
-  // Keys within one map task are unique, so the combiner cannot shrink the
-  // shuffle here — it must at least not grow it.
-  EXPECT_LE(combined_counters.shuffle_bytes, plain_counters.shuffle_bytes);
-}
-
 TEST(MatmulReplicationVolume, Formula) {
   EXPECT_DOUBLE_EQ(matmul_replication_volume(100.0, 10.0), 2e5);
   // Finer blocks replicate more.

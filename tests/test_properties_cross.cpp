@@ -36,8 +36,7 @@ TEST_P(SimulatorScaling, LinearTimesScaleLinearly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorScaling, ::testing::Range(0, 6));
 
 // --- MapReduce mass conservation: with a sum reducer, the total output
-// value equals the total emitted value, for any reducer count, pool, or
-// combiner setting.
+// value equals the total emitted value, for any reducer count or pool.
 class EngineConservation : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineConservation, SumIsPreserved) {
@@ -46,7 +45,6 @@ TEST_P(EngineConservation, SumIsPreserved) {
   mapreduce::JobConfig config;
   config.num_splits = 25;
   config.num_reducers = static_cast<std::size_t>(1 + variant % 7);
-  config.use_combiner = (variant % 2) == 0;
   config.pool = (variant % 3) == 0 ? &pool : nullptr;
 
   double emitted = 0.0;

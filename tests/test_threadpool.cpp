@@ -7,6 +7,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -65,7 +66,7 @@ TEST(ThreadPool, DestructorDrainsQueue) {
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(), 7,
+  parallel_for(&pool, 0, hits.size(), 7,
                [&](std::size_t i) { ++hits[i]; });
   for (const auto& hit : hits) {
     ASSERT_EQ(hit.load(), 1);
@@ -75,19 +76,41 @@ TEST(ParallelFor, CoversRangeExactlyOnce) {
 TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool touched = false;
-  parallel_for(pool, 5, 5, 1, [&](std::size_t) { touched = true; });
+  parallel_for(&pool, 5, 5, 1, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
 TEST(ParallelFor, RejectsInvertedRange) {
   ThreadPool pool(1);
-  EXPECT_THROW(parallel_for(pool, 5, 4, 1, [](std::size_t) {}),
+  EXPECT_THROW(parallel_for(&pool, 5, 4, 1, [](std::size_t) {}),
                PreconditionError);
+  EXPECT_THROW(parallel_for(nullptr, 5, 4, 1, [](std::size_t) {}),
+               PreconditionError);
+}
+
+TEST(ParallelFor, NullPoolRunsInIndexOrderOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(nullptr, 3, 11, 4, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8, 9, 10}));
+
+  // The first throw ends the loop: the indices after it never run.
+  order.clear();
+  EXPECT_THROW(parallel_for(nullptr, 0, 10, 1,
+                            [&](std::size_t i) {
+                              order.push_back(i);
+                              if (i == 4) throw std::runtime_error("k");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelFor, PropagatesTaskException) {
   ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 0, 10, 1,
+  EXPECT_THROW(parallel_for(&pool, 0, 10, 1,
                             [](std::size_t i) {
                               if (i == 7) throw std::runtime_error("x");
                             }),
@@ -106,7 +129,7 @@ TEST(ParallelFor, WaitsForAllChunksWhenOneThrows) {
   std::vector<std::atomic<int>> hits(kCount);
   std::atomic<int> completed{0};
   EXPECT_THROW(
-      parallel_for(pool, 0, kCount, 1,
+      parallel_for(&pool, 0, kCount, 1,
                    [&](std::size_t i) {
                      if (i == 5) throw std::runtime_error("mid-range");
                      // Stagger the survivors so plenty of chunks are
@@ -128,7 +151,7 @@ TEST(ParallelFor, RethrowsFirstExceptionInChunkOrder) {
   // "first captured exception" is the one from the lowest chunk.
   ThreadPool pool(1);
   try {
-    parallel_for(pool, 0, 12, 1, [](std::size_t i) {
+    parallel_for(&pool, 0, 12, 1, [](std::size_t i) {
       if (i == 2) throw std::runtime_error("early");
       if (i == 9) throw std::logic_error("late");
     });
@@ -145,7 +168,7 @@ TEST(ParallelFor, SumMatchesSerial) {
   std::vector<double> values(10000);
   std::iota(values.begin(), values.end(), 0.0);
   std::atomic<long long> sum{0};
-  parallel_for(pool, 0, values.size(), 64, [&](std::size_t i) {
+  parallel_for(&pool, 0, values.size(), 64, [&](std::size_t i) {
     sum += static_cast<long long>(values[i]);  // nldl-lint: allow(parallel-accum): integer atomic sum is order-independent; exercises parallel_for itself
   });
   EXPECT_EQ(sum.load(), 10000LL * 9999 / 2);

@@ -151,15 +151,11 @@ int summarize_trace(const std::string& path, std::size_t top_k,
 
   // Event counts by kind, in enum order, zero-count kinds omitted.
   std::vector<std::size_t> counts;
-  std::size_t workers = 0;
   double horizon = 0.0;
   for (const nldl::obs::TraceEvent& event : events) {
     const auto kind = static_cast<std::size_t>(event.kind);
     if (kind >= counts.size()) counts.resize(kind + 1, 0);
     ++counts[kind];
-    if (event.worker != nldl::obs::kNoIndex && event.worker + 1 > workers) {
-      workers = event.worker + 1;
-    }
     horizon = std::max(horizon, event.end);
   }
   std::printf("--- event counts ---\n");
@@ -173,7 +169,7 @@ int summarize_trace(const std::string& path, std::size_t top_k,
   std::printf("\n");
 
   std::fputs(nldl::obs::render_attribution(
-                 nldl::obs::attribute_time(events, workers), path)
+                 nldl::obs::attribute_time(events, 0), path)
                  .c_str(),
              stdout);
 
